@@ -17,8 +17,6 @@ QONE = Q(1)
 
 def q(value):
     """Coerce an int, "p/q" string, or rational to the scalar type."""
-    if isinstance(value, int):
-        return Q(value)
     return Q(value)
 
 

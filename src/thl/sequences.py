@@ -13,7 +13,7 @@ from .crossed import CoinvariantComplex, LambdaComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import descend_map, quotient_by
 from .rational import QONE
-from .sparse import QMatrix, kernel_basis, rank, solve_general, solve_in_span
+from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_in_span
 
 
 def g_hochschild(algebra, group, max_degree):
@@ -53,10 +53,6 @@ SBI_INDEXING_NOTE = (
     "periodicity sequence indexed classically: the map out of HC_{n-2} "
     "lands in HH_{n-1}"
 )
-
-
-def _matrix_kernel_dim(m):
-    return m.cols - rank(m)
 
 
 def sbi_sequence(algebra, group, max_degree):
@@ -154,7 +150,7 @@ def sbi_sequence(algebra, group, max_degree):
         nodes.append(
             SequenceNode(
                 f"HC_{n}", f"I_{n}", f"S_{n}",
-                rank(I_mats[n]), _matrix_kernel_dim(out), comp,
+                rank(I_mats[n]), nullity(out), comp,
             )
         )
     # node HC_{n-2} between S_n and the connecting map
@@ -165,7 +161,7 @@ def sbi_sequence(algebra, group, max_degree):
         nodes.append(
             SequenceNode(
                 f"HC_{n - 2} (shift of HC_{n})", f"S_{n}", f"d_{n}",
-                rank(S_mats[n]), _matrix_kernel_dim(D_mats[n]), comp,
+                rank(S_mats[n]), nullity(D_mats[n]), comp,
             )
         )
     # node HH_n between the connecting map out of HC_{n-1} and I_n
@@ -184,7 +180,7 @@ def sbi_sequence(algebra, group, max_degree):
         nodes.append(
             SequenceNode(
                 f"HH_{n}", f"d_{n + 1}", f"I_{n}",
-                img, _matrix_kernel_dim(I_mats[n]), comp,
+                img, nullity(I_mats[n]), comp,
             )
         )
     return ExactnessReport(nodes, notes=[SBI_INDEXING_NOTE])
@@ -529,7 +525,7 @@ def _karoubi_node(algebra, group, n, dr, cx, lam, lamH, hdrH, hhH):
 
     comp = (right @ left).is_zero()
     lrank = rank(left)
-    mker = _matrix_kernel_dim(right)
+    mker = nullity(right)
     return KaroubiNode(
         degree=n,
         left_injective=(lrank == hdrH.dims[n]),

@@ -7,16 +7,23 @@ mutate works on copies.
 
 Two elimination strategies coexist on purpose:
 
-* ``rank`` uses a structure-guided pivot order (pendant rows/columns
-  first, then a Markowitz-style minimum-fill choice with lowest-index tie
-  breaks).  Rank is invariant under pivot order, so this is safe, fully
-  deterministic, and orders of magnitude faster on the face-map matrices
-  this library produces.
+* ``rank`` works on integer copies of the columns, each scaled once to a
+  primitive vector, and eliminates fraction-free (cross-multiply by the
+  pivot, then divide out the content), so no rational is created inside
+  the loop and the arithmetic is the same whichever rational backend is
+  active.  Pivots come from pendant (single-column) rows first, then from
+  the lightest live column, taken from a lazy-deletion heap keyed on
+  (column length, column index).  Rank is invariant under pivot order, so
+  this is safe, fully deterministic, and orders of magnitude faster on the
+  face-map matrices this library produces.
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
   reported bases cannot depend on elimination internals.
 """
+
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .rational import Q, QONE
 
@@ -219,107 +226,129 @@ def block_diag(mats):
 
 
 # ---------------------------------------------------------------------
-# rank: structure-guided sparse elimination
+# rank: fraction-free sparse elimination
 # ---------------------------------------------------------------------
 
-def rank(matrix):
-    """Exact rank over Q.
+def _primitive(col):
+    """The column scaled to a primitive integer vector {row: int}.
 
-    Pendant (single-entry) rows and columns pivot with zero fill-in and are
-    cleared first; the remainder is eliminated with a minimum-degree pivot
-    choice.  Deterministic; the value is independent of pivot order.
+    Multiplies by the lcm of the denominators, then divides by the gcd of
+    the numerators.  Reads numerator/denominator through int() so that
+    Fraction and mpq entries both give Python ints.
     """
-    cols = [dict(c) for c in matrix._cols]
-    live_cols = set(j for j, c in enumerate(cols) if c)
-    row_cols = {}
-    for j in live_cols:
-        for r in cols[j]:
-            row_cols.setdefault(r, set()).add(j)
+    nums = {r: int(v.numerator) for r, v in col.items()}
+    dens = {r: int(v.denominator) for r, v in col.items()}
+    den = lcm(*dens.values())
+    if den != 1:
+        nums = {r: n * (den // dens[r]) for r, n in nums.items()}
+    g = gcd(*nums.values())
+    if g != 1:
+        nums = {r: n // g for r, n in nums.items()}
+    return nums
 
+
+def rank(matrix):
+    """Exact rank over Q; the input is not modified.
+
+    Each column is scaled once to a primitive integer vector and then
+    eliminated fraction-free: clearing row r of column ``col`` with pivot
+    column ``piv`` (pivot entry p, entry a = col[r], g = gcd(a, p)) sets
+    ``col <- (p/g)*col - (a/g)*piv`` and divides the result by its content,
+    which keeps the integers small without creating a rational.
+
+    Pivot order: pendant rows (a single live column, so no fill-in) first,
+    found through a list of rows whose count dropped to one; otherwise the
+    lightest live column, lowest index first, popped from a lazy-deletion
+    heap keyed (len(col), j), pivoting on its row that meets the fewest
+    columns.  Every live column keeps a heap key no larger than its length
+    (a column is pushed again when it shrinks, or when a popped key turns
+    out stale), so a popped key that matches is the true minimum.
+    Deterministic; the value is independent of pivot order.
+    """
+    cols = [_primitive(c) if c else None for c in matrix._cols]
+    row_cols = {}
+    for j, col in enumerate(cols):
+        if col:
+            for r in col:
+                row_cols.setdefault(r, set()).add(j)
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapify(heap)
+    pendant = [r for r, s in row_cols.items() if len(s) == 1]
     rk = 0
 
-    def kill_col(j):
-        for r in cols[j]:
-            s = row_cols.get(r)
-            if s is not None:
-                s.discard(j)
-                if not s:
-                    del row_cols[r]
-        cols[j] = None
-        live_cols.discard(j)
+    def drop(rr, j):
+        """Row rr no longer meets column j."""
+        s = row_cols[rr]
+        s.discard(j)
+        if len(s) == 1:
+            pendant.append(rr)
+        elif not s:
+            del row_cols[rr]
 
     def eliminate(r, c):
         """Pivot at (r, c): clear row r from the other columns, drop row+col."""
-        nonlocal rk
         piv_col = cols[c]
-        piv = piv_col[r]
-        for j in list(row_cols[r]):
+        p = piv_col[r]
+        piv_items = [(rr, v) for rr, v in piv_col.items() if rr != r]
+        for j in row_cols.pop(r):
             if j == c:
                 continue
             col = cols[j]
-            f = col[r] / piv
-            del col[r]
-            for rr, vv in piv_col.items():
-                if rr == r:
-                    continue
-                nv = col.get(rr)
-                nv = -f * vv if nv is None else nv - f * vv
-                if nv:
-                    if rr not in col:
-                        row_cols.setdefault(rr, set()).add(j)
-                    col[rr] = nv
-                else:
-                    if rr in col:
-                        del col[rr]
-                        s = row_cols.get(rr)
-                        if s is not None:
-                            s.discard(j)
-                            if not s:
-                                del row_cols[rr]
+            n = len(col)
+            a = col.pop(r)
+            if piv_items:
+                g = gcd(a, p)
+                pm, am = p // g, a // g
+                if pm < 0:
+                    pm, am = -pm, -am
+                if pm != 1:
+                    for rr in col:
+                        col[rr] *= pm
+                for rr, v in piv_items:
+                    nv = col.get(rr)
+                    if nv is None:
+                        col[rr] = -am * v
+                        row_cols[rr].add(j)
+                    else:
+                        nv -= am * v
+                        if nv:
+                            col[rr] = nv
+                        else:
+                            del col[rr]
+                            drop(rr, j)
+                if col:
+                    g = gcd(*col.values())
+                    if g != 1:
+                        for rr in col:
+                            col[rr] //= g
             if not col:
-                live_cols.discard(j)
                 cols[j] = None
-        # pivot row now lives only in the pivot column
-        del row_cols[r]
-        for rr in piv_col:
-            if rr == r:
-                continue
-            s = row_cols.get(rr)
-            if s is not None:
-                s.discard(c)
-                if not s:
-                    del row_cols[rr]
+            elif len(col) < n:
+                heappush(heap, (len(col), j))
+        for rr, _ in piv_items:
+            drop(rr, c)
         cols[c] = None
-        live_cols.discard(c)
+
+    while True:
+        while pendant:
+            r = pendant.pop()
+            s = row_cols.get(r)
+            if s is not None and len(s) == 1:
+                (j,) = s
+                eliminate(r, j)
+                rk += 1
+        while heap:
+            n, j = heappop(heap)
+            col = cols[j]
+            if col is not None:
+                if len(col) == n:
+                    break
+                heappush(heap, (len(col), j))
+        else:
+            return rk
+        r = min(col, key=lambda r: (len(row_cols[r]), r))
+        eliminate(r, j)
         rk += 1
-
-    while live_cols:
-        # pendant pass: single-entry columns, then single-entry rows
-        progressed = True
-        while progressed:
-            progressed = False
-            singles = sorted(j for j in live_cols if len(cols[j]) == 1)
-            for j in singles:
-                if cols[j] is not None and len(cols[j]) == 1:
-                    (r,) = cols[j]
-                    eliminate(r, j)
-                    progressed = True
-            single_rows = sorted(r for r, s in row_cols.items() if len(s) == 1)
-            for r in single_rows:
-                s = row_cols.get(r)
-                if s is not None and len(s) == 1:
-                    (j,) = s
-                    eliminate(r, j)
-                    progressed = True
-        if not live_cols:
-            break
-        # Markowitz-style: lightest live column, then its lightest row
-        best_j = min(live_cols, key=lambda j: (len(cols[j]), j))
-        col = cols[best_j]
-        best_r = min(col, key=lambda r: (len(row_cols[r]), r))
-        eliminate(best_r, best_j)
-
-    return rk
 
 
 def nullity(matrix):

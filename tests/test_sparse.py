@@ -119,15 +119,53 @@ def test_rational_strings():
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
+rational_entries = st.one_of(
+    st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=9)
+)
+large_entries = st.one_of(st.just(0), st.integers(min_value=-10**12, max_value=10**12))
+nonzero_entries = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.builds(Fraction, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9)),
+    st.integers(min_value=1, max_value=10**12),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+# Every rational backend that imports: rank must give the same answer on
+# each, whichever one thl.rational picked.
+BACKENDS = [Fraction]
+try:
+    from gmpy2 import mpq
+except ImportError:
+    pass
+else:
+    BACKENDS.append(mpq)
+
+
+def in_backend(m, backend):
+    """m with every entry converted to the backend's scalar type."""
+    return QMatrix(m.rows, m.cols, [{r: backend(v) for r, v in m.column(j).items()}
+                                    for j in range(m.cols)])
+
+
+def dense(m):
+    return [
+        [Fraction(int(m.entry(i, j).numerator), int(m.entry(i, j).denominator))
+         for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
+
+
+def assert_rank_in_every_backend(m, expected):
+    for backend in BACKENDS:
+        assert rank(in_backend(m, backend)) == expected, backend.__name__
 
 
 @st.composite
-def matrices(draw, max_dim=6):
+def matrices(draw, max_dim=6, entries=small_entries):
     rows = draw(st.integers(min_value=1, max_value=max_dim))
     cols = draw(st.integers(min_value=1, max_value=max_dim))
     data = draw(
         st.lists(
-            st.lists(small_entries, min_size=cols, max_size=cols),
+            st.lists(entries, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
@@ -135,16 +173,44 @@ def matrices(draw, max_dim=6):
     return QMatrix.from_dense(data, rows, cols)
 
 
+@st.composite
+def structured_matrices(draw, max_dim=30):
+    """Sparse matrices shaped like the library's differentials.
+
+    Columns are single entries (pendant columns, and often pendant rows),
+    short random columns, or rational multiples of earlier columns
+    (duplicates when the multiple is 1), so the elimination meets zero
+    fill-in pivots, cancellation and columns with a common content.
+    """
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    row = st.integers(min_value=0, max_value=rows - 1)
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["pendant", "sparse", "multiple"]))
+        if kind == "multiple" and cols:
+            src = draw(st.sampled_from(cols))
+            k = draw(st.sampled_from([1, -1]) | nonzero_entries)
+            cols.append({r: k * v for r, v in src.items()})
+        elif kind == "pendant":
+            cols.append({draw(row): draw(nonzero_entries)})
+        else:
+            cols.append(draw(st.dictionaries(row, nonzero_entries, max_size=4)))
+    return QMatrix.from_columns(rows, cols)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_plus_nullity(m):
-    assert rank(m) + kernel_basis(m).cols == m.cols
+    assert_rank_in_every_backend(m, m.cols - kernel_basis(m).cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_of_transpose(m):
-    assert rank(m) == rank(m.transpose())
+    for backend in BACKENDS:
+        mb = in_backend(m, backend)
+        assert rank(mb) == rank(mb.transpose()), backend.__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,12 +225,36 @@ def test_kernel_annihilated(m):
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=5))
 def test_rank_matches_dense_oracle(m):
-    dense = [
-        [Fraction(int(m.entry(i, j).numerator), int(m.entry(i, j).denominator))
-         for j in range(m.cols)]
-        for i in range(m.rows)
-    ]
-    assert rank(m) == dense_rank(dense)
+    assert_rank_in_every_backend(m, dense_rank(dense(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(entries=rational_entries))
+def test_rank_rational_entries_match_dense_oracle(m):
+    assert_rank_in_every_backend(m, dense_rank(dense(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(entries=large_entries))
+def test_rank_large_integers_match_dense_oracle(m):
+    assert_rank_in_every_backend(m, dense_rank(dense(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(structured_matrices())
+def test_rank_structured_sparse_match_dense_oracle(m):
+    assert_rank_in_every_backend(m, dense_rank(dense(m)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(structured_matrices())
+def test_rank_leaves_input_unchanged(m):
+    for backend in BACKENDS:
+        mb = in_backend(m, backend)
+        before = [(j, r, type(v), v) for j in range(mb.cols) for r, v in mb.column(j).items()]
+        rank(mb)
+        assert [(j, r, type(v), v) for j in range(mb.cols)
+                for r, v in mb.column(j).items()] == before
 
 
 @settings(max_examples=40, deadline=None)
