@@ -236,11 +236,8 @@ def _primitive(col):
     the numerators.  Reads numerator/denominator through int() so that
     Fraction and mpq entries both give Python ints.
     """
-    nums = {r: int(v.numerator) for r, v in col.items()}
-    dens = {r: int(v.denominator) for r, v in col.items()}
-    den = lcm(*dens.values())
-    if den != 1:
-        nums = {r: n * (den // dens[r]) for r, n in nums.items()}
+    den = lcm(*[int(v.denominator) for v in col.values()])
+    nums = {r: int(v.numerator) * (den // int(v.denominator)) for r, v in col.items()}
     g = gcd(*nums.values())
     if g != 1:
         nums = {r: n // g for r, n in nums.items()}
@@ -276,15 +273,6 @@ def rank(matrix):
     pendant = [r for r, s in row_cols.items() if len(s) == 1]
     rk = 0
 
-    def drop(rr, j):
-        """Row rr no longer meets column j."""
-        s = row_cols[rr]
-        s.discard(j)
-        if len(s) == 1:
-            pendant.append(rr)
-        elif not s:
-            del row_cols[rr]
-
     def eliminate(r, c):
         """Pivot at (r, c): clear row r from the other columns, drop row+col."""
         piv_col = cols[c]
@@ -314,8 +302,10 @@ def rank(matrix):
                         if nv:
                             col[rr] = nv
                         else:
+                            # row rr still meets the pivot column c, and
+                            # becomes empty, not pendant, once c is dropped
                             del col[rr]
-                            drop(rr, j)
+                            row_cols[rr].discard(j)
                 if col:
                     g = gcd(*col.values())
                     if g != 1:
@@ -326,7 +316,12 @@ def rank(matrix):
             elif len(col) < n:
                 heappush(heap, (len(col), j))
         for rr, _ in piv_items:
-            drop(rr, c)
+            s = row_cols[rr]
+            s.discard(c)
+            if len(s) == 1:
+                pendant.append(rr)
+            elif not s:
+                del row_cols[rr]
         cols[c] = None
 
     while True:
