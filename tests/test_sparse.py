@@ -142,8 +142,10 @@ else:
 
 def in_backend(m, backend):
     """m with every entry converted to the backend's scalar type."""
-    return QMatrix(m.rows, m.cols, [{r: backend(v) for r, v in m.column(j).items()}
-                                    for j in range(m.cols)])
+    return QMatrix(m.rows, m.cols, [
+        {r: backend(int(v.numerator), int(v.denominator)) for r, v in m.column(j).items()}
+        for j in range(m.cols)
+    ])
 
 
 def dense(m):
