@@ -97,18 +97,28 @@ def descend_map(f, src, dst, what="map"):
     f maps src ambient to dst ambient.  Requires f(src relations) to land in
     the span of dst relations; otherwise raises WellDefinednessError naming
     the first offending relation column.
+
+    The section only selects the free coordinates, and a presentation with
+    no relations has an identity projection, so neither is multiplied out.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("map shape does not match the presentations")
-    moved = dst.projection @ (f @ src.relation_basis)
-    if not moved.is_zero():
+    if src.relation_basis.cols:
+        moved = _project(dst, f @ src.relation_basis)
         for j in range(moved.cols):
             if moved._cols[j]:
                 raise WellDefinednessError(
                     f"{what} does not descend to the quotient",
                     location=f"relation column {j}",
                 )
-    return (dst.projection @ f) @ src.section
+    if src.pivot_rows:
+        f = f.select_columns(src.free_rows)
+    return _project(dst, f)
+
+
+def _project(pres, m):
+    """pres.projection @ m, skipping the product when the projection is the identity."""
+    return pres.projection @ m if pres.pivot_rows else m
 
 
 def coinvariant_relations(dim, operators):

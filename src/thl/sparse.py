@@ -5,21 +5,27 @@ Storage is column-major: column j is a dict {row: nonzero rational}.
 Matrices are treated as immutable once built; every routine that needs to
 mutate works on copies.
 
-Two elimination strategies coexist on purpose:
+The arithmetic of the kernels is over Python integers, the same whichever
+rational backend is active: a rational vector is scaled once to an integer
+one (``_integer``, ``_primitive``), eliminated fraction-free (cross-multiply
+by the pivot, then divide out the content, ``_clear``), and rationals are
+made again only for the entries of a result.  Two kernels share this:
 
-* ``rank`` works on integer copies of the columns, each scaled once to a
-  primitive vector, and eliminates fraction-free (cross-multiply by the
-  pivot, then divide out the content), so no rational is created inside
-  the loop and the arithmetic is the same whichever rational backend is
-  active.  Pivots come from pendant (single-column) rows first, then from
-  the lightest live column, taken from a lazy-deletion heap keyed on
-  (column length, column index).  Rank is invariant under pivot order, so
-  this is safe, fully deterministic, and orders of magnitude faster on the
-  face-map matrices this library produces.
+* ``rank`` eliminates primitive integer columns.  Pivots come from pendant
+  (single-column) rows first, then from the lightest live column, taken
+  from a lazy-deletion heap keyed on (column length, column index).  Rank
+  is invariant under pivot order, so this is safe, fully deterministic, and
+  orders of magnitude faster on the face-map matrices this library
+  produces.
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
-  reported bases cannot depend on elimination internals.
+  reported bases cannot depend on elimination internals.  ``rref``
+  eliminates primitive integer rows and divides each finished row by its
+  pivot once.
+
+Products (``@``) accumulate integer products and divide each output entry
+by the common denominator once.
 """
 
 from heapq import heapify, heappop, heappush
@@ -140,21 +146,27 @@ class QMatrix:
         )
 
     def __matmul__(self, other):
+        """Exact product, accumulated over Python integers.
+
+        The columns of ``self`` that ``other`` uses are scaled by the lcm D
+        of their denominators, and each column of ``other`` by its own lcm
+        d; the integer products are summed and every nonzero entry of the
+        result becomes one rational n / (D*d).
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        mine = self._cols
+        used = set().union(*other._cols)
+        den = lcm(*[int(w.denominator) for k in used for w in self._cols[k].values()])
+        mine = {k: _integer(self._cols[k], den) for k in used}
         data = []
         for col in other._cols:
+            d = lcm(*[int(v.denominator) for v in col.values()])
             out = {}
-            for k, v in col.items():
+            for k, v in _integer(col, d).items():
                 for r, w in mine[k].items():
-                    nv = out.get(r)
-                    nv = v * w if nv is None else nv + v * w
-                    if nv:
-                        out[r] = nv
-                    elif r in out:
-                        del out[r]
-            data.append(out)
+                    out[r] = out.get(r, 0) + v * w
+            dd = den * d
+            data.append({r: Q(n, dd) for r, n in out.items() if n})
         return QMatrix(self.rows, other.cols, data, _adopt=True)
 
     def apply(self, vec):
@@ -226,23 +238,64 @@ def block_diag(mats):
 
 
 # ---------------------------------------------------------------------
-# rank: fraction-free sparse elimination
+# integer views of rational vectors
 # ---------------------------------------------------------------------
 
-def _primitive(col):
-    """The column scaled to a primitive integer vector {row: int}.
+def _integer(vec, den):
+    """The vector times den, a common multiple of its denominators: {key: int}.
+
+    Reads numerator/denominator through int() so that Fraction and mpq
+    entries both give Python ints.
+    """
+    if den == 1:
+        return {k: int(v.numerator) for k, v in vec.items()}
+    return {k: int(v.numerator) * (den // int(v.denominator)) for k, v in vec.items()}
+
+
+def _primitive(vec):
+    """The vector scaled to a primitive integer vector {key: int}.
 
     Multiplies by the lcm of the denominators, then divides by the gcd of
-    the numerators.  Reads numerator/denominator through int() so that
-    Fraction and mpq entries both give Python ints.
+    the numerators.
     """
-    den = lcm(*[int(v.denominator) for v in col.values()])
-    nums = {r: int(v.numerator) * (den // int(v.denominator)) for r, v in col.items()}
+    nums = _integer(vec, lcm(*[int(v.denominator) for v in vec.values()]))
     g = gcd(*nums.values())
     if g != 1:
-        nums = {r: n // g for r, n in nums.items()}
+        nums = {k: n // g for k, n in nums.items()}
     return nums
 
+
+def _clear(r, prow, c):
+    """Clear entry c of the integer row r with the row prow, in place.
+
+    With pivot p = prow[c], entry a = r[c] and g = gcd(a, p), sets
+    ``r <- (p/g)*r - (a/g)*prow`` (entry c cancels) and divides r by its
+    content, so r stays a primitive integer vector.
+    """
+    p, a = prow[c], r[c]
+    g = gcd(a, p)
+    pm, am = p // g, a // g
+    if pm < 0:
+        pm, am = -pm, -am
+    if pm != 1:
+        for k in r:
+            r[k] *= pm
+    for k, v in prow.items():
+        nv = r.get(k, 0) - am * v
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+    if r:
+        g = gcd(*r.values())
+        if g != 1:
+            for k in r:
+                r[k] //= g
+
+
+# ---------------------------------------------------------------------
+# rank: fraction-free sparse elimination
+# ---------------------------------------------------------------------
 
 def rank(matrix):
     """Exact rank over Q; the input is not modified.
@@ -355,16 +408,21 @@ def nullity(matrix):
 # ---------------------------------------------------------------------
 
 def rref(matrix):
-    """Canonical reduced row echelon form.
+    """Canonical reduced row echelon form; the input is not modified.
 
     Returns (pivot_cols, rows) where rows is a list of {col: value} dicts,
     one per pivot, with a 1 in its pivot column and zeros in every other
     pivot column.  The RREF is unique for the row space, so the output is
     independent of elimination order.
 
-    Rows are bucketed by their leading column, which keeps the pivot
-    search linear in the actual reduction work: when column c is reached,
-    every unprocessed row with an entry in c has leading column exactly c.
+    The arithmetic is over Python integers: each row is scaled once to a
+    primitive integer vector, eliminated forward with ``_clear``, then
+    back-substituted from the last pivot, and only the finished rows are
+    divided by their pivots into rationals.  Rows are bucketed by their
+    leading column, which keeps the pivot search linear in the actual
+    reduction work: when column c is reached, every unprocessed row with an
+    entry in c has leading column exactly c, and the shortest of them is
+    the pivot row.
     """
     buckets = {}
     for j, col in enumerate(matrix._cols):
@@ -372,44 +430,32 @@ def rref(matrix):
             buckets.setdefault(i, {})[j] = v
     rows_by_lead = {}
     for r in buckets.values():
-        lead = min(r)
-        rows_by_lead.setdefault(lead, []).append(r)
-    pivot_rows = []   # list of (col, row-dict), ascending pivot col
-    pivot_cols = []
+        rows_by_lead.setdefault(min(r), []).append(_primitive(r))
+    pivot_rows = {}   # pivot col -> integer row, ascending pivot col
     for col in range(matrix.cols):
         bucket = rows_by_lead.pop(col, None)
         if not bucket:
             continue
-        prow = bucket[0]
-        piv = prow[col]
-        if piv != QONE:
-            prow = {c: v / piv for c, v in prow.items()}
-        for r in bucket[1:]:
-            f = r[col]
-            for c, v in prow.items():
-                nv = r.get(c)
-                nv = -f * v if nv is None else nv - f * v
-                if nv:
-                    r[c] = nv
-                elif c in r:
-                    del r[c]
-            if r:
-                rows_by_lead.setdefault(min(r), []).append(r)
-        # full reduction: clear this column from finished pivot rows
-        for _, fr in pivot_rows:
-            f = fr.get(col)
-            if f is None:
-                continue
-            for c, v in prow.items():
-                nv = fr.get(c)
-                nv = -f * v if nv is None else nv - f * v
-                if nv:
-                    fr[c] = nv
-                elif c in fr:
-                    del fr[c]
-        pivot_rows.append((col, prow))
-        pivot_cols.append(col)
-    return pivot_cols, [r for _, r in pivot_rows]
+        prow = min(bucket, key=len)
+        for r in bucket:
+            if r is not prow:
+                _clear(r, prow, col)
+                if r:
+                    rows_by_lead.setdefault(min(r), []).append(r)
+        pivot_rows[col] = prow
+    # back-substitution: rows after col are final, with zeros in every
+    # other pivot column, so clearing them never brings a pivot column back
+    pivot_cols = list(pivot_rows)
+    for col in reversed(pivot_cols):
+        r = pivot_rows[col]
+        for c in [c for c in r if c != col and c in pivot_rows]:
+            _clear(r, pivot_rows[c], c)
+    rows = []
+    for col in pivot_cols:
+        r = pivot_rows[col]
+        p = r[col]
+        rows.append({c: Q(v, p) for c, v in r.items()})
+    return pivot_cols, rows
 
 
 def kernel_basis(matrix):

@@ -40,6 +40,27 @@ def dense_rank(m):
     return r
 
 
+def dense_rref(m):
+    """(pivot_cols, rows) of the reduced row echelon form, rows as dense lists."""
+    a = [row[:] for row in m]
+    pivots = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, a[:r]
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []

@@ -19,6 +19,7 @@ unattainable:
 The attainable halves of both criteria are asserted separately and pass.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -214,15 +215,22 @@ def test_criterion_09_attainable_nodes():
     _announce(9, True, "left injectivity and composite-zero at n<=2; middle exact at n<=1")
 
 
+# SHA-256 of the machine report of `all` on each fixture.  Any change to a
+# reported basis, dimension or value changes a digest; a change that is
+# meant to alter the report must update the digest with it.
+GOLDEN_MACHINE_SHA256 = {
+    "ground-field": "662e6e4cc0514cdc101b235216c513b3cad5f62df0d5450b89c3252728e9a9f4",
+    "trunc-poly-z2": "ab3c2da4984c41847ef2556fa9768fd7f1a0145d5a5da27cacfe765b54625ca5",
+    "triple-lines-z3": "a02363a568263aa261fa6bb55b18b252412075caed34ef01a2c3863c6e6a852a",
+    "triple-lines-s3": "d9aea2298ce2fe1937a72b0aaf773eed0f3682ab743392a89f9ae6bc8a20bf1a",
+    "trunc-cubic-z2": "4dd8bcdc19a43d9068e895a08d859d165afdb4c9d0ad42e13e12ba594a62be92",
+}
+
+
 def test_criterion_10_determinism():
-    for name in (
-        "ground-field",
-        "trunc-poly-z2",
-        "triple-lines-z3",
-        "triple-lines-s3",
-        "trunc-cubic-z2",
-    ):
+    for name, digest in GOLDEN_MACHINE_SHA256.items():
         first = emit_machine(run("all", load_fixture(name)))
         second = emit_machine(run("all", load_fixture(name)))
         assert first == second, name
+        assert hashlib.sha256(first.encode()).hexdigest() == digest, name
     _announce(10, True, "byte-identical machine reports across two runs of all, every fixture")

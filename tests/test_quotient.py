@@ -95,3 +95,40 @@ def test_descend_identity_property(setup):
     dim, rels = setup
     qp = quotient_by(dim, rels)
     assert descend_map(QMatrix.identity(dim), qp, qp) == QMatrix.identity(qp.quotient_dim)
+
+
+@st.composite
+def unrelated_map_setups(draw):
+    """(f, src, dst) where src, dst or both have no relations and f descends."""
+    sdim, sdata = draw(relation_setups())
+    ddim, ddata = draw(relation_setups())
+    src, dst = quotient_by(sdim, sdata), quotient_by(ddim, ddata)
+    case = draw(st.sampled_from(["no-src", "no-dst", "neither"]))
+    if case != "no-dst":
+        src = trivial_quotient(sdim)
+    if case != "no-src":
+        dst = trivial_quotient(ddim)
+    # f = g . projection kills the source relations
+    data = draw(st.lists(
+        st.lists(small, min_size=src.quotient_dim, max_size=src.quotient_dim),
+        min_size=ddim, max_size=ddim,
+    ))
+    f = QMatrix.from_dense(data, ddim, src.quotient_dim) @ src.projection
+    return f, src, dst
+
+
+@settings(max_examples=60, deadline=None)
+@given(unrelated_map_setups())
+def test_descend_without_relations_matches_products(setup):
+    f, src, dst = setup
+    assert descend_map(f, src, dst) == dst.projection @ f @ src.section
+
+
+def test_descend_into_no_relations_still_checked():
+    src = quotient_by(2, QMatrix.from_dense([[1], [0]]))
+    dst = trivial_quotient(2)
+    with pytest.raises(WellDefinednessError):
+        descend_map(QMatrix.identity(2), src, dst)
+    # a map killing the relation descends
+    kill = QMatrix.from_dense([[0, 1], [0, 2]])
+    assert descend_map(kill, src, dst) == QMatrix.from_dense([[1], [2]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thl.rational import Q, parse_q, qstr
+from thl.rational import Q, QONE, parse_q, qstr
 from thl.sparse import (
     QMatrix,
     block_diag,
@@ -17,7 +17,7 @@ from thl.sparse import (
     solve_in_span,
 )
 
-from oracles import dense_rank
+from oracles import dense_rank, dense_rref, mat_mul
 
 
 def test_rank_identity():
@@ -265,3 +265,90 @@ def test_image_pivots_independent(m):
     cols = image_pivot_cols(m)
     sub = m.select_columns(cols)
     assert rank(sub) == len(cols) == rank(m)
+
+
+def entries_of(m):
+    return [(j, r, type(v), v) for j in range(m.cols) for r, v in m.column(j).items()]
+
+
+def assert_rref_matches_dense_oracle(m):
+    """rref in every backend: the oracle's pivots and rows, as QONE-pivoted Q entries."""
+    want_pivots, want_rows = dense_rref(dense(m))
+    want_rows = [{c: v for c, v in enumerate(row) if v} for row in want_rows]
+    for backend in BACKENDS:
+        mb = in_backend(m, backend)
+        before = entries_of(mb)
+        pivots, rows = rref(mb)
+        assert entries_of(mb) == before, backend.__name__
+        assert pivots == want_pivots, backend.__name__
+        assert rows == want_rows, backend.__name__
+        assert all(type(v) is Q for row in rows for v in row.values()), backend.__name__
+        assert all(row[c] == QONE for c, row in zip(pivots, rows)), backend.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_rref_matches_dense_oracle(m):
+    assert_rref_matches_dense_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(entries=rational_entries))
+def test_rref_rational_entries_match_dense_oracle(m):
+    assert_rref_matches_dense_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(entries=large_entries))
+def test_rref_large_integers_match_dense_oracle(m):
+    assert_rref_matches_dense_oracle(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structured_matrices())
+def test_rref_structured_sparse_match_dense_oracle(m):
+    assert_rref_matches_dense_oracle(m)
+
+
+@st.composite
+def matrix_pairs(draw, entries, max_dim=6):
+    """(a, b) with a.cols == b.rows."""
+    a = draw(matrices(max_dim=max_dim, entries=entries))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    data = draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=a.cols, max_size=a.cols
+    ))
+    return a, QMatrix.from_dense(data, a.cols, cols)
+
+
+def assert_matmul_matches_dense_oracle(a, b):
+    """a @ b in every backend: the oracle's product, Q entries, no stored zeros."""
+    want = QMatrix.from_dense(mat_mul(dense(a), dense(b)), a.rows, b.cols)
+    for backend in BACKENDS:
+        ab, bb = in_backend(a, backend), in_backend(b, backend)
+        before = entries_of(ab), entries_of(bb)
+        prod = ab @ bb
+        assert (entries_of(ab), entries_of(bb)) == before, backend.__name__
+        assert prod == want, backend.__name__
+        assert all(type(v) is Q and v for _, _, _, v in entries_of(prod)), backend.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    matrix_pairs(small_entries), matrix_pairs(rational_entries), matrix_pairs(large_entries)
+))
+def test_matmul_matches_dense_oracle(pair):
+    assert_matmul_matches_dense_oracle(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structured_matrices(), st.data())
+def test_matmul_cancellation_stores_no_zeros(m, data):
+    """m @ kernel and m @ (columns and their negatives) cancel to exact zeros."""
+    assert_matmul_matches_dense_oracle(m, kernel_basis(m))
+    j = data.draw(st.integers(min_value=0, max_value=m.cols - 1))
+    col = {j: Q(data.draw(nonzero_entries))}
+    pair = QMatrix.from_columns(m.cols, [col, {r: -v for r, v in col.items()}])
+    cancel = QMatrix.from_columns(2, [{0: QONE, 1: QONE}])
+    assert_matmul_matches_dense_oracle(m @ pair, cancel)
+    assert (m @ pair @ cancel).is_zero()
