@@ -27,10 +27,6 @@ from .crossed import (
     conjugacy_decomposition,
     connes_lambda_complex,
     full_pair_check,
-    gj_Bbar,
-    gj_T,
-    gj_bbar,
-    gj_twisted_bB,
     hcG_bicomplex,
     identity_suite,
     proposition_bicomplex,
@@ -60,7 +56,6 @@ from .sequences import (
 from .sparse import QMatrix, image_basis, kernel_basis, rank
 from .twisted import (
     HKBicomplex,
-    hk_bicomplex,
     twist_matrix,
     twisted_B,
     twisted_b,

@@ -60,7 +60,24 @@ def _cyclic_generator(cfg):
     return None
 
 
-def _run_validate(cfg, report):
+class _Job:
+    """What the steps of one run share: the config, and the crossed-product
+    quotient complex with its homology, built on first use."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._proposition = None
+
+    def proposition(self):
+        if self._proposition is None:
+            cfg = self.cfg
+            pc = PropositionComplex(cfg.algebra, cfg.group, cfg.max_degree)
+            self._proposition = (pc, pc.mixed.total_homology())
+        return self._proposition
+
+
+def _run_validate(job, report):
+    cfg = job.cfg
     validate_algebra(cfg.algebra)
     report.add_check("validate:algebra", True)
     validate_action(cfg.algebra, cfg.group)
@@ -69,7 +86,8 @@ def _run_validate(cfg, report):
     report.add_check("validate:crossed-product", True)
 
 
-def _run_hc_twisted(cfg, report):
+def _run_hc_twisted(job, report):
+    cfg = job.cfg
     tw = cfg.twist_index()
     if tw is None:
         raise ValidationError("hc-twisted needs a twist element (--twist)")
@@ -77,34 +95,39 @@ def _run_hc_twisted(cfg, report):
     report.add_dims(f"hc-twisted[{cfg.twist}]", h.dims)
 
 
-def _run_hc_crossed(cfg, report):
-    _, h = _proposition_cached(cfg)
+def _run_hc_crossed(job, report):
+    _, h = job.proposition()
     report.add_dims("hc-crossed", h.dims)
 
 
-def _run_hc_coinv(cfg, report):
-    h = CoinvariantComplex(cfg.algebra, cfg.group, cfg.max_degree).total_homology()
+def _run_hc_coinv(job, report):
+    cfg = job.cfg
+    h = CoinvariantComplex(cfg.algebra, cfg.group, cfg.max_degree).mixed.total_homology()
     report.add_dims("hc-coinv", h.dims)
 
 
-def _run_hc_lambda(cfg, report):
+def _run_hc_lambda(job, report):
+    cfg = job.cfg
     h = LambdaComplex(
         cfg.algebra, cfg.group, cfg.max_degree, g_coinvariants=cfg.lambda_coinvariants
     ).homology()
     report.add_dims("hc-lambda", h.dims)
 
 
-def _run_hh_G(cfg, report):
+def _run_hh_G(job, report):
+    cfg = job.cfg
     h = g_hochschild(cfg.algebra, cfg.group, cfg.max_degree)
     report.add_dims("hh-G", h.dims)
 
 
-def _run_hdr_G(cfg, report):
+def _run_hdr_G(job, report):
+    cfg = job.cfg
     h = DeRhamComplex(cfg.algebra, cfg.group, cfg.max_degree).homology()
     report.add_dims("hdr-G", h.dims)
 
 
-def _run_verify_identities(cfg, report):
+def _run_verify_identities(job, report):
+    cfg = job.cfg
     bound = cfg.max_degree + 1
     for name, ok, detail in identity_suite(cfg.algebra, cfg.group, bound):
         report.add_check(f"identities:{name}", ok, detail or f"p+q<={bound}")
@@ -113,7 +136,8 @@ def _run_verify_identities(cfg, report):
         report.add_check(f"full-pair:{name}", ok, f"p+q<={pair_bound}")
 
 
-def _run_verify_theorem(cfg, report):
+def _run_verify_theorem(job, report):
+    cfg = job.cfg
     grp = cfg.group
     deco = conjugacy_decomposition(cfg.algebra, grp, cfg.max_degree)
     stalkH = deco.stalk_homologies()
@@ -171,7 +195,8 @@ def _run_verify_theorem(cfg, report):
         )
 
 
-def _run_verify_lemma(cfg, report):
+def _run_verify_lemma(job, report):
+    cfg = job.cfg
     tw = cfg.twist_index()
     g = cfg.group.action[tw] if tw is not None else cfg.group.action[cfg.group.identity_index]
     gname = cfg.twist if tw is not None else cfg.group.name(cfg.group.identity_index)
@@ -181,25 +206,15 @@ def _run_verify_lemma(cfg, report):
     report.add_dims(f"total-twisted[{gname}]", rep.dims_total)
     report.add_check("lemma:u-equals-total[twisted]", rep.equal)
     if cfg.group.order > 1:
-        pc, _ = _proposition_cached(cfg)
+        pc, _ = job.proposition()
         rep = u_complex_equivalence(pc.mixed, "crossed")
         report.add_dims("u-complex-crossed", rep.dims_u)
         report.add_dims("total-crossed", rep.dims_total)
         report.add_check("lemma:u-equals-total[crossed]", rep.equal)
 
 
-_prop_cache = {}
-
-
-def _proposition_cached(cfg):
-    key = (id(cfg), cfg.max_degree)
-    if key not in _prop_cache:
-        pc = PropositionComplex(cfg.algebra, cfg.group, cfg.max_degree)
-        _prop_cache[key] = (pc, pc.homology())
-    return _prop_cache[key]
-
-
-def _run_verify_sbi(cfg, report):
+def _run_verify_sbi(job, report):
+    cfg = job.cfg
     rep = sbi_sequence(cfg.algebra, cfg.group, cfg.max_degree)
     for node in rep.nodes:
         detail = (
@@ -211,7 +226,8 @@ def _run_verify_sbi(cfg, report):
         report.add_note(note)
 
 
-def _run_verify_karoubi(cfg, report):
+def _run_verify_karoubi(job, report):
+    cfg = job.cfg
     rep = karoubi_sequence(cfg.algebra, cfg.group, cfg.max_degree)
     for node in rep.nodes:
         base = f"n={node.degree} hdr={node.hdr_dim} hc={node.hc_dim} hh={node.hh_next_dim}"
@@ -248,7 +264,7 @@ def run(command, cfg):
         raise ValidationError(f"unknown command {command!r}")
     report = Report(cfg.name, command, _params(cfg, command))
     t0 = time.monotonic()
-    _prop_cache.clear()
+    job = _Job(cfg)
     if command == "all":
         steps = [
             _run_validate,
@@ -268,10 +284,10 @@ def run(command, cfg):
             report.add_skip("hc-twisted", "no twist element configured")
         for step in steps:
             if step is not None:
-                step(cfg, report)
+                step(job, report)
     else:
         for step in _RUNNERS[command]:
-            step(cfg, report)
+            step(job, report)
     report.timing_seconds = time.monotonic() - t0
     return report
 

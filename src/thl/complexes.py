@@ -1,5 +1,5 @@
-"""Chain complexes over Q, bicomplex totalization, homology, and maps
-induced on homology.
+"""Chain complexes over Q, bicomplex totalization, homology, maps
+induced on homology, and the one builder of quotient mixed complexes.
 
 Truncation contract: a complex built through internal degree K has
 trustworthy homology through K-1 ("valid_through"), because degree-n
@@ -7,6 +7,7 @@ homology needs the degree-(n+1) differential.
 """
 
 from .errors import ChainMapError, ComplexError
+from .quotient import descend_map, quotient_by
 from .sparse import (
     QMatrix,
     block_matrix,
@@ -168,12 +169,6 @@ class TotalComplex:
         self.chain = chain
         self.blocks = blocks
 
-    def block_offset(self, n, p, q):
-        for bp, bq, off, dim in self.blocks[n]:
-            if (bp, bq) == (p, q):
-                return off, dim
-        raise KeyError(f"no block ({p},{q}) in degree {n}")
-
 
 def total_complex(spec, n_internal):
     """Total complex of a bicomplex through total degree n_internal.
@@ -279,9 +274,40 @@ class MixedComplex:
     def total(self, n_internal):
         return total_complex(self.bicomplex(n_internal), n_internal)
 
+    def total_homology(self):
+        """Homology of the total complex through the top degree."""
+        return homology(self.total(self.top).chain)
+
+    def column_homology(self):
+        """Homology of the first column (C_*, b)."""
+        return homology(self.column_complex())
+
     def column_complex(self):
         """The first column (C_*, b) as a plain chain complex."""
         return ChainComplexQ(self.dims, [None] + self.b[1:], check=False)
+
+
+def quotient_mixed_complex(top, relations, b, B, label):
+    """The mixed complex of a graded module divided by relations, through
+    degree top.
+
+    relations(n) is a matrix whose columns span the relations in degree n;
+    b(n) for n >= 1 and B(n) for n < top are the raw operators on the
+    undivided modules.  Both descend through the quotients with the exact
+    well-definedness check, whose error names the label and the degree.
+    B=None builds a complex with no B (the Connes complex).
+    """
+    pres = [quotient_by(rel.rows, rel) for rel in map(relations, range(top + 1))]
+
+    def descend(name, f, n, m):
+        return descend_map(f, pres[n], pres[m], what=f"{name}_{n} of {label}")
+
+    b_down = [None] + [descend("b", b(n), n, n - 1) for n in range(1, top + 1)]
+    B_down = [None] * (top + 1)
+    if B is not None:
+        B_down[:top] = [descend("B", B(n), n, n + 1) for n in range(top)]
+    dims = [p.quotient_dim for p in pres]
+    return MixedComplex(dims, b_down, B_down, presentations=pres, label=label)
 
 
 def check_chain_map(f_per_degree, src, dst, top):

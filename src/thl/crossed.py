@@ -25,15 +25,15 @@ Module conventions (machine-checked per instance):
   zero with no further block adjustment.
 """
 
-from .algebra import algebra_tensor_basis, conjugacy_data, tensor_index
+from .algebra import conjugacy_data, tensor_index
 from .complexes import (
     ChainComplexQ,
-    MixedComplex,
     homology,
     induced_on_homology,
+    quotient_mixed_complex,
 )
 from .errors import ChainMapError, ComplexError
-from .quotient import coinvariant_relations, descend_map, quotient_by, QuotientPresentation
+from .quotient import coinvariant_relations, descend_map, QuotientPresentation
 from .rational import QONE
 from .sparse import QMatrix, block_diag, block_matrix, rank
 from .twisted import HKBicomplex, twist_matrix, twisted_B, twisted_b
@@ -135,41 +135,20 @@ class GJOperators:
             return m
         dst = self.basis(p - 1, q)
         grp = self.group
-        asize = src.asize
         koszul = QONE if q % 2 == 0 else -QONE
-        cols = []
-        for gt in src.iter_group():
-            terms = []
+
+        def terms(gt):
+            out = []
             for i in range(p):
                 merged = gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :]
                 sign = koszul if i % 2 == 0 else -koszul
-                terms.append((dst.encode_group(merged), sign, None))
+                out.append((dst.encode_group(merged), sign, None))
             rotated = (grp.mul(gt[p], gt[0]),) + gt[1:p]
             sign = koszul if p % 2 == 0 else -koszul
-            terms.append((dst.encode_group(rotated), sign, self.alg_twist(gt[p], q)))
-            for aidx in range(asize):
-                col = {}
-                for tgt_g, s, mat in terms:
-                    base = tgt_g * asize
-                    if mat is None:
-                        r = base + aidx
-                        nv = col.get(r)
-                        nv = s if nv is None else nv + s
-                        if nv:
-                            col[r] = nv
-                        elif r in col:
-                            del col[r]
-                    else:
-                        for rr, vv in mat._cols[aidx].items():
-                            r = base + rr
-                            nv = col.get(r)
-                            nv = s * vv if nv is None else nv + s * vv
-                            if nv:
-                                col[r] = nv
-                            elif r in col:
-                                del col[r]
-                cols.append(col)
-        m = QMatrix(dst.size, src.size, cols, _adopt=True)
+            out.append((dst.encode_group(rotated), sign, self.alg_twist(gt[p], q)))
+            return out
+
+        m = _group_direction(src, dst, terms)
         self._cache[key] = m
         return m
 
@@ -183,59 +162,57 @@ class GJOperators:
         dst = self.basis(p + 1, q)
         grp = self.group
         e = grp.identity_index
-        asize = src.asize
         koszul = QONE if q % 2 == 0 else -QONE
-        cols = []
-        for gt in src.iter_group():
-            terms = []
+
+        def terms(gt):
+            out = []
             for i in range(p + 1):
                 rot = gt[p - i + 1 :] + gt[: p - i + 1]
                 tgt = (e,) + rot
                 h = grp.product(gt[p - i + 1 :])
                 sign = koszul if (i * p) % 2 == 0 else -koszul
-                terms.append((dst.encode_group(tgt), sign, None if h == e else self.alg_twist(h, q)))
-            for aidx in range(asize):
-                col = {}
-                for tgt_g, s, mat in terms:
-                    base = tgt_g * asize
-                    if mat is None:
-                        r = base + aidx
-                        nv = col.get(r)
-                        nv = s if nv is None else nv + s
-                        if nv:
-                            col[r] = nv
-                        elif r in col:
-                            del col[r]
-                    else:
-                        for rr, vv in mat._cols[aidx].items():
-                            r = base + rr
-                            nv = col.get(r)
-                            nv = s * vv if nv is None else nv + s * vv
-                            if nv:
-                                col[r] = nv
-                            elif r in col:
-                                del col[r]
-                cols.append(col)
-        m = QMatrix(dst.size, src.size, cols, _adopt=True)
+                out.append((dst.encode_group(tgt), sign, None if h == e else self.alg_twist(h, q)))
+            return out
+
+        m = _group_direction(src, dst, terms)
         self._cache[key] = m
         return m
 
 
-def gj_bbar(algebra, group, p, q):
-    return GJOperators(algebra, group).bbar(p, q)
+def _group_direction(src, dst, terms):
+    """Matrix of a group-direction operator between bases with the same
+    algebra slots.
 
-
-def gj_Bbar(algebra, group, p, q):
-    return GJOperators(algebra, group).Bbar(p, q)
-
-
-def gj_T(algebra, group, p, q):
-    return GJOperators(algebra, group).T(p, q)
-
-
-def gj_twisted_bB(algebra, group, p, q):
-    ops = GJOperators(algebra, group)
-    return (ops.b(p, q) if q >= 1 else None), ops.B(p, q)
+    terms(gt) lists (target group index, sign, algebra-slot matrix) for the
+    source group tuple gt; a matrix of None is the identity.
+    """
+    asize = src.asize
+    cols = []
+    for gt in src.iter_group():
+        gterms = terms(gt)
+        for aidx in range(asize):
+            col = {}
+            for tgt_g, s, mat in gterms:
+                base = tgt_g * asize
+                if mat is None:
+                    r = base + aidx
+                    nv = col.get(r)
+                    nv = s if nv is None else nv + s
+                    if nv:
+                        col[r] = nv
+                    elif r in col:
+                        del col[r]
+                    continue
+                for rr, vv in mat._cols[aidx].items():
+                    r = base + rr
+                    nv = col.get(r)
+                    nv = s * vv if nv is None else nv + s * vv
+                    if nv:
+                        col[r] = nv
+                    elif r in col:
+                        del col[r]
+            cols.append(col)
+    return QMatrix(dst.size, src.size, cols, _adopt=True)
 
 
 def beta_map(algebra, group, p, q):
@@ -394,7 +371,10 @@ class PropositionComplex:
 
     Every block (p, q) with p + q <= N + 1 is divided by (1 - T); the
     boundary b + bbar and the degree-raising B descend (checked); total
-    degree n collects blocks with p + q = n, ascending p.
+    degree n collects blocks with p + q = n, ascending p.  Degree n is
+    divided at once by the block-diagonal sum of its blocks' relations:
+    the reduced echelon form of a direct sum is the direct sum of the
+    blocks' echelon forms, so each block is presented as if alone.
     """
 
     def __init__(self, algebra, group, max_degree, deep_checks=True):
@@ -405,104 +385,59 @@ class PropositionComplex:
         ops = GJOperators(algebra, group)
         self.ops = ops
 
-        self.pres = {}
-        for s in range(k + 1):
-            for p in range(s + 1):
-                q = s - p
-                T = ops.T(p, q)
-                rels = coinvariant_relations(T.rows, [T])
-                self.pres[(p, q)] = quotient_by(T.rows, rels)
-
         if deep_checks:
             self.full_pair = full_pair_check(algebra, group, min(k, 2))
             for name, ok in self.full_pair:
                 if not ok:
                     raise ComplexError(f"full boundary pair identity failed: {name}")
 
-        # descended operators
-        self.db = {}
-        self.dbbar = {}
-        self.dB = {}
-        for s in range(k + 1):
-            for p in range(s + 1):
-                q = s - p
-                if q >= 1:
-                    self.db[(p, q)] = descend_map(
-                        ops.b(p, q), self.pres[(p, q)], self.pres[(p, q - 1)],
-                        what=f"b at (p,q)=({p},{q})",
-                    )
-                if p >= 1:
-                    self.dbbar[(p, q)] = descend_map(
-                        ops.bbar(p, q), self.pres[(p, q)], self.pres[(p - 1, q)],
-                        what=f"bbar at (p,q)=({p},{q})",
-                    )
-                if s < k:
-                    self.dB[(p, q)] = descend_map(
-                        ops.B(p, q), self.pres[(p, q)], self.pres[(p, q + 1)],
-                        what=f"B at (p,q)=({p},{q})",
-                    )
+        # block p of total degree n is (p, n - p)
+        def sizes(n):
+            return [ops.basis(p, n - p).size for p in range(n + 1)]
 
-        # assemble the mixed complex C_n = sum over p+q = n
-        self.layout = {
-            n: [(p, n - p) for p in range(n + 1)] for n in range(k + 1)
-        }
-        dims = []
-        for n in range(k + 1):
-            dims.append(sum(self.pres[pq].quotient_dim for pq in self.layout[n]))
-        b_tot = [None]
-        for n in range(1, k + 1):
-            src_blocks = self.layout[n]
-            dst_blocks = self.layout[n - 1]
-            dst_pos = {pq: i for i, pq in enumerate(dst_blocks)}
-            blocks = {}
-            for js, (p, q) in enumerate(src_blocks):
-                if q >= 1:
-                    blocks[(dst_pos[(p, q - 1)], js)] = self.db[(p, q)]
-                if p >= 1:
-                    blocks[(dst_pos[(p - 1, q)], js)] = self.dbbar[(p, q)]
-            b_tot.append(
-                block_matrix(
-                    blocks,
-                    [self.pres[pq].quotient_dim for pq in dst_blocks],
-                    [self.pres[pq].quotient_dim for pq in src_blocks],
-                )
-            )
-        B_tot = []
-        for n in range(k):
-            src_blocks = self.layout[n]
-            dst_blocks = self.layout[n + 1]
-            dst_pos = {pq: i for i, pq in enumerate(dst_blocks)}
-            blocks = {}
-            for js, (p, q) in enumerate(src_blocks):
-                blocks[(dst_pos[(p, q + 1)], js)] = self.dB[(p, q)]
-            B_tot.append(
-                block_matrix(
-                    blocks,
-                    [self.pres[pq].quotient_dim for pq in dst_blocks],
-                    [self.pres[pq].quotient_dim for pq in src_blocks],
-                )
-            )
-        B_tot.append(None)
-        self.mixed = MixedComplex(
-            dims, b_tot, B_tot, label=f"crossed-product quotient bicomplex (N={max_degree})"
+        def relations(n):
+            twists = [ops.T(p, n - p) for p in range(n + 1)]
+            return block_diag([coinvariant_relations(T.rows, [T]) for T in twists])
+
+        def b(n):
+            # b keeps p, bbar lowers it
+            blocks = {(p, p): ops.b(p, n - p) for p in range(n)}
+            for p in range(1, n + 1):
+                blocks[(p - 1, p)] = ops.bbar(p, n - p)
+            return block_matrix(blocks, sizes(n - 1), sizes(n))
+
+        def B(n):
+            blocks = {(p, p): ops.B(p, n - p) for p in range(n + 1)}
+            return block_matrix(blocks, sizes(n + 1), sizes(n))
+
+        self.mixed = quotient_mixed_complex(
+            k, relations, b, B, f"crossed-product quotient bicomplex (N={max_degree})"
         )
-
-    def homology(self):
-        return homology(self.mixed.total(self.n_internal).chain)
 
 
 def proposition_bicomplex(algebra, group, max_degree, deep_checks=True):
     """Quotient-bicomplex pipeline; returns (complex object, HomologyResult)."""
     pc = PropositionComplex(algebra, group, max_degree, deep_checks=deep_checks)
-    return pc, pc.homology()
+    return pc, pc.mixed.total_homology()
 
 
-class GroupIndexedComplex:
-    """Shared scaffold for the p = 0 theories: modules k[G] (x) A (x) Abar^n.
+def group_action_operator(group, h, basis, twist):
+    """Action of h on k[G] (x) (the algebra slots of basis): conjugation on
+    the group slot, and twist, the matrix of h on every algebra slot."""
+    cols = []
+    for (g0,) in basis.iter_group():
+        base = group.conjugate(h, g0) * basis.asize
+        for aidx in range(basis.asize):
+            cols.append({base + r: v for r, v in twist._cols[aidx].items()})
+    return QMatrix(basis.size, basis.size, cols, _adopt=True)
 
-    Subclasses choose the relations; b (and B) are the stalkwise operators
-    twisted by the inverse of the stalk element, descended through the
-    quotient with the well-definedness check.
+
+class CoinvariantComplex:
+    """(k[G] (x) A (x) Abar^n) / G with the conjugation-diagonal action.
+
+    The orbit relations absorb (1 - T): the T-twist on the stalk of g is
+    the action of g itself.  b and B are the stalkwise operators twisted by
+    the inverse of the stalk element.
     """
 
     def __init__(self, algebra, group, max_degree):
@@ -512,90 +447,41 @@ class GroupIndexedComplex:
         self.n_internal = k = max_degree + 1
         ops = GJOperators(algebra, group)
         self.ops = ops
-        self.bases = [ops.basis(0, n) for n in range(k + 1)]
-        self.pres = [
-            quotient_by(self.bases[n].size, self.relations(n)) for n in range(k + 1)
-        ]
-        b = [None]
-        for n in range(1, k + 1):
-            b.append(
-                descend_map(ops.b(0, n), self.pres[n], self.pres[n - 1], what=f"b_{n}")
-            )
-        B = []
-        for n in range(k):
-            B.append(
-                descend_map(ops.B(0, n), self.pres[n], self.pres[n + 1], what=f"B_{n}")
-            )
-        B.append(None)
-        dims = [p.quotient_dim for p in self.pres]
-        self.mixed = MixedComplex(dims, b, B, label=self.label())
 
-    def relations(self, n):
-        raise NotImplementedError
+        def relations(n):
+            basis = ops.basis(0, n)
+            acts = [
+                group_action_operator(group, h, basis, ops.alg_twist(h, n))
+                for h in range(group.order)
+            ]
+            return coinvariant_relations(basis.size, acts)
 
-    def label(self):
-        return "group-indexed complex"
-
-    def total_homology(self):
-        return homology(self.mixed.total(self.n_internal).chain)
-
-    def column_homology(self):
-        return homology(self.mixed.column_complex())
-
-
-def group_action_operator(ops, h, n):
-    """Action of h on k[G] (x) A (x) Abar^n: conjugation on the group slot,
-    h on every algebra slot."""
-    group = ops.group
-    basis = ops.basis(0, n)
-    alg = ops.alg_twist(h, n)
-    cols = []
-    for (g0,) in basis.iter_group():
-        tgt = group.conjugate(h, g0)
-        base = tgt * basis.asize
-        for aidx in range(basis.asize):
-            cols.append({base + r: v for r, v in alg._cols[aidx].items()})
-    return QMatrix(basis.size, basis.size, cols, _adopt=True)
-
-
-class HcgComplex(GroupIndexedComplex):
-    """(k[G] (x) A (x) Abar^n) / (1 - T): the p = 0 sub-bicomplex."""
-
-    def relations(self, n):
-        T = self.ops.T(0, n)
-        return coinvariant_relations(T.rows, [T])
-
-    def label(self):
-        return "group-extended twisted bicomplex"
-
-
-class CoinvariantComplex(GroupIndexedComplex):
-    """(k[G] (x) A (x) Abar^n) / G with the conjugation-diagonal action.
-
-    The orbit relations absorb (1 - T): the T-twist on the stalk of g is
-    the action of g itself.
-    """
-
-    def relations(self, n):
-        ops = self.ops
-        operators = [
-            group_action_operator(ops, h, n) for h in range(self.group.order)
-        ]
-        return coinvariant_relations(self.bases[n].size, operators)
-
-    def label(self):
-        return "coinvariant bicomplex"
+        self.mixed = quotient_mixed_complex(
+            k, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n), "coinvariant bicomplex"
+        )
+        self.pres = self.mixed.presentations
 
 
 def hcG_bicomplex(algebra, group, max_degree):
-    """Homology of the p = 0 sub-bicomplex (the HC^G theory)."""
-    return HcgComplex(algebra, group, max_degree).total_homology()
+    """Homology of the p = 0 sub-bicomplex (the HC^G theory):
+    (k[G] (x) A (x) Abar^n) / (1 - T)."""
+    ops = GJOperators(algebra, group)
+
+    def relations(n):
+        T = ops.T(0, n)
+        return coinvariant_relations(T.rows, [T])
+
+    mixed = quotient_mixed_complex(
+        max_degree + 1, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
+        "group-extended twisted bicomplex",
+    )
+    return mixed.total_homology()
 
 
 def coinvariant_bicomplex(algebra, group, max_degree):
     """Homology of the coinvariant bicomplex (the model of HC(A x| G)
     that the stalk decomposition acts on; |G| invertible)."""
-    return CoinvariantComplex(algebra, group, max_degree).total_homology()
+    return CoinvariantComplex(algebra, group, max_degree).mixed.total_homology()
 
 
 # ---------------------------------------------------------------------
@@ -614,39 +500,25 @@ class StalkComplex:
         self.rep = rep
         self.centralizer = list(centralizer)
         self.max_degree = max_degree
-        self.n_internal = k = max_degree + 1
+        self.n_internal = max_degree + 1
         sigma = group.action[group.inverse[rep]]
-        diag = {}
-        self.pres = []
-        for n in range(k + 1):
-            ops = [
+
+        def relations(n):
+            # the centralizer holds the identity, so acts is never empty
+            acts = [
                 twist_matrix(algebra, group.action[h], n, reduced=True)
                 for h in self.centralizer
             ]
-            dim = ops[0].rows if ops else algebra_tensor_basis(algebra, n + 1).asize
-            self.pres.append(quotient_by(dim, coinvariant_relations(dim, ops)))
-        b = [None]
-        for n in range(1, k + 1):
-            b.append(
-                descend_map(
-                    twisted_b(algebra, sigma, n, reduced=True),
-                    self.pres[n], self.pres[n - 1], what=f"stalk b_{n}",
-                )
-            )
-        B = []
-        for n in range(k):
-            B.append(
-                descend_map(
-                    twisted_B(algebra, sigma, n),
-                    self.pres[n], self.pres[n + 1], what=f"stalk B_{n}",
-                )
-            )
-        B.append(None)
-        dims = [p.quotient_dim for p in self.pres]
-        self.mixed = MixedComplex(dims, b, B, label=f"stalk over class of element {rep}")
+            return coinvariant_relations(acts[0].rows, acts)
 
-    def total_homology(self):
-        return homology(self.mixed.total(self.n_internal).chain)
+        self.mixed = quotient_mixed_complex(
+            self.n_internal,
+            relations,
+            lambda n: twisted_b(algebra, sigma, n, reduced=True),
+            lambda n: twisted_B(algebra, sigma, n),
+            f"stalk over class of element {rep}",
+        )
+        self.pres = self.mixed.presentations
 
 
 class ConjugacyDecomposition:
@@ -687,10 +559,10 @@ class ConjugacyDecomposition:
 
     def _build_splitting(self):
         """Per degree: coinvariant quotient -> direct sum of stalk quotients."""
-        group, ops = self.group, self.coinv.ops
+        ops = self.coinv.ops
         split = []
         for n in range(self.n_internal + 1):
-            basis = self.coinv.bases[n]
+            basis = ops.basis(0, n)
             asize = basis.asize
             offsets = []
             off = 0
@@ -734,10 +606,10 @@ class ConjugacyDecomposition:
                 raise ChainMapError(f"class splitting fails B at degree {n}")
 
     def stalk_homologies(self):
-        return [st.total_homology() for st in self.stalks]
+        return [st.mixed.total_homology() for st in self.stalks]
 
     def coinvariant_homology(self):
-        return self.coinv.total_homology()
+        return self.coinv.mixed.total_homology()
 
 
 def conjugacy_decomposition(algebra, group, max_degree):
@@ -773,7 +645,7 @@ def theorem_map_f(algebra, group, g, max_degree):
     # ambient embedding m -> (g^{-1} | m), descended through both quotients
     f_mixed = []
     for n in range(k + 1):
-        basis = coinv.bases[n]
+        basis = coinv.ops.basis(0, n)
         asize = basis.asize
         base = ginv * asize
         amb = QMatrix(
@@ -790,16 +662,14 @@ def theorem_map_f(algebra, group, g, max_degree):
         if coinv.mixed.B[n] @ f_mixed[n] != f_mixed[n + 1] @ hk.mixed.B[n]:
             raise ChainMapError(f"theorem map fails B at degree {n}")
 
-    src_tot = hk.mixed.total(k)
-    dst_tot = coinv.mixed.total(k)
     f_tot = _total_map(f_mixed)
-    srcH = homology(src_tot.chain)
-    dstH = homology(dst_tot.chain)
+    srcH = hk.mixed.total_homology()
+    dstH = coinv.mixed.total_homology()
     induced = induced_on_homology(f_tot, srcH, dstH, check=True)
 
     # composite into the distinguished stalk summand, assembled at the
     # mixed level where the stalk block is contiguous
-    stalkH = homology(deco.stalks[cls].mixed.total(k).chain)
+    stalkH = deco.stalks[cls].mixed.total_homology()
     comp_mixed = []
     for n in range(k + 1):
         whole = deco.split[n] @ f_mixed[n]
@@ -896,21 +766,18 @@ class LambdaComplex:
         self.max_degree = max_degree
         self.g_coinvariants = g_coinvariants
         self.reduced = reduced
-        self.n_internal = k = max_degree + 1
-        r = group.order
-        self.bases = [
-            tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-            for n in range(k + 1)
-        ]
-        self.pres = []
-        for n in range(k + 1):
-            basis = self.bases[n]
+        self.n_internal = max_degree + 1
+
+        def relations(n):
+            basis = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
             size = basis.size
             ops = [lambda_cyclic_operator(algebra, group, n)]
             if g_coinvariants:
                 ops.extend(
-                    _full_group_action_operator(algebra, group, h, n)
-                    for h in range(r)
+                    group_action_operator(
+                        group, h, basis, twist_matrix(algebra, group.action[h], n)
+                    )
+                    for h in range(group.order)
                 )
             rels = coinvariant_relations(size, ops)
             if reduced:
@@ -918,29 +785,17 @@ class LambdaComplex:
                     (0,) * (n + 1)
                 )
                 rels = rels.hstack(QMatrix(size, 1, [{unit_idx: QONE}], _adopt=True))
-            self.pres.append(quotient_by(size, rels))
-        b = [None]
-        for n in range(1, k + 1):
-            raw = _full_stalkwise_b(algebra, group, n)
-            b.append(descend_map(raw, self.pres[n], self.pres[n - 1], what=f"lambda b_{n}"))
-        dims = [p.quotient_dim for p in self.pres]
-        self.chain = ChainComplexQ(dims, b)
+            return rels
+
+        mixed = quotient_mixed_complex(
+            self.n_internal, relations, lambda n: _full_stalkwise_b(algebra, group, n),
+            None, "group-indexed Connes complex",
+        )
+        self.pres = mixed.presentations
+        self.chain = mixed.column_complex()
 
     def homology(self):
         return homology(self.chain)
-
-
-def _full_group_action_operator(algebra, group, h, n):
-    """h acting on k[G] (x) A^{(n+1)} (full slots): conjugation and diagonal."""
-    basis = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-    alg = twist_matrix(algebra, group.action[h], n, reduced=False)
-    cols = []
-    for (g0,) in basis.iter_group():
-        tgt = group.conjugate(h, g0)
-        base = tgt * basis.asize
-        for aidx in range(basis.asize):
-            cols.append({base + r: v for r, v in alg._cols[aidx].items()})
-    return QMatrix(basis.size, basis.size, cols, _adopt=True)
 
 
 def _full_stalkwise_b(algebra, group, n):
@@ -1021,6 +876,6 @@ def u_complex_equivalence(mixed, label=""):
         diffs.append(QMatrix(dims_per_degree[n - 1], dims_per_degree[n], cols, _adopt=True))
     u_chain = ChainComplexQ(dims_per_degree, diffs)
     dims_u = homology(u_chain).dims
-    dims_total = homology(mixed.total(k).chain).dims
+    dims_total = mixed.total_homology().dims
     return UComplexReport(dims_u, dims_total, label)
 

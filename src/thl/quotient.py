@@ -125,7 +125,8 @@ def coinvariant_relations(dim, operators):
     """Relation columns {m - op(m)} for every basis m and every operator.
 
     operators: list of (dim x dim) QMatrix.  Used for group coinvariants,
-    (1-T) quotients, and friends.
+    (1-T) quotients, and friends.  Zero columns (op(m) = m) span nothing and
+    are left out, so an identity operator adds no relation to row-reduce.
     """
     cols = []
     for op in operators:
@@ -137,5 +138,6 @@ def coinvariant_relations(dim, operators):
                 col[j] = d
             elif j in col:
                 del col[j]
-            cols.append(col)
+            if col:
+                cols.append(col)
     return QMatrix(dim, len(cols), cols, _adopt=True)

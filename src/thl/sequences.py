@@ -9,7 +9,7 @@ no tolerance.
 
 from .algebra import tensor_index
 from .complexes import ChainComplexQ, homology
-from .crossed import CoinvariantComplex, LambdaComplex, GJOperators
+from .crossed import CoinvariantComplex, LambdaComplex
 from .errors import ChainMapError, ComplexError
 from .quotient import descend_map, quotient_by
 from .rational import QONE
@@ -18,7 +18,7 @@ from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_i
 
 def g_hochschild(algebra, group, max_degree):
     """Homology of the first column of the coinvariant bicomplex."""
-    return CoinvariantComplex(algebra, group, max_degree).column_homology()
+    return CoinvariantComplex(algebra, group, max_degree).mixed.column_homology()
 
 
 # ---------------------------------------------------------------------
@@ -69,7 +69,7 @@ def sbi_sequence(algebra, group, max_degree):
     k = cx.n_internal
     tot = cx.mixed.total(k)
     hcH = homology(tot.chain)
-    hhH = homology(cx.mixed.column_complex())
+    hhH = cx.mixed.column_homology()
     N = max_degree
 
     # chain-level I: C_n -> Tot_n (column p = 0 is the first block)
@@ -193,9 +193,8 @@ def sbi_sequence(algebra, group, max_degree):
 def derham_d_ambient(algebra, group, n):
     """d(g | a_0, abar_1, ..) = (g | 1, abar_0, abar_1, ..) on the reduced
     group-indexed modules, before any quotient."""
-    ops = GJOperators(algebra, group)
-    src = ops.basis(0, n)
-    dst = ops.basis(0, n + 1)
+    src = tensor_index(group, algebra, 0, n)
+    dst = tensor_index(group, algebra, 0, n + 1)
     cols = []
     for (g0,) in src.iter_group():
         base = g0 * dst.asize
@@ -258,7 +257,7 @@ class DeRhamComplex:
             if n < k:
                 rels_parts.append(cx.mixed.b[n + 1])
             if reduced and n == 0:
-                basis = cx.bases[0]
+                basis = cx.ops.basis(0, 0)
                 unit_idx = group.identity_index * basis.asize + basis.encode_algebra((0,))
                 unit_amb = QMatrix(basis.size, 1, [{unit_idx: QONE}], _adopt=True)
                 rels_parts.append(cx.pres[0].projection @ unit_amb)
@@ -362,8 +361,7 @@ class KaroubiReport:
 def _reduced_to_full_section(algebra, group, n):
     """Canonical inclusion of the reduced group-indexed module into the
     full one: a reduced basis tensor is its own full-module representative."""
-    ops = GJOperators(algebra, group)
-    red = ops.basis(0, n)
+    red = tensor_index(group, algebra, 0, n)
     full = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
     cols = []
     for (g0,) in red.iter_group():
@@ -376,8 +374,7 @@ def _reduced_to_full_section(algebra, group, n):
 
 def _full_to_reduced_projection(algebra, group, n):
     """Kill full-module basis tensors with a unit in a reduced slot."""
-    ops = GJOperators(algebra, group)
-    red = ops.basis(0, n)
+    red = tensor_index(group, algebra, 0, n)
     full = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
     cols = []
     for (g0,) in full.iter_group():
@@ -391,11 +388,10 @@ def _full_to_reduced_projection(algebra, group, n):
     return QMatrix(red.size, full.size, cols, _adopt=True)
 
 
-def _stalkwise_B_full_to_reduced(algebra, group, n):
+def _stalkwise_B_full_to_reduced(cx, n):
     """Normalized degree-raise from the full module into the reduced one:
-    project, then apply the stalkwise twisted B."""
-    ops = GJOperators(algebra, group)
-    return ops.B(0, n) @ _full_to_reduced_projection(algebra, group, n)
+    project, then apply the stalkwise twisted B of the coinvariant complex cx."""
+    return cx.ops.B(0, n) @ _full_to_reduced_projection(cx.algebra, cx.group, n)
 
 
 def _boundary_membership(vectors, hres, n, what):
@@ -432,7 +428,7 @@ def karoubi_sequence(algebra, group, max_degree):
     lam = LambdaComplex(algebra, group, max_degree, g_coinvariants=True, reduced=True)
     lamH = lam.homology()
     hdrH = dr.homology()
-    hhH = cx.column_homology()
+    hhH = cx.mixed.column_homology()
 
     nodes = []
     for n in range(max_degree):
@@ -507,7 +503,7 @@ def _karoubi_node(algebra, group, n, dr, cx, lam, lamH, hdrH, hhH):
             raise ChainMapError("left map boundaries: a boundary maps to a nonzero class")
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
-    Bmap = _stalkwise_B_full_to_reduced(algebra, group, n)
+    Bmap = _stalkwise_B_full_to_reduced(cx, n)
     right_chain = cx.pres[n + 1].projection @ Bmap @ lam.pres[n].section
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps

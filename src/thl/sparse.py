@@ -105,13 +105,6 @@ class QMatrix:
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
-    def to_dense(self):
-        out = [[Q(0)] * self.cols for _ in range(self.rows)]
-        for j, col in enumerate(self._cols):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
@@ -135,14 +128,6 @@ class QMatrix:
     def __neg__(self):
         return QMatrix(
             self.rows, self.cols, [{r: -v for r, v in c.items()} for c in self._cols], _adopt=True
-        )
-
-    def scale(self, scalar):
-        s = Q(scalar)
-        if not s:
-            return QMatrix.zero(self.rows, self.cols)
-        return QMatrix(
-            self.rows, self.cols, [{r: s * v for r, v in c.items()} for c in self._cols], _adopt=True
         )
 
     def __matmul__(self, other):

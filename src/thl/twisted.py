@@ -21,8 +21,8 @@ bicomplex construction checks against.
 """
 
 from .algebra import algebra_tensor_basis
-from .complexes import MixedComplex, homology
-from .quotient import coinvariant_relations, descend_map, quotient_by
+from .complexes import quotient_mixed_complex
+from .quotient import coinvariant_relations
 from .rational import QONE
 from .sparse import QMatrix
 
@@ -162,54 +162,29 @@ class HKBicomplex:
         self.g = g
         self.max_degree = max_degree
         self.n_internal = max_degree + 1
-        k = self.n_internal
 
-        self.twists = [twist_matrix(algebra, g, n, reduced=True) for n in range(k + 1)]
-        self.presentations = []
-        for n in range(k + 1):
-            t = self.twists[n]
-            rels = coinvariant_relations(t.rows, [t])
-            self.presentations.append(quotient_by(t.rows, rels))
+        def relations(n):
+            t = twist_matrix(algebra, g, n, reduced=True)
+            return coinvariant_relations(t.rows, [t])
 
-        b = [None]
-        for n in range(1, k + 1):
-            raw = twisted_b(algebra, g, n, reduced=True)
-            b.append(
-                descend_map(
-                    raw, self.presentations[n], self.presentations[n - 1], what=f"b_{n}"
-                )
-            )
-        B = []
-        for n in range(k):
-            raw = twisted_B(algebra, g, n)
-            B.append(
-                descend_map(
-                    raw, self.presentations[n], self.presentations[n + 1], what=f"B_{n}"
-                )
-            )
-        B.append(None)
-        dims = [p.quotient_dim for p in self.presentations]
-        self.mixed = MixedComplex(dims, b, B, presentations=self.presentations,
-                                  label=f"twisted bicomplex (N={max_degree})")
+        self.mixed = quotient_mixed_complex(
+            self.n_internal,
+            relations,
+            lambda n: twisted_b(algebra, g, n, reduced=True),
+            lambda n: twisted_B(algebra, g, n),
+            f"twisted bicomplex (N={max_degree})",
+        )
+        self.presentations = self.mixed.presentations
 
     def total(self):
         return self.mixed.total(self.n_internal)
 
-    def column(self):
-        return self.mixed.column_complex()
-
-
-def hk_bicomplex(algebra, g, max_degree):
-    return HKBicomplex(algebra, g, max_degree)
-
 
 def twisted_hochschild(algebra, g, max_degree):
     """Homology of the first column ((A (x) Abar^n)/(1-T), b) through max_degree."""
-    hk = HKBicomplex(algebra, g, max_degree)
-    return homology(hk.column())
+    return HKBicomplex(algebra, g, max_degree).mixed.column_homology()
 
 
 def twisted_cyclic(algebra, g, max_degree):
     """Twisted cyclic homology dims through max_degree (total complex route)."""
-    hk = HKBicomplex(algebra, g, max_degree)
-    return homology(hk.total().chain)
+    return HKBicomplex(algebra, g, max_degree).mixed.total_homology()

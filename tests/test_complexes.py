@@ -8,9 +8,10 @@ from thl.complexes import (
     check_chain_map,
     homology,
     induced_on_homology,
+    quotient_mixed_complex,
     total_complex,
 )
-from thl.errors import ChainMapError, ComplexError
+from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.rational import Q
 from thl.sparse import QMatrix, rank
 from thl.twisted import HKBicomplex, twisted_b
@@ -96,6 +97,22 @@ def test_mixed_complex_rejects_broken_identity():
     with pytest.raises(ComplexError):
         # b = B = identity on a constant tower violates bB + Bb = 0
         MixedComplex([1, 1, 1], [None, one, one], [one, one, None])
+
+
+def test_quotient_mixed_complex_names_theory_and_degree():
+    """Q^2 / (e0 - e1) in degree 0, Q in degree 1; B_0 = (1, 0) moves the
+    relation to a nonzero vector, so it does not descend."""
+    rels = {0: QMatrix.from_dense([[1], [-1]]), 1: QMatrix.zero(1, 0)}
+    with pytest.raises(WellDefinednessError) as err:
+        quotient_mixed_complex(
+            1,
+            rels.get,
+            lambda n: QMatrix.from_dense([[1], [1]]),
+            lambda n: QMatrix.from_dense([[1, 0]]),
+            "toy theory",
+        )
+    assert "B_0" in str(err.value)
+    assert "toy theory" in str(err.value)
 
 
 def _two_step_complex():

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thl.crossed import _sum_presentation
 from thl.errors import WellDefinednessError
 from thl.quotient import coinvariant_relations, descend_map, quotient_by, trivial_quotient
 from thl.rational import Q
-from thl.sparse import QMatrix, rank
+from thl.sparse import QMatrix, block_diag, rank
 
 
 def test_quotient_one_relation():
@@ -60,6 +61,32 @@ def test_descend_matches_column_evaluation():
     assert down == by_hand
 
 
+PRESENTATION_ATTRIBUTES = (
+    "ambient_dim",
+    "quotient_dim",
+    "relation_basis",
+    "projection",
+    "section",
+    "pivot_rows",
+    "free_rows",
+)
+
+
+def assert_same_presentation(a, b):
+    for name in PRESENTATION_ATTRIBUTES:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def test_zero_relation_columns_change_nothing():
+    swap = QMatrix.from_dense([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    rels = coinvariant_relations(3, [QMatrix.identity(3), swap])
+    # m - m = 0 for the identity, and for the fixed basis vector of swap
+    assert rels.cols == 2
+    assert all(rels._cols)
+    with_zeros = QMatrix.zero(3, 1).hstack(rels).hstack(QMatrix.zero(3, 2))
+    assert_same_presentation(quotient_by(3, with_zeros), quotient_by(3, rels))
+
+
 def test_trivial_quotient():
     qp = trivial_quotient(4)
     assert qp.quotient_dim == 4
@@ -87,6 +114,17 @@ def test_quotient_invariants(setup):
     assert (qp.projection @ qp.section) == QMatrix.identity(qp.quotient_dim)
     assert (qp.projection @ qp.relation_basis).is_zero()
     assert (qp.projection @ rels).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_setups(), relation_setups())
+def test_quotient_of_direct_sum_is_sum_of_quotients(first, second):
+    """The crossed-product quotient complex divides each total degree by
+    the block-diagonal sum of its blocks' relations, relying on this."""
+    (d1, r1), (d2, r2) = first, second
+    whole = quotient_by(d1 + d2, block_diag([r1, r2]))
+    parts = _sum_presentation([quotient_by(d1, r1), quotient_by(d2, r2)])
+    assert_same_presentation(whole, parts)
 
 
 @settings(max_examples=50, deadline=None)
