@@ -5,6 +5,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -12,9 +13,10 @@ from .algebra import crossed_product, validate_action, validate_algebra
 from .config import COMMANDS, load_config, load_fixture
 from .crossed import (
     CoinvariantComplex,
+    ConjugacyDecomposition,
+    GJOperators,
     LambdaComplex,
     PropositionComplex,
-    conjugacy_decomposition,
     full_pair_check,
     identity_suite,
     theorem_map_f,
@@ -23,8 +25,8 @@ from .crossed import (
 from .errors import ParseError, ThlError, ValidationError
 from .fixtures import fixture_names
 from .report import Report, emit_report
-from .sequences import DeRhamComplex, g_hochschild, karoubi_sequence, sbi_sequence
-from .twisted import HKBicomplex, twisted_cyclic
+from .sequences import DeRhamComplex, karoubi_sequence, sbi_sequence
+from .twisted import HKBicomplex
 
 
 def _params(cfg, command):
@@ -61,19 +63,38 @@ def _cyclic_generator(cfg):
 
 
 class _Job:
-    """What the steps of one run share: the config, and the crossed-product
-    quotient complex with its homology, built on first use."""
+    """What the steps of one run share: the config, and the operator set and
+    complexes built from it, each built on first use and then read by every
+    step (their homologies are shared through the complexes)."""
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self._proposition = None
+        self._twisted = {}
 
+    @functools.cached_property
+    def ops(self):
+        return GJOperators(self.cfg.algebra, self.cfg.group)
+
+    @functools.cached_property
+    def coinvariant(self):
+        return CoinvariantComplex(self.ops, self.cfg.max_degree)
+
+    @functools.cached_property
+    def decomposition(self):
+        return ConjugacyDecomposition(self.coinvariant)
+
+    @functools.cached_property
     def proposition(self):
-        if self._proposition is None:
+        return PropositionComplex(self.ops, self.cfg.max_degree)
+
+    def twisted(self, elem):
+        """The twisted complex of the group element elem."""
+        hk = self._twisted.get(elem)
+        if hk is None:
             cfg = self.cfg
-            pc = PropositionComplex(cfg.algebra, cfg.group, cfg.max_degree)
-            self._proposition = (pc, pc.mixed.total_homology())
-        return self._proposition
+            hk = HKBicomplex(cfg.algebra, cfg.group.action[elem], cfg.max_degree)
+            self._twisted[elem] = hk
+        return hk
 
 
 def _run_validate(job, report):
@@ -91,19 +112,16 @@ def _run_hc_twisted(job, report):
     tw = cfg.twist_index()
     if tw is None:
         raise ValidationError("hc-twisted needs a twist element (--twist)")
-    h = twisted_cyclic(cfg.algebra, cfg.group.action[tw], cfg.max_degree)
+    h = job.twisted(tw).mixed.total_homology()
     report.add_dims(f"hc-twisted[{cfg.twist}]", h.dims)
 
 
 def _run_hc_crossed(job, report):
-    _, h = job.proposition()
-    report.add_dims("hc-crossed", h.dims)
+    report.add_dims("hc-crossed", job.proposition.mixed.total_homology().dims)
 
 
 def _run_hc_coinv(job, report):
-    cfg = job.cfg
-    h = CoinvariantComplex(cfg.algebra, cfg.group, cfg.max_degree).mixed.total_homology()
-    report.add_dims("hc-coinv", h.dims)
+    report.add_dims("hc-coinv", job.coinvariant.mixed.total_homology().dims)
 
 
 def _run_hc_lambda(job, report):
@@ -115,31 +133,26 @@ def _run_hc_lambda(job, report):
 
 
 def _run_hh_G(job, report):
-    cfg = job.cfg
-    h = g_hochschild(cfg.algebra, cfg.group, cfg.max_degree)
-    report.add_dims("hh-G", h.dims)
+    report.add_dims("hh-G", job.coinvariant.mixed.column_homology().dims)
 
 
 def _run_hdr_G(job, report):
-    cfg = job.cfg
-    h = DeRhamComplex(cfg.algebra, cfg.group, cfg.max_degree).homology()
-    report.add_dims("hdr-G", h.dims)
+    report.add_dims("hdr-G", DeRhamComplex(job.coinvariant).homology().dims)
 
 
 def _run_verify_identities(job, report):
-    cfg = job.cfg
-    bound = cfg.max_degree + 1
-    for name, ok, detail in identity_suite(cfg.algebra, cfg.group, bound):
+    bound = job.cfg.max_degree + 1
+    for name, ok, detail in identity_suite(job.ops, bound):
         report.add_check(f"identities:{name}", ok, detail or f"p+q<={bound}")
     pair_bound = min(bound, 2)
-    for name, ok in full_pair_check(cfg.algebra, cfg.group, pair_bound):
+    for name, ok in full_pair_check(job.ops, pair_bound):
         report.add_check(f"full-pair:{name}", ok, f"p+q<={pair_bound}")
 
 
 def _run_verify_theorem(job, report):
     cfg = job.cfg
     grp = cfg.group
-    deco = conjugacy_decomposition(cfg.algebra, grp, cfg.max_degree)
+    deco = job.decomposition
     stalkH = deco.stalk_homologies()
     coinvH = deco.coinvariant_homology()
     report.add_dims("hc-coinv", coinvH.dims)
@@ -160,7 +173,7 @@ def _run_verify_theorem(job, report):
         report.add_skip("corollary1:powers", "group is not cyclic")
         return
     gname = grp.name(gen)
-    twH = twisted_cyclic(cfg.algebra, grp.action[gen], cfg.max_degree)
+    twH = job.twisted(gen).mixed.total_homology()
     report.add_dims(f"hc-twisted[{gname}]", twH.dims)
     r = grp.order
     expected = [r * d for d in twH.dims]
@@ -169,7 +182,7 @@ def _run_verify_theorem(job, report):
         coinvH.dims == expected,
         f"coinv={coinvH.dims} r*twisted={expected}",
     )
-    frep = theorem_map_f(cfg.algebra, grp, gen, cfg.max_degree)
+    frep = theorem_map_f(job.twisted(gen), deco, gen)
     detail = " ".join(
         f"n={d['degree']}:rank={d['rank']}/{d['dim_source']}" for d in frep.degrees
     )
@@ -187,7 +200,7 @@ def _run_verify_theorem(job, report):
         power = grp.identity_index
         for _ in range(k):
             power = grp.mul(power, gen)
-        hk = twisted_cyclic(cfg.algebra, grp.action[power], cfg.max_degree)
+        hk = job.twisted(power).mixed.total_homology()
         report.add_check(
             f"corollary1:power-{k}",
             hk.dims == twH.dims,
@@ -198,24 +211,21 @@ def _run_verify_theorem(job, report):
 def _run_verify_lemma(job, report):
     cfg = job.cfg
     tw = cfg.twist_index()
-    g = cfg.group.action[tw] if tw is not None else cfg.group.action[cfg.group.identity_index]
-    gname = cfg.twist if tw is not None else cfg.group.name(cfg.group.identity_index)
-    hk = HKBicomplex(cfg.algebra, g, cfg.max_degree)
-    rep = u_complex_equivalence(hk.mixed, f"twisted[{gname}]")
+    elem = tw if tw is not None else cfg.group.identity_index
+    gname = cfg.group.name(elem)
+    rep = u_complex_equivalence(job.twisted(elem).mixed, f"twisted[{gname}]")
     report.add_dims(f"u-complex-twisted[{gname}]", rep.dims_u)
     report.add_dims(f"total-twisted[{gname}]", rep.dims_total)
     report.add_check("lemma:u-equals-total[twisted]", rep.equal)
     if cfg.group.order > 1:
-        pc, _ = job.proposition()
-        rep = u_complex_equivalence(pc.mixed, "crossed")
+        rep = u_complex_equivalence(job.proposition.mixed, "crossed")
         report.add_dims("u-complex-crossed", rep.dims_u)
         report.add_dims("total-crossed", rep.dims_total)
         report.add_check("lemma:u-equals-total[crossed]", rep.equal)
 
 
 def _run_verify_sbi(job, report):
-    cfg = job.cfg
-    rep = sbi_sequence(cfg.algebra, cfg.group, cfg.max_degree)
+    rep = sbi_sequence(job.coinvariant)
     for node in rep.nodes:
         detail = (
             f"in={node.incoming} out={node.outgoing} "
@@ -227,8 +237,7 @@ def _run_verify_sbi(job, report):
 
 
 def _run_verify_karoubi(job, report):
-    cfg = job.cfg
-    rep = karoubi_sequence(cfg.algebra, cfg.group, cfg.max_degree)
+    rep = karoubi_sequence(job.coinvariant)
     for node in rep.nodes:
         base = f"n={node.degree} hdr={node.hdr_dim} hc={node.hc_dim} hh={node.hh_next_dim}"
         if node.diagnostic:

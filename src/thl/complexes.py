@@ -55,11 +55,6 @@ class ChainComplexQ:
                     "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {j}"
                 )
 
-    def differential(self, n):
-        if n <= 0 or n > self.top:
-            return QMatrix.zero(self.dims[n - 1] if 0 < n <= self.top + 1 else 0, 0)
-        return self.d[n]
-
 
 class HomologyResult:
     """Per-degree homology dimensions with lazily computed bases.
@@ -217,6 +212,9 @@ class MixedComplex:
     Checked at construction: b.b = 0, B.B = 0 and bB + Bb = 0 on the given
     truncation.  These are exactly the identities that make the cyclic-type
     bicomplex (columns indexed by B-applications) well defined.
+
+    Its total and column homologies are computed once and shared, so ranks
+    and bases taken through one reader serve every other.
     """
 
     def __init__(self, dims, b, B, presentations=None, label="", check=True):
@@ -226,6 +224,8 @@ class MixedComplex:
         self.B = list(B)
         self.presentations = presentations
         self.label = label
+        self._total_h = None
+        self._column_h = None
         if check:
             self._check_identities()
 
@@ -275,12 +275,18 @@ class MixedComplex:
         return total_complex(self.bicomplex(n_internal), n_internal)
 
     def total_homology(self):
-        """Homology of the total complex through the top degree."""
-        return homology(self.total(self.top).chain)
+        """Homology of the total complex through the top degree; the same
+        HomologyResult on every call."""
+        if self._total_h is None:
+            self._total_h = homology(self.total(self.top).chain)
+        return self._total_h
 
     def column_homology(self):
-        """Homology of the first column (C_*, b)."""
-        return homology(self.column_complex())
+        """Homology of the first column (C_*, b); the same HomologyResult
+        on every call."""
+        if self._column_h is None:
+            self._column_h = homology(self.column_complex())
+        return self._column_h
 
     def column_complex(self):
         """The first column (C_*, b) as a plain chain complex."""

@@ -36,7 +36,7 @@ from .errors import ChainMapError, ComplexError
 from .quotient import coinvariant_relations, descend_map, QuotientPresentation
 from .rational import QONE
 from .sparse import QMatrix, block_diag, block_matrix, rank
-from .twisted import HKBicomplex, twist_matrix, twisted_B, twisted_b
+from .twisted import twist_matrix, twisted_B, twisted_b
 
 
 class GJOperators:
@@ -238,13 +238,12 @@ def beta_map(algebra, group, p, q):
 # operator-identity suites
 # ---------------------------------------------------------------------
 
-def identity_suite(algebra, group, bound):
-    """The exact operator identities on every block with p + q <= bound.
+def identity_suite(ops, bound):
+    """The exact operator identities of ops on every block with p + q <= bound.
 
     Returns (name, ok, detail) triples with stable names; on failure the
     detail names the first offending block and basis tensor.
     """
-    ops = GJOperators(algebra, group)
     failures = {}
 
     def residual(name, p, q, mat):
@@ -254,7 +253,7 @@ def identity_suite(algebra, group, bound):
         basis = ops.basis(p, q)
         failures[name] = (
             f"first residual at (p,q)=({p},{q}) on "
-            f"{basis.label(j, group, algebra)}: {dict(mat._cols[j])}"
+            f"{basis.label(j, ops.group, ops.algebra)}: {dict(mat._cols[j])}"
         )
 
     for s in range(bound + 1):
@@ -298,8 +297,8 @@ def identity_suite(algebra, group, bound):
     return [(name, name not in failures, failures.get(name, "")) for name in names]
 
 
-def full_pair_check(algebra, group, bound):
-    """Construction-time identities of the full boundary pair.
+def full_pair_check(ops, bound):
+    """Construction-time identities of the full boundary pair of ops.
 
     D = b + bbar and the degree-raising candidate F = B + T.Bbar satisfy
     D.D = 0 and D.F + F.D = 0 exactly on the truncation (the two
@@ -307,7 +306,6 @@ def full_pair_check(algebra, group, bound):
     vanish, which is why the homology pipeline runs through the quotient
     bicomplex with F replaced by B.
     """
-    ops = GJOperators(algebra, group)
 
     def U(p, q):
         return ops.T(p + 1, q) @ ops.Bbar(p, q)
@@ -377,19 +375,14 @@ class PropositionComplex:
     blocks' echelon forms, so each block is presented as if alone.
     """
 
-    def __init__(self, algebra, group, max_degree, deep_checks=True):
-        self.algebra = algebra
-        self.group = group
+    def __init__(self, ops, max_degree):
+        self.ops = ops
         self.max_degree = max_degree
         self.n_internal = k = max_degree + 1
-        ops = GJOperators(algebra, group)
-        self.ops = ops
 
-        if deep_checks:
-            self.full_pair = full_pair_check(algebra, group, min(k, 2))
-            for name, ok in self.full_pair:
-                if not ok:
-                    raise ComplexError(f"full boundary pair identity failed: {name}")
+        for name, ok in full_pair_check(ops, min(k, 2)):
+            if not ok:
+                raise ComplexError(f"full boundary pair identity failed: {name}")
 
         # block p of total degree n is (p, n - p)
         def sizes(n):
@@ -415,9 +408,9 @@ class PropositionComplex:
         )
 
 
-def proposition_bicomplex(algebra, group, max_degree, deep_checks=True):
+def proposition_bicomplex(algebra, group, max_degree):
     """Quotient-bicomplex pipeline; returns (complex object, HomologyResult)."""
-    pc = PropositionComplex(algebra, group, max_degree, deep_checks=deep_checks)
+    pc = PropositionComplex(GJOperators(algebra, group), max_degree)
     return pc, pc.mixed.total_homology()
 
 
@@ -440,13 +433,12 @@ class CoinvariantComplex:
     the inverse of the stalk element.
     """
 
-    def __init__(self, algebra, group, max_degree):
-        self.algebra = algebra
-        self.group = group
+    def __init__(self, ops, max_degree):
+        self.ops = ops
+        self.algebra = ops.algebra
+        self.group = group = ops.group
         self.max_degree = max_degree
         self.n_internal = k = max_degree + 1
-        ops = GJOperators(algebra, group)
-        self.ops = ops
 
         def relations(n):
             basis = ops.basis(0, n)
@@ -481,7 +473,7 @@ def hcG_bicomplex(algebra, group, max_degree):
 def coinvariant_bicomplex(algebra, group, max_degree):
     """Homology of the coinvariant bicomplex (the model of HC(A x| G)
     that the stalk decomposition acts on; |G| invertible)."""
-    return CoinvariantComplex(algebra, group, max_degree).mixed.total_homology()
+    return CoinvariantComplex(GJOperators(algebra, group), max_degree).mixed.total_homology()
 
 
 # ---------------------------------------------------------------------
@@ -493,29 +485,26 @@ class StalkComplex:
 
     The centralizer acts diagonally; the operators are the g^{-1}-twisted
     b and B, descended.  The quotient absorbs (1 - T_{g^{-1}}) because g
-    centralizes itself.
+    centralizes itself.  The per-element algebra blocks are read from ops.
     """
 
-    def __init__(self, algebra, group, rep, centralizer, max_degree):
+    def __init__(self, ops, rep, centralizer, max_degree):
         self.rep = rep
         self.centralizer = list(centralizer)
         self.max_degree = max_degree
         self.n_internal = max_degree + 1
-        sigma = group.action[group.inverse[rep]]
+        sigma = ops.group.inverse[rep]
 
         def relations(n):
             # the centralizer holds the identity, so acts is never empty
-            acts = [
-                twist_matrix(algebra, group.action[h], n, reduced=True)
-                for h in self.centralizer
-            ]
+            acts = [ops.alg_twist(h, n) for h in self.centralizer]
             return coinvariant_relations(acts[0].rows, acts)
 
         self.mixed = quotient_mixed_complex(
             self.n_internal,
             relations,
-            lambda n: twisted_b(algebra, sigma, n, reduced=True),
-            lambda n: twisted_B(algebra, sigma, n),
+            lambda n: ops.alg_b(sigma, n),
+            lambda n: ops.alg_B(sigma, n),
             f"stalk over class of element {rep}",
         )
         self.pres = self.mixed.presentations
@@ -531,15 +520,14 @@ class ConjugacyDecomposition:
     the computational content of the orbit-module induction step.
     """
 
-    def __init__(self, algebra, group, max_degree):
-        self.algebra = algebra
-        self.group = group
-        self.max_degree = max_degree
-        self.n_internal = k = max_degree + 1
+    def __init__(self, coinv):
+        self.coinv = coinv
+        self.group = group = coinv.group
+        self.max_degree = max_degree = coinv.max_degree
+        self.n_internal = coinv.n_internal
         self.conj = conjugacy_data(group)
-        self.coinv = CoinvariantComplex(algebra, group, max_degree)
         self.stalks = [
-            StalkComplex(algebra, group, rep, cent, max_degree)
+            StalkComplex(coinv.ops, rep, cent, max_degree)
             for rep, cent in zip(self.conj.representatives, self.conj.centralizers)
         ]
         # u_h: first group element conjugating h to its class representative
@@ -613,7 +601,7 @@ class ConjugacyDecomposition:
 
 
 def conjugacy_decomposition(algebra, group, max_degree):
-    return ConjugacyDecomposition(algebra, group, max_degree)
+    return ConjugacyDecomposition(CoinvariantComplex(GJOperators(algebra, group), max_degree))
 
 
 class TheoremMapReport:
@@ -627,17 +615,23 @@ class TheoremMapReport:
         return all(d["onto_summand"] for d in self.degrees)
 
 
-def theorem_map_f(algebra, group, g, max_degree):
-    """The comparison map from the g-twisted theory into the crossed-product
-    theory (coinvariant model), with per-degree rank certificates.
+def theorem_map_f(hk, deco, g):
+    """The comparison map from the g-twisted theory hk into the
+    crossed-product theory (the coinvariant model of the decomposition
+    deco), with per-degree rank certificates.
 
     Chain level: m -> class of (g^{-1} | m).  The induced map lands in the
     stalk of the class of g^{-1}; the report certifies injectivity and
     whether the image is exactly that summand of the decomposition.
+    Raises ValueError unless hk is the g-twisted complex at deco's degree.
     """
+    group = deco.group
+    max_degree = deco.max_degree
+    if hk.max_degree != max_degree or hk.g != group.action[g]:
+        raise ValueError(
+            f"theorem map needs the twisted complex of element {g} at degree {max_degree}"
+        )
     k = max_degree + 1
-    hk = HKBicomplex(algebra, group.action[g], max_degree)
-    deco = ConjugacyDecomposition(algebra, group, max_degree)
     coinv = deco.coinv
     ginv = group.inverse[g]
     cls = deco.conj.class_of[ginv]

@@ -9,7 +9,7 @@ no tolerance.
 
 from .algebra import tensor_index
 from .complexes import ChainComplexQ, homology
-from .crossed import CoinvariantComplex, LambdaComplex
+from .crossed import CoinvariantComplex, GJOperators, LambdaComplex
 from .errors import ChainMapError, ComplexError
 from .quotient import descend_map, quotient_by
 from .rational import QONE
@@ -18,7 +18,7 @@ from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_i
 
 def g_hochschild(algebra, group, max_degree):
     """Homology of the first column of the coinvariant bicomplex."""
-    return CoinvariantComplex(algebra, group, max_degree).mixed.column_homology()
+    return CoinvariantComplex(GJOperators(algebra, group), max_degree).mixed.column_homology()
 
 
 # ---------------------------------------------------------------------
@@ -55,8 +55,8 @@ SBI_INDEXING_NOTE = (
 )
 
 
-def sbi_sequence(algebra, group, max_degree):
-    """Periodicity long exact sequence of the coinvariant bicomplex.
+def sbi_sequence(coinv):
+    """Periodicity long exact sequence of the coinvariant bicomplex coinv.
 
     Built from the degreewise-split short exact sequence of complexes
 
@@ -65,37 +65,37 @@ def sbi_sequence(algebra, group, max_degree):
     with I the column inclusion, S the column-dropping projection, and the
     connecting map computed by the lift-differentiate-project recipe.
     """
-    cx = CoinvariantComplex(algebra, group, max_degree)
-    k = cx.n_internal
-    tot = cx.mixed.total(k)
-    hcH = homology(tot.chain)
-    hhH = cx.mixed.column_homology()
-    N = max_degree
+    mixed = coinv.mixed
+    k = coinv.n_internal
+    hcH = mixed.total_homology()
+    hhH = mixed.column_homology()
+    tot = hcH.complex
+    N = coinv.max_degree
 
     # chain-level I: C_n -> Tot_n (column p = 0 is the first block)
     incl = []
     for n in range(k + 1):
-        dim = cx.mixed.dims[n]
-        tdim = tot.chain.dims[n]
+        dim = mixed.dims[n]
+        tdim = tot.dims[n]
         incl.append(
             QMatrix(tdim, dim, [{i: QONE} for i in range(dim)], _adopt=True)
         )
     # chain-level S: Tot_n -> Tot_{n-2} drops the p = 0 block
     proj = {}
     for n in range(2, k + 1):
-        head = cx.mixed.dims[n]
-        tdim = tot.chain.dims[n]
+        head = mixed.dims[n]
+        tdim = tot.dims[n]
         cols = []
         for j in range(tdim):
             cols.append({} if j < head else {j - head: QONE})
-        proj[n] = QMatrix(tot.chain.dims[n - 2], tdim, cols, _adopt=True)
+        proj[n] = QMatrix(tot.dims[n - 2], tdim, cols, _adopt=True)
 
     # exact chain-map checks
     for n in range(1, k + 1):
-        if tot.chain.d[n] @ incl[n] != incl[n - 1] @ cx.mixed.b[n]:
+        if tot.d[n] @ incl[n] != incl[n - 1] @ mixed.b[n]:
             raise ChainMapError(f"column inclusion fails at degree {n}")
     for n in range(3, k + 1):
-        if proj[n - 1] @ tot.chain.d[n] != tot.chain.d[n - 2] @ proj[n]:
+        if proj[n - 1] @ tot.d[n] != tot.d[n - 2] @ proj[n]:
             raise ChainMapError(f"shift projection fails at degree {n}")
 
     def induced_I(n):
@@ -110,13 +110,13 @@ def sbi_sequence(algebra, group, max_degree):
         """HC_{n-2} -> HH_{n-1}: lift along the splitting, differentiate,
         read off the first column."""
         reps, _ = hcH.representatives(n - 2)
-        head = cx.mixed.dims[n]
+        head = mixed.dims[n]
         lift_cols = []
         for j in range(reps.cols):
             lift_cols.append({r + head: v for r, v in reps._cols[j].items()})
-        lift = QMatrix(tot.chain.dims[n], reps.cols, lift_cols, _adopt=True)
-        dlift = tot.chain.d[n] @ lift
-        head_prev = cx.mixed.dims[n - 1]
+        lift = QMatrix(tot.dims[n], reps.cols, lift_cols, _adopt=True)
+        dlift = tot.d[n] @ lift
+        head_prev = mixed.dims[n - 1]
         cols = []
         for j in range(dlift.cols):
             col = dict()
@@ -208,13 +208,12 @@ def derham_d_ambient(algebra, group, n):
     return QMatrix(dst.size, src.size, cols, _adopt=True)
 
 
-def derham_d(algebra, group, n):
-    """The unit-insertion differential on the coinvariant modules,
-    before abelianization; the descent through the orbit quotient is
-    checked exactly."""
-    cx = CoinvariantComplex(algebra, group, n + 1)
+def derham_d(coinv, n):
+    """The unit-insertion differential from degree n to n + 1 of the
+    coinvariant complex coinv, before abelianization; the descent through
+    the orbit quotient is checked exactly."""
     return descend_map(
-        derham_d_ambient(algebra, group, n), cx.pres[n], cx.pres[n + 1],
+        derham_d_ambient(coinv.algebra, coinv.group, n), coinv.pres[n], coinv.pres[n + 1],
         what=f"derham d_{n}",
     )
 
@@ -228,45 +227,35 @@ class DeRhamComplex:
     divided out too (the ground field's contribution).
     """
 
-    def __init__(self, algebra, group, max_degree, reduced=False):
-        self.algebra = algebra
-        self.group = group
-        self.max_degree = max_degree
+    def __init__(self, coinv, reduced=False):
+        self.coinv = coinv
+        self.max_degree = coinv.max_degree
         self.reduced = reduced
-        self.n_internal = k = max_degree + 1
-        cx = CoinvariantComplex(algebra, group, max_degree)
-        self.coinv = cx
+        self.n_internal = k = coinv.n_internal
+        mixed = coinv.mixed
         # d descended to the coinvariant quotient
-        d_coinv = []
-        for n in range(k):
-            d_coinv.append(
-                descend_map(
-                    derham_d_ambient(algebra, group, n),
-                    cx.pres[n], cx.pres[n + 1], what=f"derham d_{n}",
-                )
-            )
-        d_coinv.append(None)
+        d_coinv = [derham_d(coinv, n) for n in range(k)] + [None]
         # abelianization: quotient by im(bd + db) + im(b)
         self.ab = []
         for n in range(k + 1):
             rels_parts = []
             if n < k:
-                rels_parts.append(cx.mixed.b[n + 1] @ d_coinv[n])
-            if n >= 1 and d_coinv[n - 1] is not None:
-                rels_parts.append(d_coinv[n - 1] @ cx.mixed.b[n])
+                rels_parts.append(mixed.b[n + 1] @ d_coinv[n])
+            if n >= 1:
+                rels_parts.append(d_coinv[n - 1] @ mixed.b[n])
             if n < k:
-                rels_parts.append(cx.mixed.b[n + 1])
+                rels_parts.append(mixed.b[n + 1])
             if reduced and n == 0:
-                basis = cx.ops.basis(0, 0)
-                unit_idx = group.identity_index * basis.asize + basis.encode_algebra((0,))
+                basis = coinv.ops.basis(0, 0)
+                unit_idx = coinv.group.identity_index * basis.asize + basis.encode_algebra((0,))
                 unit_amb = QMatrix(basis.size, 1, [{unit_idx: QONE}], _adopt=True)
-                rels_parts.append(cx.pres[0].projection @ unit_amb)
+                rels_parts.append(coinv.pres[0].projection @ unit_amb)
             rels = None
             for part in rels_parts:
                 rels = part if rels is None else rels.hstack(part)
             if rels is None:
-                rels = QMatrix.zero(cx.mixed.dims[n], 0)
-            self.ab.append(quotient_by(cx.mixed.dims[n], rels))
+                rels = QMatrix.zero(mixed.dims[n], 0)
+            self.ab.append(quotient_by(mixed.dims[n], rels))
         self.d_ab = []
         for n in range(k):
             self.d_ab.append(
@@ -322,7 +311,8 @@ class ReversedHomology:
 
 
 def derham_homology(algebra, group, max_degree, reduced=False):
-    return DeRhamComplex(algebra, group, max_degree, reduced=reduced).homology()
+    coinv = CoinvariantComplex(GJOperators(algebra, group), max_degree)
+    return DeRhamComplex(coinv, reduced=reduced).homology()
 
 
 # ---------------------------------------------------------------------
@@ -407,8 +397,9 @@ def _boundary_membership(vectors, hres, n, what):
         raise ChainMapError(f"{what}: a relation does not map to a boundary")
 
 
-def karoubi_sequence(algebra, group, max_degree):
-    """0 -> HDR_n -> HC_n(crossed) -> HH_{n+1} checks for n <= max_degree - 1.
+def karoubi_sequence(coinv):
+    """0 -> HDR_n -> HC_n(crossed) -> HH_{n+1} checks for n <= max_degree - 1,
+    on the coinvariant complex coinv.
 
     All three terms are taken reduced relative to the ground field (the
     unit-stalk classes divided out); with the unreduced middle term the
@@ -422,18 +413,17 @@ def karoubi_sequence(algebra, group, max_degree):
     degree-raising operator.  Every well-definedness obligation is checked
     exactly before ranks are taken.
     """
-    k = max_degree + 1
-    dr = DeRhamComplex(algebra, group, max_degree, reduced=True)
-    cx = dr.coinv
-    lam = LambdaComplex(algebra, group, max_degree, g_coinvariants=True, reduced=True)
+    max_degree = coinv.max_degree
+    dr = DeRhamComplex(coinv, reduced=True)
+    lam = LambdaComplex(coinv.algebra, coinv.group, max_degree, g_coinvariants=True, reduced=True)
     lamH = lam.homology()
     hdrH = dr.homology()
-    hhH = cx.mixed.column_homology()
+    hhH = coinv.mixed.column_homology()
 
     nodes = []
     for n in range(max_degree):
         try:
-            node = _karoubi_node(algebra, group, n, dr, cx, lam, lamH, hdrH, hhH)
+            node = _karoubi_node(n, dr, hdrH, lam, lamH)
         except ChainMapError as exc:
             node = KaroubiNode(
                 degree=n,
@@ -451,66 +441,62 @@ def karoubi_sequence(algebra, group, max_degree):
     return KaroubiReport(nodes)
 
 
-def _adapted_lambda_classes(algebra, group, n, dr, cx, lam, lamH, vectors, what):
-    """Lambda homology coordinates of abelianized-module vectors, choosing
-    within each abelianization class a representative whose lambda image is
-    a cycle.
-
-    vectors: columns in the abelianized quotient coordinates at degree n.
-    The correction lives in the span of the abelianization relations; the
-    system is solved exactly and fails loudly when no adapted
-    representative exists.
-    """
+def _karoubi_node(n, dr, hdrH, lam, lamH):
+    cx = dr.coinv
+    hhH = cx.mixed.column_homology()
+    # abelianized coordinates -> lambda coordinates, through the reduced
+    # module's inclusion into the full one
     to_lambda = lam.pres[n].projection @ (
-        _reduced_to_full_section(algebra, group, n) @ cx.pres[n].section
+        _reduced_to_full_section(cx.algebra, cx.group, n) @ cx.pres[n].section
     )
     rel = dr.ab[n].relation_basis
-    lifted = dr.ab[n].section @ vectors
-    if n == 0:
-        return lamH.class_coordinates(0, to_lambda @ lifted)
-    d_lam = lam.chain.d[n]
-    move = d_lam @ (to_lambda @ rel)
-    rhs = -(d_lam @ (to_lambda @ lifted))
-    correction = solve_general(move, rhs)
-    if correction is None:
-        raise ChainMapError(f"{what}: no adapted cycle representative at degree {n}")
-    adapted = to_lambda @ (lifted + rel @ correction)
-    return lamH.class_coordinates(n, adapted)
+    if n >= 1:
+        d_lam = lam.chain.d[n]
+        move = d_lam @ (to_lambda @ rel)
 
+    def lambda_classes(vectors, what):
+        """Lambda homology coordinates of abelianized-module vectors,
+        choosing within each abelianization class a representative whose
+        lambda image is a cycle.
 
-def _karoubi_node(algebra, group, n, dr, cx, lam, lamH, hdrH, hhH):
+        The correction lives in the span of the abelianization relations;
+        the system is solved exactly and fails loudly when no adapted
+        representative exists.
+        """
+        lifted = dr.ab[n].section @ vectors
+        if n == 0:
+            return lamH.class_coordinates(0, to_lambda @ lifted)
+        rhs = -(d_lam @ (to_lambda @ lifted))
+        correction = solve_general(move, rhs)
+        if correction is None:
+            raise ChainMapError(f"{what}: no adapted cycle representative at degree {n}")
+        adapted = to_lambda @ (lifted + rel @ correction)
+        return lamH.class_coordinates(n, adapted)
+
     # left map: adapted abelianized representatives -> lambda classes
     reps, _ = hdrH.representatives(n)
-    left = _adapted_lambda_classes(algebra, group, n, dr, cx, lam, lamH, reps, "left map")
+    left = lambda_classes(reps, "left map")
     # well-definedness: adapted representatives of zero must be boundaries.
     # The ambiguity space is the kernel of the adapted-cycle system over
     # the relation span; its lambda classes must vanish.
-    to_lambda = lam.pres[n].projection @ (
-        _reduced_to_full_section(algebra, group, n) @ cx.pres[n].section
-    )
-    rel = dr.ab[n].relation_basis
     if n >= 1 and rel.cols:
-        amb = kernel_basis(lam.chain.d[n] @ (to_lambda @ rel))
-        closed_rel = to_lambda @ (rel @ amb)
+        closed_rel = to_lambda @ (rel @ kernel_basis(move))
         if not closed_rel.is_zero():
             _boundary_membership(closed_rel, lamH, n, "left map relations")
     bd = hdrH.boundary_basis(n)
     if bd.cols:
-        zero_like = _adapted_lambda_classes(
-            algebra, group, n, dr, cx, lam, lamH, bd, "left map boundaries"
-        )
+        zero_like = lambda_classes(bd, "left map boundaries")
         if not zero_like.is_zero():
             raise ChainMapError("left map boundaries: a boundary maps to a nonzero class")
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
-    Bmap = _stalkwise_B_full_to_reduced(cx, n)
-    right_chain = cx.pres[n + 1].projection @ Bmap @ lam.pres[n].section
+    raw_right = cx.pres[n + 1].projection @ _stalkwise_B_full_to_reduced(cx, n)
+    right_chain = raw_right @ lam.pres[n].section
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps
     resid = cx.mixed.b[n + 1] @ rimages
     if not resid.is_zero():
         raise ChainMapError(f"degree-raise image is not a cycle at degree {n}")
-    raw_right = cx.pres[n + 1].projection @ Bmap
     lrel = raw_right @ lam.pres[n].relation_basis
     if not lrel.is_zero():
         _boundary_membership(lrel, hhH, n + 1, "right map relations")

@@ -2,7 +2,28 @@
 its own serialized copies; these avoid going through config parsing)."""
 
 from thl.algebra import Algebra, AlgebraMap, FiniteGroupAction
+from thl.crossed import (
+    CoinvariantComplex,
+    GJOperators,
+    conjugacy_decomposition,
+    theorem_map_f,
+)
 from thl.sparse import QMatrix
+from thl.twisted import HKBicomplex
+
+
+def coinvariant_complex(algebra, group, max_degree):
+    """The coinvariant complex on an operator set of its own."""
+    return CoinvariantComplex(GJOperators(algebra, group), max_degree)
+
+
+def theorem_map(algebra, group, g, max_degree):
+    """theorem_map_f on a g-twisted complex and a decomposition of their own."""
+    return theorem_map_f(
+        HKBicomplex(algebra, group.action[g], max_degree),
+        conjugacy_decomposition(algebra, group, max_degree),
+        g,
+    )
 
 
 def ground_field_algebra():

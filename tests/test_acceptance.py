@@ -28,17 +28,19 @@ from thl.algebra import AlgebraMap, crossed_product, trivial_group
 from thl.cli import run
 from thl.config import load_fixture
 from thl.crossed import (
+    GJOperators,
     conjugacy_decomposition,
     connes_lambda_complex,
     identity_suite,
     proposition_bicomplex,
     coinvariant_bicomplex,
-    theorem_map_f,
     u_complex_equivalence,
 )
 from thl.report import emit_machine
 from thl.sequences import karoubi_sequence, sbi_sequence
 from thl.twisted import HKBicomplex, twisted_cyclic
+
+from fixtures_for_tests import coinvariant_complex, theorem_map
 
 
 def _fx(name):
@@ -55,7 +57,7 @@ def test_criterion_01_operator_identity_suite():
     results = {}
     for name in ("trunc-poly-z2", "triple-lines-z3"):
         cfg = _fx(name)
-        suite = identity_suite(cfg.algebra, cfg.group, 4)
+        suite = identity_suite(GJOperators(cfg.algebra, cfg.group), 4)
         results[name] = suite
     elapsed = time.monotonic() - t0
     ok = all(flag for suite in results.values() for _, flag, _ in suite)
@@ -120,7 +122,7 @@ def test_criterion_04_map_certificates():
     with image exactly the distinguished stalk summand."""
     for name in ("trunc-poly-z2", "triple-lines-z3"):
         cfg = _fx(name)
-        rep = theorem_map_f(cfg.algebra, cfg.group, cfg.twist_index(), 3)
+        rep = theorem_map(cfg.algebra, cfg.group, cfg.twist_index(), 3)
         assert rep.all_injective(), name
         assert rep.all_onto_summand(), name
     _announce(4, True, "comparison map injective onto its stalk summand (both fixtures)")
@@ -169,7 +171,7 @@ def test_criterion_07_shapiro_decomposition():
 def test_criterion_08_sbi_exactness():
     for name in ("ground-field", "trunc-poly-z2"):
         cfg = _fx(name)
-        rep = sbi_sequence(cfg.algebra, cfg.group, 3)
+        rep = sbi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
         assert all(n.composite_zero for n in rep.nodes), name
         assert rep.all_exact, name
     _announce(8, True, "periodicity sequence exact at every computable node, both fixtures")
@@ -187,7 +189,7 @@ def test_criterion_08_sbi_exactness():
 def test_criterion_09_karoubi_as_stated():
     for name in ("ground-field", "trunc-poly-z2"):
         cfg = _fx(name)
-        rep = karoubi_sequence(cfg.algebra, cfg.group, 3)
+        rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
         for node in rep.nodes:
             if node.degree > 2:
                 continue
@@ -201,10 +203,10 @@ def test_criterion_09_karoubi_as_stated():
 def test_criterion_09_attainable_nodes():
     """Everything except the single forced mismatch holds exactly."""
     cfg = _fx("ground-field")
-    rep = karoubi_sequence(cfg.algebra, cfg.group, 3)
+    rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
     assert all(n.ok for n in rep.nodes if n.degree <= 2)
     cfg = _fx("trunc-poly-z2")
-    rep = karoubi_sequence(cfg.algebra, cfg.group, 3)
+    rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
     for node in rep.nodes:
         if node.degree > 2:
             continue

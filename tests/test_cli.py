@@ -77,6 +77,37 @@ def test_machine_report_roundtrip():
     assert parsed["dims"]["hc-coinv"] == [(0, 1), (1, 0), (2, 1), (3, 0)]
 
 
+def test_all_builds_each_complex_once(monkeypatch):
+    """One run of all builds the operator set and each complex once, and
+    the twisted complex once per group element it reads."""
+    from thl import crossed, twisted
+
+    builds = []
+
+    def count(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append((cls.__name__, args))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    for cls in (crossed.GJOperators, crossed.CoinvariantComplex,
+                crossed.ConjugacyDecomposition, crossed.PropositionComplex,
+                twisted.HKBicomplex):
+        count(cls)
+    for name in ("trunc-poly-z2", "triple-lines-z3"):
+        builds.clear()
+        run("all", load_fixture(name))
+        names = [cls for cls, _ in builds]
+        for cls in ("GJOperators", "CoinvariantComplex", "ConjugacyDecomposition",
+                    "PropositionComplex"):
+            assert names.count(cls) == 1, (name, cls, names.count(cls))
+        twists = [id(args[1]) for cls, args in builds if cls == "HKBicomplex"]
+        assert twists and len(set(twists)) == len(twists), (name, len(twists))
+
+
 def test_machine_report_deterministic():
     cfg1 = load_fixture("trunc-poly-z2")
     cfg2 = load_fixture("trunc-poly-z2")

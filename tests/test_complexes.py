@@ -92,6 +92,18 @@ def test_hk_total_of_ground_field():
     assert h.dims == [1, 0, 1, 0, 1]
 
 
+def test_mixed_complex_homology_is_computed_once():
+    """Repeated reads share one HomologyResult, so its ranks and bases."""
+    alg = Algebra(1, ["1"], {0: 1}, [[{0: 1}]])
+    mixed = HKBicomplex(alg, AlgebraMap.identity(1), 3).mixed
+    total = mixed.total_homology()
+    column = mixed.column_homology()
+    assert mixed.total_homology() is total
+    assert mixed.column_homology() is column
+    assert total is not column
+    assert total.dims == [1, 0, 1, 0] and column.dims == [1, 0, 0, 0]
+
+
 def test_mixed_complex_rejects_broken_identity():
     one = QMatrix.identity(1)
     with pytest.raises(ComplexError):

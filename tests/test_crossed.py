@@ -26,6 +26,7 @@ from fixtures_for_tests import (
     ground_field_algebra,
     s3_group,
     sign_twist,
+    theorem_map,
     triple_lines_algebra,
     z2_group,
     z3_group,
@@ -167,13 +168,13 @@ def test_beta_hand_values():
 ])
 def test_identity_suite_passes(make_alg, make_grp):
     A = make_alg()
-    suite = identity_suite(A, make_grp(A), 2)
+    suite = identity_suite(GJOperators(A, make_grp(A)), 2)
     assert all(ok for _, ok, _ in suite), suite
 
 
 def test_full_pair_check_passes():
     A = dual_numbers_algebra()
-    assert all(ok for _, ok in full_pair_check(A, z2_group(A), 2))
+    assert all(ok for _, ok in full_pair_check(GJOperators(A, z2_group(A)), 2))
 
 
 # -- quotient pipelines -------------------------------------------------
@@ -303,7 +304,7 @@ def test_noncommutative_identity_suite():
     G = FiniteGroupAction(
         ["e", "s"], [[0, 1], [1, 0]], [AlgebraMap.identity(3), _diag_sign_involution()]
     )
-    suite = identity_suite(A, G, 2)
+    suite = identity_suite(GJOperators(A, G), 2)
     assert all(ok for _, ok, _ in suite), [s for s in suite if not s[1]]
 
 
@@ -319,7 +320,7 @@ def test_wrong_twist_direction_is_caught(monkeypatch):
     monkeypatch.setattr(
         GJOperators, "_sigma", lambda self, gtuple: self.group.product(gtuple)
     )
-    suite = identity_suite(A, G, 2)
+    suite = identity_suite(GJOperators(A, G), 2)
     assert all(ok for _, ok, _ in suite)
     with pytest.raises(ComplexError):
         proposition_bicomplex(A, G, 2)
@@ -336,7 +337,7 @@ def test_wrong_twist_direction_breaks_class_splitting(monkeypatch):
         GJOperators, "_sigma", lambda self, gtuple: self.group.product(gtuple)
     )
     with pytest.raises(ChainMapError):
-        theorem_map_f(A, G, 1, 2)
+        theorem_map(A, G, 1, 2)
 
 
 def test_gj_identity_stalk_is_untwisted():
@@ -397,7 +398,7 @@ def test_stalk_over_generator_is_twisted_theory():
 
 def test_theorem_map_trivial_group_iso():
     A = dual_numbers_algebra()
-    rep = theorem_map_f(A, trivial_group(A), 0, 3)
+    rep = theorem_map(A, trivial_group(A), 0, 3)
     for d in rep.degrees:
         assert d["injective"] and d["onto_summand"]
         assert d["dim_source"] == d["dim_target"]
@@ -405,16 +406,28 @@ def test_theorem_map_trivial_group_iso():
 
 def test_theorem_map_fixture2():
     A = dual_numbers_algebra()
-    rep = theorem_map_f(A, z2_group(A), 1, 3)
+    rep = theorem_map(A, z2_group(A), 1, 3)
     assert rep.all_injective()
     assert rep.all_onto_summand()
     for d in rep.degrees:
         assert d["rank"] == d["dim_source"] == 1
 
 
+def test_theorem_map_rejects_mismatched_twisted_complex():
+    """The twisted complex must be that of g, at the decomposition's degree."""
+    A = dual_numbers_algebra()
+    G = z2_group(A)
+    deco = conjugacy_decomposition(A, G, 2)
+    with pytest.raises(ValueError):
+        theorem_map_f(HKBicomplex(A, G.action[0], 2), deco, 1)
+    with pytest.raises(ValueError):
+        theorem_map_f(HKBicomplex(A, G.action[1], 3), deco, 1)
+    assert theorem_map_f(HKBicomplex(A, G.action[1], 2), deco, 1).all_injective()
+
+
 def test_theorem_map_fixture3():
     A = triple_lines_algebra()
-    rep = theorem_map_f(A, z3_group(A), 1, 2)
+    rep = theorem_map(A, z3_group(A), 1, 2)
     assert rep.all_injective()          # the twisted theory vanishes
     for d in rep.degrees:
         assert d["dim_source"] == 0

@@ -16,6 +16,7 @@ from thl.sparse import QMatrix
 from thl.twisted import twisted_hochschild
 
 from fixtures_for_tests import (
+    coinvariant_complex,
     dual_numbers_algebra,
     ground_field_algebra,
     s3_group,
@@ -60,7 +61,7 @@ def test_g_hochschild_fixture2():
 
 def test_sbi_ground_field_classical_pattern():
     Aq = ground_field_algebra()
-    rep = sbi_sequence(Aq, trivial_group(Aq), 3)
+    rep = sbi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 3))
     assert rep.all_exact
     labels = {n.label: n for n in rep.nodes}
     # S: HC_2 -> HC_0 surjective in the classical pattern
@@ -70,25 +71,25 @@ def test_sbi_ground_field_classical_pattern():
 
 def test_sbi_composites_zero_everywhere():
     A = dual_numbers_algebra()
-    rep = sbi_sequence(A, z2_group(A), 3)
+    rep = sbi_sequence(coinvariant_complex(A, z2_group(A), 3))
     assert all(n.composite_zero for n in rep.nodes)
 
 
 def test_sbi_fixture2_exact():
     A = dual_numbers_algebra()
-    rep = sbi_sequence(A, z2_group(A), 3)
+    rep = sbi_sequence(coinvariant_complex(A, z2_group(A), 3))
     assert rep.all_exact
 
 
 def test_sbi_fixture3_exact():
     A = triple_lines_algebra()
-    rep = sbi_sequence(A, z3_group(A), 3)
+    rep = sbi_sequence(coinvariant_complex(A, z3_group(A), 3))
     assert rep.all_exact
 
 
 def test_sbi_indexing_note_present():
     Aq = ground_field_algebra()
-    rep = sbi_sequence(Aq, trivial_group(Aq), 2)
+    rep = sbi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 2))
     assert any("HH_{n-1}" in note for note in rep.notes)
 
 
@@ -134,7 +135,7 @@ def test_derham_fixture2():
 def test_derham_descends_assertion_holds():
     """Constructing the complex exercises every descent check exactly."""
     A = triple_lines_algebra()
-    DeRhamComplex(A, z3_group(A), 2)
+    DeRhamComplex(coinvariant_complex(A, z3_group(A), 2))
 
 
 def test_derham_d_on_coinvariants():
@@ -142,10 +143,10 @@ def test_derham_d_on_coinvariants():
     group it coincides with the ambient formula."""
     A = dual_numbers_algebra()
     Gt = trivial_group(A)
-    assert derham_d(A, Gt, 0) == derham_d_ambient(A, Gt, 0)
+    assert derham_d(coinvariant_complex(A, Gt, 1), 0) == derham_d_ambient(A, Gt, 0)
     G = z2_group(A)
-    d0 = derham_d(A, G, 0)
-    cx0 = DeRhamComplex(A, G, 1)
+    d0 = derham_d(coinvariant_complex(A, G, 1), 0)
+    cx0 = DeRhamComplex(coinvariant_complex(A, G, 1))
     assert d0.cols == cx0.coinv.pres[0].quotient_dim
     assert d0.rows == cx0.coinv.pres[1].quotient_dim
 
@@ -170,20 +171,20 @@ def test_homology_result_basis_invariant():
 
 def test_karoubi_ground_field_all_nodes():
     Aq = ground_field_algebra()
-    rep = karoubi_sequence(Aq, trivial_group(Aq), 3)
+    rep = karoubi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 3))
     assert rep.all_ok
 
 
 def test_karoubi_dual_numbers_trivial_group():
     """Nilpotent augmentation ideal: the classical sequence is exact."""
     A = dual_numbers_algebra()
-    rep = karoubi_sequence(A, trivial_group(A), 3)
+    rep = karoubi_sequence(coinvariant_complex(A, trivial_group(A), 3))
     assert rep.all_ok
 
 
 def test_karoubi_fixture2_low_degrees():
     A = dual_numbers_algebra()
-    rep = karoubi_sequence(A, z2_group(A), 3)
+    rep = karoubi_sequence(coinvariant_complex(A, z2_group(A), 3))
     by_degree = {n.degree: n for n in rep.nodes}
     assert by_degree[0].ok
     assert by_degree[1].ok
