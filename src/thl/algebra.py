@@ -2,9 +2,12 @@
 and enumeration of the tensor-module bases everything else is built on.
 """
 
+from itertools import product
+from math import lcm
+
 from .errors import ActionError, AlgebraError, ReducedBasisError
 from .rational import Q, QONE
-from .sparse import QMatrix, rank
+from .sparse import QMatrix, _integer, rank
 
 
 class Algebra:
@@ -337,15 +340,87 @@ class TensorBasis:
 
     def iter_group(self):
         """Group tuples in enumeration order."""
-        def rec(prefix, k):
-            if k == 0:
-                yield tuple(prefix)
-                return
-            for g in range(self.r):
-                prefix.append(g)
-                yield from rec(prefix, k - 1)
-                prefix.pop()
-        yield from rec([], self.group_slots)
+        return product(range(self.r), repeat=self.group_slots)
+
+
+def integer_slots(vectors):
+    """The rational vectors over one common denominator: (den, slots).
+
+    slots[m] is den * vectors[m] as an integer vector {index: int}, or as
+    the bare basis index k when that vector is {k: 1}.
+    """
+    den = lcm(*[int(v.denominator) for vec in vectors for v in vec.values()])
+    slots = []
+    for vec in vectors:
+        ivec = _integer(vec, den)
+        if len(ivec) == 1 and 1 in ivec.values():
+            (ivec,) = ivec
+        slots.append(ivec)
+    return den, slots
+
+
+def integer_images(maps):
+    """(den, images): images[m][i] is the slot of den * maps[m](e_i)."""
+    dim = maps[0].dim
+    den, slots = integer_slots([m.image_of_basis(i) for m in maps for i in range(dim)])
+    return den, [slots[k : k + dim] for k in range(0, len(slots), dim)]
+
+
+def tensor_operator(src, dst, terms, den=1):
+    """Matrix from src to dst of a slot-wise operator on tensor modules.
+
+    terms(g, a) lists, for the basis tensor (g | a) of src, the terms
+    (c, h, slots) of its image: the image is the sum of
+    c/den (h | x_0 (x) ... (x) x_m), where h is the target group tuple
+    (() on pure algebra bases) and each slot x_s is a basis index or an
+    integer vector {index: int}.  The unit is dropped from reduced target
+    slots.  A target index is the offset of h plus one offset per slot;
+    coefficients are Python ints, and each nonzero entry becomes one
+    rational n / den.  Every tensor-module operator is built here.
+    """
+    place = []          # per target slot: basis index -> offset, None for a dropped unit
+    stride = 1
+    for flag, size in zip(reversed(dst.reduced), reversed(dst.slot_sizes)):
+        if flag:
+            place.append([None] + [(k - 1) * stride for k in range(1, dst.d)])
+        else:
+            place.append([k * stride for k in range(dst.d)])
+        stride *= size
+    place.reverse()
+    goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
+    qs = {}             # n -> Q(n, den): the entries repeat a few values
+    atuples = list(product(*[range(1 if f else 0, src.d) for f in src.reduced]))
+    cols = []
+    for g in src.iter_group():
+        for a in atuples:
+            out = {}
+            for c, h, slots in terms(g, a):
+                base = goff[h]
+                part = [(0, c)]
+                for off, x in zip(place, slots):
+                    if x.__class__ is int:
+                        o = off[x]
+                        if o is None:
+                            break
+                        base += o
+                    else:
+                        part = [
+                            (i + off[k], v * w)
+                            for i, v in part
+                            for k, w in x.items()
+                            if off[k] is not None
+                        ]
+                        if not part:
+                            break
+                else:
+                    for i, v in part:
+                        i += base
+                        out[i] = out.get(i, 0) + v
+            for n in out.values():
+                if n not in qs:
+                    qs[n] = Q(n, den)
+            cols.append({i: qs[n] for i, n in out.items() if n})
+    return QMatrix(dst.size, src.size, cols, _adopt=True)
 
 
 def tensor_index(group, algebra, p, q, reduced_flags=None):

@@ -23,9 +23,21 @@ Module conventions (machine-checked per instance):
   commute with b and B instead of anticommuting; with it, b bbar + bbar b
   = 0 and bbar B + B bbar = 0 hold on the nose, so (b + bbar) squares to
   zero with no further block adjustment.
+
+The operators are stated as slot maps and signs and built by
+``algebra.tensor_operator`` over Python integers; b, B and T are block
+diagonal in the per-element blocks of ``twisted``.
 """
 
-from .algebra import conjugacy_data, tensor_index
+import functools
+
+from .algebra import (
+    algebra_tensor_basis,
+    conjugacy_data,
+    integer_images,
+    tensor_index,
+    tensor_operator,
+)
 from .complexes import (
     ChainComplexQ,
     homology,
@@ -49,6 +61,7 @@ class GJOperators:
         self._alg_b = {}       # (elem, q) -> twisted b, reduced
         self._alg_B = {}       # (elem, q) -> twisted B, reduced
         self._cache = {}
+        self._den, self._images = integer_images(group.action)
 
     # -- per-element algebra-direction blocks --------------------------
 
@@ -133,22 +146,21 @@ class GJOperators:
             m = QMatrix.zero(0, src.size)
             self._cache[key] = m
             return m
-        dst = self.basis(p - 1, q)
         grp = self.group
-        koszul = QONE if q % 2 == 0 else -QONE
+        img = self._images
+        koszul = -1 if q % 2 else 1
+        scale = self._den ** (q + 1)   # the twisted term has q + 1 image slots over den
 
-        def terms(gt):
-            out = []
-            for i in range(p):
-                merged = gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :]
-                sign = koszul if i % 2 == 0 else -koszul
-                out.append((dst.encode_group(merged), sign, None))
-            rotated = (grp.mul(gt[p], gt[0]),) + gt[1:p]
-            sign = koszul if p % 2 == 0 else -koszul
-            out.append((dst.encode_group(rotated), sign, self.alg_twist(gt[p], q)))
+        def moves(gt):
+            out = [
+                ((-koszul if i % 2 else koszul) * scale,
+                 gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], None)
+                for i in range(p)
+            ]
+            out.append((-koszul if p % 2 else koszul, (grp.mul(gt[p], gt[0]),) + gt[1:p], img[gt[p]]))
             return out
 
-        m = _group_direction(src, dst, terms)
+        m = tensor_operator(src, self.basis(p - 1, q), _group_terms(moves), scale)
         self._cache[key] = m
         return m
 
@@ -158,61 +170,35 @@ class GJOperators:
         m = self._cache.get(key)
         if m is not None:
             return m
-        src = self.basis(p, q)
-        dst = self.basis(p + 1, q)
         grp = self.group
+        img = self._images
         e = grp.identity_index
-        koszul = QONE if q % 2 == 0 else -QONE
+        koszul = -1 if q % 2 else 1
 
-        def terms(gt):
-            out = []
-            for i in range(p + 1):
-                rot = gt[p - i + 1 :] + gt[: p - i + 1]
-                tgt = (e,) + rot
-                h = grp.product(gt[p - i + 1 :])
-                sign = koszul if (i * p) % 2 == 0 else -koszul
-                out.append((dst.encode_group(tgt), sign, None if h == e else self.alg_twist(h, q)))
-            return out
+        def moves(gt):
+            return [
+                (-koszul if i * p % 2 else koszul,
+                 (e,) + gt[p - i + 1 :] + gt[: p - i + 1],
+                 img[grp.product(gt[p - i + 1 :])])
+                for i in range(p + 1)
+            ]
 
-        m = _group_direction(src, dst, terms)
+        m = tensor_operator(
+            self.basis(p, q), self.basis(p + 1, q), _group_terms(moves), self._den ** (q + 1)
+        )
         self._cache[key] = m
         return m
 
 
-def _group_direction(src, dst, terms):
-    """Matrix of a group-direction operator between bases with the same
-    algebra slots.
-
-    terms(gt) lists (target group index, sign, algebra-slot matrix) for the
-    source group tuple gt; a matrix of None is the identity.
-    """
-    asize = src.asize
-    cols = []
-    for gt in src.iter_group():
-        gterms = terms(gt)
-        for aidx in range(asize):
-            col = {}
-            for tgt_g, s, mat in gterms:
-                base = tgt_g * asize
-                if mat is None:
-                    r = base + aidx
-                    nv = col.get(r)
-                    nv = s if nv is None else nv + s
-                    if nv:
-                        col[r] = nv
-                    elif r in col:
-                        del col[r]
-                    continue
-                for rr, vv in mat._cols[aidx].items():
-                    r = base + rr
-                    nv = col.get(r)
-                    nv = s * vv if nv is None else nv + s * vv
-                    if nv:
-                        col[r] = nv
-                    elif r in col:
-                        del col[r]
-            cols.append(col)
-    return QMatrix(dst.size, src.size, cols, _adopt=True)
+def _group_terms(moves):
+    """tensor_operator terms from moves(gt), the (coefficient, target group
+    tuple, images) of each term of a group tuple; images of None leave the
+    algebra slots as they are, otherwise every slot is sent to its image.
+    The moves of a group tuple are worked out once for all its tensors."""
+    moves = functools.cache(moves)
+    return lambda gt, a: [
+        (c, h, a if img is None else [img[x] for x in a]) for c, h, img in moves(gt)
+    ]
 
 
 def beta_map(algebra, group, p, q):
@@ -224,14 +210,9 @@ def beta_map(algebra, group, p, q):
     if p < 1:
         raise ValueError("beta needs p >= 1")
     basis = tensor_index(group, algebra, p, q, reduced_flags=(False,) * (q + 1))
-    cols = []
-    for gt in basis.iter_group():
-        g = group.product(gt)
-        tgt = gt[1:] + (g,)
-        base = basis.encode_group(tgt) * basis.asize
-        for aidx in range(basis.asize):
-            cols.append({base + aidx: QONE})
-    return QMatrix(basis.size, basis.size, cols, _adopt=True)
+    return tensor_operator(
+        basis, basis, lambda gt, a: [(1, gt[1:] + (group.product(gt),), a)]
+    )
 
 
 # ---------------------------------------------------------------------
@@ -305,8 +286,18 @@ def full_pair_check(ops, bound):
     anticommutators trade 1 - T against its negative).  F.F does not
     vanish, which is why the homology pipeline runs through the quotient
     bicomplex with F replaced by B.
-    """
 
+    The result is kept on ops per bound, so the deep check of
+    PropositionComplex and verify-identities share one evaluation.
+    """
+    key = ("full-pair", bound)
+    result = ops._cache.get(key)
+    if result is None:
+        result = ops._cache[key] = _full_pair_identities(ops, bound)
+    return result
+
+
+def _full_pair_identities(ops, bound):
     def U(p, q):
         return ops.T(p + 1, q) @ ops.Bbar(p, q)
 
@@ -341,7 +332,7 @@ def full_pair_check(ops, bound):
                 r = ops.bbar(p, q + 1) @ ops.B(p, q) + ops.B(p - 1, q) @ ops.bbar(p, q)
                 if not r.is_zero():
                     ok_mixed = False
-    return [("(b+bbar)^2=0", ok_d2), ("(b+bbar)(B+TBbar)+(B+TBbar)(b+bbar)=0", ok_mixed)]
+    return (("(b+bbar)^2=0", ok_d2), ("(b+bbar)(B+TBbar)+(B+TBbar)(b+bbar)=0", ok_mixed))
 
 
 # ---------------------------------------------------------------------
@@ -417,12 +408,10 @@ def proposition_bicomplex(algebra, group, max_degree):
 def group_action_operator(group, h, basis, twist):
     """Action of h on k[G] (x) (the algebra slots of basis): conjugation on
     the group slot, and twist, the matrix of h on every algebra slot."""
-    cols = []
-    for (g0,) in basis.iter_group():
-        base = group.conjugate(h, g0) * basis.asize
-        for aidx in range(basis.asize):
-            cols.append({base + r: v for r, v in twist._cols[aidx].items()})
-    return QMatrix(basis.size, basis.size, cols, _adopt=True)
+    dims = [basis.asize] * group.order
+    return block_matrix(
+        {(group.conjugate(h, g0), g0): twist for g0 in range(group.order)}, dims, dims
+    )
 
 
 class CoinvariantComplex:
@@ -550,22 +539,13 @@ class ConjugacyDecomposition:
         ops = self.coinv.ops
         split = []
         for n in range(self.n_internal + 1):
-            basis = ops.basis(0, n)
-            asize = basis.asize
-            offsets = []
-            off = 0
-            for st in self.stalks:
-                offsets.append(off)
-                off += st.pres[n].ambient_dim
-            cols = []
-            for (h,) in basis.iter_group():
-                cls = self.conj.class_of[h]
-                u = self.conjugator[h]
-                mat = ops.alg_twist(u, n)
-                base = offsets[cls]
-                for aidx in range(asize):
-                    cols.append({base + r: v for r, v in mat._cols[aidx].items()})
-            ambient = QMatrix(off, basis.size, cols, _adopt=True)
+            # stalk h goes to the stalk of its class through u_h
+            ambient = block_matrix(
+                {(self.conj.class_of[h], h): ops.alg_twist(self.conjugator[h], n)
+                 for h in range(self.group.order)},
+                [st.pres[n].ambient_dim for st in self.stalks],
+                [ops.basis(0, n).asize] * self.group.order,
+            )
             split.append(
                 descend_map(
                     ambient, self.coinv.pres[n], self._sum_pres(n),
@@ -639,11 +619,9 @@ def theorem_map_f(hk, deco, g):
     # ambient embedding m -> (g^{-1} | m), descended through both quotients
     f_mixed = []
     for n in range(k + 1):
-        basis = coinv.ops.basis(0, n)
-        asize = basis.asize
-        base = ginv * asize
-        amb = QMatrix(
-            basis.size, asize, [{base + a: QONE} for a in range(asize)], _adopt=True
+        amb = tensor_operator(
+            algebra_tensor_basis(coinv.algebra, n + 1), coinv.ops.basis(0, n),
+            lambda _, a: [(1, (ginv,), a)],
         )
         f_mixed.append(
             descend_map(amb, hk.presentations[n], coinv.pres[n], what=f"theorem map at degree {n}")
@@ -726,22 +704,12 @@ def lambda_cyclic_operator(algebra, group, n):
     descend to the (1 - t)-quotient.
     """
     basis = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-    sign = QONE if n % 2 == 0 else -QONE
-    cols = []
-    for (g0,) in basis.iter_group():
-        inv_images = [
-            group.action[group.inverse[g0]].image_of_basis(i)
-            for i in range(algebra.dim)
-        ]
-        base = g0 * basis.asize
-        for aidx in range(basis.asize):
-            a = basis.decode_algebra(aidx)
-            col = {}
-            for m, w in inv_images[a[n]].items():
-                tgt = (m,) + a[:n]
-                col[base + basis.encode_algebra(tgt)] = sign * w
-            cols.append(col)
-    return QMatrix(basis.size, basis.size, cols, _adopt=True)
+    den, img = integer_images(group.action)
+    sign = -1 if n % 2 else 1
+    return tensor_operator(
+        basis, basis,
+        lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[n]],) + a[:n])], den,
+    )
 
 
 class LambdaComplex:
@@ -775,9 +743,7 @@ class LambdaComplex:
                 )
             rels = coinvariant_relations(size, ops)
             if reduced:
-                unit_idx = group.identity_index * basis.asize + basis.encode_algebra(
-                    (0,) * (n + 1)
-                )
+                unit_idx = basis.encode((group.identity_index,), (0,) * (n + 1))
                 rels = rels.hstack(QMatrix(size, 1, [{unit_idx: QONE}], _adopt=True))
             return rels
 
@@ -829,45 +795,23 @@ def u_complex_equivalence(mixed, label=""):
     through the generic totalization with its own block bookkeeping.
     """
     k = mixed.top
-    dims_per_degree = []
-    offsets_per_degree = []
-    for n in range(k + 1):
-        offs = {}
-        off = 0
-        for j in range(n // 2 + 1):
-            offs[j] = off
-            off += mixed.dims[n - 2 * j]
-        offsets_per_degree.append(offs)
-        dims_per_degree.append(off)
+
+    def dims(n):
+        # u^{-j} carries C_{n-2j}
+        return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
+
     diffs = [None]
     for n in range(1, k + 1):
-        src_offs = offsets_per_degree[n]
-        dst_offs = offsets_per_degree[n - 1]
-        cols = [dict() for _ in range(dims_per_degree[n])]
-        for j, soff in src_offs.items():
+        # b keeps the u-power; u B raises it, dropped at j = 0
+        blocks = {}
+        for j in range(n // 2 + 1):
             m = n - 2 * j
             if m >= 1:
-                bm = mixed.b[m]
-                doff = dst_offs[j]
-                for c in range(bm.cols):
-                    tgt = cols[soff + c]
-                    for r, v in bm._cols[c].items():
-                        tgt[doff + r] = v
-            # u B raises the u-power: u^{-j} -> u^{-j+1}, dropped at j = 0
+                blocks[(j, j)] = mixed.b[m]
             if j >= 1 and mixed.B[m] is not None:
-                Bm = mixed.B[m]
-                doff = dst_offs[j - 1]
-                for c in range(Bm.cols):
-                    tgt = cols[soff + c]
-                    for r, v in Bm._cols[c].items():
-                        key = doff + r
-                        nv = tgt.get(key)
-                        nv = v if nv is None else nv + v
-                        if nv:
-                            tgt[key] = nv
-                        elif key in tgt:
-                            del tgt[key]
-        diffs.append(QMatrix(dims_per_degree[n - 1], dims_per_degree[n], cols, _adopt=True))
+                blocks[(j - 1, j)] = mixed.B[m]
+        diffs.append(block_matrix(blocks, dims(n - 1), dims(n)))
+    dims_per_degree = [sum(dims(n)) for n in range(k + 1)]
     u_chain = ChainComplexQ(dims_per_degree, diffs)
     dims_u = homology(u_chain).dims
     dims_total = mixed.total_homology().dims

@@ -7,7 +7,7 @@ zero matrix AND rank(incoming) = dim kernel(outgoing) -- both over Q with
 no tolerance.
 """
 
-from .algebra import tensor_index
+from .algebra import tensor_index, tensor_operator
 from .complexes import ChainComplexQ, homology
 from .crossed import CoinvariantComplex, GJOperators, LambdaComplex
 from .errors import ChainMapError, ComplexError
@@ -193,19 +193,10 @@ def sbi_sequence(coinv):
 def derham_d_ambient(algebra, group, n):
     """d(g | a_0, abar_1, ..) = (g | 1, abar_0, abar_1, ..) on the reduced
     group-indexed modules, before any quotient."""
-    src = tensor_index(group, algebra, 0, n)
-    dst = tensor_index(group, algebra, 0, n + 1)
-    cols = []
-    for (g0,) in src.iter_group():
-        base = g0 * dst.asize
-        for aidx in range(src.asize):
-            a = src.decode_algebra(aidx)
-            if a[0] == 0:
-                cols.append({})
-                continue
-            tgt = (0, a[0]) + a[1:]
-            cols.append({base + dst.encode_algebra(tgt): QONE})
-    return QMatrix(dst.size, src.size, cols, _adopt=True)
+    return tensor_operator(
+        tensor_index(group, algebra, 0, n), tensor_index(group, algebra, 0, n + 1),
+        lambda g, a: [(1, g, (0,) + a)],
+    )
 
 
 def derham_d(coinv, n):
@@ -247,7 +238,7 @@ class DeRhamComplex:
                 rels_parts.append(mixed.b[n + 1])
             if reduced and n == 0:
                 basis = coinv.ops.basis(0, 0)
-                unit_idx = coinv.group.identity_index * basis.asize + basis.encode_algebra((0,))
+                unit_idx = basis.encode((coinv.group.identity_index,), (0,))
                 unit_amb = QMatrix(basis.size, 1, [{unit_idx: QONE}], _adopt=True)
                 rels_parts.append(coinv.pres[0].projection @ unit_amb)
             rels = None
@@ -348,34 +339,25 @@ class KaroubiReport:
         return all(n.ok for n in self.nodes)
 
 
+def _identity_slot_map(src, dst):
+    """Each basis tensor of src to the same tensor of dst; zero where dst
+    drops a unit from a reduced slot."""
+    return tensor_operator(src, dst, lambda g, a: [(1, g, a)])
+
+
+def _full_index(algebra, group, n):
+    return tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
+
+
 def _reduced_to_full_section(algebra, group, n):
     """Canonical inclusion of the reduced group-indexed module into the
     full one: a reduced basis tensor is its own full-module representative."""
-    red = tensor_index(group, algebra, 0, n)
-    full = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-    cols = []
-    for (g0,) in red.iter_group():
-        base = g0 * full.asize
-        for aidx in range(red.asize):
-            a = red.decode_algebra(aidx)
-            cols.append({base + full.encode_algebra(a): QONE})
-    return QMatrix(full.size, red.size, cols, _adopt=True)
+    return _identity_slot_map(tensor_index(group, algebra, 0, n), _full_index(algebra, group, n))
 
 
 def _full_to_reduced_projection(algebra, group, n):
     """Kill full-module basis tensors with a unit in a reduced slot."""
-    red = tensor_index(group, algebra, 0, n)
-    full = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-    cols = []
-    for (g0,) in full.iter_group():
-        base = g0 * red.asize
-        for aidx in range(full.asize):
-            a = full.decode_algebra(aidx)
-            if any(x == 0 for x in a[1:]):
-                cols.append({})
-            else:
-                cols.append({base + red.encode_algebra(a): QONE})
-    return QMatrix(red.size, full.size, cols, _adopt=True)
+    return _identity_slot_map(_full_index(algebra, group, n), tensor_index(group, algebra, 0, n))
 
 
 def _stalkwise_B_full_to_reduced(cx, n):

@@ -18,135 +18,79 @@ it agrees with the variant that twists the leading block once the modules
 are divided by (1 - T), but unlike that variant it satisfies the Connes
 identity bB + Bb = 1 - T on the nose, which is what the quotient
 bicomplex construction checks against.
+
+Each builder below states these formulas as slot maps and signs;
+``algebra.tensor_operator`` expands them over Python integers.
 """
 
-from .algebra import algebra_tensor_basis
+from .algebra import (
+    AlgebraMap,
+    algebra_tensor_basis,
+    integer_images,
+    integer_slots,
+    tensor_operator,
+)
 from .complexes import quotient_mixed_complex
 from .quotient import coinvariant_relations
 from .rational import QONE
 from .sparse import QMatrix
 
 
-def _expand_into(col, slots_vecs, sign, basis):
-    """Accumulate the tensor product of per-slot vectors into a column."""
-    partial = [((), QONE)]
-    for vec in slots_vecs:
-        if not vec:
-            return
-        nxt = []
-        for tup, c in partial:
-            for k, v in vec.items():
-                nxt.append((tup + (k,), c * v))
-        partial = nxt
-    for tup, c in partial:
-        idx = basis.encode_algebra(tup)
-        nv = col.get(idx)
-        nv = sign * c if nv is None else nv + sign * c
-        if nv:
-            col[idx] = nv
-        elif idx in col:
-            del col[idx]
-
-
-def _slot_image(vec, reduced):
-    if reduced:
-        return {k: v for k, v in vec.items() if k != 0}
-    return vec
+def _basis(algebra, slots, reduced):
+    return algebra_tensor_basis(algebra, slots, None if reduced else (False,) * slots)
 
 
 def twist_matrix(algebra, g, n, reduced=False):
     """Matrix of g applied to every slot of A^{(n+1)} (reduced: A (x) Abar^n)."""
-    basis = algebra_tensor_basis(
-        algebra, n + 1, None if reduced else (False,) * (n + 1)
+    basis = _basis(algebra, n + 1, reduced)
+    den, (img,) = integer_images([g])
+    return tensor_operator(
+        basis, basis, lambda _, a: [(1, (), [img[x] for x in a])], den ** (n + 1)
     )
-    cols = []
-    images = [g.image_of_basis(i) for i in range(algebra.dim)]
-    for aidx in range(basis.asize):
-        atuple = basis.decode_algebra(aidx)
-        col = {}
-        slots = [
-            _slot_image(images[a], basis.reduced[s]) for s, a in enumerate(atuple)
-        ]
-        _expand_into(col, slots, QONE, basis)
-        cols.append(col)
-    return QMatrix(basis.asize, basis.asize, cols, _adopt=True)
 
 
 def twisted_b(algebra, g, n, reduced=False):
     """Twisted Hochschild boundary A^{(n+1)} -> A^{(n)} (n >= 1)."""
     if n < 1:
         raise ValueError("twisted_b needs n >= 1")
-    src = algebra_tensor_basis(algebra, n + 1, None if reduced else (False,) * (n + 1))
-    dst = algebra_tensor_basis(algebra, n, None if reduced else (False,) * n)
-    images = [g.image_of_basis(i) for i in range(algebra.dim)]
-    cols = []
-    for aidx in range(src.asize):
-        a = src.decode_algebra(aidx)
-        col = {}
-        # inner faces: multiply adjacent slots
-        for i in range(n):
-            prod = algebra.basis_product(a[i], a[i + 1])
-            prod = _slot_image(prod, dst.reduced[i])
-            rest = a[:i] + a[i + 2 :]
-            sign = QONE if i % 2 == 0 else -QONE
-            for k, v in prod.items():
-                tup = rest[:i] + (k,) + rest[i:]
-                idx = dst.encode_algebra(tup)
-                nv = col.get(idx)
-                nv = sign * v if nv is None else nv + sign * v
-                if nv:
-                    col[idx] = nv
-                elif idx in col:
-                    del col[idx]
-        # last face wraps through the twist: g(a_n) a_0 into slot 0
-        gan = images[a[n]]
-        sign = QONE if n % 2 == 0 else -QONE
-        for m, w in gan.items():
-            prod = algebra.basis_product(m, a[0])
-            for k, v in prod.items():
-                tup = (k,) + a[1:n]
-                idx = dst.encode_algebra(tup)
-                nv = col.get(idx)
-                nv = sign * w * v if nv is None else nv + sign * w * v
-                if nv:
-                    col[idx] = nv
-                elif idx in col:
-                    del col[idx]
-        cols.append(col)
-    return QMatrix(dst.asize, src.asize, cols, _adopt=True)
+    d = algebra.dim
+    # e_x e_y for the inner faces, g(e_x) e_y for the last one, one denominator
+    den, slots = integer_slots(
+        [algebra.basis_product(x, y) for x in range(d) for y in range(d)]
+        + [algebra.multiply(g.image_of_basis(x), {y: QONE}) for x in range(d) for y in range(d)]
+    )
+    prod, wrap = slots[: d * d], slots[d * d :]
+
+    def terms(_, a):
+        # inner faces multiply adjacent slots; the last wraps g(a_n) a_0 into slot 0
+        out = [
+            (-1 if i % 2 else 1, (), a[:i] + (prod[a[i] * d + a[i + 1]],) + a[i + 2 :])
+            for i in range(n)
+        ]
+        out.append((-1 if n % 2 else 1, (), (wrap[a[n] * d + a[0]],) + a[1:n]))
+        return out
+
+    return tensor_operator(_basis(algebra, n + 1, reduced), _basis(algebra, n, reduced), terms, den)
 
 
 def twisted_B(algebra, g, n):
     """Normalized degree-raising operator A (x) Abar^n -> A (x) Abar^{n+1}."""
-    src = algebra_tensor_basis(algebra, n + 1)
-    dst = algebra_tensor_basis(algebra, n + 2)
-    images = [g.image_of_basis(i) for i in range(algebra.dim)]
-    unit_slot = {0: QONE}
-    cols = []
-    for aidx in range(src.asize):
-        a = src.decode_algebra(aidx)
-        col = {}
-        for j in range(1, n + 2):
-            sign = QONE if (n * j) % 2 == 0 else -QONE
-            slots = [unit_slot]
-            ok = True
-            for s in range(j, n + 1):
-                img = _slot_image(images[a[s]], True)
-                if not img:
-                    ok = False
-                    break
-                slots.append(img)
-            if not ok:
-                continue
-            # wrapped block: a_0 enters a reduced slot, a_1..a_{j-1} stay put
-            if a[0] == 0:
-                continue
-            slots.append({a[0]: QONE})
-            for s in range(1, j):
-                slots.append({a[s]: QONE})
-            _expand_into(col, slots, sign, dst)
-        cols.append(col)
-    return QMatrix(dst.asize, src.asize, cols, _adopt=True)
+    den, (img,) = integer_images([g])
+
+    def terms(_, a):
+        # term j twists its n + 1 - j moved slots, so it is scaled by den^(j-1)
+        return [
+            (
+                (-1 if n * j % 2 else 1) * den ** (j - 1),
+                (),
+                (0,) + tuple(img[x] for x in a[j:]) + a[:j],
+            )
+            for j in range(1, n + 2)
+        ]
+
+    return tensor_operator(
+        algebra_tensor_basis(algebra, n + 1), algebra_tensor_basis(algebra, n + 2), terms, den ** n
+    )
 
 
 class HKBicomplex:
@@ -162,8 +106,11 @@ class HKBicomplex:
         self.g = g
         self.max_degree = max_degree
         self.n_internal = max_degree + 1
+        untwisted = g == AlgebraMap.identity(algebra.dim)
 
         def relations(n):
+            if untwisted:  # 1 - T is zero: no relations, no twist matrix
+                return QMatrix.zero(algebra_tensor_basis(algebra, n + 1).asize, 0)
             t = twist_matrix(algebra, g, n, reduced=True)
             return coinvariant_relations(t.rows, [t])
 

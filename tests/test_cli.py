@@ -78,11 +78,21 @@ def test_machine_report_roundtrip():
 
 
 def test_all_builds_each_complex_once(monkeypatch):
-    """One run of all builds the operator set and each complex once, and
-    the twisted complex once per group element it reads."""
+    """One run of all builds the operator set and each complex once, the
+    twisted complex once per group element it reads, and evaluates the
+    full boundary pair identities once (verify-identities and the deep
+    check of PropositionComplex share the bound)."""
     from thl import crossed, twisted
 
     builds = []
+    pair_checks = []
+    evaluate = crossed._full_pair_identities
+
+    def counted_pair_check(ops, bound):
+        pair_checks.append(bound)
+        return evaluate(ops, bound)
+
+    monkeypatch.setattr(crossed, "_full_pair_identities", counted_pair_check)
 
     def count(cls):
         init = cls.__init__
@@ -99,7 +109,9 @@ def test_all_builds_each_complex_once(monkeypatch):
         count(cls)
     for name in ("trunc-poly-z2", "triple-lines-z3"):
         builds.clear()
+        pair_checks.clear()
         run("all", load_fixture(name))
+        assert pair_checks == [2], (name, pair_checks)
         names = [cls for cls, _ in builds]
         for cls in ("GJOperators", "CoinvariantComplex", "ConjugacyDecomposition",
                     "PropositionComplex"):
