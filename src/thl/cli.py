@@ -70,6 +70,7 @@ class _Job:
     def __init__(self, cfg):
         self.cfg = cfg
         self._twisted = {}
+        self._connes = {}
 
     @functools.cached_property
     def ops(self):
@@ -89,12 +90,17 @@ class _Job:
 
     def twisted(self, elem):
         """The twisted complex of the group element elem."""
-        hk = self._twisted.get(elem)
-        if hk is None:
+        if elem not in self._twisted:
             cfg = self.cfg
-            hk = HKBicomplex(cfg.algebra, cfg.group.action[elem], cfg.max_degree)
-            self._twisted[elem] = hk
-        return hk
+            self._twisted[elem] = HKBicomplex(cfg.algebra, cfg.group.action[elem], cfg.max_degree)
+        return self._twisted[elem]
+
+    def connes(self, g_coinvariants):
+        """The group-indexed Connes complex, divided by the group action or not."""
+        if g_coinvariants not in self._connes:
+            lam = LambdaComplex(self.ops, self.cfg.max_degree, g_coinvariants)
+            self._connes[g_coinvariants] = lam
+        return self._connes[g_coinvariants]
 
 
 def _run_validate(job, report):
@@ -125,11 +131,7 @@ def _run_hc_coinv(job, report):
 
 
 def _run_hc_lambda(job, report):
-    cfg = job.cfg
-    h = LambdaComplex(
-        cfg.algebra, cfg.group, cfg.max_degree, g_coinvariants=cfg.lambda_coinvariants
-    ).homology()
-    report.add_dims("hc-lambda", h.dims)
+    report.add_dims("hc-lambda", job.connes(job.cfg.lambda_coinvariants).homology().dims)
 
 
 def _run_hh_G(job, report):
@@ -237,7 +239,7 @@ def _run_verify_sbi(job, report):
 
 
 def _run_verify_karoubi(job, report):
-    rep = karoubi_sequence(job.coinvariant)
+    rep = karoubi_sequence(job.coinvariant, job.connes(True))
     for node in rep.nodes:
         base = f"n={node.degree} hdr={node.hdr_dim} hc={node.hc_dim} hh={node.hh_next_dim}"
         if node.diagnostic:

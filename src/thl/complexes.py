@@ -7,7 +7,7 @@ homology needs the degree-(n+1) differential.
 """
 
 from .errors import ChainMapError, ComplexError
-from .quotient import descend_map, quotient_by
+from .quotient import compose_quotients, descend_map, quotient_by
 from .sparse import (
     QMatrix,
     block_matrix,
@@ -304,6 +304,26 @@ def quotient_mixed_complex(top, relations, b, B, label):
     B=None builds a complex with no B (the Connes complex).
     """
     pres = [quotient_by(rel.rows, rel) for rel in map(relations, range(top + 1))]
+    return _descended(pres, pres, b, B, label)
+
+
+def divide_mixed_complex(mixed, relations, label):
+    """The quotient mixed complex mixed divided once more by relations(n),
+    given in its quotient coordinates; b and B descend again (checked).
+
+    Its presentations are those of the undivided modules by both relation
+    spans, equal to dividing by the two spans at once.
+    """
+    steps = [quotient_by(mixed.dims[n], relations(n)) for n in range(mixed.top + 1)]
+    whole = [compose_quotients(p, s) for p, s in zip(mixed.presentations, steps)]
+    B = None if mixed.B[0] is None else mixed.B.__getitem__
+    return _descended(steps, whole, mixed.b.__getitem__, B, label)
+
+
+def _descended(pres, presentations, b, B, label):
+    """b and B descended through the quotients pres into a MixedComplex
+    that records presentations."""
+    top = len(pres) - 1
 
     def descend(name, f, n, m):
         return descend_map(f, pres[n], pres[m], what=f"{name}_{n} of {label}")
@@ -313,7 +333,7 @@ def quotient_mixed_complex(top, relations, b, B, label):
     if B is not None:
         B_down[:top] = [descend("B", B(n), n, n + 1) for n in range(top)]
     dims = [p.quotient_dim for p in pres]
-    return MixedComplex(dims, b_down, B_down, presentations=pres, label=label)
+    return MixedComplex(dims, b_down, B_down, presentations=presentations, label=label)
 
 
 def check_chain_map(f_per_degree, src, dst, top):

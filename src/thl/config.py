@@ -55,6 +55,17 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object of fields, got {value!r}")
+    return value
+
+
+def _int(value):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _q(value, where):
     if not isinstance(value, str):
         raise ParseError(f"rational at {where} must be a \"p/q\" string, got {value!r}")
@@ -82,15 +93,15 @@ def config_from_dict(data, name=None):
         raise ParseError("top level must be a table of fields")
     name = name or data.get("name", "unnamed")
 
-    alg = _need(data, "algebra", "config")
+    alg = _object(_need(data, "algebra", "config"), "algebra")
     dim = _need(alg, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 1:
+    if not _int(dim) or dim < 1:
         raise ParseError("algebra.dim must be a positive integer")
     basis = alg.get("basis", [f"e{i}" for i in range(dim)])
     if len(basis) != dim:
         raise ParseError("algebra.basis length must equal algebra.dim")
     unit_index = alg.get("unit_index", 0)
-    if not isinstance(unit_index, int) or not 0 <= unit_index < dim:
+    if not _int(unit_index) or not 0 <= unit_index < dim:
         raise ParseError("algebra.unit_index out of range")
     mult_raw = _need(alg, "mult", "algebra")
     if len(mult_raw) != dim or any(len(row) != dim for row in mult_raw):
@@ -110,7 +121,7 @@ def config_from_dict(data, name=None):
         mult.append(out_row)
     algebra = Algebra(dim, basis, {unit_index: 1}, mult)
 
-    grp = _need(data, "group", "config")
+    grp = _object(_need(data, "group", "config"), "group")
     elements = _need(grp, "elements", "group")
     r = len(elements)
     if r < 1:
@@ -120,9 +131,9 @@ def config_from_dict(data, name=None):
         raise ParseError("group.table must be r x r")
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < r:
+            if not _int(v) or not 0 <= v < r:
                 raise ParseError(f"group.table[{i}][{j}] must be an element index")
-    action_raw = _need(grp, "action", "group")
+    action_raw = _object(_need(grp, "action", "group"), "group.action")
     action = []
     for name_g in elements:
         if name_g not in action_raw:
@@ -135,9 +146,9 @@ def config_from_dict(data, name=None):
     except (AlgebraError, ActionError) as exc:
         raise ValidationError(str(exc))
 
-    task = data.get("task", {})
+    task = _object(data.get("task", {}), "task")
     max_degree = task.get("max_degree", 3)
-    if not isinstance(max_degree, int) or max_degree < 0:
+    if not _int(max_degree) or max_degree < 0:
         raise ParseError("task.max_degree must be a nonnegative integer")
     twist = task.get("twist")
     if twist is not None and twist not in elements:

@@ -46,148 +46,137 @@ from .complexes import (
 )
 from .errors import ChainMapError, ComplexError
 from .quotient import coinvariant_relations, descend_map, QuotientPresentation
-from .rational import QONE
 from .sparse import QMatrix, block_diag, block_matrix, rank
 from .twisted import twist_matrix, twisted_B, twisted_b
 
 
 class GJOperators:
-    """Lazy per-(p, q) operator matrices on the reduced GJ modules."""
+    """Per-(p, q) operator matrices on the GJ modules, reduced unless asked
+    for full slots, and the outcomes of the operator identities on them.
+
+    Every value is built on first use and kept in one memo on the instance,
+    so it lives exactly as long as the operator set.
+    """
 
     def __init__(self, algebra, group):
         self.algebra = algebra
         self.group = group
-        self._alg_twist = {}   # (elem, slots) -> twist matrix, reduced
-        self._alg_b = {}       # (elem, q) -> twisted b, reduced
-        self._alg_B = {}       # (elem, q) -> twisted B, reduced
-        self._cache = {}
+        self._memo = {}
         self._den, self._images = integer_images(group.action)
+
+    def _kept(self, key, build):
+        """The value kept under key, built by build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- per-element algebra-direction blocks --------------------------
 
-    def alg_twist(self, elem, q):
-        key = (elem, q)
-        m = self._alg_twist.get(key)
-        if m is None:
-            m = twist_matrix(self.algebra, self.group.action[elem], q, reduced=True)
-            self._alg_twist[key] = m
-        return m
+    def alg_twist(self, elem, q, reduced=True):
+        return self._kept(
+            ("alg_twist", elem, q, reduced),
+            lambda: twist_matrix(self.algebra, self.group.action[elem], q, reduced=reduced),
+        )
 
-    def alg_b(self, elem, q):
-        key = (elem, q)
-        m = self._alg_b.get(key)
-        if m is None:
-            m = twisted_b(self.algebra, self.group.action[elem], q, reduced=True)
-            self._alg_b[key] = m
-        return m
+    def alg_b(self, elem, q, reduced=True):
+        return self._kept(
+            ("alg_b", elem, q, reduced),
+            lambda: twisted_b(self.algebra, self.group.action[elem], q, reduced=reduced),
+        )
 
     def alg_B(self, elem, q):
-        key = (elem, q)
-        m = self._alg_B.get(key)
-        if m is None:
-            m = twisted_B(self.algebra, self.group.action[elem], q)
-            self._alg_B[key] = m
-        return m
+        return self._kept(
+            ("alg_B", elem, q), lambda: twisted_B(self.algebra, self.group.action[elem], q)
+        )
 
     # -- bases ----------------------------------------------------------
 
-    def basis(self, p, q):
-        key = ("basis", p, q)
-        b = self._cache.get(key)
-        if b is None:
-            b = tensor_index(self.group, self.algebra, p, q)
-            self._cache[key] = b
-        return b
+    def basis(self, p, q, reduced=True):
+        """Basis of block (p, q); reduced=False keeps the unit in every slot."""
+        flags = None if reduced else (False,) * (q + 1)
+        return self._kept(
+            ("basis", p, q, reduced), lambda: tensor_index(self.group, self.algebra, p, q, flags)
+        )
 
     def _sigma(self, gtuple):
         return self.group.inverse[self.group.product(gtuple)]
 
-    def _blockdiag(self, p, q, block_of):
-        basis = self.basis(p, q)
-        return block_diag([block_of(gt) for gt in basis.iter_group()])
+    def _stalkwise(self, name, block, p, q, *flags):
+        """Block diagonal over the group tuples gt of block (p, q) of
+        block(sigma(gt), q, *flags), kept under name."""
+        return self._kept((name, p, q, *flags), lambda: block_diag(
+            [block(self._sigma(gt), q, *flags) for gt in self.basis(p, q).iter_group()]
+        ))
 
     # -- operators --------------------------------------------------------
 
     def T(self, p, q):
-        key = ("T", p, q)
-        m = self._cache.get(key)
-        if m is None:
-            m = self._blockdiag(p, q, lambda gt: self.alg_twist(self._sigma(gt), q))
-            self._cache[key] = m
-        return m
+        return self._stalkwise("T", self.alg_twist, p, q)
 
-    def b(self, p, q):
-        """Vertical face sum (p, q) -> (p, q-1); zero-width for q = 0."""
-        key = ("b", p, q)
-        m = self._cache.get(key)
-        if m is None:
-            if q < 1:
-                raise ValueError("b needs q >= 1")
-            m = self._blockdiag(p, q, lambda gt: self.alg_b(self._sigma(gt), q))
-            self._cache[key] = m
-        return m
+    def b(self, p, q, reduced=True):
+        """Vertical face sum (p, q) -> (p, q-1); needs q >= 1."""
+        if q < 1:
+            raise ValueError("b needs q >= 1")
+        return self._stalkwise("b", self.alg_b, p, q, reduced)
 
     def B(self, p, q):
-        key = ("B", p, q)
-        m = self._cache.get(key)
-        if m is None:
-            m = self._blockdiag(p, q, lambda gt: self.alg_B(self._sigma(gt), q))
-            self._cache[key] = m
-        return m
+        return self._stalkwise("B", self.alg_B, p, q)
 
     def bbar(self, p, q):
         """Group-direction boundary (p, q) -> (p-1, q); zero map at p = 0."""
-        key = ("bbar", p, q)
-        m = self._cache.get(key)
-        if m is not None:
-            return m
-        src = self.basis(p, q)
-        if p == 0:
-            m = QMatrix.zero(0, src.size)
-            self._cache[key] = m
-            return m
-        grp = self.group
-        img = self._images
-        koszul = -1 if q % 2 else 1
-        scale = self._den ** (q + 1)   # the twisted term has q + 1 image slots over den
 
-        def moves(gt):
-            out = [
-                ((-koszul if i % 2 else koszul) * scale,
-                 gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], None)
-                for i in range(p)
-            ]
-            out.append((-koszul if p % 2 else koszul, (grp.mul(gt[p], gt[0]),) + gt[1:p], img[gt[p]]))
-            return out
+        def build():
+            src = self.basis(p, q)
+            if p == 0:
+                return QMatrix.zero(0, src.size)
+            grp = self.group
+            img = self._images
+            koszul = -1 if q % 2 else 1
+            scale = self._den ** (q + 1)   # the twisted term has q + 1 image slots over den
 
-        m = tensor_operator(src, self.basis(p - 1, q), _group_terms(moves), scale)
-        self._cache[key] = m
-        return m
+            def moves(gt):
+                out = [
+                    ((-koszul if i % 2 else koszul) * scale,
+                     gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], None)
+                    for i in range(p)
+                ]
+                wrap = (grp.mul(gt[p], gt[0]),) + gt[1:p]
+                out.append((-koszul if p % 2 else koszul, wrap, img[gt[p]]))
+                return out
+
+            return tensor_operator(src, self.basis(p - 1, q), _group_terms(moves), scale)
+
+        return self._kept(("bbar", p, q), build)
 
     def Bbar(self, p, q):
         """Group-direction degree raise (p, q) -> (p+1, q)."""
-        key = ("Bbar", p, q)
-        m = self._cache.get(key)
-        if m is not None:
-            return m
-        grp = self.group
-        img = self._images
-        e = grp.identity_index
-        koszul = -1 if q % 2 else 1
 
-        def moves(gt):
-            return [
-                (-koszul if i * p % 2 else koszul,
-                 (e,) + gt[p - i + 1 :] + gt[: p - i + 1],
-                 img[grp.product(gt[p - i + 1 :])])
-                for i in range(p + 1)
-            ]
+        def build():
+            grp = self.group
+            img = self._images
+            e = grp.identity_index
+            koszul = -1 if q % 2 else 1
 
-        m = tensor_operator(
-            self.basis(p, q), self.basis(p + 1, q), _group_terms(moves), self._den ** (q + 1)
-        )
-        self._cache[key] = m
-        return m
+            def moves(gt):
+                return [
+                    (-koszul if i * p % 2 else koszul,
+                     (e,) + gt[p - i + 1 :] + gt[: p - i + 1],
+                     img[grp.product(gt[p - i + 1 :])])
+                    for i in range(p + 1)
+                ]
+
+            return tensor_operator(
+                self.basis(p, q), self.basis(p + 1, q), _group_terms(moves), self._den ** (q + 1)
+            )
+
+        return self._kept(("Bbar", p, q), build)
+
+    def identity(self, name, p, q):
+        """Outcome of the identity name of IDENTITIES on block (p, q): "" if
+        it holds, else the first residual column, named by its tensor."""
+        return self._kept(("identity", name, p, q), lambda: check_identity(self, name, p, q))
 
 
 def _group_terms(moves):
@@ -216,8 +205,85 @@ def beta_map(algebra, group, p, q):
 
 
 # ---------------------------------------------------------------------
-# operator-identity suites
+# operator identities
 # ---------------------------------------------------------------------
+
+def _bB(o, p, q):
+    """bB + Bb on block (p, q)."""
+    m = o.b(p, q + 1) @ o.B(p, q)
+    return m + o.B(p, q - 1) @ o.b(p, q) if q >= 1 else m
+
+
+def _TBbar(o, p, q):
+    """U = T.Bbar, the group-direction half of the degree-raising candidate."""
+    return o.T(p + 1, q) @ o.Bbar(p, q)
+
+
+def _anticommutator_B_U(o, p, q):
+    """The (p, q) -> (p, q) part of D.F + F.D for D = b + bbar, F = B + U."""
+    m = _bB(o, p, q) + o.bbar(p + 1, q) @ _TBbar(o, p, q)
+    return m + _TBbar(o, p - 1, q) @ o.bbar(p, q) if p >= 1 else m
+
+
+# name -> (p_min, q_min, sides): the identity is checked on the blocks
+# (p, q) with p >= p_min and q >= q_min, where sides(ops, p, q) gives its
+# left and right side; a right side of None is zero
+IDENTITIES = {
+    "b^2=0": (0, 2, lambda o, p, q: (o.b(p, q - 1) @ o.b(p, q), None)),
+    "B^2=0": (0, 0, lambda o, p, q: (o.B(p, q + 1) @ o.B(p, q), None)),
+    "bbar^2=0": (2, 0, lambda o, p, q: (o.bbar(p - 1, q) @ o.bbar(p, q), None)),
+    "bB+Bb=1-T": (0, 0, lambda o, p, q: (
+        _bB(o, p, q), QMatrix.identity(o.basis(p, q).size) - o.T(p, q))),
+    "bbarB+Bbbar=0": (1, 0, lambda o, p, q: (
+        o.bbar(p, q + 1) @ o.B(p, q) + o.B(p - 1, q) @ o.bbar(p, q), None)),
+    "[T,b]=0": (0, 1, lambda o, p, q: (o.T(p, q - 1) @ o.b(p, q), o.b(p, q) @ o.T(p, q))),
+    "[T,bbar]=0": (1, 0, lambda o, p, q: (
+        o.T(p - 1, q) @ o.bbar(p, q), o.bbar(p, q) @ o.T(p, q))),
+    "[T,B]=0": (0, 0, lambda o, p, q: (o.T(p, q + 1) @ o.B(p, q), o.B(p, q) @ o.T(p, q))),
+    "b.bbar+bbar.b=0": (1, 1, lambda o, p, q: (
+        o.b(p - 1, q) @ o.bbar(p, q) + o.bbar(p, q - 1) @ o.b(p, q), None)),
+    # the parts of the full boundary pair that the suite does not check
+    "bB+Bb+bbarU+Ubbar=0": (0, 0, lambda o, p, q: (_anticommutator_B_U(o, p, q), None)),
+    "bU+Ub=0": (0, 1, lambda o, p, q: (
+        o.b(p + 1, q) @ _TBbar(o, p, q) + _TBbar(o, p, q - 1) @ o.b(p, q), None)),
+}
+
+SUITE = ("b^2=0", "B^2=0", "bbar^2=0", "bB+Bb=1-T", "bbarB+Bbbar=0",
+         "[T,b]=0", "[T,bbar]=0", "[T,B]=0", "b.bbar+bbar.b=0")
+
+# D = b + bbar and F = B + T.Bbar: D.D = 0 and D.F + F.D = 0, each as the
+# identities of its block components
+FULL_PAIR = (
+    ("(b+bbar)^2=0", ("b^2=0", "bbar^2=0", "b.bbar+bbar.b=0")),
+    ("(b+bbar)(B+TBbar)+(B+TBbar)(b+bbar)=0",
+     ("bB+Bb+bbarU+Ubbar=0", "bU+Ub=0", "bbarB+Bbbar=0")),
+)
+
+
+def check_identity(ops, name, p, q):
+    """Evaluate the identity name on block (p, q) of ops; GJOperators.identity
+    keeps the outcome, so each block is evaluated once per operator set."""
+    lhs, rhs = IDENTITIES[name][2](ops, p, q)
+    residual = lhs if rhs is None else lhs - rhs
+    if residual.is_zero():
+        return ""
+    j = next(k for k in range(residual.cols) if residual._cols[k])
+    return (
+        f"first residual at (p,q)=({p},{q}) on "
+        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {dict(residual._cols[j])}"
+    )
+
+
+def _outcomes(ops, name, bound):
+    """Outcomes of identity name on every block with p + q <= bound that it
+    is checked on, by total degree, then p."""
+    p_min, q_min, _ = IDENTITIES[name]
+    return [
+        ops.identity(name, p, s - p)
+        for s in range(bound + 1)
+        for p in range(p_min, s - q_min + 1)
+    ]
+
 
 def identity_suite(ops, bound):
     """The exact operator identities of ops on every block with p + q <= bound.
@@ -225,57 +291,11 @@ def identity_suite(ops, bound):
     Returns (name, ok, detail) triples with stable names; on failure the
     detail names the first offending block and basis tensor.
     """
-    failures = {}
-
-    def residual(name, p, q, mat):
-        if name in failures or mat.is_zero():
-            return
-        j = next(k for k in range(mat.cols) if mat._cols[k])
-        basis = ops.basis(p, q)
-        failures[name] = (
-            f"first residual at (p,q)=({p},{q}) on "
-            f"{basis.label(j, ops.group, ops.algebra)}: {dict(mat._cols[j])}"
-        )
-
-    for s in range(bound + 1):
-        for p in range(s + 1):
-            q = s - p
-            T = ops.T(p, q)
-            B = ops.B(p, q)
-            lhs = ops.b(p, q + 1) @ B
-            if q >= 1:
-                lhs = lhs + ops.B(p, q - 1) @ ops.b(p, q)
-            residual("bB+Bb=1-T", p, q, lhs - (QMatrix.identity(T.rows) - T))
-            if q >= 2:
-                residual("b^2=0", p, q, ops.b(p, q - 1) @ ops.b(p, q))
-            residual("B^2=0", p, q, ops.B(p, q + 1) @ B)
-            if p >= 2:
-                residual("bbar^2=0", p, q, ops.bbar(p - 1, q) @ ops.bbar(p, q))
-            if p >= 1:
-                r = ops.bbar(p, q + 1) @ B + ops.B(p - 1, q) @ ops.bbar(p, q)
-                residual("bbarB+Bbbar=0", p, q, r)
-            if q >= 1:
-                residual("[T,b]=0", p, q,
-                         (ops.T(p, q - 1) @ ops.b(p, q)) - (ops.b(p, q) @ T))
-            if p >= 1:
-                residual("[T,bbar]=0", p, q,
-                         (ops.T(p - 1, q) @ ops.bbar(p, q)) - (ops.bbar(p, q) @ T))
-            residual("[T,B]=0", p, q, (ops.T(p, q + 1) @ B) - (B @ T))
-            if p >= 1 and q >= 1:
-                r = ops.b(p - 1, q) @ ops.bbar(p, q) + ops.bbar(p, q - 1) @ ops.b(p, q)
-                residual("b.bbar+bbar.b=0", p, q, r)
-    names = (
-        "b^2=0",
-        "B^2=0",
-        "bbar^2=0",
-        "bB+Bb=1-T",
-        "bbarB+Bbbar=0",
-        "[T,b]=0",
-        "[T,bbar]=0",
-        "[T,B]=0",
-        "b.bbar+bbar.b=0",
-    )
-    return [(name, name not in failures, failures.get(name, "")) for name in names]
+    out = []
+    for name in SUITE:
+        detail = next((d for d in _outcomes(ops, name, bound) if d), "")
+        out.append((name, not detail, detail))
+    return out
 
 
 def full_pair_check(ops, bound):
@@ -287,52 +307,13 @@ def full_pair_check(ops, bound):
     vanish, which is why the homology pipeline runs through the quotient
     bicomplex with F replaced by B.
 
-    The result is kept on ops per bound, so the deep check of
-    PropositionComplex and verify-identities share one evaluation.
+    The block outcomes are those of ops.identity, shared with
+    identity_suite and with every other check on the same operator set.
     """
-    key = ("full-pair", bound)
-    result = ops._cache.get(key)
-    if result is None:
-        result = ops._cache[key] = _full_pair_identities(ops, bound)
-    return result
-
-
-def _full_pair_identities(ops, bound):
-    def U(p, q):
-        return ops.T(p + 1, q) @ ops.Bbar(p, q)
-
-    ok_d2 = True
-    ok_mixed = True
-    for s in range(bound + 1):
-        for p in range(s + 1):
-            q = s - p
-            # D^2 components
-            if q >= 2 and not (ops.b(p, q - 1) @ ops.b(p, q)).is_zero():
-                ok_d2 = False
-            if p >= 2 and not (ops.bbar(p - 1, q) @ ops.bbar(p, q)).is_zero():
-                ok_d2 = False
-            if p >= 1 and q >= 1:
-                r = ops.b(p - 1, q) @ ops.bbar(p, q) + ops.bbar(p, q - 1) @ ops.b(p, q)
-                if not r.is_zero():
-                    ok_d2 = False
-            # (D F + F D) components
-            comp = ops.b(p, q + 1) @ ops.B(p, q)
-            if q >= 1:
-                comp = comp + ops.B(p, q - 1) @ ops.b(p, q)
-            comp = comp + ops.bbar(p + 1, q) @ U(p, q)
-            if p >= 1:
-                comp = comp + U(p - 1, q) @ ops.bbar(p, q)
-            if not comp.is_zero():
-                ok_mixed = False
-            if q >= 1:
-                r = ops.b(p + 1, q) @ U(p, q) + U(p, q - 1) @ ops.b(p, q)
-                if not r.is_zero():
-                    ok_mixed = False
-            if p >= 1:
-                r = ops.bbar(p, q + 1) @ ops.B(p, q) + ops.B(p - 1, q) @ ops.bbar(p, q)
-                if not r.is_zero():
-                    ok_mixed = False
-    return (("(b+bbar)^2=0", ok_d2), ("(b+bbar)(B+TBbar)+(B+TBbar)(b+bbar)=0", ok_mixed))
+    return tuple(
+        (name, not any(d for part in parts for d in _outcomes(ops, part, bound)))
+        for name, parts in FULL_PAIR
+    )
 
 
 # ---------------------------------------------------------------------
@@ -520,14 +501,11 @@ class ConjugacyDecomposition:
             for rep, cent in zip(self.conj.representatives, self.conj.centralizers)
         ]
         # u_h: first group element conjugating h to its class representative
-        self.conjugator = []
-        for h in range(group.order):
-            rep = self.conj.representatives[self.conj.class_of[h]]
-            u = next(
-                u for u in range(group.order)
-                if group.conjugate(u, h) == rep
-            )
-            self.conjugator.append(u)
+        reps = [self.conj.representatives[self.conj.class_of[h]] for h in range(group.order)]
+        self.conjugator = [
+            next(u for u in range(group.order) if group.conjugate(u, h) == reps[h])
+            for h in range(group.order)
+        ]
         self.split = self._build_splitting()
         self._verify_chain_iso()
 
@@ -647,14 +625,10 @@ def theorem_map_f(hk, deco, g):
         whole = deco.split[n] @ f_mixed[n]
         pick_off = sum(st.pres[n].quotient_dim for st in deco.stalks[:cls])
         pick_dim = deco.stalks[cls].pres[n].quotient_dim
-        proj_cols = []
-        for j in range(whole.cols):
-            col = {
-                r - pick_off: v
-                for r, v in whole._cols[j].items()
-                if pick_off <= r < pick_off + pick_dim
-            }
-            proj_cols.append(col)
+        proj_cols = [
+            {r - pick_off: v for r, v in col.items() if pick_off <= r < pick_off + pick_dim}
+            for col in whole._cols
+        ]
         comp_mixed.append(QMatrix(pick_dim, whole.cols, proj_cols, _adopt=True))
     stalk_induced = induced_on_homology(_total_map(comp_mixed), srcH, stalkH, check=True)
 
@@ -714,61 +688,40 @@ def lambda_cyclic_operator(algebra, group, n):
 
 class LambdaComplex:
     """(k[G] (x) A^{(n+1)}) / (1 - t) [optionally / G], with the stalkwise
-    twisted boundary.  Computes the crossed-product cyclic homology when
-    the rationals are in the ground ring and coinvariants are enabled.
-
-    With reduced=True the unit-stalk tensors (e | 1, ..., 1) -- the image
-    of the ground field's own complex -- are divided out as well, giving
-    the cyclic theory reduced relative to k.
+    twisted boundary, on the full-slot blocks of ops.  Computes the
+    crossed-product cyclic homology when the rationals are in the ground
+    ring and coinvariants are enabled.
     """
 
-    def __init__(self, algebra, group, max_degree, g_coinvariants=True, reduced=False):
-        self.algebra = algebra
-        self.group = group
+    def __init__(self, ops, max_degree, g_coinvariants=True):
+        self.ops = ops
         self.max_degree = max_degree
         self.g_coinvariants = g_coinvariants
-        self.reduced = reduced
         self.n_internal = max_degree + 1
+        group = ops.group
 
         def relations(n):
-            basis = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-            size = basis.size
-            ops = [lambda_cyclic_operator(algebra, group, n)]
+            basis = ops.basis(0, n, reduced=False)
+            acts = [lambda_cyclic_operator(ops.algebra, group, n)]
             if g_coinvariants:
-                ops.extend(
-                    group_action_operator(
-                        group, h, basis, twist_matrix(algebra, group.action[h], n)
-                    )
+                acts.extend(
+                    group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
                     for h in range(group.order)
                 )
-            rels = coinvariant_relations(size, ops)
-            if reduced:
-                unit_idx = basis.encode((group.identity_index,), (0,) * (n + 1))
-                rels = rels.hstack(QMatrix(size, 1, [{unit_idx: QONE}], _adopt=True))
-            return rels
+            return coinvariant_relations(basis.size, acts)
 
-        mixed = quotient_mixed_complex(
-            self.n_internal, relations, lambda n: _full_stalkwise_b(algebra, group, n),
+        self.mixed = quotient_mixed_complex(
+            self.n_internal, relations, lambda n: ops.b(0, n, reduced=False),
             None, "group-indexed Connes complex",
         )
-        self.pres = mixed.presentations
-        self.chain = mixed.column_complex()
+        self.pres = self.mixed.presentations
 
     def homology(self):
-        return homology(self.chain)
-
-
-def _full_stalkwise_b(algebra, group, n):
-    """Stalkwise twisted boundary on k[G] (x) A^{(n+1)} with full slots."""
-    mats = []
-    for g0 in range(group.order):
-        sigma = group.action[group.inverse[g0]]
-        mats.append(twisted_b(algebra, sigma, n, reduced=False))
-    return block_diag(mats)
+        return self.mixed.column_homology()
 
 
 def connes_lambda_complex(algebra, group, max_degree, g_coinvariants=True):
-    return LambdaComplex(algebra, group, max_degree, g_coinvariants).homology()
+    return LambdaComplex(GJOperators(algebra, group), max_degree, g_coinvariants).homology()
 
 
 # ---------------------------------------------------------------------

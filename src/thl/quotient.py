@@ -51,36 +51,57 @@ def quotient_by(ambient_dim, relations):
     """Present the quotient of Q^ambient_dim by the column span of relations."""
     if relations.rows != ambient_dim:
         raise ValueError("relation matrix has wrong number of rows")
-    # canonical reduced column echelon of the relation span
-    pivot_rows, ech_rows = rref(relations.transpose())
-    # echelon column k: pivot 1 at row pivot_rows[k], supported off other pivots
-    ech_cols = []
-    for r in ech_rows:
-        ech_cols.append({c: v for c, v in r.items()})
+    # canonical reduced column echelon of the relation span: column k has
+    # a 1 at row pivot_rows[k] and zeros on the other pivot rows
+    pivot_rows, ech_cols = rref(relations.transpose())
     pivot_set = set(pivot_rows)
-    pivot_pos = {r: k for k, r in enumerate(pivot_rows)}
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
     free_pos = {r: k for k, r in enumerate(free_rows)}
-
-    relation_basis = QMatrix(ambient_dim, len(ech_cols), ech_cols)
-
-    # projection of e_j: subtract echelon columns to clear pivot rows, keep free rows
-    proj_cols = []
-    for j in range(ambient_dim):
-        if j in pivot_set:
-            k = pivot_pos[j]
-            col = {}
-            for r, v in ech_cols[k].items():
-                if r in free_pos:
-                    col[free_pos[r]] = -v
-            proj_cols.append(col)
-        else:
-            proj_cols.append({free_pos[j]: QONE})
-    projection = QMatrix(len(free_rows), ambient_dim, proj_cols, _adopt=True)
-
-    section = QMatrix(
-        ambient_dim, len(free_rows), [{r: QONE} for r in free_rows], _adopt=True
+    # projection of e_j: a free row is kept, a pivot row is minus the free
+    # part of its echelon column
+    proj_cols = [{free_pos[j]: QONE} if j in free_pos else None for j in range(ambient_dim)]
+    for j, col in zip(pivot_rows, ech_cols):
+        proj_cols[j] = {free_pos[r]: -v for r, v in col.items() if r in free_pos}
+    return _presentation(
+        QMatrix(ambient_dim, len(ech_cols), ech_cols, _adopt=True),
+        QMatrix(len(free_rows), ambient_dim, proj_cols, _adopt=True),
+        pivot_rows,
+        free_rows,
     )
+
+
+def compose_quotients(first, second):
+    """V / (W1 + W2) from first = V / W1 and second, a quotient of first's
+    coordinates by the image of W2.
+
+    Equal to quotient_by of the stacked relations: the projection kills
+    both spans and is the identity on the kept coordinates, which are the
+    free rows of first that second keeps, so it is the canonical one; each
+    relation column is a pivot coordinate minus the section of its
+    projection, the reduced echelon column of that pivot.
+    """
+    if second.ambient_dim != first.quotient_dim:
+        raise ValueError("second presentation does not divide the first's quotient")
+    projection = second.projection @ first.projection
+    free_rows = [first.free_rows[k] for k in second.free_rows]
+    kept = set(free_rows)
+    pivot_rows = [r for r in range(first.ambient_dim) if r not in kept]
+    relation_cols = [
+        {r: QONE, **{free_rows[k]: -v for k, v in projection._cols[r].items()}}
+        for r in pivot_rows
+    ]
+    return _presentation(
+        QMatrix(first.ambient_dim, len(pivot_rows), relation_cols, _adopt=True),
+        projection,
+        pivot_rows,
+        free_rows,
+    )
+
+
+def _presentation(relation_basis, projection, pivot_rows, free_rows):
+    """The presentation with these parts; its section picks the free rows."""
+    ambient_dim = projection.cols
+    section = QMatrix(ambient_dim, len(free_rows), [{r: QONE} for r in free_rows], _adopt=True)
     return QuotientPresentation(
         ambient_dim, relation_basis, projection, section, list(pivot_rows), free_rows
     )

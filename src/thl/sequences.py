@@ -7,9 +7,11 @@ zero matrix AND rank(incoming) = dim kernel(outgoing) -- both over Q with
 no tolerance.
 """
 
+import functools
+
 from .algebra import tensor_index, tensor_operator
-from .complexes import ChainComplexQ, homology
-from .crossed import CoinvariantComplex, GJOperators, LambdaComplex
+from .complexes import ChainComplexQ, divide_mixed_complex, homology
+from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import descend_map, quotient_by
 from .rational import QONE
@@ -73,22 +75,16 @@ def sbi_sequence(coinv):
     N = coinv.max_degree
 
     # chain-level I: C_n -> Tot_n (column p = 0 is the first block)
-    incl = []
-    for n in range(k + 1):
-        dim = mixed.dims[n]
-        tdim = tot.dims[n]
-        incl.append(
-            QMatrix(tdim, dim, [{i: QONE} for i in range(dim)], _adopt=True)
-        )
+    incl = [
+        QMatrix(tot.dims[n], dim, [{i: QONE} for i in range(dim)], _adopt=True)
+        for n, dim in enumerate(mixed.dims)
+    ]
     # chain-level S: Tot_n -> Tot_{n-2} drops the p = 0 block
     proj = {}
     for n in range(2, k + 1):
         head = mixed.dims[n]
-        tdim = tot.dims[n]
-        cols = []
-        for j in range(tdim):
-            cols.append({} if j < head else {j - head: QONE})
-        proj[n] = QMatrix(tot.dims[n - 2], tdim, cols, _adopt=True)
+        cols = [{} if j < head else {j - head: QONE} for j in range(tot.dims[n])]
+        proj[n] = QMatrix(tot.dims[n - 2], tot.dims[n], cols, _adopt=True)
 
     # exact chain-map checks
     for n in range(1, k + 1):
@@ -111,24 +107,15 @@ def sbi_sequence(coinv):
         read off the first column."""
         reps, _ = hcH.representatives(n - 2)
         head = mixed.dims[n]
-        lift_cols = []
-        for j in range(reps.cols):
-            lift_cols.append({r + head: v for r, v in reps._cols[j].items()})
+        lift_cols = [{r + head: v for r, v in col.items()} for col in reps._cols]
         lift = QMatrix(tot.dims[n], reps.cols, lift_cols, _adopt=True)
         dlift = tot.d[n] @ lift
         head_prev = mixed.dims[n - 1]
-        cols = []
-        for j in range(dlift.cols):
-            col = dict()
-            for r, v in dlift._cols[j].items():
-                if r >= head_prev:
-                    raise ComplexError(
-                        "connecting map leaked outside the first column",
-                        location=f"degree {n}",
-                    )
-                col[r] = v
-            cols.append(col)
-        first_col = QMatrix(head_prev, dlift.cols, cols, _adopt=True)
+        if any(r >= head_prev for col in dlift._cols for r in col):
+            raise ComplexError(
+                "connecting map leaked outside the first column", location=f"degree {n}"
+            )
+        first_col = QMatrix(head_prev, dlift.cols, dlift._cols, _adopt=True)
         return hhH.class_coordinates(n - 1, first_col)
 
     I_mats = {n: induced_I(n) for n in range(N + 1)}
@@ -241,11 +228,7 @@ class DeRhamComplex:
                 unit_idx = basis.encode((coinv.group.identity_index,), (0,))
                 unit_amb = QMatrix(basis.size, 1, [{unit_idx: QONE}], _adopt=True)
                 rels_parts.append(coinv.pres[0].projection @ unit_amb)
-            rels = None
-            for part in rels_parts:
-                rels = part if rels is None else rels.hstack(part)
-            if rels is None:
-                rels = QMatrix.zero(mixed.dims[n], 0)
+            rels = functools.reduce(QMatrix.hstack, rels_parts, QMatrix.zero(mixed.dims[n], 0))
             self.ab.append(quotient_by(mixed.dims[n], rels))
         self.d_ab = []
         for n in range(k):
@@ -345,25 +328,34 @@ def _identity_slot_map(src, dst):
     return tensor_operator(src, dst, lambda g, a: [(1, g, a)])
 
 
-def _full_index(algebra, group, n):
-    return tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
-
-
-def _reduced_to_full_section(algebra, group, n):
+def _reduced_to_full_section(ops, n):
     """Canonical inclusion of the reduced group-indexed module into the
     full one: a reduced basis tensor is its own full-module representative."""
-    return _identity_slot_map(tensor_index(group, algebra, 0, n), _full_index(algebra, group, n))
+    return _identity_slot_map(ops.basis(0, n), ops.basis(0, n, reduced=False))
 
 
-def _full_to_reduced_projection(algebra, group, n):
-    """Kill full-module basis tensors with a unit in a reduced slot."""
-    return _identity_slot_map(_full_index(algebra, group, n), tensor_index(group, algebra, 0, n))
-
-
-def _stalkwise_B_full_to_reduced(cx, n):
+def _stalkwise_B_full_to_reduced(ops, n):
     """Normalized degree-raise from the full module into the reduced one:
-    project, then apply the stalkwise twisted B of the coinvariant complex cx."""
-    return cx.ops.B(0, n) @ _full_to_reduced_projection(cx.algebra, cx.group, n)
+    kill the tensors with a unit in a reduced slot, then apply the
+    stalkwise twisted B of ops."""
+    return ops.B(0, n) @ _identity_slot_map(ops.basis(0, n, reduced=False), ops.basis(0, n))
+
+
+def _unit_reduced(connes):
+    """The Connes complex connes divided by the unit-stalk tensors
+    (e | 1, ..., 1) -- the image of the ground field's own complex -- in
+    its quotient coordinates, with b descended once more: the cyclic
+    theory reduced relative to k."""
+    ops = connes.ops
+    e = ops.group.identity_index
+
+    def unit_class(n):
+        unit = ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
+        return connes.pres[n].projection.select_columns([unit])
+
+    return divide_mixed_complex(
+        connes.mixed, unit_class, "unit-reduced group-indexed Connes complex"
+    )
 
 
 def _boundary_membership(vectors, hres, n, what):
@@ -379,9 +371,10 @@ def _boundary_membership(vectors, hres, n, what):
         raise ChainMapError(f"{what}: a relation does not map to a boundary")
 
 
-def karoubi_sequence(coinv):
+def karoubi_sequence(coinv, connes):
     """0 -> HDR_n -> HC_n(crossed) -> HH_{n+1} checks for n <= max_degree - 1,
-    on the coinvariant complex coinv.
+    on the coinvariant complex coinv and the g-coinvariant Connes complex
+    connes of the same degree.
 
     All three terms are taken reduced relative to the ground field (the
     unit-stalk classes divided out); with the unreduced middle term the
@@ -396,9 +389,13 @@ def karoubi_sequence(coinv):
     exactly before ranks are taken.
     """
     max_degree = coinv.max_degree
+    if not connes.g_coinvariants or connes.max_degree != max_degree:
+        raise ValueError(
+            f"Karoubi sequence needs the g-coinvariant Connes complex at degree {max_degree}"
+        )
     dr = DeRhamComplex(coinv, reduced=True)
-    lam = LambdaComplex(coinv.algebra, coinv.group, max_degree, g_coinvariants=True, reduced=True)
-    lamH = lam.homology()
+    lam = _unit_reduced(connes)
+    lamH = lam.column_homology()
     hdrH = dr.homology()
     hhH = coinv.mixed.column_homology()
 
@@ -407,17 +404,10 @@ def karoubi_sequence(coinv):
         try:
             node = _karoubi_node(n, dr, hdrH, lam, lamH)
         except ChainMapError as exc:
+            # every check of the node fails, and the error names the obligation
             node = KaroubiNode(
-                degree=n,
-                left_injective=False,
-                composite_zero=False,
-                middle_exact=False,
-                hdr_dim=hdrH.dims[n],
-                hc_dim=lamH.dims[n],
-                hh_next_dim=hhH.dims[n + 1],
-                left_rank=-1,
-                middle_kernel=-1,
-                diagnostic=str(exc),
+                n, False, False, False, hdrH.dims[n], lamH.dims[n], hhH.dims[n + 1],
+                left_rank=-1, middle_kernel=-1, diagnostic=str(exc),
             )
         nodes.append(node)
     return KaroubiReport(nodes)
@@ -428,12 +418,12 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
     hhH = cx.mixed.column_homology()
     # abelianized coordinates -> lambda coordinates, through the reduced
     # module's inclusion into the full one
-    to_lambda = lam.pres[n].projection @ (
-        _reduced_to_full_section(cx.algebra, cx.group, n) @ cx.pres[n].section
+    to_lambda = lam.presentations[n].projection @ (
+        _reduced_to_full_section(cx.ops, n) @ cx.pres[n].section
     )
     rel = dr.ab[n].relation_basis
     if n >= 1:
-        d_lam = lam.chain.d[n]
+        d_lam = lam.b[n]
         move = d_lam @ (to_lambda @ rel)
 
     def lambda_classes(vectors, what):
@@ -472,14 +462,14 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
             raise ChainMapError("left map boundaries: a boundary maps to a nonzero class")
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
-    raw_right = cx.pres[n + 1].projection @ _stalkwise_B_full_to_reduced(cx, n)
-    right_chain = raw_right @ lam.pres[n].section
+    raw_right = cx.pres[n + 1].projection @ _stalkwise_B_full_to_reduced(cx.ops, n)
+    right_chain = raw_right @ lam.presentations[n].section
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps
     resid = cx.mixed.b[n + 1] @ rimages
     if not resid.is_zero():
         raise ChainMapError(f"degree-raise image is not a cycle at degree {n}")
-    lrel = raw_right @ lam.pres[n].relation_basis
+    lrel = raw_right @ lam.presentations[n].relation_basis
     if not lrel.is_zero():
         _boundary_membership(lrel, hhH, n + 1, "right map relations")
     lbd = lamH.boundary_basis(n)

@@ -5,9 +5,11 @@ from thl.algebra import Algebra, AlgebraMap, FiniteGroupAction
 from thl.crossed import (
     CoinvariantComplex,
     GJOperators,
+    LambdaComplex,
     conjugacy_decomposition,
     theorem_map_f,
 )
+from thl.sequences import karoubi_sequence
 from thl.sparse import QMatrix
 from thl.twisted import HKBicomplex
 
@@ -15,6 +17,15 @@ from thl.twisted import HKBicomplex
 def coinvariant_complex(algebra, group, max_degree):
     """The coinvariant complex on an operator set of its own."""
     return CoinvariantComplex(GJOperators(algebra, group), max_degree)
+
+
+def karoubi(algebra, group, max_degree):
+    """karoubi_sequence on a coinvariant and a Connes complex sharing an
+    operator set of their own."""
+    ops = GJOperators(algebra, group)
+    return karoubi_sequence(
+        CoinvariantComplex(ops, max_degree), LambdaComplex(ops, max_degree, g_coinvariants=True)
+    )
 
 
 def theorem_map(algebra, group, g, max_degree):

@@ -37,10 +37,10 @@ from thl.crossed import (
     u_complex_equivalence,
 )
 from thl.report import emit_machine
-from thl.sequences import karoubi_sequence, sbi_sequence
+from thl.sequences import sbi_sequence
 from thl.twisted import HKBicomplex, twisted_cyclic
 
-from fixtures_for_tests import coinvariant_complex, theorem_map
+from fixtures_for_tests import coinvariant_complex, karoubi, theorem_map
 
 
 def _fx(name):
@@ -189,7 +189,7 @@ def test_criterion_08_sbi_exactness():
 def test_criterion_09_karoubi_as_stated():
     for name in ("ground-field", "trunc-poly-z2"):
         cfg = _fx(name)
-        rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
+        rep = karoubi(cfg.algebra, cfg.group, 3)
         for node in rep.nodes:
             if node.degree > 2:
                 continue
@@ -203,10 +203,10 @@ def test_criterion_09_karoubi_as_stated():
 def test_criterion_09_attainable_nodes():
     """Everything except the single forced mismatch holds exactly."""
     cfg = _fx("ground-field")
-    rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
+    rep = karoubi(cfg.algebra, cfg.group, 3)
     assert all(n.ok for n in rep.nodes if n.degree <= 2)
     cfg = _fx("trunc-poly-z2")
-    rep = karoubi_sequence(coinvariant_complex(cfg.algebra, cfg.group, 3))
+    rep = karoubi(cfg.algebra, cfg.group, 3)
     for node in rep.nodes:
         if node.degree > 2:
             continue

@@ -78,21 +78,22 @@ def test_machine_report_roundtrip():
 
 
 def test_all_builds_each_complex_once(monkeypatch):
-    """One run of all builds the operator set and each complex once, the
-    twisted complex once per group element it reads, and evaluates the
-    full boundary pair identities once (verify-identities and the deep
-    check of PropositionComplex share the bound)."""
+    """One run of all builds the operator set and each complex once (the
+    Connes complex once for hc-lambda and Karoubi together), the twisted
+    complex once per group element it reads, and evaluates each operator
+    identity at most once per block (verify-identities and the deep check
+    of PropositionComplex read the same outcomes)."""
     from thl import crossed, twisted
 
     builds = []
-    pair_checks = []
-    evaluate = crossed._full_pair_identities
+    evaluated = []
+    evaluate = crossed.check_identity
 
-    def counted_pair_check(ops, bound):
-        pair_checks.append(bound)
-        return evaluate(ops, bound)
+    def counted_check(ops, name, p, q):
+        evaluated.append((name, p, q))
+        return evaluate(ops, name, p, q)
 
-    monkeypatch.setattr(crossed, "_full_pair_identities", counted_pair_check)
+    monkeypatch.setattr(crossed, "check_identity", counted_check)
 
     def count(cls):
         init = cls.__init__
@@ -105,19 +106,48 @@ def test_all_builds_each_complex_once(monkeypatch):
 
     for cls in (crossed.GJOperators, crossed.CoinvariantComplex,
                 crossed.ConjugacyDecomposition, crossed.PropositionComplex,
-                twisted.HKBicomplex):
+                crossed.LambdaComplex, twisted.HKBicomplex):
         count(cls)
     for name in ("trunc-poly-z2", "triple-lines-z3"):
         builds.clear()
-        pair_checks.clear()
+        evaluated.clear()
         run("all", load_fixture(name))
-        assert pair_checks == [2], (name, pair_checks)
+        assert len(set(evaluated)) == len(evaluated), (name, len(evaluated))
+        # the suite and both parts of the full boundary pair were evaluated
+        assert {n for n, _, _ in evaluated} == set(crossed.IDENTITIES), name
         names = [cls for cls, _ in builds]
         for cls in ("GJOperators", "CoinvariantComplex", "ConjugacyDecomposition",
-                    "PropositionComplex"):
+                    "PropositionComplex", "LambdaComplex"):
             assert names.count(cls) == 1, (name, cls, names.count(cls))
         twists = [id(args[1]) for cls, args in builds if cls == "HKBicomplex"]
         assert twists and len(set(twists)) == len(twists), (name, len(twists))
+
+
+# SHA-256 of the machine report of `all --lambda-coinv off` on
+# triple-lines-z3: the one run in which hc-lambda and the Karoubi sequence
+# read different Connes complexes.
+LAMBDA_OFF_SHA256 = "97b2a3bf3ef6d1a5d717ee66e1b98804cdcdadf854551ecfbb22b523c0bd403b"
+
+
+def test_all_with_lambda_coinvariants_off():
+    import hashlib
+
+    from thl.crossed import connes_lambda_complex
+
+    cfg = load_fixture("triple-lines-z3")
+    cfg.lambda_coinvariants = False
+    text = emit_machine(run("all", cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == LAMBDA_OFF_SHA256
+    default = emit_machine(run("all", load_fixture("triple-lines-z3")))
+    lam = connes_lambda_complex(cfg.algebra, cfg.group, cfg.max_degree, g_coinvariants=False)
+    dims = [d for _, d in parse_machine(text)["dims"]["hc-lambda"]]
+    assert dims == lam.dims
+    assert dims != [d for _, d in parse_machine(default)["dims"]["hc-lambda"]]
+
+    def karoubi_checks(report):
+        return [c for c in parse_machine(report)["checks"] if c[0].startswith("karoubi:")]
+
+    assert karoubi_checks(text) and karoubi_checks(text) == karoubi_checks(default)
 
 
 def test_machine_report_deterministic():
@@ -205,3 +235,55 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_HC_COINV_GROUND_FIELD
+
+
+def _bad_config(path_dir, edit):
+    data = copy.deepcopy(fixture_config("trunc-poly-z2"))
+    edit(data)
+    path = path_dir / "bad.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(data):
+        for k in keys:
+            data = data[k]
+        data[last] = value
+
+    return edit
+
+
+WRONG_JSON_TYPES = [
+    ("task.max_degree", _set("task", {"max_degree": True})),
+    ("task.max_degree", _set("task", {"max_degree": False})),
+    ("algebra.dim", _set("algebra", "dim", True)),
+    ("algebra.unit_index", _set("algebra", "unit_index", False)),
+    ("group.table[0][1]", _set("group", "table", 0, 1, True)),
+    ("group.table[1][1]", _set("group", "table", 1, 1, False)),
+    ("task", _set("task", [])),
+    ("algebra", _set("algebra", [1, 2])),
+    ("group", _set("group", "Z/2")),
+    ("group.action", _set("group", "action", [["1", "0"], ["0", "-1"]])),
+]
+
+
+@pytest.mark.parametrize("where, edit", WRONG_JSON_TYPES, ids=[w for w, _ in WRONG_JSON_TYPES])
+def test_cli_rejects_wrong_json_types(tmp_path, capsys, where, edit):
+    """A bool where an integer is required, or a non-object where fields
+    are required, is an input error naming the field (exit 2), not a run
+    at degree 1 or a traceback."""
+    rc = main(["hc-coinv", "--config", _bad_config(tmp_path, edit), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"thl: {where}"), captured.err
+
+
+def test_cli_accepts_integer_fields(tmp_path, capsys):
+    rc = main(["hc-coinv", "--config",
+               _bad_config(tmp_path, _set("task", {"max_degree": 1})), "--format", "machine"])
+    assert rc == 0
+    assert "param\tmax_degree\t1\n" in capsys.readouterr().out

@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from thl.crossed import _sum_presentation
 from thl.errors import WellDefinednessError
-from thl.quotient import coinvariant_relations, descend_map, quotient_by, trivial_quotient
+from thl.quotient import (
+    coinvariant_relations,
+    compose_quotients,
+    descend_map,
+    quotient_by,
+    trivial_quotient,
+)
 from thl.rational import Q
 from thl.sparse import QMatrix, block_diag, rank
 
@@ -125,6 +131,30 @@ def test_quotient_of_direct_sum_is_sum_of_quotients(first, second):
     whole = quotient_by(d1 + d2, block_diag([r1, r2]))
     parts = _sum_presentation([quotient_by(d1, r1), quotient_by(d2, r2)])
     assert_same_presentation(whole, parts)
+
+
+@st.composite
+def further_relation_setups(draw):
+    """(dim, relations, extra): extra divides the quotient coordinates of
+    quotient_by(dim, relations)."""
+    dim, rels = draw(relation_setups())
+    qdim = dim - rank(rels)
+    nextra = draw(st.integers(min_value=0, max_value=3))
+    data = draw(
+        st.lists(st.lists(small, min_size=nextra, max_size=nextra), min_size=qdim, max_size=qdim)
+    )
+    return dim, rels, QMatrix.from_dense(data, qdim, nextra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(further_relation_setups())
+def test_quotient_of_quotient_is_quotient_by_both(setup):
+    """The unit-reduced Connes complex divides the plain one once more in
+    its quotient coordinates, relying on this."""
+    dim, rels, extra = setup
+    first = quotient_by(dim, rels)
+    composite = compose_quotients(first, quotient_by(first.quotient_dim, extra))
+    assert_same_presentation(composite, quotient_by(dim, rels.hstack(first.section @ extra)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 from thl.algebra import AlgebraMap, trivial_group
-from thl.crossed import GJOperators
+from thl.crossed import CoinvariantComplex, GJOperators, LambdaComplex
 from thl.rational import Q
 from thl.sequences import (
     DeRhamComplex,
@@ -19,6 +19,7 @@ from fixtures_for_tests import (
     coinvariant_complex,
     dual_numbers_algebra,
     ground_field_algebra,
+    karoubi,
     s3_group,
     triple_lines_algebra,
     z2_group,
@@ -171,20 +172,31 @@ def test_homology_result_basis_invariant():
 
 def test_karoubi_ground_field_all_nodes():
     Aq = ground_field_algebra()
-    rep = karoubi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 3))
+    rep = karoubi(Aq, trivial_group(Aq), 3)
     assert rep.all_ok
+
+
+def test_karoubi_rejects_connes_complex_it_cannot_read():
+    """The sequence needs the g-coinvariant Connes complex at the degree of
+    the coinvariant complex."""
+    A = dual_numbers_algebra()
+    ops = GJOperators(A, z2_group(A))
+    coinv = CoinvariantComplex(ops, 2)
+    for connes in (LambdaComplex(ops, 2, g_coinvariants=False), LambdaComplex(ops, 3)):
+        with pytest.raises(ValueError):
+            karoubi_sequence(coinv, connes)
 
 
 def test_karoubi_dual_numbers_trivial_group():
     """Nilpotent augmentation ideal: the classical sequence is exact."""
     A = dual_numbers_algebra()
-    rep = karoubi_sequence(coinvariant_complex(A, trivial_group(A), 3))
+    rep = karoubi(A, trivial_group(A), 3)
     assert rep.all_ok
 
 
 def test_karoubi_fixture2_low_degrees():
     A = dual_numbers_algebra()
-    rep = karoubi_sequence(coinvariant_complex(A, z2_group(A), 3))
+    rep = karoubi(A, z2_group(A), 3)
     by_degree = {n.degree: n for n in rep.nodes}
     assert by_degree[0].ok
     assert by_degree[1].ok
