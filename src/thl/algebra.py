@@ -7,7 +7,7 @@ from math import lcm
 
 from .errors import ActionError, AlgebraError, ReducedBasisError
 from .rational import Q, QONE
-from .sparse import QMatrix, _integer, rank
+from .sparse import QMatrix, integer_columns, rank
 
 
 class Algebra:
@@ -87,7 +87,7 @@ class AlgebraMap:
         self.dim = matrix.rows
 
     def image_of_basis(self, i):
-        return self.matrix._cols[i]
+        return self.matrix.column(i)
 
     def apply(self, vec):
         return self.matrix.apply(vec)
@@ -106,11 +106,11 @@ def validate_automorphism(algebra, amap, name="g"):
         raise ActionError(f"{name}: matrix has wrong shape")
     if amap.apply(algebra.unit) != algebra.unit:
         raise ActionError(f"{name}: does not fix the unit")
-    for i in range(algebra.dim):
-        gi = amap.image_of_basis(i)
-        for j in range(algebra.dim):
+    images = [amap.image_of_basis(i) for i in range(algebra.dim)]
+    for i, gi in enumerate(images):
+        for j, gj in enumerate(images):
             lhs = amap.apply(algebra.basis_product(i, j))
-            rhs = algebra.multiply(gi, amap.image_of_basis(j))
+            rhs = algebra.multiply(gi, gj)
             if lhs != rhs:
                 raise ActionError(
                     f"{name}: not multiplicative on "
@@ -349,21 +349,26 @@ def integer_slots(vectors):
     slots[m] is den * vectors[m] as an integer vector {index: int}, or as
     the bare basis index k when that vector is {k: 1}.
     """
-    den = lcm(*[int(v.denominator) for vec in vectors for v in vec.values()])
-    slots = []
-    for vec in vectors:
-        ivec = _integer(vec, den)
-        if len(ivec) == 1 and 1 in ivec.values():
-            (ivec,) = ivec
-        slots.append(ivec)
-    return den, slots
+    den, ivecs = integer_columns(vectors)
+    return den, _slots(ivecs)
+
+
+def _slots(ivecs):
+    """The integer vectors, each {k: 1} replaced by the bare index k."""
+    return [next(iter(v)) if len(v) == 1 and 1 in v.values() else v for v in ivecs]
 
 
 def integer_images(maps):
-    """(den, images): images[m][i] is the slot of den * maps[m](e_i)."""
-    dim = maps[0].dim
-    den, slots = integer_slots([m.image_of_basis(i) for m in maps for i in range(dim)])
-    return den, [slots[k : k + dim] for k in range(0, len(slots), dim)]
+    """(den, images): images[m][i] is the slot of den * maps[m](e_i), read
+    from the integer columns of the maps' matrices."""
+    den = lcm(*[m.matrix.den for m in maps])
+    images = []
+    for m in maps:
+        s = den // m.matrix.den
+        images.append(_slots(
+            m.matrix._cols if s == 1 else [{k: s * v for k, v in c.items()} for c in m.matrix._cols]
+        ))
+    return den, images
 
 
 def tensor_operator(src, dst, terms, den=1):
@@ -375,8 +380,8 @@ def tensor_operator(src, dst, terms, den=1):
     (() on pure algebra bases) and each slot x_s is a basis index or an
     integer vector {index: int}.  The unit is dropped from reduced target
     slots.  A target index is the offset of h plus one offset per slot;
-    coefficients are Python ints, and each nonzero entry becomes one
-    rational n / den.  Every tensor-module operator is built here.
+    coefficients are Python ints, and the matrix keeps them over den.
+    Every tensor-module operator is built here.
     """
     place = []          # per target slot: basis index -> offset, None for a dropped unit
     stride = 1
@@ -388,7 +393,6 @@ def tensor_operator(src, dst, terms, den=1):
         stride *= size
     place.reverse()
     goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
-    qs = {}             # n -> Q(n, den): the entries repeat a few values
     atuples = list(product(*[range(1 if f else 0, src.d) for f in src.reduced]))
     cols = []
     for g in src.iter_group():
@@ -416,11 +420,8 @@ def tensor_operator(src, dst, terms, den=1):
                     for i, v in part:
                         i += base
                         out[i] = out.get(i, 0) + v
-            for n in out.values():
-                if n not in qs:
-                    qs[n] = Q(n, den)
-            cols.append({i: qs[n] for i, n in out.items() if n})
-    return QMatrix(dst.size, src.size, cols, _adopt=True)
+            cols.append({i: n for i, n in out.items() if n})
+    return QMatrix.from_integers(dst.size, cols, den)
 
 
 def tensor_index(group, algebra, p, q, reduced_flags=None):

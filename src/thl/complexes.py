@@ -126,11 +126,7 @@ class HomologyResult:
                 raise ChainMapError(f"nonzero vector in zero homology at degree {n}")
             return QMatrix.zero(reps.cols, vectors.cols)
         coords = solve_in_span(frame, vectors)
-        nb = frame.cols - reps.cols
-        data = []
-        for j in range(coords.cols):
-            data.append({r - nb: v for r, v in coords._cols[j].items() if r >= nb})
-        return QMatrix(reps.cols, vectors.cols, data, _adopt=True)
+        return coords.shift_rows(reps.cols - frame.cols, reps.cols)
 
 
 def homology(complex_):

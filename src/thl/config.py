@@ -61,6 +61,12 @@ def _object(value, where):
     return value
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _int(value):
     """A JSON integer; true and false are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -76,6 +82,7 @@ def _q(value, where):
 
 
 def _matrix(rows, dim, where):
+    rows = [_list(row, f"{where}[{i}]") for i, row in enumerate(_list(rows, where))]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ParseError(f"matrix at {where} must be {dim}x{dim}")
     cols = [dict() for _ in range(dim)]
@@ -84,7 +91,7 @@ def _matrix(rows, dim, where):
             v = _q(cell, f"{where}[{i}][{j}]")
             if v:
                 cols[j][i] = v
-    return QMatrix(dim, dim, cols, _adopt=True)
+    return QMatrix(dim, dim, cols)
 
 
 def config_from_dict(data, name=None):
@@ -97,20 +104,23 @@ def config_from_dict(data, name=None):
     dim = _need(alg, "dim", "algebra")
     if not _int(dim) or dim < 1:
         raise ParseError("algebra.dim must be a positive integer")
-    basis = alg.get("basis", [f"e{i}" for i in range(dim)])
+    basis = _list(alg.get("basis", [f"e{i}" for i in range(dim)]), "algebra.basis")
     if len(basis) != dim:
         raise ParseError("algebra.basis length must equal algebra.dim")
     unit_index = alg.get("unit_index", 0)
     if not _int(unit_index) or not 0 <= unit_index < dim:
         raise ParseError("algebra.unit_index out of range")
-    mult_raw = _need(alg, "mult", "algebra")
+    mult_raw = [
+        _list(row, f"algebra.mult[{i}]")
+        for i, row in enumerate(_list(_need(alg, "mult", "algebra"), "algebra.mult"))
+    ]
     if len(mult_raw) != dim or any(len(row) != dim for row in mult_raw):
         raise ParseError("algebra.mult must be a dim x dim table")
     mult = []
     for i, row in enumerate(mult_raw):
         out_row = []
         for j, cell in enumerate(row):
-            if len(cell) != dim:
+            if len(_list(cell, f"algebra.mult[{i}][{j}]")) != dim:
                 raise ParseError(f"algebra.mult[{i}][{j}] must have {dim} coordinates")
             vec = {}
             for k, entry in enumerate(cell):
@@ -122,11 +132,17 @@ def config_from_dict(data, name=None):
     algebra = Algebra(dim, basis, {unit_index: 1}, mult)
 
     grp = _object(_need(data, "group", "config"), "group")
-    elements = _need(grp, "elements", "group")
+    elements = _list(_need(grp, "elements", "group"), "group.elements")
+    for i, name_g in enumerate(elements):
+        if not isinstance(name_g, str):
+            raise ParseError(f"group.elements[{i}] must be a name string, got {name_g!r}")
     r = len(elements)
     if r < 1:
         raise ParseError("group must have at least one element")
-    table = _need(grp, "table", "group")
+    table = [
+        _list(row, f"group.table[{i}]")
+        for i, row in enumerate(_list(_need(grp, "table", "group"), "group.table"))
+    ]
     if len(table) != r or any(len(row) != r for row in table):
         raise ParseError("group.table must be r x r")
     for i, row in enumerate(table):

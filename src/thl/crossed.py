@@ -270,7 +270,7 @@ def check_identity(ops, name, p, q):
     j = next(k for k in range(residual.cols) if residual._cols[k])
     return (
         f"first residual at (p,q)=({p},{q}) on "
-        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {dict(residual._cols[j])}"
+        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {residual.column(j)}"
     )
 
 
@@ -625,11 +625,7 @@ def theorem_map_f(hk, deco, g):
         whole = deco.split[n] @ f_mixed[n]
         pick_off = sum(st.pres[n].quotient_dim for st in deco.stalks[:cls])
         pick_dim = deco.stalks[cls].pres[n].quotient_dim
-        proj_cols = [
-            {r - pick_off: v for r, v in col.items() if pick_off <= r < pick_off + pick_dim}
-            for col in whole._cols
-        ]
-        comp_mixed.append(QMatrix(pick_dim, whole.cols, proj_cols, _adopt=True))
+        comp_mixed.append(whole.shift_rows(-pick_off, pick_dim))
     stalk_induced = induced_on_homology(_total_map(comp_mixed), srcH, stalkH, check=True)
 
     degrees = []

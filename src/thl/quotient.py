@@ -7,9 +7,10 @@ makes ``projection . section = id`` hold by construction and keeps every
 presentation deterministic.
 """
 
+from math import lcm
+
 from .errors import WellDefinednessError
-from .rational import QONE
-from .sparse import QMatrix, rref
+from .sparse import QMatrix, echelon, over_pivots
 
 
 class QuotientPresentation:
@@ -51,20 +52,30 @@ def quotient_by(ambient_dim, relations):
     """Present the quotient of Q^ambient_dim by the column span of relations."""
     if relations.rows != ambient_dim:
         raise ValueError("relation matrix has wrong number of rows")
-    # canonical reduced column echelon of the relation span: column k has
-    # a 1 at row pivot_rows[k] and zeros on the other pivot rows
-    pivot_rows, ech_cols = rref(relations.transpose())
+    if relations.is_zero():
+        return trivial_quotient(ambient_dim)
+    return _echelon_presentation(ambient_dim, relations)
+
+
+def _echelon_presentation(ambient_dim, relations):
+    """quotient_by through the reduced echelon form of the relation span."""
+    # canonical reduced column echelon of the relation span, over den: column
+    # k is den at row pivot_rows[k] and zero on the other pivot rows
+    pivot_rows, ech = echelon(relations.transpose())
+    den, scales = over_pivots(pivot_rows, ech)
     pivot_set = set(pivot_rows)
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
     free_pos = {r: k for k, r in enumerate(free_rows)}
     # projection of e_j: a free row is kept, a pivot row is minus the free
     # part of its echelon column
-    proj_cols = [{free_pos[j]: QONE} if j in free_pos else None for j in range(ambient_dim)]
-    for j, col in zip(pivot_rows, ech_cols):
-        proj_cols[j] = {free_pos[r]: -v for r, v in col.items() if r in free_pos}
+    proj_cols = [{free_pos[j]: den} if j in free_pos else None for j in range(ambient_dim)]
+    for j, r, s in zip(pivot_rows, ech, scales):
+        proj_cols[j] = {free_pos[i]: -s * v for i, v in r.items() if i in free_pos}
+    if den != 1:
+        ech = [{i: s * v for i, v in r.items()} for r, s in zip(ech, scales)]
     return _presentation(
-        QMatrix(ambient_dim, len(ech_cols), ech_cols, _adopt=True),
-        QMatrix(len(free_rows), ambient_dim, proj_cols, _adopt=True),
+        QMatrix.from_integers(ambient_dim, ech, den),
+        QMatrix.from_integers(len(free_rows), proj_cols, den),
         pivot_rows,
         free_rows,
     )
@@ -86,12 +97,13 @@ def compose_quotients(first, second):
     free_rows = [first.free_rows[k] for k in second.free_rows]
     kept = set(free_rows)
     pivot_rows = [r for r in range(first.ambient_dim) if r not in kept]
+    den = projection.den
     relation_cols = [
-        {r: QONE, **{free_rows[k]: -v for k, v in projection._cols[r].items()}}
+        {r: den, **{free_rows[k]: -v for k, v in projection._cols[r].items()}}
         for r in pivot_rows
     ]
     return _presentation(
-        QMatrix(first.ambient_dim, len(pivot_rows), relation_cols, _adopt=True),
+        QMatrix.from_integers(first.ambient_dim, relation_cols, den),
         projection,
         pivot_rows,
         free_rows,
@@ -101,7 +113,7 @@ def compose_quotients(first, second):
 def _presentation(relation_basis, projection, pivot_rows, free_rows):
     """The presentation with these parts; its section picks the free rows."""
     ambient_dim = projection.cols
-    section = QMatrix(ambient_dim, len(free_rows), [{r: QONE} for r in free_rows], _adopt=True)
+    section = QMatrix.from_integers(ambient_dim, [{r: 1} for r in free_rows])
     return QuotientPresentation(
         ambient_dim, relation_basis, projection, section, list(pivot_rows), free_rows
     )
@@ -109,7 +121,10 @@ def _presentation(relation_basis, projection, pivot_rows, free_rows):
 
 def trivial_quotient(ambient_dim):
     """The identity presentation (no relations)."""
-    return quotient_by(ambient_dim, QMatrix.zero(ambient_dim, 0))
+    identity = QMatrix.identity(ambient_dim)
+    return QuotientPresentation(
+        ambient_dim, QMatrix.zero(ambient_dim, 0), identity, identity, [], list(range(ambient_dim))
+    )
 
 
 def descend_map(f, src, dst, what="map"):
@@ -149,16 +164,17 @@ def coinvariant_relations(dim, operators):
     (1-T) quotients, and friends.  Zero columns (op(m) = m) span nothing and
     are left out, so an identity operator adds no relation to row-reduce.
     """
+    den = lcm(*[op.den for op in operators])
     cols = []
     for op in operators:
-        for j in range(dim):
-            col = {r: -v for r, v in op._cols[j].items()}
-            d = col.get(j)
-            d = QONE if d is None else d + QONE
+        s = den // op.den
+        for j, c in enumerate(op._cols):
+            col = {r: -s * v for r, v in c.items()}
+            d = col.get(j, 0) + den
             if d:
                 col[j] = d
-            elif j in col:
+            else:
                 del col[j]
             if col:
                 cols.append(col)
-    return QMatrix(dim, len(cols), cols, _adopt=True)
+    return QMatrix.from_integers(dim, cols, den)

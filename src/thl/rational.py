@@ -13,6 +13,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 QZERO = Q(0)
 QONE = Q(1)
+BACKEND = f"{Q.__module__}.{Q.__name__}"   # named in the human report
 
 
 def q(value):

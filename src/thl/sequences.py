@@ -14,7 +14,6 @@ from .complexes import ChainComplexQ, divide_mixed_complex, homology
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import descend_map, quotient_by
-from .rational import QONE
 from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_in_span
 
 
@@ -75,16 +74,12 @@ def sbi_sequence(coinv):
     N = coinv.max_degree
 
     # chain-level I: C_n -> Tot_n (column p = 0 is the first block)
-    incl = [
-        QMatrix(tot.dims[n], dim, [{i: QONE} for i in range(dim)], _adopt=True)
-        for n, dim in enumerate(mixed.dims)
-    ]
+    incl = [QMatrix.identity(dim).shift_rows(0, tot.dims[n]) for n, dim in enumerate(mixed.dims)]
     # chain-level S: Tot_n -> Tot_{n-2} drops the p = 0 block
-    proj = {}
-    for n in range(2, k + 1):
-        head = mixed.dims[n]
-        cols = [{} if j < head else {j - head: QONE} for j in range(tot.dims[n])]
-        proj[n] = QMatrix(tot.dims[n - 2], tot.dims[n], cols, _adopt=True)
+    proj = {
+        n: QMatrix.identity(tot.dims[n]).shift_rows(-mixed.dims[n], tot.dims[n - 2])
+        for n in range(2, k + 1)
+    }
 
     # exact chain-map checks
     for n in range(1, k + 1):
@@ -106,16 +101,12 @@ def sbi_sequence(coinv):
         """HC_{n-2} -> HH_{n-1}: lift along the splitting, differentiate,
         read off the first column."""
         reps, _ = hcH.representatives(n - 2)
-        head = mixed.dims[n]
-        lift_cols = [{r + head: v for r, v in col.items()} for col in reps._cols]
-        lift = QMatrix(tot.dims[n], reps.cols, lift_cols, _adopt=True)
-        dlift = tot.d[n] @ lift
-        head_prev = mixed.dims[n - 1]
-        if any(r >= head_prev for col in dlift._cols for r in col):
+        dlift = tot.d[n] @ reps.shift_rows(mixed.dims[n], tot.dims[n])
+        first_col = dlift.shift_rows(0, mixed.dims[n - 1])
+        if first_col.nnz() != dlift.nnz():
             raise ComplexError(
                 "connecting map leaked outside the first column", location=f"degree {n}"
             )
-        first_col = QMatrix(head_prev, dlift.cols, dlift._cols, _adopt=True)
         return hhH.class_coordinates(n - 1, first_col)
 
     I_mats = {n: induced_I(n) for n in range(N + 1)}
@@ -226,7 +217,7 @@ class DeRhamComplex:
             if reduced and n == 0:
                 basis = coinv.ops.basis(0, 0)
                 unit_idx = basis.encode((coinv.group.identity_index,), (0,))
-                unit_amb = QMatrix(basis.size, 1, [{unit_idx: QONE}], _adopt=True)
+                unit_amb = QMatrix.from_columns(basis.size, [{unit_idx: 1}])
                 rels_parts.append(coinv.pres[0].projection @ unit_amb)
             rels = functools.reduce(QMatrix.hstack, rels_parts, QMatrix.zero(mixed.dims[n], 0))
             self.ab.append(quotient_by(mixed.dims[n], rels))

@@ -1,17 +1,25 @@
 """Sparse exact matrices over Q and the elimination routines behind
 ranks, kernels and canonical echelon forms.
 
-Storage is column-major: column j is a dict {row: nonzero rational}.
+Storage is column-major integers over one denominator: column j is a dict
+{row: nonzero int} and ``den`` is a positive int, so entry (i, j) is
+``_cols[j][i] / den``.  The denominator is in lowest terms against the
+entries (gcd(den, every entry) == 1, so den == 1 for an integral or a zero
+matrix), which makes the storage canonical and ``==`` structural.
 Matrices are treated as immutable once built; every routine that needs to
 mutate works on copies.
 
-The arithmetic of the kernels is over Python integers, the same whichever
-rational backend is active: a rational vector is scaled once to an integer
-one (``_integer``, ``_primitive``), eliminated fraction-free (cross-multiply
-by the pivot, then divide out the content, ``_clear``), and rationals are
-made again only for the entries of a result.  Two kernels share this:
+Every kernel works on these integers, the same whichever rational backend
+is active.  The scalar type Q appears only at the boundary: the
+constructor, ``from_dense`` and ``from_columns`` take rational values,
+``column``, ``entry`` and ``apply`` give them back, and so do the rows of
+``rref``.
 
-* ``rank`` eliminates primitive integer columns.  Pivots come from pendant
+* ``@`` sums integer products over the product of the two denominators;
+  ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
+  result is divided by its common factor only when its denominator is not 1.
+* ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
+  by the pivot, then divide out the content).  Pivots come from pendant
   (single-column) rows first, then from the lightest live column, taken
   from a lazy-deletion heap keyed on (column length, column index).  Rank
   is invariant under pivot order, so this is safe, fully deterministic, and
@@ -20,36 +28,34 @@ made again only for the entries of a result.  Two kernels share this:
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
-  reported bases cannot depend on elimination internals.  ``rref``
-  eliminates primitive integer rows and divides each finished row by its
-  pivot once.
-
-Products (``@``) accumulate integer products and divide each output entry
-by the common denominator once.
+  reported bases cannot depend on elimination internals.  ``echelon``
+  eliminates primitive integer rows; its consumers put the finished rows
+  over the lcm of their pivot entries.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .rational import Q, QONE
+from .rational import Q
 
 
 class QMatrix:
-    """Sparse matrix over Q, column-major dict-of-dicts."""
+    """Sparse matrix over Q: integer columns {row: int} over one denominator."""
 
-    __slots__ = ("rows", "cols", "_cols")
+    __slots__ = ("rows", "cols", "_cols", "den")
 
-    def __init__(self, rows, cols, cols_data=None, _adopt=False):
+    def __init__(self, rows, cols, cols_data=None):
+        """The rows x cols matrix with the {row: rational} columns cols_data
+        (the zero matrix when it is None)."""
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
         if cols_data is None:
-            self._cols = [dict() for _ in range(cols)]
-        elif _adopt:
-            self._cols = cols_data
+            self._cols = [{} for _ in range(cols)]
+            self.den = 1
         else:
-            self._cols = [dict(c) for c in cols_data]
+            self.den, self._cols = integer_columns(cols_data)
 
     # -- constructors ------------------------------------------------
 
@@ -59,7 +65,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n):
-        return QMatrix(n, n, [{i: QONE} for i in range(n)], _adopt=True)
+        return _new(n, n, [{i: 1} for i in range(n)], 1)
 
     @staticmethod
     def from_dense(entries, rows=None, cols=None):
@@ -68,28 +74,34 @@ class QMatrix:
             rows = len(entries)
         if cols is None:
             cols = len(entries[0]) if entries else 0
-        data = [dict() for _ in range(cols)]
+        data = [{} for _ in range(cols)]
         for i, row in enumerate(entries):
             for j, v in enumerate(row):
                 if v:
-                    data[j][i] = Q(v)
-        return QMatrix(rows, cols, data, _adopt=True)
+                    data[j][i] = v
+        return QMatrix(rows, cols, data)
 
     @staticmethod
     def from_columns(rows, columns):
         """Build from an iterable of {row: value} dicts (values coerced)."""
-        data = []
-        for col in columns:
-            data.append({r: Q(v) for r, v in col.items() if v})
-        return QMatrix(rows, len(data), data, _adopt=True)
+        columns = list(columns)
+        return QMatrix(rows, len(columns), columns)
+
+    @staticmethod
+    def from_integers(rows, columns, den=1):
+        """Adopt the integer columns {row: nonzero int} over den > 0, divided
+        to lowest terms."""
+        return _lowest(rows, len(columns), columns, den)
 
     # -- accessors ---------------------------------------------------
 
     def column(self, j):
-        return dict(self._cols[j])
+        """Column j as {row: rational}."""
+        den = self.den
+        return {r: Q(v, den) for r, v in self._cols[j].items()}
 
     def entry(self, i, j):
-        return self._cols[j].get(i, Q(0))
+        return Q(self._cols[j].get(i, 0), self.den)
 
     def nnz(self):
         return sum(len(c) for c in self._cols)
@@ -100,7 +112,9 @@ class QMatrix:
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._cols == other._cols
+        return (self.rows, self.cols, self.den) == (other.rows, other.cols, other.den) and (
+            self._cols == other._cols
+        )
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -108,84 +122,82 @@ class QMatrix:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        self._shape_check(other)
-        data = []
-        for a, b in zip(self._cols, other._cols):
-            col = dict(a)
-            for r, v in b.items():
-                nv = col.get(r)
-                nv = v if nv is None else nv + v
-                if nv:
-                    col[r] = nv
-                elif r in col:
-                    del col[r]
-            data.append(col)
-        return QMatrix(self.rows, self.cols, data, _adopt=True)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        self._shape_check(other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        data = []
+        for a, b in zip(self._cols, other._cols):
+            col = dict(a) if s == 1 else {r: s * v for r, v in a.items()}
+            for r, v in b.items():
+                nv = col.get(r, 0) + t * v
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+            data.append(col)
+        return _lowest(self.rows, self.cols, data, den)
 
     def __neg__(self):
-        return QMatrix(
-            self.rows, self.cols, [{r: -v for r, v in c.items()} for c in self._cols], _adopt=True
+        return _new(
+            self.rows, self.cols, [{r: -v for r, v in c.items()} for c in self._cols], self.den
         )
 
     def __matmul__(self, other):
-        """Exact product, accumulated over Python integers.
-
-        The columns of ``self`` that ``other`` uses are scaled by the lcm D
-        of their denominators, and each column of ``other`` by its own lcm
-        d; the integer products are summed and every nonzero entry of the
-        result becomes one rational n / (D*d).
-        """
+        """Exact product: integer products summed over den(self) * den(other)."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        used = set().union(*other._cols)
-        den = lcm(*[int(w.denominator) for k in used for w in self._cols[k].values()])
-        mine = {k: _integer(self._cols[k], den) for k in used}
+        mine = self._cols
         data = []
         for col in other._cols:
-            d = lcm(*[int(v.denominator) for v in col.values()])
             out = {}
-            for k, v in _integer(col, d).items():
+            for k, v in col.items():
                 for r, w in mine[k].items():
                     out[r] = out.get(r, 0) + v * w
-            dd = den * d
-            data.append({r: Q(n, dd) for r, n in out.items() if n})
-        return QMatrix(self.rows, other.cols, data, _adopt=True)
+            data.append({r: n for r, n in out.items() if n})
+        return _lowest(self.rows, other.cols, data, self.den * other.den)
 
     def apply(self, vec):
-        """Matrix times a sparse vector {index: value} -> sparse vector."""
+        """Matrix times a sparse vector {index: rational} -> sparse vector."""
+        vden, (ivec,) = integer_columns([vec])
         out = {}
-        for k, v in vec.items():
+        for k, v in ivec.items():
             for r, w in self._cols[k].items():
-                nv = out.get(r)
-                nv = v * w if nv is None else nv + v * w
-                if nv:
-                    out[r] = nv
-                elif r in out:
-                    del out[r]
-        return out
+                out[r] = out.get(r, 0) + v * w
+        den = vden * self.den
+        return {r: Q(n, den) for r, n in out.items() if n}
 
     def transpose(self):
-        data = [dict() for _ in range(self.rows)]
+        data = [{} for _ in range(self.rows)]
         for j, col in enumerate(self._cols):
             for i, v in col.items():
                 data[i][j] = v
-        return QMatrix(self.cols, self.rows, data, _adopt=True)
+        return _new(self.cols, self.rows, data, self.den)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return QMatrix(
-            self.rows,
-            self.cols + other.cols,
-            [dict(c) for c in self._cols] + [dict(c) for c in other._cols],
-            _adopt=True,
+        den = lcm(self.den, other.den)
+        return _new(
+            self.rows, self.cols + other.cols, _scaled(self, den) + _scaled(other, den), den
         )
 
     def select_columns(self, indices):
-        return QMatrix(self.rows, len(indices), [dict(self._cols[j]) for j in indices], _adopt=True)
+        return _lowest(self.rows, len(indices), [dict(self._cols[j]) for j in indices], self.den)
+
+    def shift_rows(self, shift, rows):
+        """The rows x cols matrix whose row r + shift is row r of self; rows
+        that land outside [0, rows) are dropped."""
+        data = [
+            {r + shift: v for r, v in c.items() if 0 <= r + shift < rows} for c in self._cols
+        ]
+        return _lowest(rows, self.cols, data, self.den)
 
     def _shape_check(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -198,6 +210,8 @@ def block_matrix(blocks, row_dims, col_dims):
     """Assemble from a {(bi, bj): QMatrix} dict of blocks.
 
     row_dims/col_dims give the block sizes in order; missing blocks are zero.
+    The blocks are put over the lcm of their denominators, which stays in
+    lowest terms (see ``_scaled``).
     """
     row_off = [0]
     for d in row_dims:
@@ -205,16 +219,17 @@ def block_matrix(blocks, row_dims, col_dims):
     col_off = [0]
     for d in col_dims:
         col_off.append(col_off[-1] + d)
-    data = [dict() for _ in range(col_off[-1])]
+    den = lcm(*[m.den for m in blocks.values()])
+    data = [{} for _ in range(col_off[-1])]
     for (bi, bj), m in blocks.items():
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
         ro, co = row_off[bi], col_off[bj]
-        for j, col in enumerate(m._cols):
+        for j, col in enumerate(m._cols if m.den == den else _scaled(m, den)):
             tgt = data[co + j]
             for i, v in col.items():
                 tgt[ro + i] = v
-    return QMatrix(row_off[-1], col_off[-1], data, _adopt=True)
+    return _new(row_off[-1], col_off[-1], data, den)
 
 
 def block_diag(mats):
@@ -223,31 +238,64 @@ def block_diag(mats):
 
 
 # ---------------------------------------------------------------------
-# integer views of rational vectors
+# integer storage
 # ---------------------------------------------------------------------
 
-def _integer(vec, den):
-    """The vector times den, a common multiple of its denominators: {key: int}.
+def _new(rows, cols, data, den):
+    """The matrix of integer columns data over den, already in lowest terms."""
+    m = object.__new__(QMatrix)
+    m.rows, m.cols, m._cols, m.den = rows, cols, data, den
+    return m
+
+
+def _lowest(rows, cols, data, den):
+    """The matrix of integer columns data over den > 0, with the common
+    factor of den and every entry divided out."""
+    if den != 1:
+        g = den
+        for c in data:
+            if c:
+                g = gcd(g, *c.values())
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            data = [{r: v // g for r, v in c.items()} for c in data]
+    return _new(rows, cols, data, den)
+
+
+def _scaled(m, den):
+    """Copies of m's columns over den, a multiple of m.den.
+
+    Parts put over the lcm of their denominators stay in lowest terms: for
+    each prime power p^e exactly dividing the lcm, some part has p^e in its
+    own denominator, hence an entry prime to p, and its scale is prime to p.
+    """
+    s = den // m.den
+    if s == 1:
+        return [dict(c) for c in m._cols]
+    return [{r: s * v for r, v in c.items()} for c in m._cols]
+
+
+def integer_columns(columns):
+    """(den, integer columns) of {key: value} dicts, the values coerced to
+    Q: den is the lcm of their denominators and each column is den times
+    its values, zeros left out.  The pair is in lowest terms.
 
     Reads numerator/denominator through int() so that Fraction and mpq
-    entries both give Python ints.
+    values both give Python ints.
     """
-    if den == 1:
-        return {k: int(v.numerator) for k, v in vec.items()}
-    return {k: int(v.numerator) * (den // int(v.denominator)) for k, v in vec.items()}
+    cols = [{k: Q(v) for k, v in c.items() if v} for c in columns]
+    den = lcm(*[int(v.denominator) for c in cols for v in c.values()])
+    return den, [
+        {k: int(v.numerator) * (den // int(v.denominator)) for k, v in c.items()} for c in cols
+    ]
 
 
 def _primitive(vec):
-    """The vector scaled to a primitive integer vector {key: int}.
-
-    Multiplies by the lcm of the denominators, then divides by the gcd of
-    the numerators.
-    """
-    nums = _integer(vec, lcm(*[int(v.denominator) for v in vec.values()]))
-    g = gcd(*nums.values())
-    if g != 1:
-        nums = {k: n // g for k, n in nums.items()}
-    return nums
+    """A copy of the integer vector divided by its content."""
+    g = gcd(*vec.values())
+    return dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
 
 
 def _clear(r, prow, c):
@@ -285,9 +333,9 @@ def _clear(r, prow, c):
 def rank(matrix):
     """Exact rank over Q; the input is not modified.
 
-    Each column is scaled once to a primitive integer vector and then
-    eliminated fraction-free: clearing row r of column ``col`` with pivot
-    column ``piv`` (pivot entry p, entry a = col[r], g = gcd(a, p)) sets
+    Each column is divided once by its content and then eliminated
+    fraction-free: clearing row r of column ``col`` with pivot column
+    ``piv`` (pivot entry p, entry a = col[r], g = gcd(a, p)) sets
     ``col <- (p/g)*col - (a/g)*piv`` and divides the result by its content,
     which keeps the integers small without creating a rational.
 
@@ -392,22 +440,21 @@ def nullity(matrix):
 # canonical reduced row echelon form and its consumers
 # ---------------------------------------------------------------------
 
-def rref(matrix):
-    """Canonical reduced row echelon form; the input is not modified.
+def echelon(matrix):
+    """The integer reduced row echelon form; the input is not modified.
 
-    Returns (pivot_cols, rows) where rows is a list of {col: value} dicts,
-    one per pivot, with a 1 in its pivot column and zeros in every other
-    pivot column.  The RREF is unique for the row space, so the output is
-    independent of elimination order.
+    Returns (pivot_cols, rows) where rows is a list of primitive integer
+    {col: int} vectors, one per pivot, each positive in its pivot column
+    and zero in every other pivot column: row k divided by its entry in
+    pivot_cols[k] is row k of the canonical RREF, which is unique for the
+    row space, so the output is independent of elimination order.
 
-    The arithmetic is over Python integers: each row is scaled once to a
-    primitive integer vector, eliminated forward with ``_clear``, then
-    back-substituted from the last pivot, and only the finished rows are
-    divided by their pivots into rationals.  Rows are bucketed by their
-    leading column, which keeps the pivot search linear in the actual
-    reduction work: when column c is reached, every unprocessed row with an
-    entry in c has leading column exactly c, and the shortest of them is
-    the pivot row.
+    Each row is divided once by its content, eliminated forward with
+    ``_clear``, then back-substituted from the last pivot.  Rows are
+    bucketed by their leading column, which keeps the pivot search linear in
+    the actual reduction work: when column c is reached, every unprocessed
+    row with an entry in c has leading column exactly c, and the shortest
+    of them is the pivot row.
     """
     buckets = {}
     for j, col in enumerate(matrix._cols):
@@ -435,33 +482,55 @@ def rref(matrix):
         r = pivot_rows[col]
         for c in [c for c in r if c != col and c in pivot_rows]:
             _clear(r, pivot_rows[c], c)
-    rows = []
-    for col in pivot_cols:
-        r = pivot_rows[col]
-        p = r[col]
-        rows.append({c: Q(v, p) for c, v in r.items()})
-    return pivot_cols, rows
+    rows = [pivot_rows[col] for col in pivot_cols]
+    return pivot_cols, [
+        r if r[col] > 0 else {c: -v for c, v in r.items()} for col, r in zip(pivot_cols, rows)
+    ]
+
+
+def over_pivots(pivot_cols, rows):
+    """(den, scales) for rows from ``echelon``: den is the lcm of the pivot
+    entries and scales[k] * rows[k] is den times row k of the RREF."""
+    pivots = [r[c] for c, r in zip(pivot_cols, rows)]
+    den = lcm(*pivots)
+    return den, [den // p for p in pivots]
+
+
+def rref(matrix):
+    """Canonical reduced row echelon form; the input is not modified.
+
+    Returns (pivot_cols, rows) where rows is a list of {col: rational}
+    dicts, one per pivot, with a 1 in its pivot column and zeros in every
+    other pivot column: the rows of ``echelon`` divided by their pivots.
+    """
+    pivot_cols, rows = echelon(matrix)
+    return pivot_cols, [
+        {c: Q(v, r[col]) for c, v in r.items()} for col, r in zip(pivot_cols, rows)
+    ]
 
 
 def kernel_basis(matrix):
     """Canonical basis of ker(matrix) as the columns of a QMatrix."""
-    pivot_cols, rows = rref(matrix)
+    pivot_cols, rows = echelon(matrix)
+    den, scales = over_pivots(pivot_cols, rows)
     pivot_set = set(pivot_cols)
     free = [j for j in range(matrix.cols) if j not in pivot_set]
     data = []
     for f in free:
-        vec = {f: QONE}
-        for pc, r in zip(pivot_cols, rows):
+        vec = {f: den}
+        for pc, r, s in zip(pivot_cols, rows, scales):
             v = r.get(f)
             if v:
-                vec[pc] = -v
+                vec[pc] = -s * v
         data.append(vec)
-    return QMatrix(matrix.cols, len(free), data, _adopt=True)
+    # in lowest terms: a pivot entry carrying p^e | den has, in its primitive
+    # row, a free entry prime to p, and its scale den / pivot is prime to p
+    return _new(matrix.cols, len(free), data, den)
 
 
 def image_pivot_cols(matrix):
     """Indices of the canonical maximal independent subset of columns."""
-    pivot_cols, _ = rref(matrix)
+    pivot_cols, _ = echelon(matrix)
     return pivot_cols
 
 
@@ -478,21 +547,11 @@ def solve_general(matrix, rhs):
     """
     if matrix.rows != rhs.rows:
         raise ValueError("row mismatch in solve_general")
-    aug = matrix.hstack(rhs)
-    pivot_cols, rows = rref(aug)
+    pivot_cols, rows = echelon(matrix.hstack(rhs))
     na = matrix.cols
-    for pc in pivot_cols:
-        if pc >= na:
-            return None
-    data = []
-    for t in range(rhs.cols):
-        col = {}
-        for pc, r in zip(pivot_cols, rows):
-            v = r.get(na + t)
-            if v:
-                col[pc] = v
-        data.append(col)
-    return QMatrix(na, rhs.cols, data, _adopt=True)
+    if any(pc >= na for pc in pivot_cols):
+        return None
+    return _rhs_block(pivot_cols, rows, na, rhs.cols, na, pivot_cols)
 
 
 def solve_in_span(basis, targets):
@@ -504,20 +563,25 @@ def solve_in_span(basis, targets):
     """
     if basis.rows != targets.rows:
         raise ValueError("row mismatch in solve_in_span")
-    aug = basis.hstack(targets)
-    pivot_cols, rows = rref(aug)
+    pivot_cols, rows = echelon(basis.hstack(targets))
     nb = basis.cols
-    for pc in pivot_cols:
-        if pc >= nb:
-            raise ValueError("target column outside span")
+    if any(pc >= nb for pc in pivot_cols):
+        raise ValueError("target column outside span")
     if len(pivot_cols) != nb:
         raise ValueError("basis columns are dependent")
+    return _rhs_block(pivot_cols, rows, nb, targets.cols, nb, range(nb))
+
+
+def _rhs_block(pivot_cols, rows, first, count, n_rows, row_index):
+    """The n_rows x count matrix of the RREF entries in the columns first,
+    ..., first + count - 1, the entries of pivot k in row row_index[k]."""
+    den, scales = over_pivots(pivot_cols, rows)
     data = []
-    for t in range(targets.cols):
+    for t in range(first, first + count):
         col = {}
-        for k, (pc, r) in enumerate(zip(pivot_cols, rows)):
-            v = r.get(nb + t)
+        for i, r, s in zip(row_index, rows, scales):
+            v = r.get(t)
             if v:
-                col[k] = v
+                col[i] = s * v
         data.append(col)
-    return QMatrix(nb, targets.cols, data, _adopt=True)
+    return _lowest(n_rows, count, data, den)

@@ -7,6 +7,7 @@ from thl.cli import main, run
 from thl.config import config_from_dict, load_config, load_fixture
 from thl.errors import ParseError, ValidationError
 from thl.fixtures import fixture_config, fixture_names
+from thl.rational import Q
 from thl.report import emit_machine, emit_report, parse_machine
 
 
@@ -198,6 +199,18 @@ def test_emit_human_contains_tables():
     assert "result: ok" in text
 
 
+def test_human_report_names_the_rational_backend(capsys):
+    """The human report says which scalar type ran; the machine report, which
+    is byte-stable across backends, does not."""
+    rc = main(["hc-coinv", "--fixture", "ground-field", "--format", "human"])
+    human = capsys.readouterr().out
+    assert rc == 0
+    assert f"  rational: {Q.__module__}.{Q.__name__}\n" in human
+    rc = main(["hc-coinv", "--fixture", "ground-field", "--format", "machine"])
+    assert rc == 0
+    assert capsys.readouterr().out == GOLDEN_HC_COINV_GROUND_FIELD
+
+
 def test_all_skips_twist_when_absent(capsys):
     rc = main(["all", "--fixture", "ground-field", "--format", "machine"])
     out = capsys.readouterr().out
@@ -267,6 +280,12 @@ WRONG_JSON_TYPES = [
     ("algebra", _set("algebra", [1, 2])),
     ("group", _set("group", "Z/2")),
     ("group.action", _set("group", "action", [["1", "0"], ["0", "-1"]])),
+    ("group.elements", _set("group", "elements", 3)),
+    ("algebra.mult", _set("algebra", "mult", 5)),
+    ("algebra.basis", _set("algebra", "basis", 7)),
+    ("algebra.mult[0]", _set("algebra", "mult", 0, 3)),
+    ("group.table[0]", _set("group", "table", 0, 3)),
+    ("group.elements[0]", _set("group", "elements", 0, ["e"])),
 ]
 
 

@@ -174,9 +174,7 @@ def test_homology_dims_invariant_under_basis_permutation():
     base = homology(chain).dims
 
     def perm_matrix(n, shift):
-        return QMatrix(
-            n, n, [{(j + shift) % n: Q(1)} for j in range(n)], _adopt=True
-        )
+        return QMatrix(n, n, [{(j + shift) % n: Q(1)} for j in range(n)])
 
     perms = [perm_matrix(d, 1 if d > 1 else 0) for d in chain.dims]
     inv = [p.transpose() for p in perms]

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from thl.crossed import _sum_presentation
 from thl.errors import WellDefinednessError
 from thl.quotient import (
+    _echelon_presentation,
     coinvariant_relations,
     compose_quotients,
     descend_map,
@@ -91,6 +92,17 @@ def test_zero_relation_columns_change_nothing():
     assert all(rels._cols)
     with_zeros = QMatrix.zero(3, 1).hstack(rels).hstack(QMatrix.zero(3, 2))
     assert_same_presentation(quotient_by(3, with_zeros), quotient_by(3, rels))
+
+
+@pytest.mark.parametrize("dim, ncols", [(0, 0), (1, 0), (3, 2), (5, 0), (5, 4)])
+def test_empty_relation_span_is_the_echelon_presentation(dim, ncols):
+    """quotient_by builds the identity presentation directly when the
+    relations span nothing; it is the echelon path's result in every field."""
+    zero = QMatrix.zero(dim, ncols)
+    want = _echelon_presentation(dim, zero)
+    assert want.pivot_rows == [] and want.projection == QMatrix.identity(dim)
+    assert_same_presentation(quotient_by(dim, zero), want)
+    assert_same_presentation(trivial_quotient(dim), want)
 
 
 def test_trivial_quotient():

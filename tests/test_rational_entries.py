@@ -35,8 +35,8 @@ def _frac(v):
 
 def _dense(m):
     out = oracles.zero_mat(m.rows, m.cols)
-    for j, col in enumerate(m._cols):
-        for i, v in col.items():
+    for j in range(m.cols):
+        for i, v in m.column(j).items():
             out[i][j] = _frac(v)
     return out
 
