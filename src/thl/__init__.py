@@ -56,6 +56,7 @@ from .sequences import (
 from .sparse import QMatrix, image_basis, kernel_basis, rank
 from .twisted import (
     HKBicomplex,
+    TwistedOperators,
     twist_matrix,
     twisted_B,
     twisted_b,

@@ -57,26 +57,47 @@ class Algebra:
 
 
 def validate_algebra(algebra):
-    """Associativity and unit laws, checked exactly over every basis triple."""
+    """Associativity and unit laws, checked exactly over every basis triple,
+    on the structure constants over one denominator."""
     d = algebra.dim
+    den, prod = _structure_constants(algebra)
+    uden, (unit,) = integer_columns([algebra.unit])
     for i in range(d):
-        u_e = algebra.multiply(algebra.unit, {i: QONE})
-        e_u = algebra.multiply({i: QONE}, algebra.unit)
-        if u_e != {i: QONE} or e_u != {i: QONE}:
+        # u e_i and e_i u, over uden * den, must both be e_i
+        e_i = {i: uden * den}
+        if _int_product(prod, d, unit, {i: 1}) != e_i or _int_product(prod, d, {i: 1}, unit) != e_i:
             raise AlgebraError(
                 f"unit law fails on basis vector {algebra.label(i)}"
             )
     for i in range(d):
         for j in range(d):
-            ij = algebra.basis_product(i, j)
+            ij = prod[i * d + j]
             for k in range(d):
-                left = algebra.multiply(ij, {k: QONE})
-                right = algebra.multiply({i: QONE}, algebra.basis_product(j, k))
+                # both sides over den^2
+                left = _int_product(prod, d, ij, {k: 1})
+                right = _int_product(prod, d, {i: 1}, prod[j * d + k])
                 if left != right:
                     raise AlgebraError(
                         "associativity fails on triple "
                         f"({algebra.label(i)}, {algebra.label(j)}, {algebra.label(k)})"
                     )
+
+
+def _structure_constants(algebra):
+    """(den, prod): prod[i * dim + j] is den * (e_i e_j) as an integer vector."""
+    d = algebra.dim
+    return integer_columns([algebra.mult[i][j] for i in range(d) for j in range(d)])
+
+
+def _int_product(prod, d, x, y):
+    """The integer vector sum x_a y_b prod[a * d + b] of integer vectors x, y."""
+    out = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            c = u * v
+            for k, w in prod[a * d + b].items():
+                out[k] = out.get(k, 0) + c * w
+    return {k: v for k, v in out.items() if v}
 
 
 class AlgebraMap:
@@ -106,12 +127,17 @@ def validate_automorphism(algebra, amap, name="g"):
         raise ActionError(f"{name}: matrix has wrong shape")
     if amap.apply(algebra.unit) != algebra.unit:
         raise ActionError(f"{name}: does not fix the unit")
-    images = [amap.image_of_basis(i) for i in range(algebra.dim)]
+    d = algebra.dim
+    den, prod = _structure_constants(algebra)
+    gden, images = amap.matrix.den, amap.matrix._cols
     for i, gi in enumerate(images):
         for j, gj in enumerate(images):
-            lhs = amap.apply(algebra.basis_product(i, j))
-            rhs = algebra.multiply(gi, gj)
-            if lhs != rhs:
+            # g(e_i e_j) and g(e_i) g(e_j), both over den * gden^2
+            lhs = {}
+            for m, c in prod[i * d + j].items():
+                for r, w in images[m].items():
+                    lhs[r] = lhs.get(r, 0) + gden * c * w
+            if {r: v for r, v in lhs.items() if v} != _int_product(prod, d, gi, gj):
                 raise ActionError(
                     f"{name}: not multiplicative on "
                     f"({algebra.label(i)}, {algebra.label(j)})"
@@ -235,6 +261,26 @@ def crossed_product(algebra, group):
     out = Algebra(d * r, names, unit, mult)
     validate_algebra(out)
     return out
+
+
+def generators(group, elements):
+    """A generating set of the subgroup whose elements are listed: each
+    element, in order, that the ones kept before it do not generate.
+
+    The relations {v - h.v} over a subgroup span what they span over any
+    generating set of it, because 1 - gh = (1 - g) + g(1 - h).
+    """
+    kept = []
+    closure = {group.identity_index}
+    for x in elements:
+        if x not in closure:
+            kept.append(x)
+            frontier = list(closure)
+            while frontier:
+                frontier = [y for y in {group.mul(z, s) for z in frontier for s in kept}
+                            if y not in closure]
+                closure.update(frontier)
+    return kept
 
 
 class ConjugacyData:

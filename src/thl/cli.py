@@ -85,14 +85,17 @@ class _Job:
         return ConjugacyDecomposition(self.coinvariant)
 
     @functools.cached_property
+    def derham(self):
+        return DeRhamComplex(self.coinvariant)
+
+    @functools.cached_property
     def proposition(self):
         return PropositionComplex(self.ops, self.cfg.max_degree)
 
     def twisted(self, elem):
         """The twisted complex of the group element elem."""
         if elem not in self._twisted:
-            cfg = self.cfg
-            self._twisted[elem] = HKBicomplex(cfg.algebra, cfg.group.action[elem], cfg.max_degree)
+            self._twisted[elem] = HKBicomplex(self.ops.element(elem), self.cfg.max_degree)
         return self._twisted[elem]
 
     def connes(self, g_coinvariants):
@@ -139,7 +142,7 @@ def _run_hh_G(job, report):
 
 
 def _run_hdr_G(job, report):
-    report.add_dims("hdr-G", DeRhamComplex(job.coinvariant).homology().dims)
+    report.add_dims("hdr-G", job.derham.homology().dims)
 
 
 def _run_verify_identities(job, report):
@@ -239,7 +242,7 @@ def _run_verify_sbi(job, report):
 
 
 def _run_verify_karoubi(job, report):
-    rep = karoubi_sequence(job.coinvariant, job.connes(True))
+    rep = karoubi_sequence(job.derham, job.connes(True))
     for node in rep.nodes:
         base = f"n={node.degree} hdr={node.hdr_dim} hc={node.hc_dim} hh={node.hh_next_dim}"
         if node.diagnostic:

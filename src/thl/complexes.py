@@ -289,17 +289,18 @@ class MixedComplex:
         return ChainComplexQ(self.dims, [None] + self.b[1:], check=False)
 
 
-def quotient_mixed_complex(top, relations, b, B, label):
+def quotient_mixed_complex(top, presentation, b, B, label):
     """The mixed complex of a graded module divided by relations, through
     degree top.
 
-    relations(n) is a matrix whose columns span the relations in degree n;
-    b(n) for n >= 1 and B(n) for n < top are the raw operators on the
-    undivided modules.  Both descend through the quotients with the exact
+    presentation(n) presents degree n as a quotient of the undivided module
+    (callers with a relation span pass it to ``quotient_by``); b(n) for
+    n >= 1 and B(n) for n < top are the raw operators on the undivided
+    modules.  Both descend through the quotients with the exact
     well-definedness check, whose error names the label and the degree.
     B=None builds a complex with no B (the Connes complex).
     """
-    pres = [quotient_by(rel.rows, rel) for rel in map(relations, range(top + 1))]
+    pres = [presentation(n) for n in range(top + 1)]
     return _descended(pres, pres, b, B, label)
 
 

@@ -24,16 +24,17 @@ Module conventions (machine-checked per instance):
   = 0 and bbar B + B bbar = 0 hold on the nose, so (b + bbar) squares to
   zero with no further block adjustment.
 
-The operators are stated as slot maps and signs and built by
-``algebra.tensor_operator`` over Python integers; b, B and T are block
-diagonal in the per-element blocks of ``twisted``.
+b, B and T are block diagonal in the per-element operators of
+``twisted.TwistedOperators``, one instance per group element; bbar and
+Bbar are block matrices over the group tuples whose blocks are signed sums
+of those elements' twists.  The quotients by the group and by a
+centralizer take their relations from a generating set of it.
 """
-
-import functools
 
 from .algebra import (
     algebra_tensor_basis,
     conjugacy_data,
+    generators,
     integer_images,
     tensor_index,
     tensor_operator,
@@ -45,9 +46,9 @@ from .complexes import (
     quotient_mixed_complex,
 )
 from .errors import ChainMapError, ComplexError
-from .quotient import coinvariant_relations, descend_map, QuotientPresentation
+from .quotient import coinvariant_relations, descend_map, quotient_by, QuotientPresentation
 from .sparse import QMatrix, block_diag, block_matrix, rank
-from .twisted import twist_matrix, twisted_B, twisted_b
+from .twisted import TwistedOperators
 
 
 class GJOperators:
@@ -55,14 +56,15 @@ class GJOperators:
     for full slots, and the outcomes of the operator identities on them.
 
     Every value is built on first use and kept in one memo on the instance,
-    so it lives exactly as long as the operator set.
+    so it lives exactly as long as the operator set.  The per-element work
+    is done once per group element: the twist, b and B are kept here, the
+    (1 - T) presentation in the element's ``TwistedOperators``.
     """
 
     def __init__(self, algebra, group):
         self.algebra = algebra
         self.group = group
         self._memo = {}
-        self._den, self._images = integer_images(group.action)
 
     def _kept(self, key, build):
         """The value kept under key, built by build() on first use."""
@@ -74,22 +76,22 @@ class GJOperators:
 
     # -- per-element algebra-direction blocks --------------------------
 
+    def element(self, elem):
+        """The twisted operators of the group element elem."""
+        return self._kept(
+            ("element", elem), lambda: TwistedOperators(self.algebra, self.group.action[elem])
+        )
+
     def alg_twist(self, elem, q, reduced=True):
         return self._kept(
-            ("alg_twist", elem, q, reduced),
-            lambda: twist_matrix(self.algebra, self.group.action[elem], q, reduced=reduced),
+            ("alg_twist", elem, q, reduced), lambda: self.element(elem).twist(q, reduced)
         )
 
     def alg_b(self, elem, q, reduced=True):
-        return self._kept(
-            ("alg_b", elem, q, reduced),
-            lambda: twisted_b(self.algebra, self.group.action[elem], q, reduced=reduced),
-        )
+        return self._kept(("alg_b", elem, q, reduced), lambda: self.element(elem).b(q, reduced))
 
     def alg_B(self, elem, q):
-        return self._kept(
-            ("alg_B", elem, q), lambda: twisted_B(self.algebra, self.group.action[elem], q)
-        )
+        return self._kept(("alg_B", elem, q), lambda: self.element(elem).B(q))
 
     # -- bases ----------------------------------------------------------
 
@@ -110,6 +112,13 @@ class GJOperators:
             [block(self._sigma(gt), q, *flags) for gt in self.basis(p, q).iter_group()]
         ))
 
+    def presentations(self, p, q):
+        """Per group tuple gt of block (p, q), in order, the presentation of
+        its stalk divided by (1 - T): that of the element sigma(gt)."""
+        return [
+            self.element(self._sigma(gt)).presentation(q) for gt in self.basis(p, q).iter_group()
+        ]
+
     # -- operators --------------------------------------------------------
 
     def T(self, p, q):
@@ -124,38 +133,56 @@ class GJOperators:
     def B(self, p, q):
         return self._stalkwise("B", self.alg_B, p, q)
 
+    def _group_blocks(self, moves, p_src, p_dst, q):
+        """The map from block (p_src, q) to (p_dst, q) whose block at the
+        target tuple h and source tuple gt is the sum of c * alg_twist(x, q)
+        over the moves (c, h, x) in moves(gt); c is +1 or -1.  Two moves of
+        gt can land on the same h, and their blocks are then added."""
+        src, dst = self.basis(p_src, q), self.basis(p_dst, q)
+        target = {h: k for k, h in enumerate(dst.iter_group())}
+        signed = {}
+        blocks = {}
+        for j, gt in enumerate(src.iter_group()):
+            for c, h, x in moves(gt):
+                m = signed.get((c, x))
+                if m is None:
+                    m = self.alg_twist(x, q)
+                    m = signed[(c, x)] = m if c == 1 else -m
+                key = (target[h], j)
+                blocks[key] = m if key not in blocks else blocks[key] + m
+        return block_matrix(blocks, [dst.asize] * dst.gsize, [src.asize] * src.gsize)
+
     def bbar(self, p, q):
-        """Group-direction boundary (p, q) -> (p-1, q); zero map at p = 0."""
+        """Group-direction boundary (p, q) -> (p-1, q); zero map at p = 0.
+        The inner moves carry the identity, the wrap move the twist of g_p."""
 
         def build():
-            src = self.basis(p, q)
             if p == 0:
-                return QMatrix.zero(0, src.size)
+                return QMatrix.zero(0, self.basis(p, q).size)
             grp = self.group
-            img = self._images
+            e = grp.identity_index
             koszul = -1 if q % 2 else 1
-            scale = self._den ** (q + 1)   # the twisted term has q + 1 image slots over den
 
             def moves(gt):
                 out = [
-                    ((-koszul if i % 2 else koszul) * scale,
-                     gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], None)
+                    (-koszul if i % 2 else koszul,
+                     gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], e)
                     for i in range(p)
                 ]
                 wrap = (grp.mul(gt[p], gt[0]),) + gt[1:p]
-                out.append((-koszul if p % 2 else koszul, wrap, img[gt[p]]))
+                out.append((-koszul if p % 2 else koszul, wrap, gt[p]))
                 return out
 
-            return tensor_operator(src, self.basis(p - 1, q), _group_terms(moves), scale)
+            return self._group_blocks(moves, p, p - 1, q)
 
         return self._kept(("bbar", p, q), build)
 
     def Bbar(self, p, q):
-        """Group-direction degree raise (p, q) -> (p+1, q)."""
+        """Group-direction degree raise (p, q) -> (p+1, q); term i carries
+        the twist of h_i = g_{p-i+1} ... g_p."""
 
         def build():
             grp = self.group
-            img = self._images
             e = grp.identity_index
             koszul = -1 if q % 2 else 1
 
@@ -163,13 +190,11 @@ class GJOperators:
                 return [
                     (-koszul if i * p % 2 else koszul,
                      (e,) + gt[p - i + 1 :] + gt[: p - i + 1],
-                     img[grp.product(gt[p - i + 1 :])])
+                     grp.product(gt[p - i + 1 :]))
                     for i in range(p + 1)
                 ]
 
-            return tensor_operator(
-                self.basis(p, q), self.basis(p + 1, q), _group_terms(moves), self._den ** (q + 1)
-            )
+            return self._group_blocks(moves, p, p + 1, q)
 
         return self._kept(("Bbar", p, q), build)
 
@@ -177,17 +202,6 @@ class GJOperators:
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
         it holds, else the first residual column, named by its tensor."""
         return self._kept(("identity", name, p, q), lambda: check_identity(self, name, p, q))
-
-
-def _group_terms(moves):
-    """tensor_operator terms from moves(gt), the (coefficient, target group
-    tuple, images) of each term of a group tuple; images of None leave the
-    algebra slots as they are, otherwise every slot is sent to its image.
-    The moves of a group tuple are worked out once for all its tensors."""
-    moves = functools.cache(moves)
-    return lambda gt, a: [
-        (c, h, a if img is None else [img[x] for x in a]) for c, h, img in moves(gt)
-    ]
 
 
 def beta_map(algebra, group, p, q):
@@ -341,10 +355,11 @@ class PropositionComplex:
 
     Every block (p, q) with p + q <= N + 1 is divided by (1 - T); the
     boundary b + bbar and the degree-raising B descend (checked); total
-    degree n collects blocks with p + q = n, ascending p.  Degree n is
-    divided at once by the block-diagonal sum of its blocks' relations:
-    the reduced echelon form of a direct sum is the direct sum of the
-    blocks' echelon forms, so each block is presented as if alone.
+    degree n collects blocks with p + q = n, ascending p.  The relations
+    of degree n are the block-diagonal sum of those of its stalks, one per
+    group tuple: the reduced echelon form of a direct sum is the direct
+    sum of the echelon forms, so degree n is presented as the direct sum
+    of the stalks' presentations, each that of one group element.
     """
 
     def __init__(self, ops, max_degree):
@@ -360,9 +375,10 @@ class PropositionComplex:
         def sizes(n):
             return [ops.basis(p, n - p).size for p in range(n + 1)]
 
-        def relations(n):
-            twists = [ops.T(p, n - p) for p in range(n + 1)]
-            return block_diag([coinvariant_relations(T.rows, [T]) for T in twists])
+        def presentation(n):
+            return _sum_presentation(
+                [pres for p in range(n + 1) for pres in ops.presentations(p, n - p)]
+            )
 
         def b(n):
             # b keeps p, bbar lowers it
@@ -376,7 +392,7 @@ class PropositionComplex:
             return block_matrix(blocks, sizes(n + 1), sizes(n))
 
         self.mixed = quotient_mixed_complex(
-            k, relations, b, B, f"crossed-product quotient bicomplex (N={max_degree})"
+            k, presentation, b, B, f"crossed-product quotient bicomplex (N={max_degree})"
         )
 
 
@@ -399,8 +415,9 @@ class CoinvariantComplex:
     """(k[G] (x) A (x) Abar^n) / G with the conjugation-diagonal action.
 
     The orbit relations absorb (1 - T): the T-twist on the stalk of g is
-    the action of g itself.  b and B are the stalkwise operators twisted by
-    the inverse of the stalk element.
+    the action of g itself.  They are taken over a generating set of G.  b
+    and B are the stalkwise operators twisted by the inverse of the stalk
+    element.
     """
 
     def __init__(self, ops, max_degree):
@@ -410,16 +427,15 @@ class CoinvariantComplex:
         self.max_degree = max_degree
         self.n_internal = k = max_degree + 1
 
-        def relations(n):
+        gens = generators(group, range(group.order))
+
+        def presentation(n):
             basis = ops.basis(0, n)
-            acts = [
-                group_action_operator(group, h, basis, ops.alg_twist(h, n))
-                for h in range(group.order)
-            ]
-            return coinvariant_relations(basis.size, acts)
+            acts = [group_action_operator(group, h, basis, ops.alg_twist(h, n)) for h in gens]
+            return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
 
         self.mixed = quotient_mixed_complex(
-            k, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n), "coinvariant bicomplex"
+            k, presentation, lambda n: ops.b(0, n), lambda n: ops.B(0, n), "coinvariant bicomplex"
         )
         self.pres = self.mixed.presentations
 
@@ -428,13 +444,9 @@ def hcG_bicomplex(algebra, group, max_degree):
     """Homology of the p = 0 sub-bicomplex (the HC^G theory):
     (k[G] (x) A (x) Abar^n) / (1 - T)."""
     ops = GJOperators(algebra, group)
-
-    def relations(n):
-        T = ops.T(0, n)
-        return coinvariant_relations(T.rows, [T])
-
     mixed = quotient_mixed_complex(
-        max_degree + 1, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
+        max_degree + 1, lambda n: _sum_presentation(ops.presentations(0, n)),
+        lambda n: ops.b(0, n), lambda n: ops.B(0, n),
         "group-extended twisted bicomplex",
     )
     return mixed.total_homology()
@@ -453,9 +465,10 @@ def coinvariant_bicomplex(algebra, group, max_degree):
 class StalkComplex:
     """(A (x) Abar^n) / G^g for one conjugacy-class representative g.
 
-    The centralizer acts diagonally; the operators are the g^{-1}-twisted
-    b and B, descended.  The quotient absorbs (1 - T_{g^{-1}}) because g
-    centralizes itself.  The per-element algebra blocks are read from ops.
+    The centralizer acts diagonally, its relations taken over a generating
+    set; the operators are the g^{-1}-twisted b and B, descended.  The
+    quotient absorbs (1 - T_{g^{-1}}) because g centralizes itself.  The
+    per-element algebra blocks are read from ops.
     """
 
     def __init__(self, ops, rep, centralizer, max_degree):
@@ -464,15 +477,17 @@ class StalkComplex:
         self.max_degree = max_degree
         self.n_internal = max_degree + 1
         sigma = ops.group.inverse[rep]
+        gens = generators(ops.group, self.centralizer)
 
-        def relations(n):
-            # the centralizer holds the identity, so acts is never empty
-            acts = [ops.alg_twist(h, n) for h in self.centralizer]
-            return coinvariant_relations(acts[0].rows, acts)
+        def presentation(n):
+            # a trivial centralizer has no generators, so the size is the basis's
+            size = ops.basis(0, n).asize
+            acts = [ops.alg_twist(h, n) for h in gens]
+            return quotient_by(size, coinvariant_relations(size, acts))
 
         self.mixed = quotient_mixed_complex(
             self.n_internal,
-            relations,
+            presentation,
             lambda n: ops.alg_b(sigma, n),
             lambda n: ops.alg_B(sigma, n),
             f"stalk over class of element {rep}",
@@ -686,7 +701,8 @@ class LambdaComplex:
     """(k[G] (x) A^{(n+1)}) / (1 - t) [optionally / G], with the stalkwise
     twisted boundary, on the full-slot blocks of ops.  Computes the
     crossed-product cyclic homology when the rationals are in the ground
-    ring and coinvariants are enabled.
+    ring and coinvariants are enabled.  The group relations are taken over
+    a generating set of G, next to those of t.
     """
 
     def __init__(self, ops, max_degree, g_coinvariants=True):
@@ -695,19 +711,19 @@ class LambdaComplex:
         self.g_coinvariants = g_coinvariants
         self.n_internal = max_degree + 1
         group = ops.group
+        gens = generators(group, range(group.order)) if g_coinvariants else []
 
-        def relations(n):
+        def presentation(n):
             basis = ops.basis(0, n, reduced=False)
             acts = [lambda_cyclic_operator(ops.algebra, group, n)]
-            if g_coinvariants:
-                acts.extend(
-                    group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
-                    for h in range(group.order)
-                )
-            return coinvariant_relations(basis.size, acts)
+            acts.extend(
+                group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
+                for h in gens
+            )
+            return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
 
         self.mixed = quotient_mixed_complex(
-            self.n_internal, relations, lambda n: ops.b(0, n, reduced=False),
+            self.n_internal, presentation, lambda n: ops.b(0, n, reduced=False),
             None, "group-indexed Connes complex",
         )
         self.pres = self.mixed.presentations

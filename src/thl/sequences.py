@@ -13,7 +13,7 @@ from .algebra import tensor_index, tensor_operator
 from .complexes import ChainComplexQ, divide_mixed_complex, homology
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
-from .quotient import descend_map, quotient_by
+from .quotient import compose_quotients, descend_map, quotient_by
 from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_in_span
 
 
@@ -191,19 +191,19 @@ class DeRhamComplex:
     """Abelianized coinvariant modules with the unit-insertion differential.
 
     Degree n carries (k[G] (x) A (x) Abar^n)/G divided by
-    im(bd + db) + im(b); the differential d raises degree by one.  With
-    reduced=True the degree-0 class of the unit-stalk tensor (e | 1) is
-    divided out too (the ground field's contribution).
+    im(bd + db) + im(b); the differential d raises degree by one.
+    ``reduced()`` gives the complex with the degree-0 class of the
+    unit-stalk tensor (e | 1) divided out too (the ground field's
+    contribution).
     """
 
-    def __init__(self, coinv, reduced=False):
+    def __init__(self, coinv):
         self.coinv = coinv
         self.max_degree = coinv.max_degree
-        self.reduced = reduced
         self.n_internal = k = coinv.n_internal
         mixed = coinv.mixed
         # d descended to the coinvariant quotient
-        d_coinv = [derham_d(coinv, n) for n in range(k)] + [None]
+        self.d_coinv = d_coinv = [derham_d(coinv, n) for n in range(k)] + [None]
         # abelianization: quotient by im(bd + db) + im(b)
         self.ab = []
         for n in range(k + 1):
@@ -214,24 +214,37 @@ class DeRhamComplex:
                 rels_parts.append(d_coinv[n - 1] @ mixed.b[n])
             if n < k:
                 rels_parts.append(mixed.b[n + 1])
-            if reduced and n == 0:
-                basis = coinv.ops.basis(0, 0)
-                unit_idx = basis.encode((coinv.group.identity_index,), (0,))
-                unit_amb = QMatrix.from_columns(basis.size, [{unit_idx: 1}])
-                rels_parts.append(coinv.pres[0].projection @ unit_amb)
             rels = functools.reduce(QMatrix.hstack, rels_parts, QMatrix.zero(mixed.dims[n], 0))
             self.ab.append(quotient_by(mixed.dims[n], rels))
-        self.d_ab = []
-        for n in range(k):
-            self.d_ab.append(
-                descend_map(d_coinv[n], self.ab[n], self.ab[n + 1], what=f"abelianized d_{n}")
-            )
-        self.d_ab.append(None)
-        # d.d = 0 on the abelianized complex
-        for n in range(k - 1):
+        self.d_ab = [self._descend_d(n) for n in range(k)] + [None]
+        self._check_dd(range(k - 1))
+
+    def _descend_d(self, n):
+        return descend_map(
+            self.d_coinv[n], self.ab[n], self.ab[n + 1], what=f"abelianized d_{n}"
+        )
+
+    def _check_dd(self, degrees):
+        """d.d = 0 on the abelianized complex, out of each of the degrees."""
+        for n in degrees:
             if not (self.d_ab[n + 1] @ self.d_ab[n]).is_zero():
                 raise ComplexError("d.d != 0 on the abelianized complex", location=f"degree {n}")
-        self.d_coinv = d_coinv
+
+    def reduced(self):
+        """This complex with the class of (e | 1) divided out of degree 0
+        and d_0 descended again (checked); the other degrees are shared."""
+        coinv = self.coinv
+        unit = coinv.ops.basis(0, 0).encode((coinv.group.identity_index,), (0,))
+        ab0 = self.ab[0]
+        unit_class = ab0.projection @ coinv.pres[0].projection.select_columns([unit])
+        # a shallow copy: only degree 0 and d_0 are replaced
+        out = object.__new__(DeRhamComplex)
+        out.__dict__.update(self.__dict__)
+        out.ab = [compose_quotients(ab0, quotient_by(ab0.quotient_dim, unit_class))] + self.ab[1:]
+        out.d_ab = [out._descend_d(0)] + self.d_ab[1:]
+        if self.n_internal > 1:
+            out._check_dd([0])
+        return out
 
     def homology(self):
         """Ascending-differential homology via the reversed chain complex.
@@ -276,8 +289,8 @@ class ReversedHomology:
 
 
 def derham_homology(algebra, group, max_degree, reduced=False):
-    coinv = CoinvariantComplex(GJOperators(algebra, group), max_degree)
-    return DeRhamComplex(coinv, reduced=reduced).homology()
+    dr = DeRhamComplex(CoinvariantComplex(GJOperators(algebra, group), max_degree))
+    return (dr.reduced() if reduced else dr).homology()
 
 
 # ---------------------------------------------------------------------
@@ -362,10 +375,10 @@ def _boundary_membership(vectors, hres, n, what):
         raise ChainMapError(f"{what}: a relation does not map to a boundary")
 
 
-def karoubi_sequence(coinv, connes):
+def karoubi_sequence(derham, connes):
     """0 -> HDR_n -> HC_n(crossed) -> HH_{n+1} checks for n <= max_degree - 1,
-    on the coinvariant complex coinv and the g-coinvariant Connes complex
-    connes of the same degree.
+    on the de Rham complex derham of a coinvariant complex and the
+    g-coinvariant Connes complex connes of the same degree.
 
     All three terms are taken reduced relative to the ground field (the
     unit-stalk classes divided out); with the unreduced middle term the
@@ -379,16 +392,16 @@ def karoubi_sequence(coinv, connes):
     degree-raising operator.  Every well-definedness obligation is checked
     exactly before ranks are taken.
     """
-    max_degree = coinv.max_degree
+    max_degree = derham.max_degree
     if not connes.g_coinvariants or connes.max_degree != max_degree:
         raise ValueError(
             f"Karoubi sequence needs the g-coinvariant Connes complex at degree {max_degree}"
         )
-    dr = DeRhamComplex(coinv, reduced=True)
+    dr = derham.reduced()
     lam = _unit_reduced(connes)
     lamH = lam.column_homology()
     hdrH = dr.homology()
-    hhH = coinv.mixed.column_homology()
+    hhH = derham.coinv.mixed.column_homology()
 
     nodes = []
     for n in range(max_degree):

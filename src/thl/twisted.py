@@ -21,6 +21,8 @@ bicomplex construction checks against.
 
 Each builder below states these formulas as slot maps and signs;
 ``algebra.tensor_operator`` expands them over Python integers.
+``TwistedOperators`` gives them, and keeps the (1 - T) presentations, per
+automorphism.
 """
 
 from .algebra import (
@@ -31,9 +33,8 @@ from .algebra import (
     tensor_operator,
 )
 from .complexes import quotient_mixed_complex
-from .quotient import coinvariant_relations
+from .quotient import coinvariant_relations, quotient_by, trivial_quotient
 from .rational import QONE
-from .sparse import QMatrix
 
 
 def _basis(algebra, slots, reduced):
@@ -93,33 +94,63 @@ def twisted_B(algebra, g, n):
     )
 
 
+class TwistedOperators:
+    """The g-twisted theory on A (x) Abar^q: the twist T_g, b and B, built
+    on each call, and the presentation of (A (x) Abar^q)/(1 - T_g), built
+    on first use and kept for the life of the instance.
+
+    One instance serves every reader of g: its twisted bicomplex and,
+    through ``crossed.GJOperators.element``, every block of the
+    crossed-product theory that twists by g.  The raw operators are not
+    kept here: a twisted bicomplex drops each one once it has descended
+    it, and ``GJOperators`` keeps those it reads again.
+    """
+
+    def __init__(self, algebra, g):
+        self.algebra = algebra
+        self.g = g
+        self._presentations = {}
+
+    def twist(self, q, reduced=True):
+        return twist_matrix(self.algebra, self.g, q, reduced=reduced)
+
+    def b(self, q, reduced=True):
+        return twisted_b(self.algebra, self.g, q, reduced=reduced)
+
+    def B(self, q):
+        return twisted_B(self.algebra, self.g, q)
+
+    def presentation(self, q):
+        """(A (x) Abar^q)/(1 - T_g); the identity has no relations, and
+        no twist matrix is built for it."""
+        pres = self._presentations.get(q)
+        if pres is None:
+            size = algebra_tensor_basis(self.algebra, q + 1).asize
+            if self.g == AlgebraMap.identity(self.algebra.dim):
+                pres = trivial_quotient(size)
+            else:
+                # the twist is dropped before the relations are reduced
+                pres = quotient_by(size, coinvariant_relations(size, [self.twist(q)]))
+            self._presentations[q] = pres
+        return pres
+
+
 class HKBicomplex:
     """Quotient bicomplex of the twisted theory through internal degree N+1.
 
-    modules: (A (x) Abar^n) / (1 - T), with b and B descended; the descent
-    is checked exactly, so construction fails loudly if an operator and the
-    quotient are incompatible.
+    modules: (A (x) Abar^n) / (1 - T), the presentations of the
+    TwistedOperators ops, with b and B descended; the descent is checked
+    exactly, so construction fails loudly if an operator and the quotient
+    are incompatible.
     """
 
-    def __init__(self, algebra, g, max_degree):
-        self.algebra = algebra
-        self.g = g
+    def __init__(self, ops, max_degree):
+        self.algebra = ops.algebra
+        self.g = ops.g
         self.max_degree = max_degree
         self.n_internal = max_degree + 1
-        untwisted = g == AlgebraMap.identity(algebra.dim)
-
-        def relations(n):
-            if untwisted:  # 1 - T is zero: no relations, no twist matrix
-                return QMatrix.zero(algebra_tensor_basis(algebra, n + 1).asize, 0)
-            t = twist_matrix(algebra, g, n, reduced=True)
-            return coinvariant_relations(t.rows, [t])
-
         self.mixed = quotient_mixed_complex(
-            self.n_internal,
-            relations,
-            lambda n: twisted_b(algebra, g, n, reduced=True),
-            lambda n: twisted_B(algebra, g, n),
-            f"twisted bicomplex (N={max_degree})",
+            self.n_internal, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )
         self.presentations = self.mixed.presentations
 
@@ -129,9 +160,9 @@ class HKBicomplex:
 
 def twisted_hochschild(algebra, g, max_degree):
     """Homology of the first column ((A (x) Abar^n)/(1-T), b) through max_degree."""
-    return HKBicomplex(algebra, g, max_degree).mixed.column_homology()
+    return HKBicomplex(TwistedOperators(algebra, g), max_degree).mixed.column_homology()
 
 
 def twisted_cyclic(algebra, g, max_degree):
     """Twisted cyclic homology dims through max_degree (total complex route)."""
-    return HKBicomplex(algebra, g, max_degree).mixed.total_homology()
+    return HKBicomplex(TwistedOperators(algebra, g), max_degree).mixed.total_homology()

@@ -9,9 +9,9 @@ from thl.crossed import (
     conjugacy_decomposition,
     theorem_map_f,
 )
-from thl.sequences import karoubi_sequence
+from thl.sequences import DeRhamComplex, karoubi_sequence
 from thl.sparse import QMatrix
-from thl.twisted import HKBicomplex
+from thl.twisted import HKBicomplex, TwistedOperators
 
 
 def coinvariant_complex(algebra, group, max_degree):
@@ -24,14 +24,15 @@ def karoubi(algebra, group, max_degree):
     operator set of their own."""
     ops = GJOperators(algebra, group)
     return karoubi_sequence(
-        CoinvariantComplex(ops, max_degree), LambdaComplex(ops, max_degree, g_coinvariants=True)
+        DeRhamComplex(CoinvariantComplex(ops, max_degree)),
+        LambdaComplex(ops, max_degree, g_coinvariants=True),
     )
 
 
 def theorem_map(algebra, group, g, max_degree):
     """theorem_map_f on a g-twisted complex and a decomposition of their own."""
     return theorem_map_f(
-        HKBicomplex(algebra, group.action[g], max_degree),
+        HKBicomplex(TwistedOperators(algebra, group.action[g]), max_degree),
         conjugacy_decomposition(algebra, group, max_degree),
         g,
     )

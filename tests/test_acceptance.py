@@ -38,7 +38,7 @@ from thl.crossed import (
 )
 from thl.report import emit_machine
 from thl.sequences import sbi_sequence
-from thl.twisted import HKBicomplex, twisted_cyclic
+from thl.twisted import HKBicomplex, TwistedOperators, twisted_cyclic
 
 from fixtures_for_tests import coinvariant_complex, karoubi, theorem_map
 
@@ -143,11 +143,11 @@ def test_criterion_05_power_comparison():
 def test_criterion_06_u_complex_equivalence():
     # ground field, trivial twist
     cfg1 = _fx("ground-field")
-    hk = HKBicomplex(cfg1.algebra, AlgebraMap.identity(1), 4)
+    hk = HKBicomplex(TwistedOperators(cfg1.algebra, AlgebraMap.identity(1)), 4)
     rep1 = u_complex_equivalence(hk.mixed)
     # sign twist fixture: both the twisted pair and the crossed pair
     cfg2 = _fx("trunc-poly-z2")
-    hk2 = HKBicomplex(cfg2.algebra, cfg2.group.action[cfg2.twist_index()], 4)
+    hk2 = HKBicomplex(TwistedOperators(cfg2.algebra, cfg2.group.action[cfg2.twist_index()]), 4)
     rep2 = u_complex_equivalence(hk2.mixed)
     pc, _ = proposition_bicomplex(cfg2.algebra, cfg2.group, 4)
     rep3 = u_complex_equivalence(pc.mixed)

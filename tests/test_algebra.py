@@ -171,3 +171,76 @@ def test_group_table_validation():
     A = dual_numbers_algebra()
     with pytest.raises(ActionError):
         FiniteGroupAction(["e", "s"], [[0, 1], [1, 1]], [AlgebraMap.identity(2)] * 2)
+
+
+# -- validation messages -----------------------------------------------------
+
+def _broken(name, path, value):
+    """The fixture config name with the entry at path replaced by value."""
+    import copy
+
+    from thl.fixtures import fixture_config
+
+    data = copy.deepcopy(fixture_config(name))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+BROKEN = [
+    # x.x = 1/2 over a rational denominator: (x x) x2 = x2/2, x (x x2) = 0
+    (("trunc-cubic-z2", ("algebra", "mult", 1, 1), ["1/2", "0", "0"]),
+     "associativity fails on triple (x, x, x2)"),
+    (("trunc-cubic-z2", ("algebra", "mult", 1, 1), ["1", "0", "0"]),
+     "associativity fails on triple (x, x, x2)"),
+    (("trunc-cubic-z2", ("algebra", "unit_index"), 1), "unit law fails on basis vector 1"),
+    # s(x) = 2x, so s(x x) = x2 but s(x) s(x) = 4 x2
+    (("trunc-cubic-z2", ("group", "action", "s"), [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]),
+     "s: not multiplicative on (x, x)"),
+    (("trunc-cubic-z2", ("group", "action", "s"),
+      [["1", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"]]),
+     "s: not multiplicative on (x, x)"),
+]
+
+
+@pytest.mark.parametrize("broken, message", BROKEN)
+def test_validation_names_what_fails(broken, message, tmp_path, capsys):
+    """A config with a broken associativity triple, unit law or action is
+    refused with exit 2, and the message names the triple, the basis vector
+    or the element and pair, through the command line and the library."""
+    import json
+
+    from thl.cli import main
+    from thl.config import config_from_dict
+    from thl.errors import ValidationError
+
+    data = _broken(*broken)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"thl: {message}\n"
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_validate_algebra_and_action_name_the_failure():
+    A = Algebra(
+        3, ["1", "x", "x2"], {0: 1},
+        [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {0: Q(1, 2)}, {}], [{2: 1}, {}, {}]],
+    )
+    with pytest.raises(AlgebraError) as err:
+        validate_algebra(A)
+    assert str(err.value) == "associativity fails on triple (x, x, x2)"
+    C = Algebra(
+        3, ["1", "x", "x2"], {0: 1},
+        [[{0: 1}, {1: 1}, {2: 1}], [{1: 1}, {2: 1}, {}], [{2: 1}, {}, {}]],
+    )
+    validate_algebra(C)
+    half = AlgebraMap(QMatrix.from_dense([[1, 0, 0], [0, Q(1, 2), 0], [0, 0, 1]]))
+    group = FiniteGroupAction(["e", "s"], [[0, 1], [1, 0]], [AlgebraMap.identity(3), half])
+    with pytest.raises(ActionError) as err:
+        validate_action(C, group)
+    assert str(err.value) == "s: not multiplicative on (x, x)"

@@ -80,11 +80,13 @@ def test_machine_report_roundtrip():
 
 def test_all_builds_each_complex_once(monkeypatch):
     """One run of all builds the operator set and each complex once (the
-    Connes complex once for hc-lambda and Karoubi together), the twisted
-    complex once per group element it reads, and evaluates each operator
-    identity at most once per block (verify-identities and the deep check
-    of PropositionComplex read the same outcomes)."""
-    from thl import crossed, twisted
+    Connes complex once for hc-lambda and Karoubi together, the de Rham
+    complex once for hdr-G and Karoubi together), the twisted complex once
+    per group element it reads, each from that element's operators of the
+    shared operator set, and evaluates each operator identity at most once
+    per block (verify-identities and the deep check of PropositionComplex
+    read the same outcomes)."""
+    from thl import crossed, sequences, twisted
 
     builds = []
     evaluated = []
@@ -107,21 +109,30 @@ def test_all_builds_each_complex_once(monkeypatch):
 
     for cls in (crossed.GJOperators, crossed.CoinvariantComplex,
                 crossed.ConjugacyDecomposition, crossed.PropositionComplex,
-                crossed.LambdaComplex, twisted.HKBicomplex):
+                crossed.LambdaComplex, sequences.DeRhamComplex, twisted.HKBicomplex,
+                twisted.TwistedOperators):
         count(cls)
     for name in ("trunc-poly-z2", "triple-lines-z3"):
         builds.clear()
         evaluated.clear()
-        run("all", load_fixture(name))
+        cfg = load_fixture(name)
+        run("all", cfg)
         assert len(set(evaluated)) == len(evaluated), (name, len(evaluated))
         # the suite and both parts of the full boundary pair were evaluated
         assert {n for n, _, _ in evaluated} == set(crossed.IDENTITIES), name
         names = [cls for cls, _ in builds]
         for cls in ("GJOperators", "CoinvariantComplex", "ConjugacyDecomposition",
-                    "PropositionComplex", "LambdaComplex"):
+                    "PropositionComplex", "LambdaComplex", "DeRhamComplex"):
             assert names.count(cls) == 1, (name, cls, names.count(cls))
-        twists = [id(args[1]) for cls, args in builds if cls == "HKBicomplex"]
-        assert twists and len(set(twists)) == len(twists), (name, len(twists))
+        # at most one set of twisted operators per group element, each
+        # built for the shared operator set
+        elements = [id(args[1]) for cls, args in builds if cls == "TwistedOperators"]
+        assert len(set(elements)) == len(elements) <= cfg.group.order, (name, len(elements))
+        twists = [args[0] for cls, args in builds if cls == "HKBicomplex"]
+        assert twists and len({id(t) for t in twists}) == len(twists), (name, len(twists))
+        ops = next(args[0] for cls, args in builds if cls == "PropositionComplex")
+        for t in twists:
+            assert any(t is ops.element(h) for h in range(cfg.group.order)), name
 
 
 # SHA-256 of the machine report of `all --lambda-coinv off` on

@@ -14,7 +14,8 @@ from thl.complexes import (
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.rational import Q
 from thl.sparse import QMatrix, rank
-from thl.twisted import HKBicomplex, twisted_b
+from thl.quotient import quotient_by
+from thl.twisted import HKBicomplex, TwistedOperators, twisted_b
 
 
 def test_complex_rejects_bad_differential():
@@ -87,7 +88,7 @@ def test_total_complex_checks_dd():
 def test_hk_total_of_ground_field():
     """Bicomplex route for A = Q, trivial twist; total homology (1,0,1,0,...)."""
     alg = Algebra(1, ["1"], {0: 1}, [[{0: 1}]])
-    hk = HKBicomplex(alg, AlgebraMap.identity(1), 4)
+    hk = HKBicomplex(TwistedOperators(alg, AlgebraMap.identity(1)), 4)
     h = homology(hk.total().chain)
     assert h.dims == [1, 0, 1, 0, 1]
 
@@ -95,7 +96,7 @@ def test_hk_total_of_ground_field():
 def test_mixed_complex_homology_is_computed_once():
     """Repeated reads share one HomologyResult, so its ranks and bases."""
     alg = Algebra(1, ["1"], {0: 1}, [[{0: 1}]])
-    mixed = HKBicomplex(alg, AlgebraMap.identity(1), 3).mixed
+    mixed = HKBicomplex(TwistedOperators(alg, AlgebraMap.identity(1)), 3).mixed
     total = mixed.total_homology()
     column = mixed.column_homology()
     assert mixed.total_homology() is total
@@ -118,7 +119,7 @@ def test_quotient_mixed_complex_names_theory_and_degree():
     with pytest.raises(WellDefinednessError) as err:
         quotient_mixed_complex(
             1,
-            rels.get,
+            lambda n: quotient_by(rels[n].rows, rels[n]),
             lambda n: QMatrix.from_dense([[1], [1]]),
             lambda n: QMatrix.from_dense([[1, 0]]),
             "toy theory",
@@ -169,7 +170,7 @@ def test_homology_dims_invariant_under_basis_permutation():
     """Conjugating all differentials by permutations leaves dims alone."""
     alg = Algebra(2, ["1", "x"], {0: 1}, [[{0: 1}, {1: 1}], [{1: 1}, {}]])
     g = AlgebraMap(QMatrix.from_dense([[1, 0], [0, -1]]))
-    hk = HKBicomplex(alg, g, 3)
+    hk = HKBicomplex(TwistedOperators(alg, g), 3)
     chain = hk.total().chain
     base = homology(chain).dims
 

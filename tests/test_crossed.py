@@ -19,7 +19,7 @@ from thl.crossed import (
 )
 from thl.rational import Q
 from thl.sparse import QMatrix, rank
-from thl.twisted import HKBicomplex, twisted_cyclic
+from thl.twisted import HKBicomplex, TwistedOperators, twisted_cyclic
 
 from fixtures_for_tests import (
     dual_numbers_algebra,
@@ -419,10 +419,10 @@ def test_theorem_map_rejects_mismatched_twisted_complex():
     G = z2_group(A)
     deco = conjugacy_decomposition(A, G, 2)
     with pytest.raises(ValueError):
-        theorem_map_f(HKBicomplex(A, G.action[0], 2), deco, 1)
+        theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[0]), 2), deco, 1)
     with pytest.raises(ValueError):
-        theorem_map_f(HKBicomplex(A, G.action[1], 3), deco, 1)
-    assert theorem_map_f(HKBicomplex(A, G.action[1], 2), deco, 1).all_injective()
+        theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 3), deco, 1)
+    assert theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 2), deco, 1).all_injective()
 
 
 def test_theorem_map_fixture3():
@@ -482,7 +482,7 @@ def test_lambda_triple_lines_matches_oracle():
 
 def test_u_complex_ground_field():
     Aq = ground_field_algebra()
-    hk = HKBicomplex(Aq, AlgebraMap.identity(1), 4)
+    hk = HKBicomplex(TwistedOperators(Aq, AlgebraMap.identity(1)), 4)
     rep = u_complex_equivalence(hk.mixed)
     assert rep.equal
     assert rep.dims_u == [1, 0, 1, 0, 1]
@@ -507,7 +507,7 @@ def test_u_complex_zero_differentials():
 def test_u_complex_fixture2_through_degree4():
     A = dual_numbers_algebra()
     G = z2_group(A)
-    hk = HKBicomplex(A, sign_twist(A), 4)
+    hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 4)
     assert u_complex_equivalence(hk.mixed).equal
     pc, _ = proposition_bicomplex(A, G, 4)
     assert u_complex_equivalence(pc.mixed).equal

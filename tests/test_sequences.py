@@ -156,11 +156,11 @@ def test_homology_result_basis_invariant():
     """dims equal cycle rank minus boundary rank wherever bases exist."""
     from thl.complexes import homology
     from thl.sparse import rank
-    from thl.twisted import HKBicomplex
+    from thl.twisted import HKBicomplex, TwistedOperators
     from fixtures_for_tests import sign_twist
 
     A = dual_numbers_algebra()
-    hk = HKBicomplex(A, sign_twist(A), 3)
+    hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 3)
     h = homology(hk.total().chain)
     for n in range(h.valid_through + 1):
         cy = h.cycle_basis(n)
@@ -184,7 +184,7 @@ def test_karoubi_rejects_connes_complex_it_cannot_read():
     coinv = CoinvariantComplex(ops, 2)
     for connes in (LambdaComplex(ops, 2, g_coinvariants=False), LambdaComplex(ops, 3)):
         with pytest.raises(ValueError):
-            karoubi_sequence(coinv, connes)
+            karoubi_sequence(DeRhamComplex(coinv), connes)
 
 
 def test_karoubi_dual_numbers_trivial_group():
@@ -208,3 +208,60 @@ def test_karoubi_fixture2_low_degrees():
     assert by_degree[2].composite_zero
     assert not by_degree[2].middle_exact
     assert by_degree[2].hdr_dim == 0 and by_degree[2].middle_kernel == 1
+
+
+# -- the reduced de Rham complex ---------------------------------------------
+
+def _one_step_reduced(coinv):
+    """Presentations and d of the reduced de Rham complex, every degree
+    divided at once by all its relations, the unit class among those of
+    degree 0."""
+    from thl.quotient import descend_map, quotient_by
+
+    mixed, k = coinv.mixed, coinv.n_internal
+    d = [derham_d(coinv, n) for n in range(k)]
+    ab = []
+    for n in range(k + 1):
+        parts = []
+        if n < k:
+            parts += [mixed.b[n + 1] @ d[n], mixed.b[n + 1]]
+        if n >= 1:
+            parts.append(d[n - 1] @ mixed.b[n])
+        if n == 0:
+            basis = coinv.ops.basis(0, 0)
+            unit = basis.encode((coinv.group.identity_index,), (0,))
+            parts.append(coinv.pres[0].projection @ QMatrix.from_columns(basis.size, [{unit: 1}]))
+        rels = QMatrix.zero(mixed.dims[n], 0)
+        for part in parts:
+            rels = rels.hstack(part)
+        ab.append(quotient_by(mixed.dims[n], rels))
+    return ab, [descend_map(d[n], ab[n], ab[n + 1]) for n in range(k)]
+
+
+@pytest.mark.parametrize("name", ["ground-field", "trunc-poly-z2", "triple-lines-z3",
+                                  "triple-lines-s3", "trunc-cubic-z2", "half-lines-z2"])
+def test_reduced_derham_derived_from_the_plain_one(name):
+    """DeRhamComplex.reduced() divides degree 0 of the plain complex by the
+    unit class and descends d_0 again; every presentation and every d of
+    the result equals the complex divided by all its relations at once, and
+    the plain complex is left as it was."""
+    import os
+
+    from thl.config import load_config, load_fixture
+
+    if name == "half-lines-z2":
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json"))
+    else:
+        cfg = load_fixture(name)
+    plain = DeRhamComplex(coinvariant_complex(cfg.algebra, cfg.group, cfg.max_degree))
+    plain_ab, plain_d = list(plain.ab), list(plain.d_ab)
+    reduced = plain.reduced()
+    ab, d = _one_step_reduced(plain.coinv)
+
+    def fields(p):
+        return (p.ambient_dim, p.quotient_dim, p.relation_basis, p.projection, p.section,
+                p.pivot_rows, p.free_rows)
+
+    assert [fields(p) for p in reduced.ab] == [fields(p) for p in ab]
+    assert reduced.d_ab == d + [None]
+    assert plain.ab == plain_ab and plain.d_ab == plain_d

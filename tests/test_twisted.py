@@ -9,6 +9,7 @@ from thl.rational import Q
 from thl.sparse import QMatrix, image_basis, rank
 from thl.twisted import (
     HKBicomplex,
+    TwistedOperators,
     twist_matrix,
     twisted_B,
     twisted_b,
@@ -137,7 +138,7 @@ def test_twist_image_symmetry():
 def test_hk_quotient_dims_fixture2():
     """(A (x) Abar)/(1 - T) for the sign twist is spanned by x (x) x."""
     A = dual_numbers_algebra()
-    hk = HKBicomplex(A, sign_twist(A), 3)
+    hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 3)
     assert hk.presentations[1].quotient_dim == 1
     # the surviving coordinate is the (x, x) tensor, index 1 in the reduced basis
     assert hk.presentations[1].free_rows == [1]
@@ -145,7 +146,7 @@ def test_hk_quotient_dims_fixture2():
 
 def test_hk_ground_field_modules():
     Aq = ground_field_algebra()
-    hk = HKBicomplex(Aq, AlgebraMap.identity(1), 3)
+    hk = HKBicomplex(TwistedOperators(Aq, AlgebraMap.identity(1)), 3)
     assert [p.quotient_dim for p in hk.presentations] == [1, 0, 0, 0, 0]
 
 
