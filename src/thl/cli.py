@@ -10,7 +10,7 @@ import sys
 import time
 
 from .algebra import crossed_product, validate_action, validate_algebra
-from .config import COMMANDS, load_config, load_fixture
+from .config import load_config, load_fixture
 from .crossed import (
     CoinvariantComplex,
     ConjugacyDecomposition,
@@ -256,20 +256,22 @@ def _run_verify_karoubi(job, report):
         )
 
 
-_RUNNERS = {
-    "validate": [_run_validate],
-    "hc-twisted": [_run_hc_twisted],
-    "hc-crossed": [_run_hc_crossed],
-    "hc-coinv": [_run_hc_coinv],
-    "hc-lambda": [_run_hc_lambda],
-    "hh-G": [_run_hh_G],
-    "hdr-G": [_run_hdr_G],
-    "verify-identities": [_run_verify_identities],
-    "verify-theorem": [_run_verify_theorem],
-    "verify-lemma": [_run_verify_lemma],
-    "verify-sbi": [_run_verify_sbi],
-    "verify-karoubi": [_run_verify_karoubi],
+# command -> step, in the order ``all`` runs them
+STEPS = {
+    "validate": _run_validate,
+    "hc-twisted": _run_hc_twisted,
+    "hc-crossed": _run_hc_crossed,
+    "hc-coinv": _run_hc_coinv,
+    "hc-lambda": _run_hc_lambda,
+    "hh-G": _run_hh_G,
+    "hdr-G": _run_hdr_G,
+    "verify-identities": _run_verify_identities,
+    "verify-theorem": _run_verify_theorem,
+    "verify-lemma": _run_verify_lemma,
+    "verify-sbi": _run_verify_sbi,
+    "verify-karoubi": _run_verify_karoubi,
 }
+COMMANDS = (*STEPS, "all")
 
 
 def run(command, cfg):
@@ -279,32 +281,17 @@ def run(command, cfg):
     report = Report(cfg.name, command, _params(cfg, command))
     t0 = time.monotonic()
     job = _Job(cfg)
-    if command == "all":
-        steps = [
-            _run_validate,
-            _run_hc_twisted if cfg.twist is not None else None,
-            _run_hc_crossed,
-            _run_hc_coinv,
-            _run_hc_lambda,
-            _run_hh_G,
-            _run_hdr_G,
-            _run_verify_identities,
-            _run_verify_theorem,
-            _run_verify_lemma,
-            _run_verify_sbi,
-            _run_verify_karoubi,
-        ]
-        if cfg.twist is None:
-            report.add_skip("hc-twisted", "no twist element configured")
-        for step in steps:
-            if step is not None:
-                step(job, report)
+    if command != "all":
+        steps = [command]
+    elif cfg.twist is None:
+        report.add_skip("hc-twisted", "no twist element configured")
+        steps = [name for name in STEPS if name != "hc-twisted"]
     else:
-        for step in _RUNNERS[command]:
-            step(job, report)
+        steps = list(STEPS)
+    for name in steps:
+        STEPS[name](job, report)
     report.timing_seconds = time.monotonic() - t0
     return report
-
 
 
 def main(argv=None):

@@ -213,7 +213,7 @@ class MixedComplex:
     and bases taken through one reader serve every other.
     """
 
-    def __init__(self, dims, b, B, presentations=None, label="", check=True):
+    def __init__(self, dims, b, B, presentations=None, label=""):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.b = list(b)
@@ -222,8 +222,7 @@ class MixedComplex:
         self.label = label
         self._total_h = None
         self._column_h = None
-        if check:
-            self._check_identities()
+        self._check_identities()
 
     def _check_identities(self):
         lbl = self.label or "mixed complex"
@@ -342,21 +341,30 @@ def check_chain_map(f_per_degree, src, dst, top):
             raise ChainMapError(f"chain map fails to commute at degree {n}")
 
 
-def induced_on_homology(f_per_degree, src_h, dst_h, check=True):
+def check_mixed_map(f, src, dst, what):
+    """Exact check that the maps f[n]: src C_n -> dst C_n, for n up to
+    len(f) - 1, commute with b and with B; raises ChainMapError naming what,
+    the operator and the first failing degree (b before B)."""
+    top = len(f) - 1
+    for n in range(1, top + 1):
+        if dst.b[n] @ f[n] != f[n - 1] @ src.b[n]:
+            raise ChainMapError(f"{what} fails b at degree {n}")
+    for n in range(top):
+        if dst.B[n] @ f[n] != f[n + 1] @ src.B[n]:
+            raise ChainMapError(f"{what} fails B at degree {n}")
+
+
+def induced_on_homology(f_per_degree, src_h, dst_h):
     """Matrices of the induced map on homology, degree by degree.
 
-    f_per_degree[n] maps src C_n to dst C_n.  The chain map property is
-    checked exactly unless check=False (use only when already verified).
+    f_per_degree[n] maps src C_n to dst C_n; the chain map property is
+    checked exactly first.
     """
     src, dst = src_h.complex, dst_h.complex
-    top = min(src.top, dst.top)
-    if check:
-        check_chain_map(f_per_degree, src, dst, top)
+    check_chain_map(f_per_degree, src, dst, min(src.top, dst.top))
     out = {}
     for n in range(min(src_h.valid_through, dst_h.valid_through) + 1):
         reps, _ = src_h.representatives(n)
         images = f_per_degree[n] @ reps
         out[n] = dst_h.class_coordinates(n, images)
     return out
-
-

@@ -11,23 +11,6 @@ from .fixtures import fixture_config
 from .rational import parse_q
 from .sparse import QMatrix
 
-COMMANDS = (
-    "validate",
-    "hc-twisted",
-    "hc-crossed",
-    "hc-coinv",
-    "hc-lambda",
-    "hh-G",
-    "hdr-G",
-    "verify-identities",
-    "verify-theorem",
-    "verify-lemma",
-    "verify-sbi",
-    "verify-karoubi",
-    "all",
-)
-
-
 class JobConfig:
     """Validated algebra + group action + task parameters."""
 
@@ -136,6 +119,11 @@ def config_from_dict(data, name=None):
     for i, name_g in enumerate(elements):
         if not isinstance(name_g, str):
             raise ParseError(f"group.elements[{i}] must be a name string, got {name_g!r}")
+        if name_g in elements[:i]:
+            raise ParseError(
+                f"group.elements[{i}] repeats the name {name_g!r} of "
+                f"group.elements[{elements.index(name_g)}]"
+            )
     r = len(elements)
     if r < 1:
         raise ParseError("group must have at least one element")
@@ -161,6 +149,11 @@ def config_from_dict(data, name=None):
         validate_action(algebra, group)
     except (AlgebraError, ActionError) as exc:
         raise ValidationError(str(exc))
+    if unit_index != 0:
+        raise ValidationError(
+            f"algebra.unit_index must be 0, got {unit_index}: the reduced tensor "
+            "slots need the unit to be basis vector 0"
+        )
 
     task = _object(data.get("task", {}), "task")
     max_degree = task.get("max_degree", 3)

@@ -31,8 +31,9 @@ of those elements' twists.  The quotients by the group and by a
 centralizer take their relations from a generating set of it.
 """
 
+from types import SimpleNamespace
+
 from .algebra import (
-    algebra_tensor_basis,
     conjugacy_data,
     generators,
     integer_images,
@@ -41,12 +42,13 @@ from .algebra import (
 )
 from .complexes import (
     ChainComplexQ,
+    check_mixed_map,
     homology,
     induced_on_homology,
     quotient_mixed_complex,
 )
-from .errors import ChainMapError, ComplexError
-from .quotient import coinvariant_relations, descend_map, quotient_by, QuotientPresentation
+from .errors import ComplexError
+from .quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
 from .sparse import QMatrix, block_diag, block_matrix, rank
 from .twisted import TwistedOperators
 
@@ -334,22 +336,6 @@ def full_pair_check(ops, bound):
 # quotient pipelines
 # ---------------------------------------------------------------------
 
-def _sum_presentation(parts):
-    """Block-diagonal direct sum of quotient presentations."""
-    ambient = sum(p.ambient_dim for p in parts)
-    relation = block_diag([p.relation_basis for p in parts])
-    projection = block_diag([p.projection for p in parts])
-    section = block_diag([p.section for p in parts])
-    pivot_rows = []
-    free_rows = []
-    off = 0
-    for p in parts:
-        pivot_rows.extend(off + r for r in p.pivot_rows)
-        free_rows.extend(off + r for r in p.free_rows)
-        off += p.ambient_dim
-    return QuotientPresentation(ambient, relation, projection, section, pivot_rows, free_rows)
-
-
 class PropositionComplex:
     """The quotient bicomplex of the crossed-product theory.
 
@@ -376,7 +362,7 @@ class PropositionComplex:
             return [ops.basis(p, n - p).size for p in range(n + 1)]
 
         def presentation(n):
-            return _sum_presentation(
+            return direct_sum(
                 [pres for p in range(n + 1) for pres in ops.presentations(p, n - p)]
             )
 
@@ -437,7 +423,6 @@ class CoinvariantComplex:
         self.mixed = quotient_mixed_complex(
             k, presentation, lambda n: ops.b(0, n), lambda n: ops.B(0, n), "coinvariant bicomplex"
         )
-        self.pres = self.mixed.presentations
 
 
 def hcG_bicomplex(algebra, group, max_degree):
@@ -445,7 +430,7 @@ def hcG_bicomplex(algebra, group, max_degree):
     (k[G] (x) A (x) Abar^n) / (1 - T)."""
     ops = GJOperators(algebra, group)
     mixed = quotient_mixed_complex(
-        max_degree + 1, lambda n: _sum_presentation(ops.presentations(0, n)),
+        max_degree + 1, lambda n: direct_sum(ops.presentations(0, n)),
         lambda n: ops.b(0, n), lambda n: ops.B(0, n),
         "group-extended twisted bicomplex",
     )
@@ -492,7 +477,6 @@ class StalkComplex:
             lambda n: ops.alg_B(sigma, n),
             f"stalk over class of element {rep}",
         )
-        self.pres = self.mixed.presentations
 
 
 class ConjugacyDecomposition:
@@ -524,47 +508,42 @@ class ConjugacyDecomposition:
         self.split = self._build_splitting()
         self._verify_chain_iso()
 
-    def _sum_pres(self, n):
-        return _sum_presentation([st.pres[n] for st in self.stalks])
-
     def _build_splitting(self):
         """Per degree: coinvariant quotient -> direct sum of stalk quotients."""
         ops = self.coinv.ops
         split = []
         for n in range(self.n_internal + 1):
+            stalks = [st.mixed.presentations[n] for st in self.stalks]
             # stalk h goes to the stalk of its class through u_h
             ambient = block_matrix(
                 {(self.conj.class_of[h], h): ops.alg_twist(self.conjugator[h], n)
                  for h in range(self.group.order)},
-                [st.pres[n].ambient_dim for st in self.stalks],
+                [pres.ambient_dim for pres in stalks],
                 [ops.basis(0, n).asize] * self.group.order,
             )
             split.append(
                 descend_map(
-                    ambient, self.coinv.pres[n], self._sum_pres(n),
+                    ambient, self.coinv.mixed.presentations[n], direct_sum(stalks),
                     what=f"class splitting at degree {n}",
                 )
             )
         return split
 
     def _verify_chain_iso(self):
-        for n in range(self.n_internal + 1):
+        k = self.n_internal
+        for n in range(k + 1):
             v = self.split[n]
             if v.rows != v.cols or rank(v) != v.rows:
                 raise ComplexError(
                     "class splitting is not an isomorphism", location=f"degree {n}"
                 )
-        # chain map against b and B, blockwise over stalks
-        for n in range(1, self.n_internal + 1):
-            lhs = block_diag([st.mixed.b[n] for st in self.stalks]) @ self.split[n]
-            rhs = self.split[n - 1] @ self.coinv.mixed.b[n]
-            if lhs != rhs:
-                raise ChainMapError(f"class splitting fails b at degree {n}")
-        for n in range(self.n_internal):
-            lhs = block_diag([st.mixed.B[n] for st in self.stalks]) @ self.split[n]
-            rhs = self.split[n + 1] @ self.coinv.mixed.B[n]
-            if lhs != rhs:
-                raise ChainMapError(f"class splitting fails B at degree {n}")
+        # chain map into the direct sum of the stalks, whose b and B are blockwise
+        stalks = [st.mixed for st in self.stalks]
+        stalk_sum = SimpleNamespace(
+            b=[None] + [block_diag([m.b[n] for m in stalks]) for n in range(1, k + 1)],
+            B=[block_diag([m.B[n] for m in stalks]) for n in range(k)],
+        )
+        check_mixed_map(self.split, self.coinv.mixed, stalk_sum, "class splitting")
 
     def stalk_homologies(self):
         return [st.mixed.total_homology() for st in self.stalks]
@@ -612,25 +591,18 @@ def theorem_map_f(hk, deco, g):
     # ambient embedding m -> (g^{-1} | m), descended through both quotients
     f_mixed = []
     for n in range(k + 1):
-        amb = tensor_operator(
-            algebra_tensor_basis(coinv.algebra, n + 1), coinv.ops.basis(0, n),
-            lambda _, a: [(1, (ginv,), a)],
-        )
-        f_mixed.append(
-            descend_map(amb, hk.presentations[n], coinv.pres[n], what=f"theorem map at degree {n}")
-        )
-    # chain map against b and B on the mixed complexes
-    for n in range(1, k + 1):
-        if coinv.mixed.b[n] @ f_mixed[n] != f_mixed[n - 1] @ hk.mixed.b[n]:
-            raise ChainMapError(f"theorem map fails b at degree {n}")
-    for n in range(k):
-        if coinv.mixed.B[n] @ f_mixed[n] != f_mixed[n + 1] @ hk.mixed.B[n]:
-            raise ChainMapError(f"theorem map fails B at degree {n}")
+        basis = coinv.ops.basis(0, n)
+        amb = QMatrix.identity(basis.asize).shift_rows(ginv * basis.asize, basis.size)
+        f_mixed.append(descend_map(
+            amb, hk.mixed.presentations[n], coinv.mixed.presentations[n],
+            what=f"theorem map at degree {n}",
+        ))
+    check_mixed_map(f_mixed, hk.mixed, coinv.mixed, "theorem map")
 
     f_tot = _total_map(f_mixed)
     srcH = hk.mixed.total_homology()
     dstH = coinv.mixed.total_homology()
-    induced = induced_on_homology(f_tot, srcH, dstH, check=True)
+    induced = induced_on_homology(f_tot, srcH, dstH)
 
     # composite into the distinguished stalk summand, assembled at the
     # mixed level where the stalk block is contiguous
@@ -638,10 +610,10 @@ def theorem_map_f(hk, deco, g):
     comp_mixed = []
     for n in range(k + 1):
         whole = deco.split[n] @ f_mixed[n]
-        pick_off = sum(st.pres[n].quotient_dim for st in deco.stalks[:cls])
-        pick_dim = deco.stalks[cls].pres[n].quotient_dim
+        pick_off = sum(st.mixed.dims[n] for st in deco.stalks[:cls])
+        pick_dim = deco.stalks[cls].mixed.dims[n]
         comp_mixed.append(whole.shift_rows(-pick_off, pick_dim))
-    stalk_induced = induced_on_homology(_total_map(comp_mixed), srcH, stalkH, check=True)
+    stalk_induced = induced_on_homology(_total_map(comp_mixed), srcH, stalkH)
 
     degrees = []
     for n in range(max_degree + 1):
@@ -726,7 +698,6 @@ class LambdaComplex:
             self.n_internal, presentation, lambda n: ops.b(0, n, reduced=False),
             None, "group-indexed Connes complex",
         )
-        self.pres = self.mixed.presentations
 
     def homology(self):
         return self.mixed.column_homology()

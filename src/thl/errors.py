@@ -21,8 +21,9 @@ class ReducedBasisError(ThlError):
     """A reduced (normalized) slot was requested but the unit is not basis vector 0."""
 
 
-class WellDefinednessError(ThlError):
-    """An operator does not descend to the requested quotient."""
+class LocatedError(ThlError):
+    """An error at a place in a complex: the message names the location
+    and the offending basis tensor when they are given."""
 
     def __init__(self, msg, location=None, basis_label=None):
         if location is not None:
@@ -32,23 +33,18 @@ class WellDefinednessError(ThlError):
         super().__init__(msg)
         self.location = location
         self.basis_label = basis_label
+
+
+class WellDefinednessError(LocatedError):
+    """An operator does not descend to the requested quotient."""
 
 
 class ChainMapError(ThlError):
     """A candidate chain map fails to commute with the differentials."""
 
 
-class ComplexError(ThlError):
+class ComplexError(LocatedError):
     """d . d != 0, or a bicomplex identity fails on the truncation."""
-
-    def __init__(self, msg, location=None, basis_label=None):
-        if location is not None:
-            msg = f"{msg} [at {location}]"
-        if basis_label is not None:
-            msg = f"{msg} [offending basis tensor {basis_label}]"
-        super().__init__(msg)
-        self.location = location
-        self.basis_label = basis_label
 
 
 class ParseError(ThlError):

@@ -1,48 +1,64 @@
 """Quotient presentations of free Q-modules and maps induced on quotients.
 
 A quotient V/W is presented by the canonical reduced column echelon form
-of the relation matrix whose columns span W.  The complement spanned by
-the non-pivot coordinates serves as the quotient's coordinate space, which
-makes ``projection . section = id`` hold by construction and keeps every
+of the relation matrix whose columns span W.  The non-pivot (free)
+coordinates serve as the quotient's coordinate space, which makes
+``projection . section = id`` hold by construction and keeps every
 presentation deterministic.
+
+A presentation stores only what it cannot derive: the relation basis, the
+pivot and free rows, and the projection when there are pivot rows.  The
+section, which only selects the free rows, and the identity projection of
+an empty relation span are built when read; ``descend_map`` needs
+neither.  This module is the only one that builds presentations:
+``quotient_by`` from relations, ``trivial_quotient`` for none,
+``compose_quotients`` for a quotient of a quotient, and ``direct_sum``
+for a block-diagonal sum.
 """
 
 from math import lcm
 
 from .errors import WellDefinednessError
-from .sparse import QMatrix, echelon, over_pivots
+from .sparse import QMatrix, block_diag, echelon, over_pivots
 
 
 class QuotientPresentation:
-    """V/W with explicit projection and section matrices.
+    """V/W: the canonical basis of W and the split of the coordinates of V.
 
-    Attributes:
+    Stored:
         ambient_dim: dim V
-        quotient_dim: dim V/W
-        relation_basis: canonical basis of W (columns)
-        projection: (quotient_dim x ambient_dim), kills W
-        section: (ambient_dim x quotient_dim), projection @ section = id
+        relation_basis: canonical basis of W (columns), reduced echelon
         pivot_rows / free_rows: ambient coordinates eliminated / kept
+    Derived when read:
+        quotient_dim: dim V/W, the number of free rows
+        projection: (quotient_dim x ambient_dim), kills W; stored only when
+            there are pivot rows, the identity otherwise
+        section: (ambient_dim x quotient_dim), the free-row selector, so
+            projection @ section = id
     """
 
-    __slots__ = (
-        "ambient_dim",
-        "quotient_dim",
-        "relation_basis",
-        "projection",
-        "section",
-        "pivot_rows",
-        "free_rows",
-    )
+    __slots__ = ("ambient_dim", "relation_basis", "pivot_rows", "free_rows", "_projection")
 
-    def __init__(self, ambient_dim, relation_basis, projection, section, pivot_rows, free_rows):
+    def __init__(self, ambient_dim, relation_basis, pivot_rows, free_rows, projection=None):
         self.ambient_dim = ambient_dim
-        self.quotient_dim = len(free_rows)
         self.relation_basis = relation_basis
-        self.projection = projection
-        self.section = section
-        self.pivot_rows = pivot_rows
+        self.pivot_rows = list(pivot_rows)
         self.free_rows = free_rows
+        self._projection = projection
+
+    @property
+    def quotient_dim(self):
+        return len(self.free_rows)
+
+    @property
+    def projection(self):
+        if self._projection is None:
+            return QMatrix.identity(self.ambient_dim)
+        return self._projection
+
+    @property
+    def section(self):
+        return QMatrix.from_integers(self.ambient_dim, [{r: 1} for r in self.free_rows])
 
     def __repr__(self):
         return f"QuotientPresentation({self.ambient_dim} -> {self.quotient_dim})"
@@ -73,11 +89,12 @@ def _echelon_presentation(ambient_dim, relations):
         proj_cols[j] = {free_pos[i]: -s * v for i, v in r.items() if i in free_pos}
     if den != 1:
         ech = [{i: s * v for i, v in r.items()} for r, s in zip(ech, scales)]
-    return _presentation(
+    return QuotientPresentation(
+        ambient_dim,
         QMatrix.from_integers(ambient_dim, ech, den),
-        QMatrix.from_integers(len(free_rows), proj_cols, den),
         pivot_rows,
         free_rows,
+        QMatrix.from_integers(len(free_rows), proj_cols, den),
     )
 
 
@@ -93,37 +110,55 @@ def compose_quotients(first, second):
     """
     if second.ambient_dim != first.quotient_dim:
         raise ValueError("second presentation does not divide the first's quotient")
-    projection = second.projection @ first.projection
+    # a presentation with no relations adds none, and both are canonical
+    if not first.pivot_rows:
+        return second
+    if not second.pivot_rows:
+        return first
     free_rows = [first.free_rows[k] for k in second.free_rows]
     kept = set(free_rows)
     pivot_rows = [r for r in range(first.ambient_dim) if r not in kept]
+    projection = second.projection @ first.projection
     den = projection.den
     relation_cols = [
         {r: den, **{free_rows[k]: -v for k, v in projection._cols[r].items()}}
         for r in pivot_rows
     ]
-    return _presentation(
+    return QuotientPresentation(
+        first.ambient_dim,
         QMatrix.from_integers(first.ambient_dim, relation_cols, den),
-        projection,
         pivot_rows,
         free_rows,
+        projection,
     )
 
 
-def _presentation(relation_basis, projection, pivot_rows, free_rows):
-    """The presentation with these parts; its section picks the free rows."""
-    ambient_dim = projection.cols
-    section = QMatrix.from_integers(ambient_dim, [{r: 1} for r in free_rows])
+def direct_sum(parts):
+    """The block-diagonal direct sum of presentations, in order.
+
+    Equal to quotient_by of the block-diagonal relations: the reduced
+    echelon form of a direct sum is the direct sum of the echelon forms.
+    """
+    pivot_rows = []
+    free_rows = []
+    off = 0
+    for p in parts:
+        pivot_rows.extend(off + r for r in p.pivot_rows)
+        free_rows.extend(off + r for r in p.free_rows)
+        off += p.ambient_dim
     return QuotientPresentation(
-        ambient_dim, relation_basis, projection, section, list(pivot_rows), free_rows
+        off,
+        block_diag([p.relation_basis for p in parts]),
+        pivot_rows,
+        free_rows,
+        block_diag([p.projection for p in parts]) if pivot_rows else None,
     )
 
 
 def trivial_quotient(ambient_dim):
     """The identity presentation (no relations)."""
-    identity = QMatrix.identity(ambient_dim)
     return QuotientPresentation(
-        ambient_dim, QMatrix.zero(ambient_dim, 0), identity, identity, [], list(range(ambient_dim))
+        ambient_dim, QMatrix.zero(ambient_dim, 0), [], list(range(ambient_dim))
     )
 
 

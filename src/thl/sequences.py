@@ -7,8 +7,6 @@ zero matrix AND rank(incoming) = dim kernel(outgoing) -- both over Q with
 no tolerance.
 """
 
-import functools
-
 from .algebra import tensor_index, tensor_operator
 from .complexes import ChainComplexQ, divide_mixed_complex, homology
 from .crossed import CoinvariantComplex, GJOperators
@@ -181,8 +179,9 @@ def derham_d(coinv, n):
     """The unit-insertion differential from degree n to n + 1 of the
     coinvariant complex coinv, before abelianization; the descent through
     the orbit quotient is checked exactly."""
+    pres = coinv.mixed.presentations
     return descend_map(
-        derham_d_ambient(coinv.algebra, coinv.group, n), coinv.pres[n], coinv.pres[n + 1],
+        derham_d_ambient(coinv.algebra, coinv.group, n), pres[n], pres[n + 1],
         what=f"derham d_{n}",
     )
 
@@ -190,8 +189,9 @@ def derham_d(coinv, n):
 class DeRhamComplex:
     """Abelianized coinvariant modules with the unit-insertion differential.
 
-    Degree n carries (k[G] (x) A (x) Abar^n)/G divided by
-    im(bd + db) + im(b); the differential d raises degree by one.
+    Degree n carries (k[G] (x) A (x) Abar^n)/G divided by im(d b) + im(b),
+    and the top degree of the truncation by im(d b) only (im(b d) lies in
+    im(b), so it is not stacked); the differential d raises degree by one.
     ``reduced()`` gives the complex with the degree-0 class of the
     unit-stalk tensor (e | 1) divided out too (the ground field's
     contribution).
@@ -204,17 +204,13 @@ class DeRhamComplex:
         mixed = coinv.mixed
         # d descended to the coinvariant quotient
         self.d_coinv = d_coinv = [derham_d(coinv, n) for n in range(k)] + [None]
-        # abelianization: quotient by im(bd + db) + im(b)
+        # abelianization: quotient by im(d b) + im(b), by im(d b) alone in
+        # the top degree; im(b d) lies in im(b), so it adds nothing
         self.ab = []
         for n in range(k + 1):
-            rels_parts = []
+            rels = d_coinv[n - 1] @ mixed.b[n] if n >= 1 else QMatrix.zero(mixed.dims[0], 0)
             if n < k:
-                rels_parts.append(mixed.b[n + 1] @ d_coinv[n])
-            if n >= 1:
-                rels_parts.append(d_coinv[n - 1] @ mixed.b[n])
-            if n < k:
-                rels_parts.append(mixed.b[n + 1])
-            rels = functools.reduce(QMatrix.hstack, rels_parts, QMatrix.zero(mixed.dims[n], 0))
+                rels = rels.hstack(mixed.b[n + 1])
             self.ab.append(quotient_by(mixed.dims[n], rels))
         self.d_ab = [self._descend_d(n) for n in range(k)] + [None]
         self._check_dd(range(k - 1))
@@ -236,7 +232,7 @@ class DeRhamComplex:
         coinv = self.coinv
         unit = coinv.ops.basis(0, 0).encode((coinv.group.identity_index,), (0,))
         ab0 = self.ab[0]
-        unit_class = ab0.projection @ coinv.pres[0].projection.select_columns([unit])
+        unit_class = ab0.projection @ coinv.mixed.presentations[0].projection.select_columns([unit])
         # a shallow copy: only degree 0 and d_0 are replaced
         out = object.__new__(DeRhamComplex)
         out.__dict__.update(self.__dict__)
@@ -278,14 +274,8 @@ class ReversedHomology:
     def representatives(self, n):
         return self.inner.representatives(self.top - n)
 
-    def class_coordinates(self, n, vectors):
-        return self.inner.class_coordinates(self.top - n, vectors)
-
     def boundary_basis(self, n):
         return self.inner.boundary_basis(self.top - n)
-
-    def cycle_basis(self, n):
-        return self.inner.cycle_basis(self.top - n)
 
 
 def derham_homology(algebra, group, max_degree, reduced=False):
@@ -355,7 +345,7 @@ def _unit_reduced(connes):
 
     def unit_class(n):
         unit = ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
-        return connes.pres[n].projection.select_columns([unit])
+        return connes.mixed.presentations[n].projection.select_columns([unit])
 
     return divide_mixed_complex(
         connes.mixed, unit_class, "unit-reduced group-indexed Connes complex"
@@ -423,7 +413,7 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
     # abelianized coordinates -> lambda coordinates, through the reduced
     # module's inclusion into the full one
     to_lambda = lam.presentations[n].projection @ (
-        _reduced_to_full_section(cx.ops, n) @ cx.pres[n].section
+        _reduced_to_full_section(cx.ops, n).select_columns(cx.mixed.presentations[n].free_rows)
     )
     rel = dr.ab[n].relation_basis
     if n >= 1:
@@ -466,8 +456,10 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
             raise ChainMapError("left map boundaries: a boundary maps to a nonzero class")
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
-    raw_right = cx.pres[n + 1].projection @ _stalkwise_B_full_to_reduced(cx.ops, n)
-    right_chain = raw_right @ lam.presentations[n].section
+    raw_right = (
+        cx.mixed.presentations[n + 1].projection @ _stalkwise_B_full_to_reduced(cx.ops, n)
+    )
+    right_chain = raw_right.select_columns(lam.presentations[n].free_rows)
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps
     resid = cx.mixed.b[n + 1] @ rimages

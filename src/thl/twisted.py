@@ -152,7 +152,6 @@ class HKBicomplex:
         self.mixed = quotient_mixed_complex(
             self.n_internal, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )
-        self.presentations = self.mixed.presentations
 
     def total(self):
         return self.mixed.total(self.n_internal)

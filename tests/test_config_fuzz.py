@@ -1,0 +1,195 @@
+"""Fuzzing of config ingestion: a mutated fixture either loads into a
+config that the library runs, or is refused with a ParseError or a
+ValidationError whose message names what is wrong.  Any other exception
+is a crash."""
+
+import copy
+import json
+import os
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from thl import cli
+from thl.config import config_from_dict
+from thl.errors import ParseError, ValidationError
+from thl.fixtures import fixture_config, fixture_names
+
+HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
+
+
+def _base(name):
+    if name == "half-lines-z2":
+        with open(HALF_LINES, encoding="utf-8") as fh:
+            return json.load(fh)
+    return copy.deepcopy(fixture_config(name))
+
+
+# a refusal names a config field, or the basis tensor, triple, element or
+# pair on which validation failed
+NAMED = re.compile(
+    r"top level|algebra|group|task|basis vector|triple|element|homomorphism"
+    r"|: (not multiplicative|does not fix the unit|matrix is singular)"
+)
+
+BAD_RATIONALS = ["1/0", "x", "", " ", "1//2", "1/2/3", "--1", 1, 0.5, None, True, [], {}]
+WRONG_TYPES = [None, True, False, 3, -1, 0.5, "x", [], [1], {}, {"a": 1}]
+
+
+def _at(data, path):
+    """The node at path, or None when an earlier mutation removed it."""
+    for key in path:
+        try:
+            data = data[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return data
+
+
+def _set(data, path, value):
+    parent = _at(data, path[:-1])
+    try:
+        parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def _swap_unit(data, k):
+    """The same algebra with basis vectors 0 and k exchanged, so that the
+    unit is basis vector k."""
+    alg, d = data["algebra"], data["algebra"]["dim"]
+    p = list(range(d))
+    p[0], p[k] = k, 0
+    alg["basis"] = [alg["basis"][p[i]] for i in range(d)]
+    alg["mult"] = [
+        [[alg["mult"][p[i]][p[j]][p[c]] for c in range(d)] for j in range(d)] for i in range(d)
+    ]
+    alg["unit_index"] = k
+    action = data["group"]["action"]
+    for name, rows in action.items():
+        action[name] = [[rows[p[i]][p[j]] for j in range(d)] for i in range(d)]
+
+
+def _tables(data):
+    """Paths of every list in the config that has a fixed length."""
+    alg, grp = data["algebra"], data["group"]
+    d, r = alg["dim"], len(grp["elements"])
+    paths = [("algebra", "mult"), ("group", "table"), ("group", "elements"), ("algebra", "basis")]
+    paths += [("algebra", "mult", i) for i in range(d)]
+    paths += [("algebra", "mult", i, j) for i in range(d) for j in range(d)]
+    paths += [("group", "table", x) for x in range(r)]
+    for name in grp["action"]:
+        paths.append(("group", "action", name))
+        paths += [("group", "action", name, i) for i in range(d)]
+    return paths
+
+
+def _rationals(data):
+    """Paths of every rational entry in the config."""
+    d = data["algebra"]["dim"]
+    cells = [("algebra", "mult", i, j, c) for i in range(d) for j in range(d) for c in range(d)]
+    for name in data["group"]["action"]:
+        cells += [("group", "action", name, i, j) for i in range(d) for j in range(d)]
+    return cells
+
+
+FIELDS = [
+    (), ("name",), ("algebra",), ("algebra", "dim"), ("algebra", "basis"),
+    ("algebra", "unit_index"), ("algebra", "mult"), ("group",), ("group", "elements"),
+    ("group", "table"), ("group", "action"), ("task",), ("task", "max_degree"),
+    ("task", "twist"), ("task", "lambda_coinvariants"), ("task", "format"),
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    name = draw(st.sampled_from([*fixture_names(), "half-lines-z2"]))
+    data = _base(name)
+    data["task"]["max_degree"] = draw(st.integers(0, 1))
+    d, elements = data["algebra"]["dim"], data["group"]["elements"]
+    if d > 1 and draw(st.booleans()):
+        _swap_unit(data, draw(st.integers(1, d - 1)))
+    # the paths are taken before any mutation; a later mutation may find
+    # its node gone, and then does nothing
+    tables, rationals = _tables(data), _rationals(data)
+    for kind in draw(st.lists(st.sampled_from(
+        ["rational", "ragged", "type", "action", "names", "unit", "none"]
+    ), min_size=1, max_size=2)):
+        if kind == "rational":
+            _set(data, draw(st.sampled_from(rationals)), draw(st.sampled_from(BAD_RATIONALS)))
+        elif kind == "ragged":
+            node = _at(data, draw(st.sampled_from(tables)))
+            if isinstance(node, list) and node:
+                if draw(st.booleans()):
+                    node.pop()
+                else:
+                    node.append(copy.deepcopy(node[-1]))
+        elif kind == "type":
+            path = draw(st.sampled_from(FIELDS))
+            value = draw(st.sampled_from(WRONG_TYPES))
+            if path:
+                _set(data, path, value)
+            else:
+                data = value
+        elif kind == "action":
+            # another element's matrix, or one entry doubled
+            action = _at(data, ("group", "action"))
+            if isinstance(action, dict) and len(elements) > 1:
+                x, y = draw(st.permutations(elements))[:2]
+                if draw(st.booleans()):
+                    action[x] = copy.deepcopy(action.get(y))
+                else:
+                    cell = (x, draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)))
+                    old = _at(action, cell)
+                    if isinstance(old, str):
+                        _set(action, cell, f"2*{old}" if draw(st.booleans()) else f"{old}0")
+        elif kind == "names":
+            if len(elements) > 1:
+                i, j = draw(st.permutations(range(len(elements))))[:2]
+                _set(data, ("group", "elements", i), elements[j])
+        elif kind == "unit":
+            _set(data, ("algebra", "unit_index"), draw(st.integers(-1, d)))
+    return data
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_configs())
+def test_mutated_configs_load_and_run_or_are_refused_by_field(data):
+    try:
+        cfg = config_from_dict(data)
+    except (ParseError, ValidationError) as exc:
+        assert NAMED.search(str(exc)), str(exc)
+        return
+    names = cfg.group.element_names
+    assert [cfg.group.index_of(n) for n in names] == list(range(cfg.group.order))
+    assert cli.run("validate", cfg).ok
+    # a config that loads runs a homology command too (kept small)
+    cfg.max_degree = min(cfg.max_degree, 1)
+    cli.run("hc-coinv", cfg)
+
+
+def test_repeated_element_name_is_refused():
+    data = _base("trunc-poly-z2")
+    data["group"]["elements"] = ["e", "e"]
+    with pytest.raises(ParseError) as err:
+        config_from_dict(data)
+    assert str(err.value) == "group.elements[1] repeats the name 'e' of group.elements[0]"
+
+
+def test_unit_not_at_index_zero_is_refused(tmp_path, capsys):
+    """The unit relabelled to basis vector 1 is a valid algebra, but the
+    reduced tensor modules need it at 0: refused at load time, exit 2."""
+    data = _base("trunc-cubic-z2")
+    _swap_unit(data, 1)
+    message = (
+        "algebra.unit_index must be 0, got 1: the reduced tensor slots need "
+        "the unit to be basis vector 0"
+    )
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(data)
+    assert str(err.value) == message
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["hc-coinv", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"thl: {message}\n"

@@ -340,6 +340,39 @@ def test_wrong_twist_direction_breaks_class_splitting(monkeypatch):
         theorem_map(A, G, 1, 2)
 
 
+@pytest.mark.parametrize("label, n, corner, message", [
+    ("theorem map", 2, "first", "theorem map fails b at degree 2"),
+    ("theorem map", 1, "last", "theorem map fails B at degree 1"),
+    ("class splitting", 1, "first", "class splitting fails b at degree 2"),
+    ("class splitting", 3, "last", "class splitting fails B at degree 3"),
+])
+def test_one_wrong_entry_names_the_operator_and_degree(monkeypatch, label, n, corner, message):
+    """One entry of a descended map off by one: the chain-map check of
+    b and B names the map, the operator and the first failing degree."""
+    import thl.crossed
+    from thl.config import load_fixture
+    from thl.crossed import ConjugacyDecomposition
+    from thl.errors import ChainMapError
+
+    descend = thl.crossed.descend_map
+
+    def off_by_one(f, src, dst, what):
+        out = descend(f, src, dst, what)
+        if what != f"{label} at degree {n}":
+            return out
+        i, j = (0, 0) if corner == "first" else (out.rows - 1, out.cols - 1)
+        return out + QMatrix.from_columns(out.rows, [{i: 1} if k == j else {}
+                                                     for k in range(out.cols)])
+
+    monkeypatch.setattr(thl.crossed, "descend_map", off_by_one)
+    cfg = load_fixture("trunc-poly-z2")
+    ops = GJOperators(cfg.algebra, cfg.group)
+    with pytest.raises(ChainMapError) as err:
+        deco = ConjugacyDecomposition(CoinvariantComplex(ops, cfg.max_degree))
+        theorem_map_f(HKBicomplex(ops.element(1), cfg.max_degree), deco, 1)
+    assert str(err.value) == message
+
+
 def test_gj_identity_stalk_is_untwisted():
     """The block over the identity tuple carries the untwisted operators."""
     from thl.twisted import twisted_b

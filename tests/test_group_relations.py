@@ -67,7 +67,7 @@ def test_quotients_equal_those_of_every_group_element(name):
         ref.append(_quotient(basis.size, [
             group_action_operator(group, h, basis, ops.alg_twist(h, n)) for h in everyone
         ]))
-    _assert_same(coinv.pres, ref)
+    _assert_same(coinv.mixed.presentations, ref)
 
     for flag in (True, False):
         ref = []
@@ -78,13 +78,13 @@ def test_quotients_equal_those_of_every_group_element(name):
                 acts += [group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
                          for h in everyone]
             ref.append(_quotient(basis.size, acts))
-        _assert_same(LambdaComplex(ops, N, flag).pres, ref)
+        _assert_same(LambdaComplex(ops, N, flag).mixed.presentations, ref)
 
     deco = ConjugacyDecomposition(coinv)
     for stalk in deco.stalks:
         ref = [_quotient(ops.basis(0, n).asize, [ops.alg_twist(h, n) for h in stalk.centralizer])
                for n in range(N + 2)]
-        _assert_same(stalk.pres, ref)
+        _assert_same(stalk.mixed.presentations, ref)
 
 
 @pytest.mark.parametrize("name", CONFIGS)

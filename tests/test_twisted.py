@@ -139,15 +139,15 @@ def test_hk_quotient_dims_fixture2():
     """(A (x) Abar)/(1 - T) for the sign twist is spanned by x (x) x."""
     A = dual_numbers_algebra()
     hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 3)
-    assert hk.presentations[1].quotient_dim == 1
+    assert hk.mixed.presentations[1].quotient_dim == 1
     # the surviving coordinate is the (x, x) tensor, index 1 in the reduced basis
-    assert hk.presentations[1].free_rows == [1]
+    assert hk.mixed.presentations[1].free_rows == [1]
 
 
 def test_hk_ground_field_modules():
     Aq = ground_field_algebra()
     hk = HKBicomplex(TwistedOperators(Aq, AlgebraMap.identity(1)), 3)
-    assert [p.quotient_dim for p in hk.presentations] == [1, 0, 0, 0, 0]
+    assert [p.quotient_dim for p in hk.mixed.presentations] == [1, 0, 0, 0, 0]
 
 
 def test_hochschild_ground_field():
