@@ -6,14 +6,13 @@ coordinates serve as the quotient's coordinate space, which makes
 ``projection . section = id`` hold by construction and keeps every
 presentation deterministic.
 
-A presentation stores only what it cannot derive: the relation basis, the
-pivot and free rows, and the projection when there are pivot rows.  The
-section, which only selects the free rows, and the identity projection of
-an empty relation span are built when read; ``descend_map`` needs
-neither.  This module is the only one that builds presentations:
-``quotient_by`` from relations, ``trivial_quotient`` for none,
-``compose_quotients`` for a quotient of a quotient, and ``direct_sum``
-for a block-diagonal sum.
+A presentation stores only the pivot and free rows and ``pivot_images``,
+the classes of the pivot coordinates: a free coordinate is its own class,
+so ``project`` applies the projection from these alone, and a quotient by
+nothing stores no matrix entries.  This module is the only one that
+builds presentations: ``quotient_by`` from relations, ``trivial_quotient``
+for none, ``compose_quotients`` for a quotient of a quotient, and
+``direct_sum`` for a block-diagonal sum.
 """
 
 from math import lcm
@@ -23,42 +22,58 @@ from .sparse import QMatrix, block_diag, echelon, over_pivots
 
 
 class QuotientPresentation:
-    """V/W: the canonical basis of W and the split of the coordinates of V.
+    """V/W: the split of the coordinates of V and the classes of the pivots.
 
     Stored:
         ambient_dim: dim V
-        relation_basis: canonical basis of W (columns), reduced echelon
         pivot_rows / free_rows: ambient coordinates eliminated / kept
+        pivot_images: (quotient_dim x len(pivot_rows)), column k the class
+            of coordinate pivot_rows[k]
     Derived when read:
         quotient_dim: dim V/W, the number of free rows
-        projection: (quotient_dim x ambient_dim), kills W; stored only when
-            there are pivot rows, the identity otherwise
+        projection: (quotient_dim x ambient_dim), kills W: the identity on
+            the free rows and pivot_images on the pivot rows
         section: (ambient_dim x quotient_dim), the free-row selector, so
             projection @ section = id
+        relation_basis: canonical basis of W (columns), reduced echelon:
+            e_pivot - section @ pivot_images
     """
 
-    __slots__ = ("ambient_dim", "relation_basis", "pivot_rows", "free_rows", "_projection")
+    __slots__ = ("ambient_dim", "pivot_rows", "free_rows", "pivot_images")
 
-    def __init__(self, ambient_dim, relation_basis, pivot_rows, free_rows, projection=None):
+    def __init__(self, ambient_dim, pivot_rows, free_rows, pivot_images):
         self.ambient_dim = ambient_dim
-        self.relation_basis = relation_basis
-        self.pivot_rows = list(pivot_rows)
+        self.pivot_rows = pivot_rows
         self.free_rows = free_rows
-        self._projection = projection
+        self.pivot_images = pivot_images
 
     @property
     def quotient_dim(self):
         return len(self.free_rows)
 
+    def project(self, m):
+        """projection @ m: the free rows of m plus pivot_images @ its pivot rows."""
+        if m.rows != self.ambient_dim:
+            raise ValueError(f"cannot project {m.rows} rows onto V of dim {self.ambient_dim}")
+        if not self.pivot_rows:
+            return m
+        return m.select_rows(self.free_rows) + self.pivot_images @ m.select_rows(self.pivot_rows)
+
+    def classes(self, rows):
+        """The classes of the ambient coordinates rows, as columns."""
+        return self.project(_coordinates(self.ambient_dim, rows))
+
     @property
     def projection(self):
-        if self._projection is None:
-            return QMatrix.identity(self.ambient_dim)
-        return self._projection
+        return self.classes(range(self.ambient_dim))
 
     @property
     def section(self):
-        return QMatrix.from_integers(self.ambient_dim, [{r: 1} for r in self.free_rows])
+        return _coordinates(self.ambient_dim, self.free_rows)
+
+    @property
+    def relation_basis(self):
+        return _coordinates(self.ambient_dim, self.pivot_rows) - self.section @ self.pivot_images
 
     def __repr__(self):
         return f"QuotientPresentation({self.ambient_dim} -> {self.quotient_dim})"
@@ -75,26 +90,19 @@ def quotient_by(ambient_dim, relations):
 
 def _echelon_presentation(ambient_dim, relations):
     """quotient_by through the reduced echelon form of the relation span."""
-    # canonical reduced column echelon of the relation span, over den: column
-    # k is den at row pivot_rows[k] and zero on the other pivot rows
+    # canonical reduced column echelon of the relation span: column k is
+    # e_{pivot_rows[k]} plus a free part, which is minus that pivot's class
     pivot_rows, ech = echelon(relations.transpose())
     den, scales = over_pivots(pivot_rows, ech)
     pivot_set = set(pivot_rows)
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
     free_pos = {r: k for k, r in enumerate(free_rows)}
-    # projection of e_j: a free row is kept, a pivot row is minus the free
-    # part of its echelon column
-    proj_cols = [{free_pos[j]: den} if j in free_pos else None for j in range(ambient_dim)]
-    for j, r, s in zip(pivot_rows, ech, scales):
-        proj_cols[j] = {free_pos[i]: -s * v for i, v in r.items() if i in free_pos}
-    if den != 1:
-        ech = [{i: s * v for i, v in r.items()} for r, s in zip(ech, scales)]
+    images = [
+        {free_pos[i]: -s * v for i, v in r.items() if i in free_pos}
+        for r, s in zip(ech, scales)
+    ]
     return QuotientPresentation(
-        ambient_dim,
-        QMatrix.from_integers(ambient_dim, ech, den),
-        pivot_rows,
-        free_rows,
-        QMatrix.from_integers(len(free_rows), proj_cols, den),
+        ambient_dim, pivot_rows, free_rows, QMatrix.from_integers(len(free_rows), images, den)
     )
 
 
@@ -102,11 +110,10 @@ def compose_quotients(first, second):
     """V / (W1 + W2) from first = V / W1 and second, a quotient of first's
     coordinates by the image of W2.
 
-    Equal to quotient_by of the stacked relations: the projection kills
-    both spans and is the identity on the kept coordinates, which are the
-    free rows of first that second keeps, so it is the canonical one; each
-    relation column is a pivot coordinate minus the section of its
-    projection, the reduced echelon column of that pivot.
+    Equal to quotient_by of the stacked relations: the composite projection
+    kills both spans and is the identity on the kept coordinates, which are
+    the free rows of first that second keeps, so it is the canonical one;
+    its pivot columns are the classes of the other coordinates.
     """
     if second.ambient_dim != first.quotient_dim:
         raise ValueError("second presentation does not divide the first's quotient")
@@ -118,18 +125,8 @@ def compose_quotients(first, second):
     free_rows = [first.free_rows[k] for k in second.free_rows]
     kept = set(free_rows)
     pivot_rows = [r for r in range(first.ambient_dim) if r not in kept]
-    projection = second.projection @ first.projection
-    den = projection.den
-    relation_cols = [
-        {r: den, **{free_rows[k]: -v for k, v in projection._cols[r].items()}}
-        for r in pivot_rows
-    ]
     return QuotientPresentation(
-        first.ambient_dim,
-        QMatrix.from_integers(first.ambient_dim, relation_cols, den),
-        pivot_rows,
-        free_rows,
-        projection,
+        first.ambient_dim, pivot_rows, free_rows, second.project(first.classes(pivot_rows))
     )
 
 
@@ -147,19 +144,20 @@ def direct_sum(parts):
         free_rows.extend(off + r for r in p.free_rows)
         off += p.ambient_dim
     return QuotientPresentation(
-        off,
-        block_diag([p.relation_basis for p in parts]),
-        pivot_rows,
-        free_rows,
-        block_diag([p.projection for p in parts]) if pivot_rows else None,
+        off, pivot_rows, free_rows, block_diag([p.pivot_images for p in parts])
     )
 
 
 def trivial_quotient(ambient_dim):
     """The identity presentation (no relations)."""
     return QuotientPresentation(
-        ambient_dim, QMatrix.zero(ambient_dim, 0), [], list(range(ambient_dim))
+        ambient_dim, [], list(range(ambient_dim)), QMatrix.zero(ambient_dim, 0)
     )
+
+
+def _coordinates(dim, rows):
+    """The dim x len(rows) matrix whose column k is e_{rows[k]}."""
+    return QMatrix.from_integers(dim, [{r: 1} for r in rows])
 
 
 def descend_map(f, src, dst, what="map"):
@@ -169,27 +167,23 @@ def descend_map(f, src, dst, what="map"):
     the span of dst relations; otherwise raises WellDefinednessError naming
     the first offending relation column.
 
-    The section only selects the free coordinates, and a presentation with
-    no relations has an identity projection, so neither is multiplied out.
+    The induced map is the class of f on the free coordinates of src.  Relation
+    column k of src is its pivot coordinate minus the lift of that pivot's
+    class, so f kills it in the quotient exactly when column k of the square
+    ``dst.project(f on src pivots) - down @ src.pivot_images`` is zero.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("map shape does not match the presentations")
-    if src.relation_basis.cols:
-        moved = _project(dst, f @ src.relation_basis)
-        for j in range(moved.cols):
-            if moved._cols[j]:
-                raise WellDefinednessError(
-                    f"{what} does not descend to the quotient",
-                    location=f"relation column {j}",
-                )
-    if src.pivot_rows:
-        f = f.select_columns(src.free_rows)
-    return _project(dst, f)
-
-
-def _project(pres, m):
-    """pres.projection @ m, skipping the product when the projection is the identity."""
-    return pres.projection @ m if pres.pivot_rows else m
+    if not src.pivot_rows:
+        return dst.project(f)
+    down = dst.project(f.select_columns(src.free_rows))
+    square = dst.project(f.select_columns(src.pivot_rows)) - down @ src.pivot_images
+    for j, col in enumerate(square._cols):
+        if col:
+            raise WellDefinednessError(
+                f"{what} does not descend to the quotient", location=f"relation column {j}"
+            )
+    return down
 
 
 def coinvariant_relations(dim, operators):

@@ -1,9 +1,11 @@
 """Exact rational scalars.
 
-gmpy2.mpq is used when available (C-backed, much faster at scale); the
-stdlib Fraction is a drop-in fallback.  Both normalize to lowest terms
-with a positive denominator, so string forms like "-1/2" and "3" are
-identical between the two backends.
+gmpy2.mpq is used when available and the stdlib Fraction otherwise.  Both
+normalize to lowest terms with a positive denominator, so string forms
+like "-1/2" and "3" are identical between the two backends.  Matrices
+compute over Python ints (see ``sparse``), so the backend only affects the
+conversions where values enter or leave a matrix, not the speed of the
+kernels.
 """
 
 try:
@@ -11,14 +13,8 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q
 
-QZERO = Q(0)
 QONE = Q(1)
 BACKEND = f"{Q.__module__}.{Q.__name__}"   # named in the human report
-
-
-def q(value):
-    """Coerce an int, "p/q" string, or rational to the scalar type."""
-    return Q(value)
 
 
 def parse_q(text):

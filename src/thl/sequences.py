@@ -232,7 +232,7 @@ class DeRhamComplex:
         coinv = self.coinv
         unit = coinv.ops.basis(0, 0).encode((coinv.group.identity_index,), (0,))
         ab0 = self.ab[0]
-        unit_class = ab0.projection @ coinv.mixed.presentations[0].projection.select_columns([unit])
+        unit_class = ab0.project(coinv.mixed.presentations[0].classes([unit]))
         # a shallow copy: only degree 0 and d_0 are replaced
         out = object.__new__(DeRhamComplex)
         out.__dict__.update(self.__dict__)
@@ -345,7 +345,7 @@ def _unit_reduced(connes):
 
     def unit_class(n):
         unit = ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
-        return connes.mixed.presentations[n].projection.select_columns([unit])
+        return connes.mixed.presentations[n].classes([unit])
 
     return divide_mixed_complex(
         connes.mixed, unit_class, "unit-reduced group-indexed Connes complex"
@@ -412,7 +412,7 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
     hhH = cx.mixed.column_homology()
     # abelianized coordinates -> lambda coordinates, through the reduced
     # module's inclusion into the full one
-    to_lambda = lam.presentations[n].projection @ (
+    to_lambda = lam.presentations[n].project(
         _reduced_to_full_section(cx.ops, n).select_columns(cx.mixed.presentations[n].free_rows)
     )
     rel = dr.ab[n].relation_basis
@@ -456,9 +456,7 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
             raise ChainMapError("left map boundaries: a boundary maps to a nonzero class")
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
-    raw_right = (
-        cx.mixed.presentations[n + 1].projection @ _stalkwise_B_full_to_reduced(cx.ops, n)
-    )
+    raw_right = cx.mixed.presentations[n + 1].project(_stalkwise_B_full_to_reduced(cx.ops, n))
     right_chain = raw_right.select_columns(lam.presentations[n].free_rows)
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thl.errors import WellDefinednessError
 from thl.quotient import (
@@ -78,6 +78,7 @@ PRESENTATION_ATTRIBUTES = (
     "section",
     "pivot_rows",
     "free_rows",
+    "pivot_images",
 )
 
 
@@ -126,11 +127,16 @@ def _peak_mb(build, *args):
     (quotient_by, lambda: (50_000, QMatrix.zero(50_000, 3))),
     (compose_quotients, lambda: (trivial_quotient(50_000), trivial_quotient(50_000))),
     (direct_sum, lambda: ([trivial_quotient(25_000), trivial_quotient(25_000)],)),
-], ids=["trivial", "zero-relations", "compose", "direct-sum"])
+    (direct_sum, lambda: (
+        [trivial_quotient(50_000), quotient_by(2, QMatrix.from_dense([[1], [-1]]))],
+    )),
+], ids=["trivial", "zero-relations", "compose", "direct-sum", "direct-sum-one-relation"])
 def test_empty_relation_span_stores_no_ambient_size_matrix(build, args):
     """With no relations the projection is the identity and the section
-    selects every row: both are built when read, never by a builder.  An
-    identity of size 50 000 takes over 14 MB; the free-row list about 2."""
+    selects every row: both are built when read, never by a builder, and a
+    part without relations adds nothing to the pivot images of a direct
+    sum.  An identity of size 50 000 takes over 14 MB; the free-row list
+    about 2."""
     assert _peak_mb(build, *args()) < 5
 
 
@@ -236,3 +242,49 @@ def test_descend_into_no_relations_still_checked():
     # a map killing the relation descends
     kill = QMatrix.from_dense([[0, 1], [0, 2]])
     assert descend_map(kill, src, dst) == QMatrix.from_dense([[1], [2]])
+
+
+@st.composite
+def related_map_setups(draw):
+    """(f, src, dst) with relations on both sides.  f descends (a map of
+    quotients plus a map into the dst relations), or is such a map plus
+    v times the coordinate of pivot k of src, which moves relation column k
+    alone (the reduced echelon columns vanish on the other pivots), or is
+    arbitrary."""
+    sdim, srels = draw(relation_setups())
+    ddim, drels = draw(relation_setups())
+    src, dst = quotient_by(sdim, srels), quotient_by(ddim, drels)
+    assume(src.pivot_rows and dst.pivot_rows)
+
+    def matrix(rows, cols):
+        data = draw(st.lists(
+            st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows,
+        ))
+        return QMatrix.from_dense(data, rows, cols)
+
+    case = draw(st.sampled_from(["descends", "one-bad-column", "arbitrary"]))
+    if case == "arbitrary":
+        return matrix(ddim, sdim), src, dst
+    g, h = matrix(ddim, src.quotient_dim), matrix(len(dst.pivot_rows), sdim)
+    f = g @ src.projection + dst.relation_basis @ h
+    if case == "one-bad-column":
+        pivot = draw(st.sampled_from(src.pivot_rows))
+        f = f + matrix(ddim, 1) @ QMatrix.from_dense([[int(j == pivot) for j in range(sdim)]])
+    return f, src, dst
+
+
+@settings(max_examples=150, deadline=None)
+@given(related_map_setups())
+def test_descend_with_relations_on_both_sides_matches_products(setup):
+    """descend_map raises exactly when dst.projection @ f @ src.relation_basis
+    is nonzero, naming its first nonzero column; otherwise it returns
+    dst.projection @ f @ src.section."""
+    f, src, dst = setup
+    moved = dst.projection @ f @ src.relation_basis
+    bad = [j for j, col in enumerate(moved._cols) if col]
+    if bad:
+        with pytest.raises(WellDefinednessError) as err:
+            descend_map(f, src, dst)
+        assert err.value.location == f"relation column {bad[0]}"
+    else:
+        assert descend_map(f, src, dst) == dst.projection @ f @ src.section
