@@ -13,7 +13,6 @@ from .algebra import (
     validate_algebra,
 )
 from .complexes import (
-    BicomplexSpec,
     ChainComplexQ,
     HomologyResult,
     MixedComplex,

@@ -1,5 +1,6 @@
-"""Chain complexes over Q, bicomplex totalization, homology, maps
-induced on homology, and the one builder of quotient mixed complexes.
+"""Chain complexes over Q, the total complex of a mixed complex and its
+maps, homology, maps induced on homology, and the one builder of quotient
+mixed complexes.
 
 Truncation contract: a complex built through internal degree K has
 trustworthy homology through K-1 ("valid_through"), because degree-n
@@ -10,6 +11,7 @@ from .errors import ChainMapError, ComplexError
 from .quotient import compose_quotients, descend_map, quotient_by
 from .sparse import (
     QMatrix,
+    block_diag,
     block_matrix,
     image_basis,
     image_pivot_cols,
@@ -134,72 +136,34 @@ def homology(complex_):
     return HomologyResult(complex_)
 
 
-class BicomplexSpec:
-    """First-quadrant bicomplex data on a truncation p+q <= bound.
+def total_complex(mixed, top):
+    """Total complex of the (b, B) bicomplex of mixed through degree top.
 
-    modules: {(p, q): dim}; horiz[(p, q)]: map to (p-1, q);
-    vert[(p, q)]: map to (p, q-1).  The assembled total differential on the
-    (p, q) block is horiz + (-1)^p vert; callers store maps pre-adjusted so
-    that the assembled d.d = 0 check passes.
+    Degree n is C_n + C_{n-2} + ... in that order (block j holds C_{n-2j});
+    b acts inside each block and B moves block j to block j-1 of the
+    degree below.  Raises ComplexError if d.d != 0 on the truncation.
     """
 
-    def __init__(self, modules, horiz, vert):
-        self.modules = dict(modules)
-        self.horiz = dict(horiz)
-        self.vert = dict(vert)
-
-
-class TotalComplex:
-    """Chain complex of a bicomplex plus block bookkeeping.
-
-    blocks[n] is an ordered list of (p, q, offset, dim) describing how the
-    degree-n module decomposes; block order is ascending p.
-    """
-
-    def __init__(self, chain, blocks):
-        self.chain = chain
-        self.blocks = blocks
-
-
-def total_complex(spec, n_internal):
-    """Total complex of a bicomplex through total degree n_internal.
-
-    Raises ComplexError if the assembled differential does not square to
-    zero on the truncation.
-    """
-    blocks = {}
-    for n in range(n_internal + 1):
-        row = []
-        off = 0
-        for p in range(n + 1):
-            q = n - p
-            dim = spec.modules.get((p, q))
-            if dim is None:
-                continue
-            row.append((p, q, off, dim))
-            off += dim
-        blocks[n] = row
-    dims = [sum(b[3] for b in blocks[n]) for n in range(n_internal + 1)]
+    def dims(n):
+        return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
 
     diffs = [None]
-    for n in range(1, n_internal + 1):
-        tgt, src = blocks[n - 1], blocks[n]
-        tgt_pos = {(p, q): k for k, (p, q, _, _) in enumerate(tgt)}
-        mat_blocks = {}
-        for ks, (p, q, _, sdim) in enumerate(src):
-            h = spec.horiz.get((p, q))
-            if h is not None and (p - 1, q) in tgt_pos:
-                mat_blocks[(tgt_pos[(p - 1, q)], ks)] = h
-            v = spec.vert.get((p, q))
-            if v is not None and (p, q - 1) in tgt_pos:
-                sv = v if p % 2 == 0 else -v
-                key = (tgt_pos[(p, q - 1)], ks)
-                mat_blocks[key] = sv if key not in mat_blocks else mat_blocks[key] + sv
-        diffs.append(
-            block_matrix(mat_blocks, [b[3] for b in tgt], [b[3] for b in src])
-        )
-    chain = ChainComplexQ(dims, diffs)
-    return TotalComplex(chain, blocks)
+    for n in range(1, top + 1):
+        blocks = {}
+        for j in range(n // 2 + 1):
+            m = n - 2 * j
+            if m >= 1:
+                blocks[(j, j)] = mixed.b[m]
+            if j >= 1 and mixed.B[m] is not None:
+                blocks[(j - 1, j)] = mixed.B[m]
+        diffs.append(block_matrix(blocks, dims(n - 1), dims(n)))
+    return ChainComplexQ([sum(dims(n)) for n in range(top + 1)], diffs)
+
+
+def total_map(per_degree):
+    """Maps f[m]: C_m -> D_m of mixed complexes on the total degrees:
+    block_diag(f[n], f[n-2], ...) in degree n."""
+    return [block_diag(per_degree[n::-2]) for n in range(len(per_degree))]
 
 
 class MixedComplex:
@@ -245,35 +209,11 @@ class MixedComplex:
                     location=f"degree {n}",
                 )
 
-    def bicomplex(self, n_internal):
-        """Cyclic-type bicomplex: block (p, q) holds C_{q-p}.
-
-        The vertical map is stored as (-1)^p b so that the assembler's
-        (-1)^p convention nets out to plain b; horizontal is B.
-        """
-        modules = {}
-        horiz = {}
-        vert = {}
-        for p in range(n_internal // 2 + 1):
-            for q in range(p, n_internal + 1 - p):
-                m = q - p
-                if m > self.top:
-                    continue
-                modules[(p, q)] = self.dims[m]
-                if m >= 1:
-                    vert[(p, q)] = self.b[m] if p % 2 == 0 else -self.b[m]
-                if p >= 1 and m + 1 <= self.top and self.B[m] is not None:
-                    horiz[(p, q)] = self.B[m]
-        return BicomplexSpec(modules, horiz, vert)
-
-    def total(self, n_internal):
-        return total_complex(self.bicomplex(n_internal), n_internal)
-
     def total_homology(self):
         """Homology of the total complex through the top degree; the same
         HomologyResult on every call."""
         if self._total_h is None:
-            self._total_h = homology(self.total(self.top).chain)
+            self._total_h = homology(total_complex(self, self.top))
         return self._total_h
 
     def column_homology(self):

@@ -50,6 +50,17 @@ def _list(value, where):
     return value
 
 
+def _name(value, where):
+    """A name string that the tab-separated machine report keeps in one field."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where} must be a name string, got {value!r}")
+    if any(c in value for c in "\t\n\r"):
+        raise ParseError(
+            f"{where} must not contain a tab, newline or carriage return, got {value!r}"
+        )
+    return value
+
+
 def _int(value):
     """A JSON integer; true and false are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -81,7 +92,7 @@ def config_from_dict(data, name=None):
     """Build and validate a JobConfig from parsed structured data."""
     if not isinstance(data, dict):
         raise ParseError("top level must be a table of fields")
-    name = name or data.get("name", "unnamed")
+    name = name or _name(data.get("name", "unnamed"), "the name at top level")
 
     alg = _object(_need(data, "algebra", "config"), "algebra")
     dim = _need(alg, "dim", "algebra")
@@ -90,6 +101,8 @@ def config_from_dict(data, name=None):
     basis = _list(alg.get("basis", [f"e{i}" for i in range(dim)]), "algebra.basis")
     if len(basis) != dim:
         raise ParseError("algebra.basis length must equal algebra.dim")
+    for i, name_e in enumerate(basis):
+        _name(name_e, f"algebra.basis[{i}]")
     unit_index = alg.get("unit_index", 0)
     if not _int(unit_index) or not 0 <= unit_index < dim:
         raise ParseError("algebra.unit_index out of range")
@@ -117,9 +130,7 @@ def config_from_dict(data, name=None):
     grp = _object(_need(data, "group", "config"), "group")
     elements = _list(_need(grp, "elements", "group"), "group.elements")
     for i, name_g in enumerate(elements):
-        if not isinstance(name_g, str):
-            raise ParseError(f"group.elements[{i}] must be a name string, got {name_g!r}")
-        if name_g in elements[:i]:
+        if _name(name_g, f"group.elements[{i}]") in elements[:i]:
             raise ParseError(
                 f"group.elements[{i}] repeats the name {name_g!r} of "
                 f"group.elements[{elements.index(name_g)}]"

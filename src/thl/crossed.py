@@ -46,6 +46,7 @@ from .complexes import (
     homology,
     induced_on_homology,
     quotient_mixed_complex,
+    total_map,
 )
 from .errors import ComplexError
 from .quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
@@ -599,10 +600,9 @@ def theorem_map_f(hk, deco, g):
         ))
     check_mixed_map(f_mixed, hk.mixed, coinv.mixed, "theorem map")
 
-    f_tot = _total_map(f_mixed)
     srcH = hk.mixed.total_homology()
     dstH = coinv.mixed.total_homology()
-    induced = induced_on_homology(f_tot, srcH, dstH)
+    induced = induced_on_homology(total_map(f_mixed), srcH, dstH)
 
     # composite into the distinguished stalk summand, assembled at the
     # mixed level where the stalk block is contiguous
@@ -613,7 +613,7 @@ def theorem_map_f(hk, deco, g):
         pick_off = sum(st.mixed.dims[n] for st in deco.stalks[:cls])
         pick_dim = deco.stalks[cls].mixed.dims[n]
         comp_mixed.append(whole.shift_rows(-pick_off, pick_dim))
-    stalk_induced = induced_on_homology(_total_map(comp_mixed), srcH, stalkH)
+    stalk_induced = induced_on_homology(total_map(comp_mixed), srcH, stalkH)
 
     degrees = []
     for n in range(max_degree + 1):
@@ -632,21 +632,6 @@ def theorem_map_f(hk, deco, g):
             }
         )
     return TheoremMapReport(degrees)
-
-
-def _total_map(per_degree):
-    """Assemble blockwise maps C_m -> D_m into maps on total-complex degrees.
-
-    The total degree n of a cyclic-type bicomplex is the sum of C_{n-2j}
-    over ascending column index j; the same per-degree map applies on
-    every column.
-    """
-    out = []
-    top = len(per_degree) - 1
-    for n in range(top + 1):
-        mats = [per_degree[n - 2 * j] for j in range(n // 2 + 1)]
-        out.append(block_diag(mats))
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -727,8 +712,10 @@ def u_complex_equivalence(mixed, label=""):
     homology with the bicomplex total-complex route.
 
     Degree n of the u-complex is sum_j C_{n-2j} u^{-j}; the boundary is
-    b + uB, with u-powers above zero discarded.  The bicomplex route goes
-    through the generic totalization with its own block bookkeeping.
+    b + uB, with u-powers above zero discarded.  It is assembled here, not
+    by ``complexes.total_complex``, so that the comparison with
+    mixed.total_homology() checks that totalization against an independent
+    construction.
     """
     k = mixed.top
 

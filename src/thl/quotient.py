@@ -15,6 +15,7 @@ for none, ``compose_quotients`` for a quotient of a quotient, and
 ``direct_sum`` for a block-diagonal sum.
 """
 
+from bisect import bisect_left
 from math import lcm
 
 from .errors import WellDefinednessError
@@ -55,9 +56,26 @@ class QuotientPresentation:
         """projection @ m: the free rows of m plus pivot_images @ its pivot rows."""
         if m.rows != self.ambient_dim:
             raise ValueError(f"cannot project {m.rows} rows onto V of dim {self.ambient_dim}")
-        if not self.pivot_rows:
+        piv = self.pivot_rows
+        if not piv:
             return m
-        return m.select_rows(self.free_rows) + self.pivot_images @ m.select_rows(self.pivot_rows)
+        # pivot and free rows split range(ambient_dim), both ascending: row r
+        # with k pivot rows below it is pivot k, or else free row r - k
+        free, at_pivots = [], []
+        for c in m._cols:
+            fc, pc = {}, {}
+            for r, v in c.items():
+                k = bisect_left(piv, r)
+                if k < len(piv) and piv[k] == r:
+                    pc[k] = v
+                else:
+                    fc[r - k] = v
+            free.append(fc)
+            at_pivots.append(pc)
+        return (
+            QMatrix.from_integers(len(self.free_rows), free, m.den)
+            + self.pivot_images @ QMatrix.from_integers(len(piv), at_pivots, m.den)
+        )
 
     def classes(self, rows):
         """The classes of the ambient coordinates rows, as columns."""

@@ -8,7 +8,7 @@ no tolerance.
 """
 
 from .algebra import tensor_index, tensor_operator
-from .complexes import ChainComplexQ, divide_mixed_complex, homology
+from .complexes import ChainComplexQ, divide_mixed_complex, homology, induced_on_homology
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import compose_quotients, descend_map, quotient_by
@@ -71,25 +71,19 @@ def sbi_sequence(coinv):
     tot = hcH.complex
     N = coinv.max_degree
 
-    # chain-level I: C_n -> Tot_n (column p = 0 is the first block)
+    # chain-level I: C_n -> Tot_n, whose first block is C_n
     incl = [QMatrix.identity(dim).shift_rows(0, tot.dims[n]) for n, dim in enumerate(mixed.dims)]
-    # chain-level S: Tot_n -> Tot_{n-2} drops the p = 0 block
+    # chain-level S: Tot_n -> Tot_{n-2} drops that block
     proj = {
         n: QMatrix.identity(tot.dims[n]).shift_rows(-mixed.dims[n], tot.dims[n - 2])
         for n in range(2, k + 1)
     }
 
-    # exact chain-map checks
-    for n in range(1, k + 1):
-        if tot.d[n] @ incl[n] != incl[n - 1] @ mixed.b[n]:
-            raise ChainMapError(f"column inclusion fails at degree {n}")
+    # exact chain-map checks (induced_on_homology checks I)
+    I_mats = induced_on_homology(incl, hhH, hcH)
     for n in range(3, k + 1):
         if proj[n - 1] @ tot.d[n] != tot.d[n - 2] @ proj[n]:
             raise ChainMapError(f"shift projection fails at degree {n}")
-
-    def induced_I(n):
-        reps, _ = hhH.representatives(n)
-        return hcH.class_coordinates(n, incl[n] @ reps)
 
     def induced_S(n):
         reps, _ = hcH.representatives(n)
@@ -107,7 +101,6 @@ def sbi_sequence(coinv):
             )
         return hhH.class_coordinates(n - 1, first_col)
 
-    I_mats = {n: induced_I(n) for n in range(N + 1)}
     S_mats = {n: induced_S(n) for n in range(2, N + 1)}
     # the connecting map out of HC_{n-2} lifts into internal degree n, so
     # it exists one step past the reported range, giving the HH_N node too

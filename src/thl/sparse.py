@@ -191,12 +191,6 @@ class QMatrix:
     def select_columns(self, indices):
         return _lowest(self.rows, len(indices), [dict(self._cols[j]) for j in indices], self.den)
 
-    def select_rows(self, indices):
-        """The matrix whose row k is row indices[k] (distinct) of self."""
-        pos = {r: k for k, r in enumerate(indices)}
-        data = [{pos[r]: v for r, v in c.items() if r in pos} for c in self._cols]
-        return _lowest(len(indices), self.cols, data, self.den)
-
     def shift_rows(self, shift, rows):
         """The rows x cols matrix whose row r + shift is row r of self; rows
         that land outside [0, rows) are dropped."""

@@ -153,9 +153,6 @@ class HKBicomplex:
             self.n_internal, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )
 
-    def total(self):
-        return self.mixed.total(self.n_internal)
-
 
 def twisted_hochschild(algebra, g, max_degree):
     """Homology of the first column ((A (x) Abar^n)/(1-T), b) through max_degree."""

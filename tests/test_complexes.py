@@ -2,7 +2,6 @@ import pytest
 
 from thl.algebra import Algebra, AlgebraMap
 from thl.complexes import (
-    BicomplexSpec,
     ChainComplexQ,
     MixedComplex,
     check_chain_map,
@@ -10,8 +9,12 @@ from thl.complexes import (
     induced_on_homology,
     quotient_mixed_complex,
     total_complex,
+    total_map,
 )
+from thl.config import load_fixture
+from thl.crossed import GJOperators, LambdaComplex, PropositionComplex
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
+from thl.fixtures import fixture_names
 from thl.rational import Q
 from thl.sparse import QMatrix, rank
 from thl.quotient import quotient_by
@@ -50,46 +53,76 @@ def test_hochschild_of_ground_field():
     assert h.dims == [1, 0, 0, 0]
 
 
-def test_total_complex_single_column():
-    spec = BicomplexSpec(
-        {(0, 0): 1, (0, 1): 1, (0, 2): 1},
-        {},
-        {(0, 1): QMatrix.zero(1, 1), (0, 2): QMatrix.zero(1, 1)},
-    )
-    tot = total_complex(spec, 2)
-    assert tot.chain.dims == [1, 1, 1]
-    assert homology(tot.chain).dims == [1, 1]
+def _dense_total_matrix(blocks, row_dims, col_dims):
+    """Dense rows of the matrix with block (i, j) = blocks[(i, j)], entry by
+    entry; missing blocks are zero."""
+    rows = [[0] * sum(col_dims) for _ in range(sum(row_dims))]
+    for (i, j), m in blocks.items():
+        r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+        for c in range(m.cols):
+            for r, v in m.column(c).items():
+                rows[r0 + r][c0 + c] = v
+    return rows
 
 
-def test_total_complex_two_columns_zero_horizontal():
-    """Zero horizontal maps give the degree-shifted direct sum of columns."""
-    z = QMatrix.zero(1, 1)
-    spec = BicomplexSpec(
-        {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1},
-        {(1, 0): QMatrix.zero(1, 1), (1, 1): QMatrix.zero(1, 1)},
-        {(0, 1): z, (1, 1): z},
-    )
-    tot = total_complex(spec, 2)
-    assert tot.chain.dims == [1, 2, 1]
-    assert tot.blocks[1] == [(0, 1, 0, 1), (1, 0, 1, 1)]
+def _layout_mixed(case):
+    """The twisted complex of a fixture's twist (the identity when it names
+    none), or a crossed-product or Connes complex of trunc-poly-z2."""
+    cfg = load_fixture("trunc-poly-z2" if case in ("proposition", "connes") else case)
+    if case == "proposition":
+        return PropositionComplex(GJOperators(cfg.algebra, cfg.group), 2).mixed
+    if case == "connes":
+        return LambdaComplex(GJOperators(cfg.algebra, cfg.group), 2).mixed
+    g = cfg.group.action[cfg.twist_index() or 0]
+    return HKBicomplex(TwistedOperators(cfg.algebra, g), 3).mixed
 
 
-def test_total_complex_checks_dd():
-    one = QMatrix.identity(1)
-    spec = BicomplexSpec(
-        {(0, 0): 1, (0, 1): 1, (0, 2): 1},
-        {},
-        {(0, 1): one, (0, 2): one},
-    )
-    with pytest.raises(ComplexError):
-        total_complex(spec, 2)
+@pytest.mark.parametrize("case", [*fixture_names(), "proposition", "connes"])
+def test_total_complex_layout(case):
+    """Degree n of the total is C_n, C_{n-2}, ...: b[n-2j] at block (j, j),
+    B[n-2j] at block (j-1, j) when there is a B; total_map is blockwise the
+    same; and the blocks after C_n form degree n - 2."""
+    mixed = _layout_mixed(case)
+    top = mixed.top
+    tot = total_complex(mixed, top)
+
+    def dims(n):
+        return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
+
+    assert tot.dims == [sum(dims(n)) for n in range(top + 1)]
+    for n in range(1, top + 1):
+        blocks = {}
+        for j in range(n // 2 + 1):
+            if n - 2 * j >= 1:
+                blocks[(j, j)] = mixed.b[n - 2 * j]
+            if j >= 1 and mixed.B[n - 2 * j] is not None:
+                blocks[(j - 1, j)] = mixed.B[n - 2 * j]
+        dense = _dense_total_matrix(blocks, dims(n - 1), dims(n))
+        assert tot.d[n] == QMatrix.from_dense(dense, tot.dims[n - 1], tot.dims[n]), n
+    # C_n first, then degree n - 2: the blocks sbi_sequence includes and drops
+    for n in range(2, top + 1):
+        assert tot.dims[n] == mixed.dims[n] + tot.dims[n - 2]
+        if n >= 3:
+            tail = tot.d[n].select_columns(range(mixed.dims[n], tot.dims[n]))
+            assert tail.shift_rows(-mixed.dims[n - 1], tot.dims[n - 3]) == tot.d[n - 2]
+    # a map with rational entries and one more row than column in each degree
+    f = [
+        QMatrix.from_dense(
+            [[Q(i + 2 * j - m, m + 2) for j in range(d)] for i in range(d + 1)], d + 1, d
+        )
+        for m, d in enumerate(mixed.dims)
+    ]
+    for n, fn in enumerate(total_map(f)):
+        diag = {(j, j): f[n - 2 * j] for j in range(n // 2 + 1)}
+        dense = _dense_total_matrix(diag, [d + 1 for d in dims(n)], dims(n))
+        assert fn == QMatrix.from_dense(dense, sum(dims(n)) + n // 2 + 1, tot.dims[n])
 
 
 def test_hk_total_of_ground_field():
     """Bicomplex route for A = Q, trivial twist; total homology (1,0,1,0,...)."""
     alg = Algebra(1, ["1"], {0: 1}, [[{0: 1}]])
     hk = HKBicomplex(TwistedOperators(alg, AlgebraMap.identity(1)), 4)
-    h = homology(hk.total().chain)
+    h = hk.mixed.total_homology()
     assert h.dims == [1, 0, 1, 0, 1]
 
 
@@ -171,7 +204,7 @@ def test_homology_dims_invariant_under_basis_permutation():
     alg = Algebra(2, ["1", "x"], {0: 1}, [[{0: 1}, {1: 1}], [{1: 1}, {}]])
     g = AlgebraMap(QMatrix.from_dense([[1, 0], [0, -1]]))
     hk = HKBicomplex(TwistedOperators(alg, g), 3)
-    chain = hk.total().chain
+    chain = hk.mixed.total_homology().complex
     base = homology(chain).dims
 
     def perm_matrix(n, shift):

@@ -15,6 +15,7 @@ from thl import cli
 from thl.config import config_from_dict
 from thl.errors import ParseError, ValidationError
 from thl.fixtures import fixture_config, fixture_names
+from thl.report import emit_machine, parse_machine
 
 HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
 
@@ -33,6 +34,8 @@ NAMED = re.compile(
     r"|: (not multiplicative|does not fix the unit|matrix is singular)"
 )
 
+# the machine report separates its fields by tabs and its lines by newlines
+SEPARATORS = ["\t", "\n", "\r"]
 BAD_RATIONALS = ["1/0", "x", "", " ", "1//2", "1/2/3", "--1", 1, 0.5, None, True, [], {}]
 WRONG_TYPES = [None, True, False, 3, -1, 0.5, "x", [], [1], {}, {"a": 1}]
 
@@ -113,8 +116,10 @@ def mutated_configs(draw):
     # the paths are taken before any mutation; a later mutation may find
     # its node gone, and then does nothing
     tables, rationals = _tables(data), _rationals(data)
+    name_paths = [("name",)] + [("algebra", "basis", i) for i in range(d)]
+    name_paths += [("group", "elements", x) for x in range(len(elements))]
     for kind in draw(st.lists(st.sampled_from(
-        ["rational", "ragged", "type", "action", "names", "unit", "none"]
+        ["rational", "ragged", "type", "action", "names", "separator", "unit", "none"]
     ), min_size=1, max_size=2)):
         if kind == "rational":
             _set(data, draw(st.sampled_from(rationals)), draw(st.sampled_from(BAD_RATIONALS)))
@@ -148,6 +153,11 @@ def mutated_configs(draw):
             if len(elements) > 1:
                 i, j = draw(st.permutations(range(len(elements))))[:2]
                 _set(data, ("group", "elements", i), elements[j])
+        elif kind == "separator":
+            path = draw(st.sampled_from(name_paths))
+            old = _at(data, path)
+            if isinstance(old, str):
+                _set(data, path, old + draw(st.sampled_from(SEPARATORS)) + "x")
         elif kind == "unit":
             _set(data, ("algebra", "unit_index"), draw(st.integers(-1, d)))
     return data
@@ -163,7 +173,9 @@ def test_mutated_configs_load_and_run_or_are_refused_by_field(data):
         return
     names = cfg.group.element_names
     assert [cfg.group.index_of(n) for n in names] == list(range(cfg.group.order))
-    assert cli.run("validate", cfg).ok
+    report = cli.run("validate", cfg)
+    assert report.ok
+    assert parse_machine(emit_machine(report))["name"] == cfg.name
     # a config that loads runs a homology command too (kept small)
     cfg.max_degree = min(cfg.max_degree, 1)
     cli.run("hc-coinv", cfg)
@@ -175,6 +187,49 @@ def test_repeated_element_name_is_refused():
     with pytest.raises(ParseError) as err:
         config_from_dict(data)
     assert str(err.value) == "group.elements[1] repeats the name 'e' of group.elements[0]"
+
+
+def _rename_element(data, old, new):
+    """data with group element old called new everywhere it is named."""
+    grp = data["group"]
+    grp["elements"] = [new if e == old else e for e in grp["elements"]]
+    grp["action"] = {new if e == old else e: m for e, m in grp["action"].items()}
+    if data["task"].get("twist") == old:
+        data["task"]["twist"] = new
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=["tab", "newline", "return"])
+@pytest.mark.parametrize("field", ["name", "basis", "element"])
+def test_name_that_splits_a_report_field_is_refused(field, sep, tmp_path, capsys):
+    """A name with a tab, a newline or a carriage return would split the
+    name, param, dim or check line of the machine report that carries it:
+    refused at load time, naming the field, exit 2."""
+    data = _base("trunc-poly-z2")
+    if field == "name":
+        bad, where = f"poly{sep}z2", "the name at top level"
+        data["name"] = bad
+    elif field == "basis":
+        bad, where = f"x{sep}y", "algebra.basis[1]"
+        data["algebra"]["basis"][1] = bad
+    else:
+        bad, where = f"s{sep}x", "group.elements[1]"
+        _rename_element(data, "s", bad)
+    message = f"{where} must not contain a tab, newline or carriage return, got {bad!r}"
+    with pytest.raises(ParseError) as err:
+        config_from_dict(data)
+    assert str(err.value) == message
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["all", "--config", str(path), "--format", "machine"]) == 2
+    assert capsys.readouterr().err == f"thl: {message}\n"
+
+
+def test_basis_name_that_is_not_a_string_is_refused():
+    data = _base("trunc-poly-z2")
+    data["algebra"]["basis"][1] = 1
+    with pytest.raises(ParseError) as err:
+        config_from_dict(data)
+    assert str(err.value) == "algebra.basis[1] must be a name string, got 1"
 
 
 def test_unit_not_at_index_zero_is_refused(tmp_path, capsys):

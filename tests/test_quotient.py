@@ -199,6 +199,46 @@ def test_quotient_of_quotient_is_quotient_by_both(setup):
     assert_same_presentation(composite, quotient_by(dim, rels.hstack(first.section @ extra)))
 
 
+@st.composite
+def built_presentations(draw):
+    """A presentation from each of the four builders."""
+    builder = draw(st.sampled_from(["quotient_by", "trivial", "compose", "direct_sum"]))
+    if builder == "quotient_by":
+        return quotient_by(*draw(relation_setups()))
+    if builder == "trivial":
+        return trivial_quotient(draw(st.integers(min_value=0, max_value=5)))
+    if builder == "compose":
+        dim, rels, extra = draw(further_relation_setups())
+        first = quotient_by(dim, rels)
+        return compose_quotients(first, quotient_by(first.quotient_dim, extra))
+    n = draw(st.integers(min_value=1, max_value=3))
+    return direct_sum([quotient_by(*draw(relation_setups())) for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_presentations(), st.data())
+def test_project_splits_rows_that_every_builder_keeps_in_order(qp, data):
+    """Pivot and free rows are ascending, disjoint and cover every
+    coordinate, which ``project`` relies on to place a row by bisection;
+    it equals the product with the projection written out column by
+    column (e_k at free row k, pivot_images column k at pivot row k)."""
+    assert qp.pivot_rows == sorted(set(qp.pivot_rows))
+    assert qp.free_rows == sorted(set(qp.free_rows))
+    assert sorted(qp.pivot_rows + qp.free_rows) == list(range(qp.ambient_dim))
+    cols = [None] * qp.ambient_dim
+    for k, r in enumerate(qp.free_rows):
+        cols[r] = {k: 1}
+    for k, r in enumerate(qp.pivot_rows):
+        cols[r] = qp.pivot_images.column(k)
+    projection = QMatrix.from_columns(qp.quotient_dim, cols)
+    ncols = data.draw(st.integers(min_value=0, max_value=3))
+    m = QMatrix.from_dense(data.draw(st.lists(
+        st.lists(small.map(lambda v: Q(v, 2)), min_size=ncols, max_size=ncols),
+        min_size=qp.ambient_dim, max_size=qp.ambient_dim,
+    )), qp.ambient_dim, ncols)
+    assert qp.project(m) == projection @ m
+
+
 @settings(max_examples=50, deadline=None)
 @given(relation_setups())
 def test_descend_identity_property(setup):

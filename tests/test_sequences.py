@@ -154,14 +154,13 @@ def test_derham_d_on_coinvariants():
 
 def test_homology_result_basis_invariant():
     """dims equal cycle rank minus boundary rank wherever bases exist."""
-    from thl.complexes import homology
     from thl.sparse import rank
     from thl.twisted import HKBicomplex, TwistedOperators
     from fixtures_for_tests import sign_twist
 
     A = dual_numbers_algebra()
     hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 3)
-    h = homology(hk.total().chain)
+    h = hk.mixed.total_homology()
     for n in range(h.valid_through + 1):
         cy = h.cycle_basis(n)
         bd = h.boundary_basis(n)
