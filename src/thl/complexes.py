@@ -141,7 +141,8 @@ def total_complex(mixed, top):
 
     Degree n is C_n + C_{n-2} + ... in that order (block j holds C_{n-2j});
     b acts inside each block and B moves block j to block j-1 of the
-    degree below.  Raises ComplexError if d.d != 0 on the truncation.
+    degree below.  d.d = 0 is not checked again here: its blocks are the
+    identities that ``MixedComplex`` checked at construction.
     """
 
     def dims(n):
@@ -157,7 +158,7 @@ def total_complex(mixed, top):
             if j >= 1 and mixed.B[m] is not None:
                 blocks[(j - 1, j)] = mixed.B[m]
         diffs.append(block_matrix(blocks, dims(n - 1), dims(n)))
-    return ChainComplexQ([sum(dims(n)) for n in range(top + 1)], diffs)
+    return ChainComplexQ([sum(dims(n)) for n in range(top + 1)], diffs, check=False)
 
 
 def total_map(per_degree):
@@ -170,8 +171,10 @@ class MixedComplex:
     """Modules C_n with b: C_n -> C_{n-1} and B: C_n -> C_{n+1}.
 
     Checked at construction: b.b = 0, B.B = 0 and bB + Bb = 0 on the given
-    truncation.  These are exactly the identities that make the cyclic-type
-    bicomplex (columns indexed by B-applications) well defined.
+    truncation, the last from degree 0 (where it reads b_1 B_0 = 0; a
+    missing B is zero).  These are exactly the identities that make the
+    cyclic-type bicomplex (columns indexed by B-applications) well defined,
+    and together they are every block of d.d on its total complex.
 
     Its total and column homologies are computed once and shared, so ranks
     and bases taken through one reader serve every other.
@@ -198,12 +201,13 @@ class MixedComplex:
                 continue
             if not (self.B[n + 1] @ self.B[n]).is_zero():
                 raise ComplexError(f"B.B != 0 in {lbl}", location=f"degree {n}")
-        for n in range(1, self.top):
-            if self.B[n] is None or self.B[n - 1] is None:
+        for n in range(self.top):
+            if self.B[n] is None:
                 continue
-            bB = self.b[n + 1] @ self.B[n]
-            Bb = self.B[n - 1] @ self.b[n]
-            if not (bB + Bb).is_zero():
+            bB_Bb = self.b[n + 1] @ self.B[n]
+            if n and self.B[n - 1] is not None:
+                bB_Bb = bB_Bb + self.B[n - 1] @ self.b[n]
+            if not bB_Bb.is_zero():
                 raise ComplexError(
                     f"bB + Bb != 0 in {lbl} (quotient did not kill the twist)",
                     location=f"degree {n}",

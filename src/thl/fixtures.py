@@ -12,8 +12,6 @@ Point-permutation algebras are rebased so that the unit is basis vector
 
 from fractions import Fraction
 
-from .rational import qstr
-
 
 def _points_algebra_spec(n_points, perms, names):
     """Q^n with coordinatewise product, basis (1, e_2, ..., e_n), acted on
@@ -43,7 +41,7 @@ def _points_algebra_spec(n_points, perms, names):
         row = []
         for j in range(d):
             prod_old = [a * b for a, b in zip(new_in_old[i], new_in_old[j])]
-            row.append([qstr(c) for c in to_new(prod_old)])
+            row.append([str(c) for c in to_new(prod_old)])
         mult.append(row)
 
     actions = {}
@@ -55,7 +53,7 @@ def _points_algebra_spec(n_points, perms, names):
                 if new_in_old[j][p]:
                     img_old[perm[p] - 1] += new_in_old[j][p]
             cols.append(to_new(img_old))
-        actions[name] = [[qstr(cols[j][i]) for j in range(d)] for i in range(d)]
+        actions[name] = [[str(cols[j][i]) for j in range(d)] for i in range(d)]
 
     return {
         "dim": d,

@@ -1,32 +1,25 @@
-"""Exact rational scalars.
-
-gmpy2.mpq is used when available and the stdlib Fraction otherwise.  Both
-normalize to lowest terms with a positive denominator, so string forms
-like "-1/2" and "3" are identical between the two backends.  Matrices
-compute over Python ints (see ``sparse``), so the backend only affects the
-conversions where values enter or leave a matrix, not the speed of the
-kernels.
+"""Exact rational scalars: the stdlib Fraction, in lowest terms with a
+positive denominator, so string forms are canonical ("-1/2", "3").
+Matrices compute over Python ints (see ``sparse``); Q appears only where
+values enter or leave a matrix.
 """
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Q
+import re
+from fractions import Fraction as Q
 
 QONE = Q(1)
-BACKEND = f"{Q.__module__}.{Q.__name__}"   # named in the human report
+_P_OVER_Q = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_q(text):
-    """Parse a "p/q" or "p" string.  Raises ValueError on junk or zero denominator."""
+    """Parse a "p/q" or "p" string of decimal digits.  Raises ValueError on
+    anything else (decimals, exponents, underscores) or a zero denominator."""
+    text = text.strip()
+    if not _P_OVER_Q.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
     try:
-        return Q(text.strip())
+        return Q(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rational {text!r}")
-    except Exception:
+    except ValueError:
         raise ValueError(f"not a rational: {text!r}")
-
-
-def qstr(value):
-    """Canonical "p/q" (or "p" when the denominator is 1) form."""
-    return str(value)

@@ -1,8 +1,6 @@
 """Run reports: dimension tables, check ledger, notes; human-readable and
 byte-stable machine renderings plus a parser for round-tripping."""
 
-from .rational import BACKEND
-
 
 class Report:
     def __init__(self, name, command, params):
@@ -83,7 +81,6 @@ def emit_human(report):
             out.append(line)
     for note in report.notes:
         out.append(f"  note: {note}")
-    out.append(f"  rational: {BACKEND}")
     if report.timing_seconds is not None:
         out.append(f"  elapsed: {report.timing_seconds:.2f}s")
     tail = "ok" if report.ok else "FAILED"

@@ -104,17 +104,12 @@ def sbi_sequence(coinv):
     S_mats = {n: induced_S(n) for n in range(2, N + 1)}
     # the connecting map out of HC_{n-2} lifts into internal degree n, so
     # it exists one step past the reported range, giving the HH_N node too
-    D_mats = {n: connecting(n) for n in range(2, N + 2) if n - 1 <= N}
-
-    def S_or_zero(n):
-        if n in S_mats:
-            return S_mats[n]
-        return QMatrix.zero(0, hcH.dims[n]) if n <= N else None
+    D_mats = {n: connecting(n) for n in range(2, N + 2)}
 
     nodes = []
     # node HC_n: in I_n, out S_n (zero map for n < 2)
     for n in range(N + 1):
-        out = S_or_zero(n)
+        out = S_mats[n] if n >= 2 else QMatrix.zero(0, hcH.dims[n])
         comp = (out @ I_mats[n]).is_zero()
         nodes.append(
             SequenceNode(
@@ -124,8 +119,6 @@ def sbi_sequence(coinv):
         )
     # node HC_{n-2} between S_n and the connecting map
     for n in range(2, N + 1):
-        if n not in D_mats:
-            continue
         comp = (D_mats[n] @ S_mats[n]).is_zero()
         nodes.append(
             SequenceNode(
@@ -135,17 +128,12 @@ def sbi_sequence(coinv):
         )
     # node HH_n between the connecting map out of HC_{n-1} and I_n
     for n in range(N + 1):
-        if n + 1 in D_mats:
-            incoming = D_mats[n + 1]
-            comp = (I_mats[n] @ incoming).is_zero()
-            img = rank(incoming)
-        elif n + 1 == 1:
+        if n == 0:
             # the sequence starts: nothing comes into HH_0 from HC_{-1}
-            incoming = None
-            comp = True
-            img = 0
+            comp, img = True, 0
         else:
-            continue
+            comp = (I_mats[n] @ D_mats[n + 1]).is_zero()
+            img = rank(D_mats[n + 1])
         nodes.append(
             SequenceNode(
                 f"HH_{n}", f"d_{n + 1}", f"I_{n}",
@@ -247,7 +235,8 @@ class DeRhamComplex:
         for m in range(1, k + 1):
             diffs.append(self.d_ab[k - m])
         diffs.append(QMatrix.zero(dims[k], 0))
-        chain = ChainComplexQ(dims, diffs)
+        # d.d = 0 was checked on d_ab at construction (and by reduced())
+        chain = ChainComplexQ(dims, diffs, check=False)
         return ReversedHomology(homology(chain), k)
 
 

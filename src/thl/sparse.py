@@ -9,11 +9,10 @@ matrix), which makes the storage canonical and ``==`` structural.
 Matrices are treated as immutable once built; every routine that needs to
 mutate works on copies.
 
-Every kernel works on these integers, the same whichever rational backend
-is active.  The scalar type Q appears only at the boundary: the
-constructor, ``from_dense`` and ``from_columns`` take rational values,
-``column``, ``entry`` and ``apply`` give them back, and so do the rows of
-``rref``.
+Every kernel works on these integers.  The scalar type Q (``Fraction``)
+appears only at the boundary: the constructor, ``from_dense`` and
+``from_columns`` take rational values, ``column``, ``entry`` and ``apply``
+give them back, and so do the rows of ``rref``.
 
 * ``@`` sums integer products over the product of the two denominators;
   ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
@@ -281,15 +280,10 @@ def integer_columns(columns):
     """(den, integer columns) of {key: value} dicts, the values coerced to
     Q: den is the lcm of their denominators and each column is den times
     its values, zeros left out.  The pair is in lowest terms.
-
-    Reads numerator/denominator through int() so that Fraction and mpq
-    values both give Python ints.
     """
     cols = [{k: Q(v) for k, v in c.items() if v} for c in columns]
-    den = lcm(*[int(v.denominator) for c in cols for v in c.values()])
-    return den, [
-        {k: int(v.numerator) * (den // int(v.denominator)) for k, v in c.items()} for c in cols
-    ]
+    den = lcm(*[v.denominator for c in cols for v in c.values()])
+    return den, [{k: v.numerator * (den // v.denominator) for k, v in c.items()} for c in cols]
 
 
 def _primitive(vec):

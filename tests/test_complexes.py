@@ -145,6 +145,15 @@ def test_mixed_complex_rejects_broken_identity():
         MixedComplex([1, 1, 1], [None, one, one], [one, one, None])
 
 
+def test_mixed_complex_checks_degree_zero_identity():
+    """b_1 B_0 = 0 is the degree-0 block of d.d on the total complex, which
+    is built unchecked; here it fails while every other identity holds."""
+    b = [None, QMatrix.from_dense([[1], [0]]), QMatrix.zero(1, 0)]
+    B = [QMatrix.from_dense([[0, 1]]), QMatrix.zero(0, 1), None]
+    with pytest.raises(ComplexError, match="degree 0"):
+        MixedComplex([2, 1, 0], b, B)
+
+
 def test_quotient_mixed_complex_names_theory_and_degree():
     """Q^2 / (e0 - e1) in degree 0, Q in degree 1; B_0 = (1, 0) moves the
     relation to a nonzero vector, so it does not descend."""

@@ -29,15 +29,11 @@ HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json
 HALF_LINES_MACHINE_SHA256 = "29f1675b76c0e01aec90d1663c3f6dd8ff14f9aa3598c1c759638fcbc254b589"
 
 
-def _frac(v):
-    return Fraction(int(v.numerator), int(v.denominator))
-
-
 def _dense(m):
     out = oracles.zero_mat(m.rows, m.cols)
     for j in range(m.cols):
         for i, v in m.column(j).items():
-            out[i][j] = _frac(v)
+            out[i][j] = v
     return out
 
 
@@ -47,15 +43,15 @@ def _dense_algebra(algebra):
     for i in range(d):
         for j in range(d):
             for k, v in algebra.mult[i][j].items():
-                table[i][j][k] = _frac(v)
+                table[i][j][k] = v
     unit = [Fraction(0)] * d
     for k, v in algebra.unit.items():
-        unit[k] = _frac(v)
+        unit[k] = v
     return oracles.DenseAlgebra(d, table, unit)
 
 
 def _dense_map(amap):
-    return [[_frac(amap.matrix.entry(i, j)) for j in range(amap.dim)] for i in range(amap.dim)]
+    return [[amap.matrix.entry(i, j) for j in range(amap.dim)] for i in range(amap.dim)]
 
 
 def _normalized(d, n):

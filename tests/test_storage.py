@@ -3,8 +3,7 @@
 A QMatrix keeps integer columns over one denominator.  Every operation is
 run on random rational matrices -- small integers, non-integer entries,
 entries of size 10^12, and sums built to cancel, some of them to zero --
-given in every rational backend that imports, and compared with the dense
-Fraction arithmetic of oracles.py.  Every result must be stored
+and compared with the dense Fraction arithmetic of oracles.py.  Every result must be stored
 canonically: a positive denominator in lowest terms against the entries,
 no stored zeros, and ``==`` agreeing with dense equality.
 """
@@ -26,14 +25,6 @@ from thl.sparse import (
 )
 
 import oracles
-
-BACKENDS = [Fraction]
-try:
-    from gmpy2 import mpq
-except ImportError:
-    pass
-else:
-    BACKENDS.append(mpq)
 
 values = st.one_of(
     st.just(0),
@@ -74,13 +65,9 @@ def pairs(draw):
     return (a, rows, cols), (b, rows, cols)
 
 
-def build(spec, backend):
-    """The QMatrix of a (dense, rows, cols) spec, given in backend's scalars."""
-    entries, rows, cols = spec
-    data = [
-        [backend(v.numerator, v.denominator) if v else 0 for v in row] for row in entries
-    ]
-    return QMatrix.from_dense(data, rows, cols)
+def build(spec):
+    """The QMatrix of a (dense, rows, cols) spec."""
+    return QMatrix.from_dense(*spec)
 
 
 def to_dense(m):
@@ -89,7 +76,7 @@ def to_dense(m):
     for j in range(m.cols):
         for i, v in m.column(j).items():
             assert type(v) is Q
-            out[i][j] = Fraction(int(v.numerator), int(v.denominator))
+            out[i][j] = v
     return out
 
 
@@ -115,17 +102,16 @@ def _sum(a, b):
 @given(pairs())
 def test_add_sub_neg_and_eq(pair):
     (a, rows, cols), (b, _, _) = pair
-    for backend in BACKENDS:
-        ma, mb = build(pair[0], backend), build(pair[1], backend)
-        check(ma, a)
-        check(mb, b)
-        check(ma + mb, _sum(a, b))
-        check(ma - mb, oracles.mat_sub(a, b))
-        check(-ma, [[-x for x in row] for row in a])
-        assert (ma == mb) == (a == b)
-        # the same matrix reached by another route is == (structural storage)
-        assert (ma + mb) - mb == ma
-        assert (ma - ma).is_zero() and (ma - ma).den == 1
+    ma, mb = build(pair[0]), build(pair[1])
+    check(ma, a)
+    check(mb, b)
+    check(ma + mb, _sum(a, b))
+    check(ma - mb, oracles.mat_sub(a, b))
+    check(-ma, [[-x for x in row] for row in a])
+    assert (ma == mb) == (a == b)
+    # the same matrix reached by another route is == (structural storage)
+    assert (ma + mb) - mb == ma
+    assert (ma - ma).is_zero() and (ma - ma).den == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,8 +121,7 @@ def test_add_sub_neg_and_eq(pair):
 def test_matmul(pair):
     (a, rows, inner), (b, _, cols) = pair
     want = oracles.mat_mul(a, b) if rows and inner and cols else oracles.zero_mat(rows, cols)
-    for backend in BACKENDS:
-        check(build(pair[0], backend) @ build(pair[1], backend), want)
+    check(build(pair[0]) @ build(pair[1]), want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -144,57 +129,53 @@ def test_matmul(pair):
 def test_structure_ops(spec, other, data):
     a, rows, cols = spec
     b, rows_b, cols_b = other
-    for backend in BACKENDS:
-        m = build(spec, backend)
-        check(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)])
-        pick = data.draw(st.lists(st.integers(0, cols - 1), max_size=5)) if cols else []
-        check(m.select_columns(pick), [[row[j] for j in pick] for row in a])
-        shift = data.draw(st.integers(-4, 4))
-        height = data.draw(dims)
-        check(
-            m.shift_rows(shift, height),
-            [
-                a[i - shift] if 0 <= i - shift < rows else [Fraction(0)] * cols
-                for i in range(height)
-            ],
-        )
-        o = build(other, backend)
-        if rows == rows_b:
-            check(m.hstack(o), [ra + rb for ra, rb in zip(a, b)])
-        whole = block_matrix({(0, 0): m, (1, 1): o}, [rows, rows_b], [cols, cols_b])
-        check(
-            whole,
-            [ra + [Fraction(0)] * cols_b for ra in a] + [[Fraction(0)] * cols + rb for rb in b],
-        )
-        vec = {j: backend(1, j + 2) for j in range(cols)}
-        got = m.apply(vec)
-        want = {i: sum((a[i][j] * Fraction(1, j + 2) for j in range(cols)), Fraction(0))
-                for i in range(rows)}
-        assert {i: Fraction(int(v.numerator), int(v.denominator)) for i, v in got.items()} == {
-            i: v for i, v in want.items() if v
-        }
-        assert all(m.entry(i, j) == a[i][j] for i in range(rows) for j in range(cols))
+    m = build(spec)
+    check(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)])
+    pick = data.draw(st.lists(st.integers(0, cols - 1), max_size=5)) if cols else []
+    check(m.select_columns(pick), [[row[j] for j in pick] for row in a])
+    shift = data.draw(st.integers(-4, 4))
+    height = data.draw(dims)
+    check(
+        m.shift_rows(shift, height),
+        [
+            a[i - shift] if 0 <= i - shift < rows else [Fraction(0)] * cols
+            for i in range(height)
+        ],
+    )
+    o = build(other)
+    if rows == rows_b:
+        check(m.hstack(o), [ra + rb for ra, rb in zip(a, b)])
+    whole = block_matrix({(0, 0): m, (1, 1): o}, [rows, rows_b], [cols, cols_b])
+    check(
+        whole,
+        [ra + [Fraction(0)] * cols_b for ra in a] + [[Fraction(0)] * cols + rb for rb in b],
+    )
+    vec = {j: Fraction(1, j + 2) for j in range(cols)}
+    got = m.apply(vec)
+    want = {i: sum((a[i][j] * Fraction(1, j + 2) for j in range(cols)), Fraction(0))
+            for i in range(rows)}
+    assert got == {i: v for i, v in want.items() if v}
+    assert all(m.entry(i, j) == a[i][j] for i in range(rows) for j in range(cols))
 
 
 @settings(max_examples=60, deadline=None)
 @given(specs(), st.data())
 def test_bases_and_solvers(spec, data):
     a, rows, cols = spec
-    for backend in BACKENDS:
-        m = build(spec, backend)
-        rk = oracles.dense_rank(a) if rows and cols else 0
-        assert rank(m) == rk
-        kb = kernel_basis(m)
-        assert_canonical(kb)
-        assert kb.cols == cols - rk and (m @ kb).is_zero() and rank(kb) == kb.cols
-        im = image_basis(m)
-        assert_canonical(im)
-        assert im.cols == rank(im) == rk
-        x = build(data.draw(specs(rows=cols)), backend)
-        rhs = m @ x
-        sol = solve_general(m, rhs)
-        assert_canonical(sol)
-        assert m @ sol == rhs
-        coords = solve_in_span(im, rhs)
-        assert_canonical(coords)
-        assert im @ coords == rhs
+    m = build(spec)
+    rk = oracles.dense_rank(a) if rows and cols else 0
+    assert rank(m) == rk
+    kb = kernel_basis(m)
+    assert_canonical(kb)
+    assert kb.cols == cols - rk and (m @ kb).is_zero() and rank(kb) == kb.cols
+    im = image_basis(m)
+    assert_canonical(im)
+    assert im.cols == rank(im) == rk
+    x = build(data.draw(specs(rows=cols)))
+    rhs = m @ x
+    sol = solve_general(m, rhs)
+    assert_canonical(sol)
+    assert m @ sol == rhs
+    coords = solve_in_span(im, rhs)
+    assert_canonical(coords)
+    assert im @ coords == rhs

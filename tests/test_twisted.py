@@ -34,25 +34,16 @@ def _as_dense_algebra(algebra):
     for i in range(d):
         for j in range(d):
             for k, v in algebra.mult[i][j].items():
-                table[i][j][k] = Fraction(int(v.numerator), int(v.denominator))
+                table[i][j][k] = v
     unit = [Fraction(0)] * d
     for k, v in algebra.unit.items():
-        unit[k] = Fraction(int(v.numerator), int(v.denominator))
+        unit[k] = v
     return oracles.DenseAlgebra(d, table, unit)
 
 
 def _as_dense_map(amap):
     d = amap.dim
-    return [
-        [
-            Fraction(
-                int(amap.matrix.entry(i, j).numerator),
-                int(amap.matrix.entry(i, j).denominator),
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    return [[amap.matrix.entry(i, j) for j in range(d)] for i in range(d)]
 
 
 def test_twist_matrix_identity():
