@@ -25,7 +25,8 @@ class ChainComplexQ:
     """Nonnegatively graded complex with differentials d[n]: C_n -> C_{n-1}.
 
     d[0] is absent (stored as None).  d.d = 0 is checked exactly at
-    construction.
+    construction; check=False is for callers that have checked it
+    otherwise, because ``HomologyResult`` relies on it.
     """
 
     def __init__(self, dims, differentials, check=True):
@@ -61,31 +62,36 @@ class ChainComplexQ:
 class HomologyResult:
     """Per-degree homology dimensions with lazily computed bases.
 
-    dims[n] for n <= valid_through.  cycle_basis(n) and boundary_basis(n)
+    dims[n] for n <= valid_through, and ranks[n] = rank d_n for n <= top
+    (ranks[0] = 0).  cycle_basis(n) and boundary_basis(n)
     are canonical (RREF-derived) and cached; dims are computed from ranks
     alone so that large complexes never pay for explicit bases.
+
+    The ranks are compressed: d_1, d_2, ... are ranked in ascending order,
+    and d_{n+1} is ranked with the rows at the pivot columns P of d_n left
+    out.  Those columns are independent, so span(e_P) meets ker d_n only in
+    0 and deleting the coordinates P is injective on ker d_n, which holds
+    im d_{n+1} when d_n d_{n+1} = 0; the rank is unchanged.  That identity
+    is the precondition: every complex read here has it checked exactly
+    (``ChainComplexQ``, ``MixedComplex``, ``DeRhamComplex``).
     """
 
     def __init__(self, complex_):
         self.complex = complex_
         self.valid_through = complex_.top - 1
-        self._rank = {}
         self._cycles = {}
         self._boundaries = {}
         self._reps = {}
-        dims = []
-        for n in range(self.valid_through + 1):
-            dims.append(complex_.dims[n] - self._rank_d(n) - self._rank_d(n + 1))
-        self.dims = dims
-
-    def _rank_d(self, n):
-        if n <= 0 or n > self.complex.top:
-            return 0
-        r = self._rank.get(n)
-        if r is None:
-            r = rank(self.complex.d[n])
-            self._rank[n] = r
-        return r
+        # ranks[n] = rank d_n (d_0 = 0); below: the pivot columns of d_{n-1}
+        ranks = self.ranks = [0]
+        below = None
+        for n in range(1, complex_.top + 1):
+            pivots = []
+            ranks.append(rank(complex_.d[n], skip_rows=below, pivot_cols=pivots))
+            below = set(pivots)
+        self.dims = [
+            complex_.dims[n] - ranks[n] - ranks[n + 1] for n in range(self.valid_through + 1)
+        ]
 
     def cycle_basis(self, n):
         """Canonical basis of ker d_n (all of C_n when n = 0)."""

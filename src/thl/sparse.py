@@ -23,7 +23,10 @@ give them back, and so do the rows of ``rref``.
   from a lazy-deletion heap keyed on (column length, column index).  Rank
   is invariant under pivot order, so this is safe, fully deterministic, and
   orders of magnitude faster on the face-map matrices this library
-  produces.
+  produces.  It can leave out a set of rows and report the columns it
+  pivoted on, which is what compressed homology ranks need: when
+  d_n d_{n+1} = 0, deleting the rows of d_{n+1} at the pivot columns of
+  d_n keeps its rank (see ``complexes.HomologyResult``).
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
@@ -286,10 +289,17 @@ def integer_columns(columns):
     return den, [{k: v.numerator * (den // v.denominator) for k, v in c.items()} for c in cols]
 
 
-def _primitive(vec):
-    """A copy of the integer vector divided by its content."""
-    g = gcd(*vec.values())
-    return dict(vec) if g == 1 else {k: v // g for k, v in vec.items()}
+def _primitive(vec, skip=None):
+    """A copy of the integer vector, less the keys in the set skip, divided
+    by its content; None when no entry is left."""
+    out = {k: v for k, v in vec.items() if k not in skip} if skip else dict(vec)
+    if not out:
+        return None
+    g = gcd(*out.values())
+    if g != 1:
+        for k in out:
+            out[k] //= g
+    return out
 
 
 def _clear(r, prow, c):
@@ -324,8 +334,14 @@ def _clear(r, prow, c):
 # rank: fraction-free sparse elimination
 # ---------------------------------------------------------------------
 
-def rank(matrix):
+def rank(matrix, skip_rows=None, pivot_cols=None):
     """Exact rank over Q; the input is not modified.
+
+    With a set skip_rows, the rank of the matrix with those rows deleted
+    (they are left out of the column copies, so no second matrix is made).
+    With a list pivot_cols, the columns pivoted on are appended to it: they
+    are independent and span the image of the matrix taken (less
+    skip_rows).
 
     Each column is divided once by its content and then eliminated
     fraction-free: clearing row r of column ``col`` with pivot column
@@ -342,7 +358,7 @@ def rank(matrix):
     out stale), so a popped key that matches is the true minimum.
     Deterministic; the value is independent of pivot order.
     """
-    cols = [_primitive(c) if c else None for c in matrix._cols]
+    cols = [_primitive(c, skip_rows) for c in matrix._cols]
     row_cols = {}
     for j, col in enumerate(cols):
         if col:
@@ -403,6 +419,8 @@ def rank(matrix):
             elif not s:
                 del row_cols[rr]
         cols[c] = None
+        if pivot_cols is not None:
+            pivot_cols.append(c)
 
     while True:
         while pendant:

@@ -234,6 +234,52 @@ def test_rank_leaves_input_unchanged(m):
     assert [(j, r, type(v), v) for j in range(m.cols) for r, v in m.column(j).items()] == before
 
 
+def rows_deleted(m, skip):
+    """The dense matrix of m with the rows in skip deleted."""
+    return [row for i, row in enumerate(dense(m)) if i not in skip]
+
+
+def row_subsets(m):
+    return st.sets(st.integers(min_value=0, max_value=m.rows - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_matrices(), st.data())
+def test_rank_skip_rows_is_rank_with_rows_deleted(m, data):
+    skip = data.draw(row_subsets(m))
+    kept = rows_deleted(m, skip)
+    assert rank(m, skip_rows=skip) == rank(QMatrix.from_dense(kept, len(kept), m.cols))
+    assert rank(m, skip_rows=skip) == dense_rank(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(max_dim=5), structured_matrices(max_dim=12)), st.data())
+def test_rank_pivot_cols_independent_and_span_image(m, data):
+    """The columns rank pivots on are independent and as many as the rank,
+    so they span the image: the same span as image_pivot_cols, and with rows
+    skipped, the image of the matrix less those rows."""
+    skip = data.draw(row_subsets(m))
+    kept = rows_deleted(m, skip)
+    for rows, skip_rows in ((dense(m), None), (kept, skip)):
+        pivots = []
+        rk = rank(m, skip_rows=skip_rows, pivot_cols=pivots)
+        assert len(set(pivots)) == len(pivots) == rk == dense_rank(rows)
+        assert dense_rank([[row[j] for j in pivots] for row in rows]) == rk
+    pivots = []
+    rank(m, pivot_cols=pivots)
+    both = m.select_columns(pivots).hstack(image_basis(m))
+    assert dense_rank(dense(both)) == rank(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(structured_matrices(), st.data())
+def test_rank_skip_rows_leaves_input_unchanged(m, data):
+    skip = data.draw(row_subsets(m))
+    before = entries_of(m), [dict(c) for c in m._cols], m.den
+    rank(m, skip_rows=skip, pivot_cols=[])
+    assert (entries_of(m), [dict(c) for c in m._cols], m.den) == before
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=5))
 def test_image_pivots_independent(m):
