@@ -420,14 +420,21 @@ def integer_images(maps):
 def tensor_operator(src, dst, terms, den=1):
     """Matrix from src to dst of a slot-wise operator on tensor modules.
 
-    terms(g, a) lists, for the basis tensor (g | a) of src, the terms
-    (c, h, slots) of its image: the image is the sum of
-    c/den (h | x_0 (x) ... (x) x_m), where h is the target group tuple
-    (() on pure algebra bases) and each slot x_s is a basis index or an
-    integer vector {index: int}.  The unit is dropped from reduced target
-    slots.  A target index is the offset of h plus one offset per slot;
-    coefficients are Python ints, and the matrix keeps them over den.
-    Every tensor-module operator is built here.
+    Each term (run, fn) copies the source algebra slots in run, a range of
+    consecutive slots, unchanged into the last len(run) target slots, which
+    must be reduced as those source slots are.  fn(g, a) is called once for
+    each group tuple g of src (() on pure algebra bases) and each
+    assignment a of the other source slots, in slot order, and lists the
+    images (c, h, slots): the basis tensor (g | a, run) goes to the sum of
+    c/den (h | x_0 (x) ... (x) x_m (x) run), where h is the target group
+    tuple and each leading slot x_s is a basis index or an integer vector
+    {index: int}.  The unit is dropped from reduced target slots.
+
+    Along the run, source tensors are a fixed stride apart and their
+    targets adjacent, so each image is expanded once and added to every
+    column of the run at constant cost per entry.  Coefficients are Python
+    ints, and the matrix keeps them over den.  Every tensor-module
+    operator is built here.
     """
     place = []          # per target slot: basis index -> offset, None for a dropped unit
     stride = 1
@@ -438,35 +445,58 @@ def tensor_operator(src, dst, terms, den=1):
             place.append([k * stride for k in range(dst.d)])
         stride *= size
     place.reverse()
+    strides = []        # per source slot: the offset of one step of its digit
+    stride = 1
+    for size in reversed(src.slot_sizes):
+        strides.append(stride)
+        stride *= size
+    strides.reverse()
+    values = [range(1 if f else 0, src.d) for f in src.reduced]
+    offsets = [[k * st for k in range(size)] for size, st in zip(src.slot_sizes, strides)]
     goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
-    atuples = list(product(*[range(1 if f else 0, src.d) for f in src.reduced]))
-    cols = []
-    for g in src.iter_group():
-        for a in atuples:
-            out = {}
-            for c, h, slots in terms(g, a):
-                base = goff[h]
-                part = [(0, c)]
-                for off, x in zip(place, slots):
-                    if x.__class__ is int:
-                        o = off[x]
-                        if o is None:
-                            break
-                        base += o
+    gbases = [(g, k * src.asize) for k, g in enumerate(src.iter_group())]
+    cols = [{} for _ in range(src.size)]
+    for run, fn in terms:
+        lead = place[: dst.algebra_slots - len(run)]
+        if src.reduced[run.start : run.stop] != dst.reduced[len(lead) :]:
+            raise ValueError("a copied run must keep its slots' reduction")
+        # the run's tensors, lexicographic, step by the stride of its last slot
+        size, step = 1, 1
+        for s in run:
+            size *= src.slot_sizes[s]
+            step = strides[s]
+        other = [s for s in range(src.algebra_slots) if s not in run]
+        for g, gbase in gbases:
+            for a, o in zip(
+                product(*[values[s] for s in other]),
+                map(sum, product(*[offsets[s] for s in other])),
+            ):
+                o += gbase
+                targets = cols[o : o + size * step : step]
+                for c, h, slots in fn(g, a):
+                    base = goff[h]
+                    part = [(0, c)]
+                    for off, x in zip(lead, slots):
+                        if x.__class__ is int:
+                            t = off[x]
+                            if t is None:
+                                break
+                            base += t
+                        else:
+                            part = [
+                                (i + off[k], v * w)
+                                for i, v in part
+                                for k, w in x.items()
+                                if off[k] is not None
+                            ]
+                            if not part:
+                                break
                     else:
-                        part = [
-                            (i + off[k], v * w)
-                            for i, v in part
-                            for k, w in x.items()
-                            if off[k] is not None
-                        ]
-                        if not part:
-                            break
-                else:
-                    for i, v in part:
-                        i += base
-                        out[i] = out.get(i, 0) + v
-            cols.append({i: n for i, n in out.items() if n})
+                        for i, v in part:
+                            i += base
+                            for col in targets:
+                                col[i] = col.get(i, 0) + v
+                                i += 1
     return QMatrix.from_integers(dst.size, cols, den)
 
 

@@ -31,6 +31,7 @@ of those elements' twists.  The quotients by the group and by a
 centralizer take their relations from a generating set of it.
 """
 
+from math import lcm
 from types import SimpleNamespace
 
 from .algebra import (
@@ -140,20 +141,33 @@ class GJOperators:
         """The map from block (p_src, q) to (p_dst, q) whose block at the
         target tuple h and source tuple gt is the sum of c * alg_twist(x, q)
         over the moves (c, h, x) in moves(gt); c is +1 or -1.  Two moves of
-        gt can land on the same h, and their blocks are then added."""
+        gt can land on the same h, and their blocks are then added.
+
+        Every twist is put over the lcm of the denominators of the group's
+        twists, and each column is accumulated once from their integer
+        entries; the matrix is then divided to lowest terms."""
         src, dst = self.basis(p_src, q), self.basis(p_dst, q)
-        target = {h: k for k, h in enumerate(dst.iter_group())}
-        signed = {}
-        blocks = {}
+        target = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
+        twists = [self.alg_twist(x, q) for x in range(self.group.order)]
+        den = lcm(*[m.den for m in twists])
+        entries = {}    # (c, x) -> (column, row, integer) per entry of c * twist x over den
+        cols = [{} for _ in range(src.size)]
         for j, gt in enumerate(src.iter_group()):
+            block = cols[j * src.asize : (j + 1) * src.asize]
             for c, h, x in moves(gt):
-                m = signed.get((c, x))
-                if m is None:
-                    m = self.alg_twist(x, q)
-                    m = signed[(c, x)] = m if c == 1 else -m
-                key = (target[h], j)
-                blocks[key] = m if key not in blocks else blocks[key] + m
-        return block_matrix(blocks, [dst.asize] * dst.gsize, [src.asize] * src.gsize)
+                es = entries.get((c, x))
+                if es is None:
+                    m = twists[x]
+                    s = c * (den // m.den)
+                    es = entries[(c, x)] = [
+                        (k, i, s * v) for k, col in enumerate(m._cols) for i, v in col.items()
+                    ]
+                ro = target[h]
+                for k, i, v in es:
+                    col = block[k]
+                    i += ro
+                    col[i] = col.get(i, 0) + v
+        return QMatrix.from_integers(dst.size, cols, den)
 
     def bbar(self, p, q):
         """Group-direction boundary (p, q) -> (p-1, q); zero map at p = 0.
@@ -217,7 +231,7 @@ def beta_map(algebra, group, p, q):
         raise ValueError("beta needs p >= 1")
     basis = tensor_index(group, algebra, p, q, reduced_flags=(False,) * (q + 1))
     return tensor_operator(
-        basis, basis, lambda gt, a: [(1, gt[1:] + (group.product(gt),), a)]
+        basis, basis, [(range(q + 1), lambda gt, _: [(1, gt[1:] + (group.product(gt),), ())])]
     )
 
 
@@ -650,7 +664,7 @@ def lambda_cyclic_operator(algebra, group, n):
     sign = -1 if n % 2 else 1
     return tensor_operator(
         basis, basis,
-        lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[n]],) + a[:n])], den,
+        [(range(n), lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[0]],))])], den,
     )
 
 

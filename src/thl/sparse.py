@@ -91,8 +91,13 @@ class QMatrix:
 
     @staticmethod
     def from_integers(rows, columns, den=1):
-        """Adopt the integer columns {row: nonzero int} over den > 0, divided
-        to lowest terms."""
+        """Adopt the integer columns {row: int} over den > 0: zero entries
+        (sums that cancelled) are deleted and the columns divided to lowest
+        terms, both in place, so no second copy is held."""
+        for c in columns:
+            if 0 in c.values():
+                for r in [r for r, v in c.items() if not v]:
+                    del c[r]
         return _lowest(rows, len(columns), columns, den)
 
     # -- accessors ---------------------------------------------------
@@ -251,8 +256,8 @@ def _new(rows, cols, data, den):
 
 
 def _lowest(rows, cols, data, den):
-    """The matrix of integer columns data over den > 0, with the common
-    factor of den and every entry divided out."""
+    """The matrix of the integer columns data, which it adopts, over den > 0,
+    with the common factor of den and every entry divided out in place."""
     if den != 1:
         g = den
         for c in data:
@@ -262,7 +267,9 @@ def _lowest(rows, cols, data, den):
                     break
         if g != 1:
             den //= g
-            data = [{r: v // g for r, v in c.items()} for c in data]
+            for c in data:
+                for r in c:
+                    c[r] //= g
     return _new(rows, cols, data, den)
 
 

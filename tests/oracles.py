@@ -444,3 +444,58 @@ def hochschild_dims(alg, g, max_degree):
         rk_n1 = dense_rank(b[n + 1])
         out.append(dims[n] - rk_n - rk_n1)
     return out
+
+
+# -- the per-tuple tensor operator kernel ------------------------------
+
+def reference_tensor_operator(src, dst, terms, den=1):
+    """Matrix from src to dst of a slot-wise operator, expanded one basis
+    tensor at a time: the kernel ``algebra.tensor_operator`` replaced.
+
+    terms(g, a) lists, for the basis tensor (g | a) of src, the terms
+    (c, h, slots) of its image: the image is the sum of
+    c/den (h | x_0 (x) ... (x) x_m), where h is the target group tuple and
+    each slot x_s is a basis index or an integer vector {index: int}.  The
+    unit is dropped from reduced target slots.
+    """
+    from thl.sparse import QMatrix
+
+    place = []
+    stride = 1
+    for flag, size in zip(reversed(dst.reduced), reversed(dst.slot_sizes)):
+        if flag:
+            place.append([None] + [(k - 1) * stride for k in range(1, dst.d)])
+        else:
+            place.append([k * stride for k in range(dst.d)])
+        stride *= size
+    place.reverse()
+    goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
+    atuples = list(product(*[range(1 if f else 0, src.d) for f in src.reduced]))
+    cols = []
+    for g in src.iter_group():
+        for a in atuples:
+            out = {}
+            for c, h, slots in terms(g, a):
+                base = goff[h]
+                part = [(0, c)]
+                for off, x in zip(place, slots):
+                    if x.__class__ is int:
+                        o = off[x]
+                        if o is None:
+                            break
+                        base += o
+                    else:
+                        part = [
+                            (i + off[k], v * w)
+                            for i, v in part
+                            for k, w in x.items()
+                            if off[k] is not None
+                        ]
+                        if not part:
+                            break
+                else:
+                    for i, v in part:
+                        i += base
+                        out[i] = out.get(i, 0) + v
+            cols.append({i: n for i, n in out.items() if n})
+    return QMatrix.from_integers(dst.size, cols, den)

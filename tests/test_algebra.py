@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from thl.algebra import (
@@ -8,6 +10,7 @@ from thl.algebra import (
     conjugacy_data,
     crossed_product,
     tensor_index,
+    tensor_operator,
     trivial_group,
     validate_action,
     validate_algebra,
@@ -16,6 +19,7 @@ from thl.errors import ActionError, AlgebraError, ReducedBasisError
 from thl.rational import Q
 from thl.sparse import QMatrix
 
+from oracles import reference_tensor_operator
 from fixtures_for_tests import (
     dual_numbers_algebra,
     sign_twist,
@@ -157,6 +161,52 @@ def test_tensor_index_roundtrip():
         gt, at = basis.decode(idx)
         assert basis.encode(gt, at) == idx
         assert all(a >= 1 for a in at[1:])
+
+
+def test_tensor_operator_cancelled_entries_and_lowest_terms():
+    # +1 and -1 times the identity, one per tensor and one along a run over
+    # every slot, cancel in every column, next to 3 times a shift over 6
+    A3 = triple_lines_algebra()
+    basis = algebra_tensor_basis(A3, 2, (False, False))
+    m = tensor_operator(basis, basis, [
+        (range(0), lambda _, a: [(1, (), a)]),
+        (range(1, 2), lambda _, a: [(3, (), ((a[0] + 1) % 3,))]),
+        (range(2), lambda _, a: [(-1, (), ())]),
+    ], den=6)
+    assert all(len(c) == 1 and 0 not in c.values() for c in m._cols)
+    assert m.den == 2 and all(gcd(m.den, *c.values()) == 1 for c in m._cols)
+    assert m == reference_tensor_operator(
+        basis, basis, lambda _, a: [(3, (), ((a[0] + 1) % 3, a[1]))], 6
+    )
+
+
+def test_tensor_operator_runs_of_no_slot_and_of_every_slot():
+    A3 = triple_lines_algebra()
+    G3 = z3_group(A3)
+    basis = tensor_index(G3, A3, 1, 2)
+
+    def move(g):
+        return g[1:] + (G3.product(g),)
+
+    expected = reference_tensor_operator(basis, basis, lambda g, a: [(2, move(g), a)])
+    assert tensor_operator(basis, basis, [(range(0), lambda g, a: [(2, move(g), a)])]) == expected
+    assert tensor_operator(basis, basis, [(range(3), lambda g, _: [(2, move(g), ())])]) == expected
+
+
+def test_tensor_operator_run_keeps_reduction():
+    A3 = triple_lines_algebra()
+    full = algebra_tensor_basis(A3, 2, (False, False))
+    with pytest.raises(ValueError):
+        tensor_operator(full, algebra_tensor_basis(A3, 2), [(range(1, 2), lambda _, a: [(1, (), a)])])
+
+
+def test_from_integers_adopts_columns_in_place():
+    # the kernel hands its accumulated sums here: zeros are deleted and the
+    # common factor divided out without a second copy of the columns
+    cols = [{0: 4, 1: 0}, {}, {1: 6, 2: -2}, {0: 0}]
+    m = QMatrix.from_integers(3, cols, 10)
+    assert all(a is b for a, b in zip(m._cols, cols))
+    assert cols == [{0: 2}, {}, {1: 3, 2: -1}, {}] and m.den == 5
 
 
 def test_reduced_needs_unit_basis_vector():
