@@ -74,6 +74,13 @@ class HomologyResult:
     im d_{n+1} when d_n d_{n+1} = 0; the rank is unchanged.  That identity
     is the precondition: every complex read here has it checked exactly
     (``ChainComplexQ``, ``MixedComplex``, ``DeRhamComplex``).
+
+    After compression d_{n+1} has at most dim ker d_n nonzero rows, which
+    bounds its rank from above, and ``sparse.rank`` stops as soon as the
+    stride chunks of columns it has read reach that bound: their pivot
+    columns then span the image, and they are the pivot columns that the
+    next degree leaves out.  A differential short of the bound (homology in
+    degree n) has every chunk read, each reduced by the pivots before it.
     """
 
     def __init__(self, complex_):

@@ -183,7 +183,8 @@ def descend_map(f, src, dst, what="map"):
 
     f maps src ambient to dst ambient.  Requires f(src relations) to land in
     the span of dst relations; otherwise raises WellDefinednessError naming
-    the first offending relation column.
+    the first offending relation column and its pivot coordinate of the src
+    ambient module.
 
     The induced map is the class of f on the free coordinates of src.  Relation
     column k of src is its pivot coordinate minus the lift of that pivot's
@@ -199,7 +200,8 @@ def descend_map(f, src, dst, what="map"):
     for j, col in enumerate(square._cols):
         if col:
             raise WellDefinednessError(
-                f"{what} does not descend to the quotient", location=f"relation column {j}"
+                f"{what} does not descend to the quotient",
+                location=f"relation column {j} (pivot coordinate {src.pivot_rows[j]})",
             )
     return down
 

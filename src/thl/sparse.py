@@ -27,6 +27,14 @@ give them back, and so do the rows of ``rref``.
   pivoted on, which is what compressed homology ranks need: when
   d_n d_{n+1} = 0, deleting the rows of d_{n+1} at the pivot columns of
   d_n keeps its rank (see ``complexes.HomologyResult``).
+* ``rank`` stops as soon as its value is certified.  The number of nonzero
+  rows left is an upper bound, and the rank of any subset of the columns a
+  lower bound; the columns are read in stride chunks (chunk i of k is every
+  column j = i mod k, k = cols // (2 * bound)), and the rank is returned
+  once the columns read reach the bound.  A chunk that ends short is
+  followed by the next, its columns first reduced by the pivots logged so
+  far, in log order.  This is the full-rank case of rank certificates
+  (Kaltofen, Nehring, Saunders, ISSAC 2011).
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
@@ -350,11 +358,104 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
     are independent and span the image of the matrix taken (less
     skip_rows).
 
+    Certified early exit.  The number of nonzero rows left after skip_rows,
+    ``bound``, is an upper bound for the rank, and the rank of any subset of
+    the columns is a lower bound.  The columns are read in k stride chunks,
+    chunk i holding every column j = i (mod k), with k = cols // (2 * bound)
+    (at least 1) taken from the shape alone; once the columns read reach
+    rank ``bound`` the rank is exact, their pivot columns span the image,
+    and the remaining chunks are never copied.  A chunk that ends below the
+    bound is followed by the next one, whose columns are first reduced by
+    every pivot logged so far (``_reduce``), so no chunk's work is redone.
+    With k == 1 (fewer than four times as many columns as bound) this is
+    one plain elimination of every column.
+
     Each column is divided once by its content and then eliminated
-    fraction-free: clearing row r of column ``col`` with pivot column
-    ``piv`` (pivot entry p, entry a = col[r], g = gcd(a, p)) sets
-    ``col <- (p/g)*col - (a/g)*piv`` and divides the result by its content,
-    which keeps the integers small without creating a rational.
+    fraction-free (``_eliminate``).  Deterministic; the value is independent
+    of pivot order and of the chunking.
+    """
+    live = set().union(*matrix._cols)
+    if skip_rows:
+        live.difference_update(skip_rows)
+    bound = len(live)
+    if not bound:
+        return 0
+    k = max(1, matrix.cols // (2 * bound))
+    log, log_at = [], {}
+    rk = 0
+    for i in range(k):
+        cols = []
+        for j in range(i, matrix.cols, k):
+            col = _primitive(matrix._cols[j], skip_rows)
+            cols.append(_reduce(col, log, log_at) if col and log_at else col)
+        pivots = _eliminate(cols, log if i < k - 1 else None)
+        if pivot_cols is not None:
+            pivot_cols.extend(i + k * c for c in pivots)
+        rk += len(pivots)
+        if rk == bound:
+            break
+        for t in range(len(log_at), len(log)):
+            log_at[log[t][0]] = t
+    return rk
+
+
+def _reduce(col, log, log_at):
+    """The primitive integer column col reduced in place by the logged
+    pivots (row, pivot entry, other entries) whose rows it meets; None when
+    nothing is left.
+
+    Pivots are applied in log order, which is the order they were taken
+    in: the column of pivot t was already clear of the rows of pivots
+    0..t-1, so applying t never brings an earlier pivot row back, and the
+    result meets no pivot row.  A heap of the log indices of the pivot rows
+    the column meets (pushed when an entry appears) keeps the cost in
+    proportion to the pivots actually applied.
+    """
+    todo = [log_at[r] for r in col if r in log_at]
+    heapify(todo)
+    while todo:
+        r, p, rest = log[heappop(todo)]
+        a = col.pop(r, None)
+        if a is None:
+            continue
+        g = gcd(a, p)
+        pm, am = p // g, a // g
+        if pm < 0:
+            pm, am = -pm, -am
+        if pm != 1:
+            for rr in col:
+                col[rr] *= pm
+        for rr, v in rest:
+            nv = col.get(rr)
+            if nv is None:
+                col[rr] = -am * v
+                t = log_at.get(rr)
+                if t is not None:
+                    heappush(todo, t)
+            else:
+                nv -= am * v
+                if nv:
+                    col[rr] = nv
+                else:
+                    del col[rr]
+        if col:
+            g = gcd(*col.values())
+            if g != 1:
+                for rr in col:
+                    col[rr] //= g
+    return col or None
+
+
+def _eliminate(cols, log):
+    """Eliminate the primitive integer columns cols (None for a zero column)
+    in place until they are all zero; returns the indices of the pivot
+    columns, in order.  With a list log, each pivot (row, pivot entry, the
+    column's other entries) is appended to it.
+
+    Clearing row r of column ``col`` with pivot column ``piv`` (pivot entry
+    p, entry a = col[r], g = gcd(a, p)) sets ``col <- (p/g)*col - (a/g)*piv``
+    and divides the result by its content, which keeps the integers small
+    without creating a rational.
 
     Pivot order: pendant rows (a single live column, so no fill-in) first,
     found through a list of rows whose count dropped to one; otherwise the
@@ -363,9 +464,7 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
     columns.  Every live column keeps a heap key no larger than its length
     (a column is pushed again when it shrinks, or when a popped key turns
     out stale), so a popped key that matches is the true minimum.
-    Deterministic; the value is independent of pivot order.
     """
-    cols = [_primitive(c, skip_rows) for c in matrix._cols]
     row_cols = {}
     for j, col in enumerate(cols):
         if col:
@@ -374,7 +473,7 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapify(heap)
     pendant = [r for r, s in row_cols.items() if len(s) == 1]
-    rk = 0
+    pivots = []
 
     def eliminate(r, c):
         """Pivot at (r, c): clear row r from the other columns, drop row+col."""
@@ -426,8 +525,9 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
             elif not s:
                 del row_cols[rr]
         cols[c] = None
-        if pivot_cols is not None:
-            pivot_cols.append(c)
+        pivots.append(c)
+        if log is not None:
+            log.append((r, p, piv_items))
 
     while True:
         while pendant:
@@ -436,7 +536,6 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
             if s is not None and len(s) == 1:
                 (j,) = s
                 eliminate(r, j)
-                rk += 1
         while heap:
             n, j = heappop(heap)
             col = cols[j]
@@ -445,10 +544,9 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
                     break
                 heappush(heap, (len(col), j))
         else:
-            return rk
+            return pivots
         r = min(col, key=lambda r: (len(row_cols[r]), r))
         eliminate(r, j)
-        rk += 1
 
 
 def nullity(matrix):

@@ -12,6 +12,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thl.algebra import AlgebraMap, crossed_product
 from thl.complexes import ChainComplexQ, homology
 from thl.config import load_config, load_fixture
 from thl.crossed import (
@@ -24,6 +25,7 @@ from thl.crossed import (
 from thl.fixtures import fixture_names
 from thl.sequences import DeRhamComplex
 from thl.sparse import QMatrix, kernel_basis, rank
+from thl.twisted import twisted_cyclic
 
 from oracles import dense_rank
 
@@ -99,3 +101,24 @@ def test_compressed_ranks_on_every_fixture(name):
     for what, h in _homologies(_config(name)):
         d = h.complex.d
         assert h.ranks == [0] + [rank(d[n]) for n in range(1, h.complex.top + 1)], what
+
+
+def test_crossed_route_top_rank_certified_in_early_chunks():
+    """HC of Q^3 x| Z/3 by the twisted route with the identity twist at N=3
+    (the crossed-route benchmark): d_4 is 4680x37449 with 4160 live rows
+    and rank 4160, so rank reads it in k = 37449 // 8320 = 4 stride chunks
+    and the certificate must close before the last one.  A full elimination
+    would pivot on columns of every residue class mod k."""
+    cfg = load_fixture("triple-lines-z3")
+    ag = crossed_product(cfg.algebra, cfg.group)
+    h = twisted_cyclic(ag, AlgebraMap.identity(ag.dim), 3)
+    assert h.ranks == [0, 8, 64, 520, 4160]
+    assert h.dims == [1, 0, 1, 0]
+    d = h.complex.d
+    below = []
+    rank(d[3], pivot_cols=below)
+    pivots = []
+    assert rank(d[4], skip_rows=set(below), pivot_cols=pivots) == 4160
+    k = d[4].cols // (2 * 4160)
+    assert k == 4
+    assert max(j % k for j in pivots) < k - 1

@@ -317,14 +317,16 @@ def related_map_setups(draw):
 @given(related_map_setups())
 def test_descend_with_relations_on_both_sides_matches_products(setup):
     """descend_map raises exactly when dst.projection @ f @ src.relation_basis
-    is nonzero, naming its first nonzero column; otherwise it returns
-    dst.projection @ f @ src.section."""
+    is nonzero, naming its first nonzero column and that relation's pivot
+    coordinate; otherwise it returns dst.projection @ f @ src.section."""
     f, src, dst = setup
     moved = dst.projection @ f @ src.relation_basis
     bad = [j for j, col in enumerate(moved._cols) if col]
     if bad:
         with pytest.raises(WellDefinednessError) as err:
             descend_map(f, src, dst)
-        assert err.value.location == f"relation column {bad[0]}"
+        assert err.value.location == (
+            f"relation column {bad[0]} (pivot coordinate {src.pivot_rows[bad[0]]})"
+        )
     else:
         assert descend_map(f, src, dst) == dst.projection @ f @ src.section

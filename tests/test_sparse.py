@@ -280,6 +280,93 @@ def test_rank_skip_rows_leaves_input_unchanged(m, data):
     assert (entries_of(m), [dict(c) for c in m._cols], m.den) == before
 
 
+@st.composite
+def wide_matrices(draw, max_rows=8):
+    """Sparse matrices with at least four times as many columns as rows, so
+    rank reads them in k >= 2 stride chunks (k = cols // (2 * live rows)).
+
+    "full" matrices usually reach full row rank in some chunk, the
+    certified early exit.  "deficient" ones never can: row 0 is the sum of
+    the other rows, some rows may be zero, and columns repeat earlier ones,
+    so every chunk is read and each later chunk is reduced by the pivots of
+    the earlier ones.
+    """
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=4 * rows, max_value=8 * rows + 4))
+    kind = draw(st.sampled_from(["full", "deficient"]))
+    used = draw(st.integers(min_value=0, max_value=rows - 1)) if kind == "deficient" else rows
+    row = st.integers(min_value=0, max_value=max(used - 1, 0))
+    cols = []
+    for _ in range(ncols):
+        shape = draw(st.sampled_from(["pendant", "sparse", "multiple", "zero"]))
+        if shape == "multiple" and cols:
+            src = draw(st.sampled_from(cols))
+            k = draw(st.sampled_from([1, -1]) | nonzero_entries)
+            cols.append({r: k * v for r, v in src.items()})
+        elif shape == "zero" or not used:
+            cols.append({})
+        elif shape == "pendant":
+            cols.append({draw(row): draw(nonzero_entries)})
+        else:
+            cols.append(draw(st.dictionaries(row, nonzero_entries, max_size=4)))
+    if kind == "deficient":
+        # shift rows down one and make row 0 their sum: rank < live rows
+        cols = [{r + 1: v for r, v in c.items() if r + 1 < rows} for c in cols]
+        for c in cols:
+            total = sum(c.values())
+            if total:
+                c[0] = total
+    return QMatrix.from_columns(rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matrices(), st.data())
+def test_rank_in_stride_chunks_matches_dense_oracle(m, data):
+    """On wide matrices, with and without skipped rows: the rank is the
+    dense oracle's, the pivot columns are independent and span the image,
+    a second call gives the same pivots, and the input is unchanged."""
+    skip = data.draw(row_subsets(m))
+    kept = rows_deleted(m, skip)
+    before = entries_of(m), [dict(c) for c in m._cols], m.den
+    for rows, skip_rows in ((dense(m), None), (kept, skip)):
+        pivots, again = [], []
+        rk = rank(m, skip_rows=skip_rows, pivot_cols=pivots)
+        assert rk == dense_rank(rows)
+        assert len(set(pivots)) == len(pivots) == rk
+        assert dense_rank([[row[j] for j in pivots] for row in rows]) == rk
+        assert rank(m, skip_rows=skip_rows, pivot_cols=again) == rk
+        assert again == pivots
+    assert (entries_of(m), [dict(c) for c in m._cols], m.den) == before
+
+
+def test_rank_certificate_closes_in_first_chunk():
+    """Two live rows and eight columns: k = 2.  Chunk 0 (the even columns)
+    already has rank 2, so no odd column is pivoted on."""
+    m = QMatrix.from_columns(2, [{0: 1}, {0: 1, 1: 1}, {1: 2}, {}, {0: 1}, {1: 1}, {}, {0: 3}])
+    pivots = []
+    assert rank(m, pivot_cols=pivots) == 2
+    assert sorted(pivots) == [0, 2]
+
+
+def test_rank_later_chunk_reduced_by_earlier_pivots():
+    """Chunk 0 (even columns) spans only e0; the odd columns e0 + e1 are
+    reduced by its pivot to e1, which closes the certificate in chunk 1."""
+    m = QMatrix.from_columns(2, [{0: 2}, {0: 1, 1: 1}] * 4)
+    pivots = []
+    assert rank(m, pivot_cols=pivots) == 2
+    assert pivots[0] % 2 == 0 and pivots[1] % 2 == 1
+
+
+def test_rank_certificate_never_closes():
+    """Row 0 equals row 1 on every column: two live rows, rank 1, so every
+    chunk is read; the rows left out by skip_rows leave rank 1."""
+    m = QMatrix.from_columns(3, [{0: j % 3 + 1, 1: j % 3 + 1} for j in range(12)])
+    pivots = []
+    assert rank(m, pivot_cols=pivots) == 1
+    assert rank(m, skip_rows={0}) == rank(m, skip_rows={1}) == 1
+    assert rank(m, skip_rows={0, 1}) == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=5))
 def test_image_pivots_independent(m):
