@@ -3,7 +3,7 @@ and enumeration of the tensor-module bases everything else is built on.
 """
 
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from .errors import ActionError, AlgebraError, ReducedBasisError
 from .rational import Q, QONE
@@ -417,62 +417,74 @@ def integer_images(maps):
     return den, images
 
 
+def _strides(sizes):
+    """Per slot, the index offset of one step of its digit (the last slot's is 1)."""
+    out, stride = [], 1
+    for size in reversed(sizes):
+        out.append(stride)
+        stride *= size
+    return out[::-1]
+
+
 def tensor_operator(src, dst, terms, den=1):
     """Matrix from src to dst of a slot-wise operator on tensor modules.
 
-    Each term (run, fn) copies the source algebra slots in run, a range of
-    consecutive slots, unchanged into the last len(run) target slots, which
-    must be reduced as those source slots are.  fn(g, a) is called once for
-    each group tuple g of src (() on pure algebra bases) and each
-    assignment a of the other source slots, in slot order, and lists the
-    images (c, h, slots): the basis tensor (g | a, run) goes to the sum of
-    c/den (h | x_0 (x) ... (x) x_m (x) run), where h is the target group
-    tuple and each leading slot x_s is a basis index or an integer vector
-    {index: int}.  The unit is dropped from reduced target slots.
+    Each term (head, run, fn) copies the first head source algebra slots
+    unchanged into the first head target slots, and the slots in run, a
+    range of consecutive slots after them, into the last len(run) target
+    slots; a copied slot must be reduced as its target is.  fn(g, a) is
+    called once for each group tuple g of src (() on pure algebra bases)
+    and each assignment a of the other source slots, in slot order, and
+    lists the images (c, h, slots): the basis tensor (g | head, a, run)
+    goes to the sum of c/den (h | head, x_0 (x) ... (x) x_m, run), where h
+    is the target group tuple and each slot x_s is a basis index or an
+    integer vector {index: int}.  The unit is dropped from reduced target
+    slots.
 
-    Along the run, source tensors are a fixed stride apart and their
-    targets adjacent, so each image is expanded once and added to every
-    column of the run at constant cost per entry.  Coefficients are Python
-    ints, and the matrix keeps them over den.  Every tensor-module
-    operator is built here.
+    The tensors sharing (g, a) form a grid, head by run, whose source
+    columns and target rows are each a fixed stride apart along either
+    axis, so each image is expanded once and added to every column of the
+    grid at constant cost per entry.  Coefficients are Python ints, and the
+    matrix keeps them over den.  Every tensor-module operator is built here.
     """
+    strides, dstrides = _strides(src.slot_sizes), _strides(dst.slot_sizes)
     place = []          # per target slot: basis index -> offset, None for a dropped unit
-    stride = 1
-    for flag, size in zip(reversed(dst.reduced), reversed(dst.slot_sizes)):
+    for flag, st in zip(dst.reduced, dstrides):
         if flag:
-            place.append([None] + [(k - 1) * stride for k in range(1, dst.d)])
+            place.append([None] + [(k - 1) * st for k in range(1, dst.d)])
         else:
-            place.append([k * stride for k in range(dst.d)])
-        stride *= size
-    place.reverse()
-    strides = []        # per source slot: the offset of one step of its digit
-    stride = 1
-    for size in reversed(src.slot_sizes):
-        strides.append(stride)
-        stride *= size
-    strides.reverse()
+            place.append([k * st for k in range(dst.d)])
     values = [range(1 if f else 0, src.d) for f in src.reduced]
     offsets = [[k * st for k in range(size)] for size, st in zip(src.slot_sizes, strides)]
     goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
     gbases = [(g, k * src.asize) for k, g in enumerate(src.iter_group())]
     cols = [{} for _ in range(src.size)]
-    for run, fn in terms:
-        lead = place[: dst.algebra_slots - len(run)]
-        if src.reduced[run.start : run.stop] != dst.reduced[len(lead) :]:
-            raise ValueError("a copied run must keep its slots' reduction")
-        # the run's tensors, lexicographic, step by the stride of its last slot
-        size, step = 1, 1
-        for s in run:
-            size *= src.slot_sizes[s]
-            step = strides[s]
-        other = [s for s in range(src.algebra_slots) if s not in run]
+    for head, run, fn in terms:
+        tail = dst.algebra_slots - len(run)
+        if (src.reduced[:head] != dst.reduced[:head] or (run and run.start < head)
+                or src.reduced[run.start : run.stop] != dst.reduced[tail:]):
+            raise ValueError("copied slots must keep their reduction")
+        lead = place[head:tail]
+        # grid axes (count, source stride, target stride): the run's tensors,
+        # lexicographic, step by its last slot's stride into adjacent rows,
+        # the head's by its last slot's strides; the longer axis is inner
+        axes = [(prod(src.slot_sizes[s] for s in run), strides[run.stop - 1] if run else 1, 1)]
+        axes.append((prod(src.slot_sizes[:head]), strides[head - 1], dstrides[head - 1])
+                    if head else (1, 0, 0))
+        (n_in, s_in, r_in), (n_out, s_out, r_out) = sorted(axes, reverse=True)
+        span = n_in * s_in
+        outer = [(k * s_out, k * r_out) for k in range(n_out)]
+        other = [s for s in range(head, src.algebra_slots) if s not in run]
         for g, gbase in gbases:
             for a, o in zip(
                 product(*[values[s] for s in other]),
                 map(sum, product(*[offsets[s] for s in other])),
             ):
                 o += gbase
-                targets = cols[o : o + size * step : step]
+                if n_out == 1:
+                    spans = ((cols[o : o + span : s_in], 0),)
+                else:
+                    spans = [(cols[o + so : o + so + span : s_in], ro) for so, ro in outer]
                 for c, h, slots in fn(g, a):
                     base = goff[h]
                     part = [(0, c)]
@@ -492,11 +504,13 @@ def tensor_operator(src, dst, terms, den=1):
                             if not part:
                                 break
                     else:
-                        for i, v in part:
-                            i += base
-                            for col in targets:
-                                col[i] = col.get(i, 0) + v
-                                i += 1
+                        for targets, t in spans:
+                            t += base
+                            for i, v in part:
+                                i += t
+                                for col in targets:
+                                    col[i] = col.get(i, 0) + v
+                                    i += r_in
     return QMatrix.from_integers(dst.size, cols, den)
 
 

@@ -13,6 +13,7 @@ from .sparse import (
     QMatrix,
     block_diag,
     block_matrix,
+    first_nonzero_column,
     image_basis,
     image_pivot_cols,
     kernel_basis,
@@ -51,9 +52,8 @@ class ChainComplexQ:
 
     def check_dd_zero(self):
         for n in range(1, self.top):
-            prod = self.d[n] @ self.d[n + 1]
-            if not prod.is_zero():
-                j = next(k for k in range(prod.cols) if prod._cols[k])
+            j = first_nonzero_column([(1, self.d[n], self.d[n + 1])])
+            if j is not None:
                 raise ComplexError(
                     "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {j}"
                 )
@@ -155,7 +155,9 @@ def total_complex(mixed, top):
     Degree n is C_n + C_{n-2} + ... in that order (block j holds C_{n-2j});
     b acts inside each block and B moves block j to block j-1 of the
     degree below.  d.d = 0 is not checked again here: its blocks are the
-    identities that ``MixedComplex`` checked at construction.
+    identities that ``MixedComplex`` checked at construction.  Block column
+    0 of d_n is b_n alone: d_n shares its column dicts when b_n is over the
+    common denominator (``block_matrix``).
     """
 
     def dims(n):
@@ -207,20 +209,20 @@ class MixedComplex:
     def _check_identities(self):
         lbl = self.label or "mixed complex"
         for n in range(2, self.top + 1):
-            if not (self.b[n - 1] @ self.b[n]).is_zero():
+            if first_nonzero_column([(1, self.b[n - 1], self.b[n])]) is not None:
                 raise ComplexError(f"b.b != 0 in {lbl}", location=f"degree {n}")
         for n in range(self.top - 1):
             if self.B[n + 1] is None or self.B[n] is None:
                 continue
-            if not (self.B[n + 1] @ self.B[n]).is_zero():
+            if first_nonzero_column([(1, self.B[n + 1], self.B[n])]) is not None:
                 raise ComplexError(f"B.B != 0 in {lbl}", location=f"degree {n}")
         for n in range(self.top):
             if self.B[n] is None:
                 continue
-            bB_Bb = self.b[n + 1] @ self.B[n]
+            bB_Bb = [(1, self.b[n + 1], self.B[n])]
             if n and self.B[n - 1] is not None:
-                bB_Bb = bB_Bb + self.B[n - 1] @ self.b[n]
-            if not bB_Bb.is_zero():
+                bB_Bb.append((1, self.B[n - 1], self.b[n]))
+            if first_nonzero_column(bB_Bb) is not None:
                 raise ComplexError(
                     f"bB + Bb != 0 in {lbl} (quotient did not kill the twist)",
                     location=f"degree {n}",
@@ -292,9 +294,8 @@ def _descended(pres, presentations, b, B, label):
 def check_chain_map(f_per_degree, src, dst, top):
     """Exact check that f commutes with the differentials through degree top."""
     for n in range(1, top + 1):
-        lhs = dst.d[n] @ f_per_degree[n]
-        rhs = f_per_degree[n - 1] @ src.d[n]
-        if lhs != rhs:
+        terms = [(1, dst.d[n], f_per_degree[n]), (-1, f_per_degree[n - 1], src.d[n])]
+        if first_nonzero_column(terms) is not None:
             raise ChainMapError(f"chain map fails to commute at degree {n}")
 
 
@@ -304,10 +305,10 @@ def check_mixed_map(f, src, dst, what):
     the operator and the first failing degree (b before B)."""
     top = len(f) - 1
     for n in range(1, top + 1):
-        if dst.b[n] @ f[n] != f[n - 1] @ src.b[n]:
+        if first_nonzero_column([(1, dst.b[n], f[n]), (-1, f[n - 1], src.b[n])]) is not None:
             raise ChainMapError(f"{what} fails b at degree {n}")
     for n in range(top):
-        if dst.B[n] @ f[n] != f[n + 1] @ src.B[n]:
+        if first_nonzero_column([(1, dst.B[n], f[n]), (-1, f[n + 1], src.B[n])]) is not None:
             raise ChainMapError(f"{what} fails B at degree {n}")
 
 

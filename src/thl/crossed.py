@@ -215,6 +215,14 @@ class GJOperators:
 
         return self._kept(("Bbar", p, q), build)
 
+    def stalk_identity(self, name, elem, q):
+        """``_first_residual`` of the stalkwise identity name on the degree-q
+        blocks of the group element elem."""
+        return self._kept(
+            ("stalk_identity", name, elem, q),
+            lambda: _first_residual(*IDENTITIES[name][2](self, elem, q)),
+        )
+
     def identity(self, name, p, q):
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
         it holds, else the first residual column, named by its tensor."""
@@ -231,7 +239,7 @@ def beta_map(algebra, group, p, q):
         raise ValueError("beta needs p >= 1")
     basis = tensor_index(group, algebra, p, q, reduced_flags=(False,) * (q + 1))
     return tensor_operator(
-        basis, basis, [(range(q + 1), lambda gt, _: [(1, gt[1:] + (group.product(gt),), ())])]
+        basis, basis, [(0, range(q + 1), lambda gt, _: [(1, gt[1:] + (group.product(gt),), ())])]
     )
 
 
@@ -243,6 +251,12 @@ def _bB(o, p, q):
     """bB + Bb on block (p, q)."""
     m = o.b(p, q + 1) @ o.B(p, q)
     return m + o.B(p, q - 1) @ o.b(p, q) if q >= 1 else m
+
+
+def _alg_bB(o, x, q):
+    """bB + Bb on the degree-q blocks of the element x."""
+    m = o.alg_b(x, q + 1) @ o.alg_B(x, q)
+    return m + o.alg_B(x, q - 1) @ o.alg_b(x, q) if q >= 1 else m
 
 
 def _TBbar(o, p, q):
@@ -258,19 +272,23 @@ def _anticommutator_B_U(o, p, q):
 
 # name -> (p_min, q_min, sides): the identity is checked on the blocks
 # (p, q) with p >= p_min and q >= q_min, where sides(ops, p, q) gives its
-# left and right side; a right side of None is zero
+# left and right side; a right side of None is zero.  The identities in
+# STALKWISE are block diagonal in the group tuples, and their sides(ops, x,
+# q) are stated on the degree-q blocks of one group element x.
 IDENTITIES = {
-    "b^2=0": (0, 2, lambda o, p, q: (o.b(p, q - 1) @ o.b(p, q), None)),
-    "B^2=0": (0, 0, lambda o, p, q: (o.B(p, q + 1) @ o.B(p, q), None)),
+    "b^2=0": (0, 2, lambda o, x, q: (o.alg_b(x, q - 1) @ o.alg_b(x, q), None)),
+    "B^2=0": (0, 0, lambda o, x, q: (o.alg_B(x, q + 1) @ o.alg_B(x, q), None)),
     "bbar^2=0": (2, 0, lambda o, p, q: (o.bbar(p - 1, q) @ o.bbar(p, q), None)),
-    "bB+Bb=1-T": (0, 0, lambda o, p, q: (
-        _bB(o, p, q), QMatrix.identity(o.basis(p, q).size) - o.T(p, q))),
+    "bB+Bb=1-T": (0, 0, lambda o, x, q: (
+        _alg_bB(o, x, q), QMatrix.identity(o.basis(0, q).asize) - o.alg_twist(x, q))),
     "bbarB+Bbbar=0": (1, 0, lambda o, p, q: (
         o.bbar(p, q + 1) @ o.B(p, q) + o.B(p - 1, q) @ o.bbar(p, q), None)),
-    "[T,b]=0": (0, 1, lambda o, p, q: (o.T(p, q - 1) @ o.b(p, q), o.b(p, q) @ o.T(p, q))),
+    "[T,b]=0": (0, 1, lambda o, x, q: (
+        o.alg_twist(x, q - 1) @ o.alg_b(x, q), o.alg_b(x, q) @ o.alg_twist(x, q))),
     "[T,bbar]=0": (1, 0, lambda o, p, q: (
         o.T(p - 1, q) @ o.bbar(p, q), o.bbar(p, q) @ o.T(p, q))),
-    "[T,B]=0": (0, 0, lambda o, p, q: (o.T(p, q + 1) @ o.B(p, q), o.B(p, q) @ o.T(p, q))),
+    "[T,B]=0": (0, 0, lambda o, x, q: (
+        o.alg_twist(x, q + 1) @ o.alg_B(x, q), o.alg_B(x, q) @ o.alg_twist(x, q))),
     "b.bbar+bbar.b=0": (1, 1, lambda o, p, q: (
         o.b(p - 1, q) @ o.bbar(p, q) + o.bbar(p, q - 1) @ o.b(p, q), None)),
     # the parts of the full boundary pair that the suite does not check
@@ -278,6 +296,8 @@ IDENTITIES = {
     "bU+Ub=0": (0, 1, lambda o, p, q: (
         o.b(p + 1, q) @ _TBbar(o, p, q) + _TBbar(o, p, q - 1) @ o.b(p, q), None)),
 }
+
+STALKWISE = frozenset(("b^2=0", "B^2=0", "bB+Bb=1-T", "[T,b]=0", "[T,B]=0"))
 
 SUITE = ("b^2=0", "B^2=0", "bbar^2=0", "bB+Bb=1-T", "bbarB+Bbbar=0",
          "[T,b]=0", "[T,bbar]=0", "[T,B]=0", "b.bbar+bbar.b=0")
@@ -294,15 +314,39 @@ FULL_PAIR = (
 def check_identity(ops, name, p, q):
     """Evaluate the identity name on block (p, q) of ops; GJOperators.identity
     keeps the outcome, so each block is evaluated once per operator set."""
-    lhs, rhs = IDENTITIES[name][2](ops, p, q)
-    residual = lhs if rhs is None else lhs - rhs
-    if residual.is_zero():
+    if name in STALKWISE:
+        found = _first_stalk_residual(ops, name, p, q)
+    else:
+        found = _first_residual(*IDENTITIES[name][2](ops, p, q))
+    if found is None:
         return ""
-    j = next(k for k in range(residual.cols) if residual._cols[k])
+    j, _, col = found
     return (
         f"first residual at (p,q)=({p},{q}) on "
-        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {residual.column(j)}"
+        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {col}"
     )
+
+
+def _first_residual(lhs, rhs):
+    """(j, rows, column j as {row: rational}) for the first nonzero column j
+    of lhs - rhs (of lhs when rhs is None), or None when it is zero."""
+    residual = lhs if rhs is None else lhs - rhs
+    j = next((k for k, c in enumerate(residual._cols) if c), None)
+    return None if j is None else (j, residual.rows, residual.column(j))
+
+
+def _first_stalk_residual(ops, name, p, q):
+    """``_first_residual`` of the stalkwise identity name on block (p, q):
+    read tuple by tuple, in order, from its outcome on the element sigma of
+    each group tuple, which ops keeps per element and q."""
+    basis = ops.basis(p, q)
+    for t, gt in enumerate(basis.iter_group()):
+        found = ops.stalk_identity(name, ops._sigma(gt), q)
+        if found is not None:
+            j, rows, col = found
+            col = {t * rows + r: v for r, v in col.items()}
+            return t * basis.asize + j, basis.gsize * rows, col
+    return None
 
 
 def _outcomes(ops, name, bound):
@@ -664,7 +708,7 @@ def lambda_cyclic_operator(algebra, group, n):
     sign = -1 if n % 2 else 1
     return tensor_operator(
         basis, basis,
-        [(range(n), lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[0]],))])], den,
+        [(0, range(n), lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[0]],))])], den,
     )
 
 

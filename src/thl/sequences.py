@@ -152,7 +152,7 @@ def derham_d_ambient(algebra, group, n):
     group-indexed modules, before any quotient."""
     return tensor_operator(
         tensor_index(group, algebra, 0, n), tensor_index(group, algebra, 0, n + 1),
-        [(range(1, n + 1), lambda g, a: [(1, g, (0,) + a)])],
+        [(0, range(1, n + 1), lambda g, a: [(1, g, (0,) + a)])],
     )
 
 
@@ -301,7 +301,7 @@ class KaroubiReport:
 def _identity_slot_map(src, dst):
     """Each basis tensor of src to the same tensor of dst; zero where dst
     drops a unit from a reduced slot."""
-    return tensor_operator(src, dst, [(range(0), lambda g, a: [(1, g, a)])])
+    return tensor_operator(src, dst, [(0, range(0), lambda g, a: [(1, g, a)])])
 
 
 def _reduced_to_full_section(ops, n):

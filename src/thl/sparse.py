@@ -7,7 +7,8 @@ Storage is column-major integers over one denominator: column j is a dict
 entries (gcd(den, every entry) == 1, so den == 1 for an integral or a zero
 matrix), which makes the storage canonical and ``==`` structural.
 Matrices are treated as immutable once built; every routine that needs to
-mutate works on copies.
+mutate works on copies, so matrices may share column dicts
+(``block_matrix`` lends a block's columns to the result).
 
 Every kernel works on these integers.  The scalar type Q (``Fraction``)
 appears only at the boundary: the constructor, ``from_dense`` and
@@ -17,6 +18,8 @@ give them back, and so do the rows of ``rref``.
 * ``@`` sums integer products over the product of the two denominators;
   ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
   result is divided by its common factor only when its denominator is not 1.
+  ``first_nonzero_column`` tests a sum of products column by column and
+  builds none of them.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Pivots come from pendant
   (single-column) rows first, then from the lightest live column, taken
@@ -226,30 +229,73 @@ def block_matrix(blocks, row_dims, col_dims):
 
     row_dims/col_dims give the block sizes in order; missing blocks are zero.
     The blocks are put over the lcm of their denominators, which stays in
-    lowest terms (see ``_scaled``).
+    lowest terms (see ``_scaled``).  A block alone in its block column, at
+    row offset 0 and over that lcm, lends the result its column dicts.
     """
     row_off = [0]
     for d in row_dims:
         row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
     den = lcm(*[m.den for m in blocks.values()])
-    data = [{} for _ in range(col_off[-1])]
+    parts = {}          # block column -> its (row offset, block), in dict order
     for (bi, bj), m in blocks.items():
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
-        ro, co = row_off[bi], col_off[bj]
-        for j, col in enumerate(m._cols if m.den == den else _scaled(m, den)):
-            tgt = data[co + j]
-            for i, v in col.items():
-                tgt[ro + i] = v
-    return _new(row_off[-1], col_off[-1], data, den)
+        parts.setdefault(bj, []).append((row_off[bi], m))
+    data = []
+    for bj, n in enumerate(col_dims):
+        ms = parts.get(bj, ())
+        if len(ms) == 1 and ms[0][0] == 0 and ms[0][1].den == den:
+            data.extend(ms[0][1]._cols)
+            continue
+        cols = [{} for _ in range(n)]
+        for ro, m in ms:
+            for tgt, col in zip(cols, m._cols if m.den == den else _scaled(m, den)):
+                for i, v in col.items():
+                    tgt[ro + i] = v
+        data.extend(cols)
+    return _new(row_off[-1], len(data), data, den)
 
 
 def block_diag(mats):
     blocks = {(k, k): m for k, m in enumerate(mats)}
     return block_matrix(blocks, [m.rows for m in mats], [m.cols for m in mats])
+
+
+def first_nonzero_column(terms):
+    """Index of the first nonzero column of the sum of c * (X @ Y) over the
+    terms (c, X, Y), c a nonzero int, or None when the sum is zero.
+
+    No product is built: each column of the sum is accumulated alone from
+    the integer columns, with the terms put over the lcm of their
+    denominators (one term is not scaled, nor its empty columns read).
+    """
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    for _, X, Y in terms:
+        if X.cols != Y.rows or (X.rows, Y.cols) != (rows, cols):
+            raise ValueError(f"shape mismatch {X.rows}x{X.cols} @ {Y.rows}x{Y.cols}")
+    if len(terms) == 1:
+        mine = terms[0][1]._cols
+        for j, col in enumerate(terms[0][2]._cols):
+            if col:
+                out = {}
+                for k, v in col.items():
+                    for r, w in mine[k].items():
+                        out[r] = out.get(r, 0) + v * w
+                if any(out.values()):
+                    return j
+        return None
+    den = lcm(*[X.den * Y.den for _, X, Y in terms])
+    parts = [(c * (den // (X.den * Y.den)), X._cols, Y._cols) for c, X, Y in terms]
+    for j in range(cols):
+        out = {}
+        for s, mine, other in parts:
+            for k, v in other[j].items():
+                v *= s
+                for r, w in mine[k].items():
+                    out[r] = out.get(r, 0) + v * w
+        if any(out.values()):
+            return j
+    return None
 
 
 # ---------------------------------------------------------------------

@@ -21,10 +21,11 @@ bicomplex construction checks against.
 
 Each builder below states these formulas as terms of
 ``algebra.tensor_operator``: a sign and a map of the slots a term moves,
-with the run of slots it copies unchanged (face i of b copies slots
-i + 2, ..., n; the wrap face slots 1, ..., n - 1; term j of B slots
-1, ..., j - 1; T copies none).  The kernel expands each term once per
-assignment of the other slots, over Python integers.
+with the leading slots and the run of slots it copies unchanged (face i
+of b copies slots 0, ..., i - 1 and i + 2, ..., n; the wrap face slots
+1, ..., n - 1; term j of B slots 1, ..., j - 1; T copies none).  The
+kernel expands each term once per assignment of the other slots, over
+Python integers.
 ``TwistedOperators`` gives them, and keeps the (1 - T) presentations, per
 automorphism.
 """
@@ -50,7 +51,7 @@ def twist_matrix(algebra, g, n, reduced=False):
     basis = _basis(algebra, n + 1, reduced)
     den, (img,) = integer_images([g])
     return tensor_operator(
-        basis, basis, [(range(0), lambda _, a: [(1, (), [img[x] for x in a])])], den ** (n + 1)
+        basis, basis, [(0, range(0), lambda _, a: [(1, (), [img[x] for x in a])])], den ** (n + 1)
     )
 
 
@@ -67,12 +68,13 @@ def twisted_b(algebra, g, n, reduced=False):
     prod, wrap = slots[: d * d], slots[d * d :]
 
     def face(i):
-        # face i multiplies slots i, i + 1 and copies slots i + 2, ..., n
+        # face i multiplies slots i, i + 1 and copies slots 0, ..., i - 1
+        # and i + 2, ..., n
         sign = -1 if i % 2 else 1
-        return range(i + 2, n + 1), lambda _, a: [(sign, (), a[:i] + (prod[a[i] * d + a[i + 1]],))]
+        return i, range(i + 2, n + 1), lambda _, a: [(sign, (), (prod[a[0] * d + a[1]],))]
 
     # the last face wraps g(a_n) a_0 into slot 0 and copies slots 1, ..., n - 1
-    last = (range(1, n), lambda _, a: [(-1 if n % 2 else 1, (), (wrap[a[1] * d + a[0]],))])
+    last = (0, range(1, n), lambda _, a: [(-1 if n % 2 else 1, (), (wrap[a[1] * d + a[0]],))])
     return tensor_operator(
         _basis(algebra, n + 1, reduced), _basis(algebra, n, reduced),
         [face(i) for i in range(n)] + [last], den,
@@ -87,7 +89,7 @@ def twisted_B(algebra, g, n):
         # term j copies slots 1, ..., j - 1 and twists its n + 1 - j moved
         # slots, so it is scaled by den^(j-1); a holds a_0, a_j, ..., a_n
         c = (-1 if n * j % 2 else 1) * den ** (j - 1)
-        return range(1, j), lambda _, a: [(c, (), (0,) + tuple(img[x] for x in a[1:]) + a[:1])]
+        return 0, range(1, j), lambda _, a: [(c, (), (0,) + tuple(img[x] for x in a[1:]) + a[:1])]
 
     return tensor_operator(
         algebra_tensor_basis(algebra, n + 1), algebra_tensor_basis(algebra, n + 2),

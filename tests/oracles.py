@@ -499,3 +499,42 @@ def reference_tensor_operator(src, dst, terms, den=1):
                         out[i] = out.get(i, 0) + v
             cols.append({i: n for i, n in out.items() if n})
     return QMatrix.from_integers(dst.size, cols, den)
+
+
+# -- the stalkwise operator identities on assembled blocks -------------
+
+def _assembled_bB(o, p, q):
+    m = o.b(p, q + 1) @ o.B(p, q)
+    return m + o.B(p, q - 1) @ o.b(p, q) if q >= 1 else m
+
+
+def _assembled_sides(name, o, p, q):
+    from thl.sparse import QMatrix
+
+    if name == "b^2=0":
+        return o.b(p, q - 1) @ o.b(p, q), None
+    if name == "B^2=0":
+        return o.B(p, q + 1) @ o.B(p, q), None
+    if name == "bB+Bb=1-T":
+        return _assembled_bB(o, p, q), QMatrix.identity(o.basis(p, q).size) - o.T(p, q)
+    if name == "[T,b]=0":
+        return o.T(p, q - 1) @ o.b(p, q), o.b(p, q) @ o.T(p, q)
+    if name == "[T,B]=0":
+        return o.T(p, q + 1) @ o.B(p, q), o.B(p, q) @ o.T(p, q)
+    raise KeyError(name)
+
+
+def assembled_identity(ops, name, p, q):
+    """Outcome of the stalkwise identity name on block (p, q), in the form of
+    ``crossed.check_identity``, evaluated on the whole block: the products
+    of the block-diagonal operators ops.b, ops.B and ops.T, whose residual
+    is read column by column."""
+    lhs, rhs = _assembled_sides(name, ops, p, q)
+    residual = lhs if rhs is None else lhs - rhs
+    j = next((k for k, c in enumerate(residual._cols) if c), None)
+    if j is None:
+        return ""
+    return (
+        f"first residual at (p,q)=({p},{q}) on "
+        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {residual.column(j)}"
+    )

@@ -169,9 +169,9 @@ def test_tensor_operator_cancelled_entries_and_lowest_terms():
     A3 = triple_lines_algebra()
     basis = algebra_tensor_basis(A3, 2, (False, False))
     m = tensor_operator(basis, basis, [
-        (range(0), lambda _, a: [(1, (), a)]),
-        (range(1, 2), lambda _, a: [(3, (), ((a[0] + 1) % 3,))]),
-        (range(2), lambda _, a: [(-1, (), ())]),
+        (0, range(0), lambda _, a: [(1, (), a)]),
+        (0, range(1, 2), lambda _, a: [(3, (), ((a[0] + 1) % 3,))]),
+        (0, range(2), lambda _, a: [(-1, (), ())]),
     ], den=6)
     assert all(len(c) == 1 and 0 not in c.values() for c in m._cols)
     assert m.den == 2 and all(gcd(m.den, *c.values()) == 1 for c in m._cols)
@@ -189,15 +189,46 @@ def test_tensor_operator_runs_of_no_slot_and_of_every_slot():
         return g[1:] + (G3.product(g),)
 
     expected = reference_tensor_operator(basis, basis, lambda g, a: [(2, move(g), a)])
-    assert tensor_operator(basis, basis, [(range(0), lambda g, a: [(2, move(g), a)])]) == expected
-    assert tensor_operator(basis, basis, [(range(3), lambda g, _: [(2, move(g), ())])]) == expected
+    for head, run in ((0, range(0)), (0, range(3)), (3, range(3, 3)), (1, range(2, 3))):
+        terms = [(head, run, lambda g, a: [(2, move(g), a)])]
+        assert tensor_operator(basis, basis, terms) == expected
+
+
+def test_tensor_operator_leading_and_trailing_runs():
+    # the face (a_0, ..., a_3) -> sign (..., a_i a_{i+1}, ...) on the 9-dim
+    # Q^3 x| Z/3, whose products have unit parts that reduced target slots
+    # drop, stated with a copied head, a copied run, or both
+    cp = crossed_product(triple_lines_algebra(), z3_group(triple_lines_algebra()))
+    d = cp.dim
+    prod = [{k: int(v) for k, v in cp.basis_product(x, y).items()}
+            for x in range(d) for y in range(d)]
+    for reduced in ((False,) * 4, (False, True, True, True)):
+        src = algebra_tensor_basis(cp, 4, reduced)
+        dst = algebra_tensor_basis(cp, 3, reduced[:3])
+        for i, sign in ((0, 1), (1, -3), (2, 5)):
+            def face(_, a):
+                return [(sign, (), a[:i] + (prod[a[i] * d + a[i + 1]],) + a[i + 2 :])]
+
+            expected = reference_tensor_operator(src, dst, face)
+            for head, run in ((i, range(i + 2, 4)), (i, range(4, 4)), (0, range(i + 2, 4))):
+                def fn(_, a, head=head):
+                    # a holds the slots from head up to the run
+                    rest = a[: i - head] + (prod[a[i - head] * d + a[i - head + 1]],)
+                    return [(sign, (), rest + a[i - head + 2 :])]
+
+                assert tensor_operator(src, dst, [(head, run, fn)]) == expected
 
 
 def test_tensor_operator_run_keeps_reduction():
+    # copied runs and heads whose slots change reduction, and a head over the run
     A3 = triple_lines_algebra()
     full = algebra_tensor_basis(A3, 2, (False, False))
+    reduced = algebra_tensor_basis(A3, 2)
+    for head, run in ((0, range(1, 2)), (2, range(2, 2)), (1, range(1, 2))):
+        with pytest.raises(ValueError):
+            tensor_operator(full, reduced, [(head, run, lambda _, a: [(1, (), a)])])
     with pytest.raises(ValueError):
-        tensor_operator(full, algebra_tensor_basis(A3, 2), [(range(1, 2), lambda _, a: [(1, (), a)])])
+        tensor_operator(reduced, reduced, [(2, range(1, 2), lambda _, a: [(1, (), a)])])
 
 
 def test_from_integers_adopts_columns_in_place():

@@ -226,3 +226,28 @@ def test_homology_dims_invariant_under_basis_permutation():
     ]
     permuted = ChainComplexQ(chain.dims, diffs)
     assert homology(permuted).dims == base
+
+
+@pytest.mark.parametrize("fixture, element", [("trunc-poly-z2", 1), ("triple-lines-z3", 0)])
+def test_total_complex_shares_b_and_leaves_it_unchanged(fixture, element):
+    """d_n of the total complex holds b_n's column dicts (block_matrix shares
+    a lone block at row offset 0); taking ranks, kernels, representatives
+    and class coordinates of the total complex changes no b_n or B_n."""
+    from thl.sparse import kernel_basis
+
+    cfg = load_fixture(fixture)
+    mixed = HKBicomplex(TwistedOperators(cfg.algebra, cfg.group.action[element]), 3).mixed
+
+    def copy(m):
+        return None if m is None else m.select_columns(range(m.cols))
+
+    b, B = [copy(m) for m in mixed.b], [copy(m) for m in mixed.B]
+    h = mixed.total_homology()
+    shared = [n for n in range(1, h.complex.top + 1)
+              if all(x is y for x, y in zip(h.complex.d[n]._cols, mixed.b[n]._cols))]
+    assert shared
+    for n in range(h.valid_through + 1):
+        kernel_basis(h.complex.d[n + 1])
+        reps, _ = h.representatives(n)
+        h.class_coordinates(n, reps)
+    assert mixed.b == b and mixed.B == B

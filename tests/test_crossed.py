@@ -544,3 +544,79 @@ def test_u_complex_fixture2_through_degree4():
     assert u_complex_equivalence(hk.mixed).equal
     pc, _ = proposition_bicomplex(A, G, 4)
     assert u_complex_equivalence(pc.mixed).equal
+
+
+# -- stalkwise identities, once per element ------------------------------
+
+def _fixture_instance(name):
+    import os
+
+    from thl.config import load_config, load_fixture
+
+    if name == "half-lines-z2":
+        path = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
+        cfg = load_config(path)
+    else:
+        cfg = load_fixture(name)
+    return cfg.algebra, cfg.group
+
+
+def _stalkwise_blocks(bound):
+    from thl.crossed import IDENTITIES, STALKWISE
+
+    for name in sorted(STALKWISE):
+        p_min, q_min, _ = IDENTITIES[name]
+        for s in range(bound + 1):
+            for p in range(p_min, s - q_min + 1):
+                yield name, p, s - p
+
+
+@pytest.mark.parametrize("name", ["ground-field", "trunc-poly-z2", "triple-lines-z3",
+                                  "triple-lines-s3", "trunc-cubic-z2", "half-lines-z2"])
+def test_stalkwise_identities_match_assembled_blocks(name):
+    from oracles import assembled_identity
+
+    A, G = _fixture_instance(name)
+    bound = 2 if G.order > 3 else 3
+    ops, whole = GJOperators(A, G), GJOperators(A, G)
+    for ident, p, q in _stalkwise_blocks(bound):
+        assert ops.identity(ident, p, q) == assembled_identity(whole, ident, p, q) == ""
+    # each element's outcome was evaluated once per degree, and the
+    # assembled T and B of degree bound + 1 were never built
+    kept = [k for k in ops._memo if k[0] == "stalk_identity"]
+    assert len(kept) == len(set(kept))
+    assert not any(k[0] in ("T", "B") and k[1] + k[2] > bound for k in ops._memo)
+
+
+@pytest.mark.parametrize("broken", [1, 2])
+def test_broken_alg_B_gives_the_assembled_detail(monkeypatch, broken):
+    """One element's B off by one entry in degree 1: the per-element path
+    names the same first failing block, tensor and residual column as the
+    evaluation on assembled blocks, for every stalkwise identity."""
+    from oracles import assembled_identity
+
+    A = triple_lines_algebra()
+    G = z3_group(A)
+    alg_B = GJOperators.alg_B
+
+    def off_by_one(self, elem, q):
+        m = alg_B(self, elem, q)
+        if elem != broken or q != 1:
+            return m
+        return m + QMatrix.from_columns(m.rows, [{m.rows - 1: 1} if k == 2 else {}
+                                                 for k in range(m.cols)])
+
+    monkeypatch.setattr(GJOperators, "alg_B", off_by_one)
+    ops, whole = GJOperators(A, G), GJOperators(A, G)
+    details = {}
+    for ident, p, q in _stalkwise_blocks(3):
+        details[ident, p, q] = ops.identity(ident, p, q)
+        assert details[ident, p, q] == assembled_identity(whole, ident, p, q)
+    failing = {ident for (ident, _, _), d in details.items() if d}
+    assert failing == {"B^2=0", "bB+Bb=1-T", "[T,B]=0"}
+    # the suite reports the first failing block by total degree, then p
+    suite = {name: detail for name, _, detail in identity_suite(GJOperators(A, G), 3)}
+    for ident in failing:
+        first = next(details[ident, p, s - p] for s in range(4) for p in range(s + 1)
+                     if details.get((ident, p, s - p)))
+        assert suite[ident] == first

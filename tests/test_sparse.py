@@ -8,6 +8,7 @@ from thl.sparse import (
     QMatrix,
     block_diag,
     block_matrix,
+    first_nonzero_column,
     image_basis,
     image_pivot_cols,
     kernel_basis,
@@ -99,6 +100,42 @@ def test_block_matrix_and_diag():
     m = block_matrix({(0, 1): QMatrix.from_dense([[1], [2]])}, [2, 1], [1, 1])
     assert m.entry(0, 1) == Q(1)
     assert m.entry(1, 1) == Q(2)
+
+
+def _copy(m):
+    return m.select_columns(range(m.cols))
+
+
+def test_block_matrix_shares_only_a_lone_top_block():
+    top = QMatrix.from_dense([[1, 0], [2, 3]])
+    below = QMatrix.from_dense([[5, 0]])
+    half = QMatrix.from_dense([[Fraction(1, 2)], [0]])
+    snapshots = [_copy(m) for m in (top, below, half)]
+    # block column 0 holds top and below, column 1 top alone but over 1,
+    # below the lcm 2 of the denominators, column 2 half alone over 2, and
+    # column 3 below alone at row offset 2
+    m = block_matrix(
+        {(0, 0): top, (1, 0): below, (0, 1): top, (0, 2): half, (1, 3): below},
+        [2, 1], [2, 2, 1, 2],
+    )
+    assert m.den == 2
+    assert all(m._cols[j] is not top._cols[j] for j in range(2))
+    assert all(m._cols[2 + j] is not top._cols[j] for j in range(2))
+    assert m._cols[4] is half._cols[0]
+    assert all(m._cols[5 + j] is not below._cols[j] for j in range(2))
+    assert [top, below, half] == snapshots
+    assert dense(m) == [
+        [1, 0, 1, 0, Fraction(1, 2), 0, 0],
+        [2, 3, 2, 3, 0, 0, 0],
+        [5, 0, 0, 0, 0, 5, 0],
+    ]
+    # over the common denominator 1: top is copied where below shares its
+    # block column, and shared where it is alone
+    m = block_matrix({(0, 0): top, (1, 0): below, (0, 1): top}, [2, 1], [2, 2])
+    assert all(m._cols[j] is not top._cols[j] for j in range(2))
+    assert all(m._cols[2 + j] is top._cols[j] for j in range(2))
+    assert [top, below] == snapshots[:2]
+    assert dense(m) == [[1, 0, 1, 0], [2, 3, 2, 3], [5, 0, 0, 0]]
 
 
 def test_matmul_and_transpose():
@@ -456,3 +493,74 @@ def test_matmul_cancellation_stores_no_zeros(m, data):
     cancel = QMatrix.from_columns(2, [{0: QONE, 1: QONE}])
     assert_matmul_matches_dense_oracle(m @ pair, cancel)
     assert (m @ pair @ cancel).is_zero()
+
+
+def _scaled(m, c):
+    return QMatrix.from_columns(m.rows, [{r: c * v for r, v in m.column(j).items()}
+                                         for j in range(m.cols)])
+
+
+def _first_nonzero(m):
+    return next((j for j, c in enumerate(m._cols) if c), None)
+
+
+def _shaped(draw, rows, cols):
+    return QMatrix.from_dense(draw(st.lists(
+        st.lists(rational_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )), rows, cols)
+
+
+@st.composite
+def product_sums(draw):
+    """Terms (c, X, Y) of one shape with rational entries; some are built to
+    cancel: a term is followed by its negative, stated with X doubled and Y
+    halved, and a single column may then be disturbed."""
+    rows, mid, cols = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        X, Y = _shaped(draw, rows, mid), _shaped(draw, mid, cols)
+        terms.append((c, X, Y))
+        if draw(st.booleans()):
+            terms.append((-c, _scaled(X, 2), _scaled(Y, Fraction(1, 2))))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=cols - 1))
+        e = QMatrix.from_columns(mid, [{0: Fraction(1, 3)} if k == j else {} for k in range(cols)])
+        terms.append((1, _shaped(draw, rows, mid), e))
+    return terms
+
+
+@given(product_sums())
+def test_first_nonzero_column_matches_materialized_sum(terms):
+    total = _scaled(terms[0][1] @ terms[0][2], terms[0][0])
+    for c, X, Y in terms[1:]:
+        total = total + _scaled(X @ Y, c)
+    assert first_nonzero_column(terms) == _first_nonzero(total)
+    # a sum and its negative cancel in every column
+    assert first_nonzero_column(terms + [(-c, X, Y) for c, X, Y in terms]) is None
+
+
+@given(matrices(max_dim=4, entries=rational_entries), st.data())
+def test_check_dd_zero_names_first_nonzero_column(d1, data):
+    """d.d on random pairs, and on pairs d_2 = ker(d_1) @ M, zero but for
+    a column that may be disturbed."""
+    from thl.complexes import ChainComplexQ
+    from thl.errors import ComplexError
+
+    cols = data.draw(st.integers(min_value=1, max_value=4))
+    if data.draw(st.booleans()):
+        d2 = _shaped(data.draw, d1.cols, cols)
+    else:
+        kernel = kernel_basis(d1)
+        d2 = kernel @ _shaped(data.draw, kernel.cols, cols)
+        j = data.draw(st.integers(min_value=0, max_value=cols - 1))
+        d2 = d2 + QMatrix.from_columns(d1.cols, [{0: 1} if k == j else {} for k in range(cols)])
+    complex_ = ChainComplexQ([d1.rows, d1.cols, d2.cols], [None, d1, d2], check=False)
+    j = _first_nonzero(d1 @ d2)
+    if j is None:
+        complex_.check_dd_zero()
+    else:
+        with pytest.raises(ComplexError) as err:
+            complex_.check_dd_zero()
+        assert err.value.basis_label == f"basis index {j}"
+        assert err.value.location == "degree 2"
