@@ -52,10 +52,10 @@ class ChainComplexQ:
 
     def check_dd_zero(self):
         for n in range(1, self.top):
-            j = first_nonzero_column([(1, self.d[n], self.d[n + 1])])
-            if j is not None:
+            found = first_nonzero_column([(1, self.d[n], self.d[n + 1])])
+            if found is not None:
                 raise ComplexError(
-                    "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {j}"
+                    "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {found[0]}"
                 )
 
 

@@ -51,7 +51,7 @@ from .complexes import (
 )
 from .errors import ComplexError
 from .quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
-from .sparse import QMatrix, block_diag, block_matrix, rank
+from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, rank
 from .twisted import TwistedOperators
 
 
@@ -215,13 +215,21 @@ class GJOperators:
 
         return self._kept(("Bbar", p, q), build)
 
+    def U(self, p, q):
+        """U = T.Bbar (p, q) -> (p+1, q), the group-direction half of the
+        degree-raising candidate."""
+        return self._kept(("U", p, q), lambda: self.T(p + 1, q) @ self.Bbar(p, q))
+
     def stalk_identity(self, name, elem, q):
-        """``_first_residual`` of the stalkwise identity name on the degree-q
-        blocks of the group element elem."""
-        return self._kept(
-            ("stalk_identity", name, elem, q),
-            lambda: _first_residual(*IDENTITIES[name][2](self, elem, q)),
-        )
+        """The first nonzero column of the stalkwise identity name on the
+        degree-q blocks of the group element elem, as (j, rows, column)."""
+
+        def build():
+            terms = IDENTITIES[name][2](self, elem, q)
+            found = first_nonzero_column(terms)
+            return found and (found[0], terms[0][1].rows, found[1])
+
+        return self._kept(("stalk_identity", name, elem, q), build)
 
     def identity(self, name, p, q):
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
@@ -247,54 +255,48 @@ def beta_map(algebra, group, p, q):
 # operator identities
 # ---------------------------------------------------------------------
 
-def _bB(o, p, q):
-    """bB + Bb on block (p, q)."""
-    m = o.b(p, q + 1) @ o.B(p, q)
-    return m + o.B(p, q - 1) @ o.b(p, q) if q >= 1 else m
+def _bB(b, B, i, q):
+    """The terms of bB + Bb in degree q, for b(i, q) and B(i, q) the maps of
+    a block (i = p) or of a group element (i = x)."""
+    terms = [(1, b(i, q + 1), B(i, q))]
+    return terms + [(1, B(i, q - 1), b(i, q))] if q >= 1 else terms
 
 
-def _alg_bB(o, x, q):
-    """bB + Bb on the degree-q blocks of the element x."""
-    m = o.alg_b(x, q + 1) @ o.alg_B(x, q)
-    return m + o.alg_B(x, q - 1) @ o.alg_b(x, q) if q >= 1 else m
+def _T_minus_1(T):
+    """The terms of T - 1: a right side 1 - T moved to the left."""
+    one = QMatrix.identity(T.rows)
+    return [(-1, one, one), (1, T, one)]
 
 
-def _TBbar(o, p, q):
-    """U = T.Bbar, the group-direction half of the degree-raising candidate."""
-    return o.T(p + 1, q) @ o.Bbar(p, q)
-
-
-def _anticommutator_B_U(o, p, q):
-    """The (p, q) -> (p, q) part of D.F + F.D for D = b + bbar, F = B + U."""
-    m = _bB(o, p, q) + o.bbar(p + 1, q) @ _TBbar(o, p, q)
-    return m + _TBbar(o, p - 1, q) @ o.bbar(p, q) if p >= 1 else m
-
-
-# name -> (p_min, q_min, sides): the identity is checked on the blocks
-# (p, q) with p >= p_min and q >= q_min, where sides(ops, p, q) gives its
-# left and right side; a right side of None is zero.  The identities in
-# STALKWISE are block diagonal in the group tuples, and their sides(ops, x,
-# q) are stated on the degree-q blocks of one group element x.
+# name -> (p_min, q_min, terms): the identity is checked on the blocks
+# (p, q) with p >= p_min and q >= q_min, where terms(ops, p, q) lists the
+# (c, X, Y) whose sum of c * X @ Y must vanish there, a right side entering
+# negated; sparse.first_nonzero_column tests the sum, builds no product and
+# gives the failing column.  The identities in STALKWISE are block diagonal
+# in the group tuples, and their terms(ops, x, q) are stated on the
+# degree-q blocks of one group element x.
 IDENTITIES = {
-    "b^2=0": (0, 2, lambda o, x, q: (o.alg_b(x, q - 1) @ o.alg_b(x, q), None)),
-    "B^2=0": (0, 0, lambda o, x, q: (o.alg_B(x, q + 1) @ o.alg_B(x, q), None)),
-    "bbar^2=0": (2, 0, lambda o, p, q: (o.bbar(p - 1, q) @ o.bbar(p, q), None)),
+    "b^2=0": (0, 2, lambda o, x, q: [(1, o.alg_b(x, q - 1), o.alg_b(x, q))]),
+    "B^2=0": (0, 0, lambda o, x, q: [(1, o.alg_B(x, q + 1), o.alg_B(x, q))]),
+    "bbar^2=0": (2, 0, lambda o, p, q: [(1, o.bbar(p - 1, q), o.bbar(p, q))]),
     "bB+Bb=1-T": (0, 0, lambda o, x, q: (
-        _alg_bB(o, x, q), QMatrix.identity(o.basis(0, q).asize) - o.alg_twist(x, q))),
-    "bbarB+Bbbar=0": (1, 0, lambda o, p, q: (
-        o.bbar(p, q + 1) @ o.B(p, q) + o.B(p - 1, q) @ o.bbar(p, q), None)),
-    "[T,b]=0": (0, 1, lambda o, x, q: (
-        o.alg_twist(x, q - 1) @ o.alg_b(x, q), o.alg_b(x, q) @ o.alg_twist(x, q))),
-    "[T,bbar]=0": (1, 0, lambda o, p, q: (
-        o.T(p - 1, q) @ o.bbar(p, q), o.bbar(p, q) @ o.T(p, q))),
-    "[T,B]=0": (0, 0, lambda o, x, q: (
-        o.alg_twist(x, q + 1) @ o.alg_B(x, q), o.alg_B(x, q) @ o.alg_twist(x, q))),
-    "b.bbar+bbar.b=0": (1, 1, lambda o, p, q: (
-        o.b(p - 1, q) @ o.bbar(p, q) + o.bbar(p, q - 1) @ o.b(p, q), None)),
-    # the parts of the full boundary pair that the suite does not check
-    "bB+Bb+bbarU+Ubbar=0": (0, 0, lambda o, p, q: (_anticommutator_B_U(o, p, q), None)),
-    "bU+Ub=0": (0, 1, lambda o, p, q: (
-        o.b(p + 1, q) @ _TBbar(o, p, q) + _TBbar(o, p, q - 1) @ o.b(p, q), None)),
+        _bB(o.alg_b, o.alg_B, x, q) + _T_minus_1(o.alg_twist(x, q)))),
+    "bbarB+Bbbar=0": (1, 0, lambda o, p, q: [
+        (1, o.bbar(p, q + 1), o.B(p, q)), (1, o.B(p - 1, q), o.bbar(p, q))]),
+    "[T,b]=0": (0, 1, lambda o, x, q: [
+        (1, o.alg_twist(x, q - 1), o.alg_b(x, q)), (-1, o.alg_b(x, q), o.alg_twist(x, q))]),
+    "[T,bbar]=0": (1, 0, lambda o, p, q: [
+        (1, o.T(p - 1, q), o.bbar(p, q)), (-1, o.bbar(p, q), o.T(p, q))]),
+    "[T,B]=0": (0, 0, lambda o, x, q: [
+        (1, o.alg_twist(x, q + 1), o.alg_B(x, q)), (-1, o.alg_B(x, q), o.alg_twist(x, q))]),
+    "b.bbar+bbar.b=0": (1, 1, lambda o, p, q: [
+        (1, o.b(p - 1, q), o.bbar(p, q)), (1, o.bbar(p, q - 1), o.b(p, q))]),
+    # the parts of the full boundary pair that the suite does not check:
+    # the (p, q) -> (p, q) part of D.F + F.D for D = b + bbar, F = B + U
+    "bB+Bb+bbarU+Ubbar=0": (0, 0, lambda o, p, q: _bB(o.b, o.B, p, q) + [
+        (1, o.bbar(p + 1, q), o.U(p, q))] + ([(1, o.U(p - 1, q), o.bbar(p, q))] if p else [])),
+    "bU+Ub=0": (0, 1, lambda o, p, q: [
+        (1, o.b(p + 1, q), o.U(p, q)), (1, o.U(p, q - 1), o.b(p, q))]),
 }
 
 STALKWISE = frozenset(("b^2=0", "B^2=0", "bB+Bb=1-T", "[T,b]=0", "[T,B]=0"))
@@ -317,35 +319,26 @@ def check_identity(ops, name, p, q):
     if name in STALKWISE:
         found = _first_stalk_residual(ops, name, p, q)
     else:
-        found = _first_residual(*IDENTITIES[name][2](ops, p, q))
+        found = first_nonzero_column(IDENTITIES[name][2](ops, p, q))
     if found is None:
         return ""
-    j, _, col = found
+    j, col = found
     return (
         f"first residual at (p,q)=({p},{q}) on "
         f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {col}"
     )
 
 
-def _first_residual(lhs, rhs):
-    """(j, rows, column j as {row: rational}) for the first nonzero column j
-    of lhs - rhs (of lhs when rhs is None), or None when it is zero."""
-    residual = lhs if rhs is None else lhs - rhs
-    j = next((k for k, c in enumerate(residual._cols) if c), None)
-    return None if j is None else (j, residual.rows, residual.column(j))
-
-
 def _first_stalk_residual(ops, name, p, q):
-    """``_first_residual`` of the stalkwise identity name on block (p, q):
-    read tuple by tuple, in order, from its outcome on the element sigma of
-    each group tuple, which ops keeps per element and q."""
+    """The first nonzero column (j, column) of the stalkwise identity name
+    on block (p, q): read tuple by tuple, in order, from its outcome on the
+    element sigma of each group tuple, which ops keeps per element and q."""
     basis = ops.basis(p, q)
     for t, gt in enumerate(basis.iter_group()):
         found = ops.stalk_identity(name, ops._sigma(gt), q)
         if found is not None:
             j, rows, col = found
-            col = {t * rows + r: v for r, v in col.items()}
-            return t * basis.asize + j, basis.gsize * rows, col
+            return t * basis.asize + j, {t * rows + r: v for r, v in col.items()}
     return None
 
 

@@ -12,7 +12,9 @@ from .complexes import ChainComplexQ, divide_mixed_complex, homology, induced_on
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import compose_quotients, descend_map, quotient_by
-from .sparse import QMatrix, kernel_basis, nullity, rank, solve_general, solve_in_span
+from .sparse import (
+    QMatrix, first_nonzero_column, kernel_basis, nullity, rank, solve_general, solve_in_span
+)
 
 
 def g_hochschild(algebra, group, max_degree):
@@ -82,7 +84,8 @@ def sbi_sequence(coinv):
     # exact chain-map checks (induced_on_homology checks I)
     I_mats = induced_on_homology(incl, hhH, hcH)
     for n in range(3, k + 1):
-        if proj[n - 1] @ tot.d[n] != tot.d[n - 2] @ proj[n]:
+        terms = [(1, proj[n - 1], tot.d[n]), (-1, tot.d[n - 2], proj[n])]
+        if first_nonzero_column(terms) is not None:
             raise ChainMapError(f"shift projection fails at degree {n}")
 
     def induced_S(n):
@@ -110,7 +113,7 @@ def sbi_sequence(coinv):
     # node HC_n: in I_n, out S_n (zero map for n < 2)
     for n in range(N + 1):
         out = S_mats[n] if n >= 2 else QMatrix.zero(0, hcH.dims[n])
-        comp = (out @ I_mats[n]).is_zero()
+        comp = first_nonzero_column([(1, out, I_mats[n])]) is None
         nodes.append(
             SequenceNode(
                 f"HC_{n}", f"I_{n}", f"S_{n}",
@@ -119,7 +122,7 @@ def sbi_sequence(coinv):
         )
     # node HC_{n-2} between S_n and the connecting map
     for n in range(2, N + 1):
-        comp = (D_mats[n] @ S_mats[n]).is_zero()
+        comp = first_nonzero_column([(1, D_mats[n], S_mats[n])]) is None
         nodes.append(
             SequenceNode(
                 f"HC_{n - 2} (shift of HC_{n})", f"S_{n}", f"d_{n}",
@@ -132,7 +135,7 @@ def sbi_sequence(coinv):
             # the sequence starts: nothing comes into HH_0 from HC_{-1}
             comp, img = True, 0
         else:
-            comp = (I_mats[n] @ D_mats[n + 1]).is_zero()
+            comp = first_nonzero_column([(1, I_mats[n], D_mats[n + 1])]) is None
             img = rank(D_mats[n + 1])
         nodes.append(
             SequenceNode(
@@ -204,7 +207,7 @@ class DeRhamComplex:
     def _check_dd(self, degrees):
         """d.d = 0 on the abelianized complex, out of each of the degrees."""
         for n in degrees:
-            if not (self.d_ab[n + 1] @ self.d_ab[n]).is_zero():
+            if first_nonzero_column([(1, self.d_ab[n + 1], self.d_ab[n])]) is not None:
                 raise ComplexError("d.d != 0 on the abelianized complex", location=f"degree {n}")
 
     def reduced(self):
@@ -442,8 +445,7 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
     right_chain = raw_right.select_columns(lam.presentations[n].free_rows)
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps
-    resid = cx.mixed.b[n + 1] @ rimages
-    if not resid.is_zero():
+    if first_nonzero_column([(1, cx.mixed.b[n + 1], rimages)]) is not None:
         raise ChainMapError(f"degree-raise image is not a cycle at degree {n}")
     lrel = raw_right @ lam.presentations[n].relation_basis
     if not lrel.is_zero():
@@ -453,7 +455,7 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
         _boundary_membership(right_chain @ lbd, hhH, n + 1, "right map boundaries")
     right = hhH.class_coordinates(n + 1, rimages)
 
-    comp = (right @ left).is_zero()
+    comp = first_nonzero_column([(1, right, left)]) is None
     lrank = rank(left)
     mker = nullity(right)
     return KaroubiNode(

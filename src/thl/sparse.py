@@ -18,8 +18,8 @@ give them back, and so do the rows of ``rref``.
 * ``@`` sums integer products over the product of the two denominators;
   ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
   result is divided by its common factor only when its denominator is not 1.
-  ``first_nonzero_column`` tests a sum of products column by column and
-  builds none of them.
+  ``first_nonzero_column`` tests a sum of products column by column,
+  builds none of them and returns the first nonzero column.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Pivots come from pendant
   (single-column) rows first, then from the lightest live column, taken
@@ -262,27 +262,29 @@ def block_diag(mats):
 
 
 def first_nonzero_column(terms):
-    """Index of the first nonzero column of the sum of c * (X @ Y) over the
-    terms (c, X, Y), c a nonzero int, or None when the sum is zero.
+    """(j, column j as {row: rational}, rows ascending) for the first nonzero
+    column j of the sum of c * (X @ Y) over the terms (c, X, Y), c a nonzero
+    int, or None when the sum is zero: the one exact zero test.
 
     No product is built: each column of the sum is accumulated alone from
-    the integer columns, with the terms put over the lcm of their
-    denominators (one term is not scaled, nor its empty columns read).
+    the integer columns over the lcm of the terms' denominators (one term is
+    scaled only in the column returned, and its empty columns are skipped).
     """
     rows, cols = terms[0][1].rows, terms[0][2].cols
     for _, X, Y in terms:
         if X.cols != Y.rows or (X.rows, Y.cols) != (rows, cols):
             raise ValueError(f"shape mismatch {X.rows}x{X.cols} @ {Y.rows}x{Y.cols}")
     if len(terms) == 1:
-        mine = terms[0][1]._cols
-        for j, col in enumerate(terms[0][2]._cols):
+        c, X, Y = terms[0]
+        den, mine = X.den * Y.den, X._cols
+        for j, col in enumerate(Y._cols):
             if col:
                 out = {}
                 for k, v in col.items():
                     for r, w in mine[k].items():
                         out[r] = out.get(r, 0) + v * w
                 if any(out.values()):
-                    return j
+                    return j, {r: Q(c * v, den) for r, v in sorted(out.items()) if v}
         return None
     den = lcm(*[X.den * Y.den for _, X, Y in terms])
     parts = [(c * (den // (X.den * Y.den)), X._cols, Y._cols) for c, X, Y in terms]
@@ -294,7 +296,7 @@ def first_nonzero_column(terms):
                 for r, w in mine[k].items():
                     out[r] = out.get(r, 0) + v * w
         if any(out.values()):
-            return j
+            return j, {r: Q(v, den) for r, v in sorted(out.items()) if v}
     return None
 
 

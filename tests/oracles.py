@@ -501,40 +501,61 @@ def reference_tensor_operator(src, dst, terms, den=1):
     return QMatrix.from_integers(dst.size, cols, den)
 
 
-# -- the stalkwise operator identities on assembled blocks -------------
+# -- the operator identities, as products on assembled blocks ----------
 
 def _assembled_bB(o, p, q):
     m = o.b(p, q + 1) @ o.B(p, q)
     return m + o.B(p, q - 1) @ o.b(p, q) if q >= 1 else m
 
 
+def _assembled_U(o, p, q):
+    return o.T(p + 1, q) @ o.Bbar(p, q)
+
+
 def _assembled_sides(name, o, p, q):
+    """The two sides of the identity name on block (p, q), each built as a
+    whole product of assembled operators; a right side of None is zero."""
     from thl.sparse import QMatrix
 
     if name == "b^2=0":
         return o.b(p, q - 1) @ o.b(p, q), None
     if name == "B^2=0":
         return o.B(p, q + 1) @ o.B(p, q), None
+    if name == "bbar^2=0":
+        return o.bbar(p - 1, q) @ o.bbar(p, q), None
     if name == "bB+Bb=1-T":
         return _assembled_bB(o, p, q), QMatrix.identity(o.basis(p, q).size) - o.T(p, q)
+    if name == "bbarB+Bbbar=0":
+        return o.bbar(p, q + 1) @ o.B(p, q) + o.B(p - 1, q) @ o.bbar(p, q), None
     if name == "[T,b]=0":
         return o.T(p, q - 1) @ o.b(p, q), o.b(p, q) @ o.T(p, q)
+    if name == "[T,bbar]=0":
+        return o.T(p - 1, q) @ o.bbar(p, q), o.bbar(p, q) @ o.T(p, q)
     if name == "[T,B]=0":
         return o.T(p, q + 1) @ o.B(p, q), o.B(p, q) @ o.T(p, q)
+    if name == "b.bbar+bbar.b=0":
+        return o.b(p - 1, q) @ o.bbar(p, q) + o.bbar(p, q - 1) @ o.b(p, q), None
+    if name == "bB+Bb+bbarU+Ubbar=0":
+        m = _assembled_bB(o, p, q) + o.bbar(p + 1, q) @ _assembled_U(o, p, q)
+        return (m + _assembled_U(o, p - 1, q) @ o.bbar(p, q) if p >= 1 else m), None
+    if name == "bU+Ub=0":
+        return o.b(p + 1, q) @ _assembled_U(o, p, q) + _assembled_U(o, p, q - 1) @ o.b(p, q), None
     raise KeyError(name)
 
 
 def assembled_identity(ops, name, p, q):
-    """Outcome of the stalkwise identity name on block (p, q), in the form of
-    ``crossed.check_identity``, evaluated on the whole block: the products
-    of the block-diagonal operators ops.b, ops.B and ops.T, whose residual
-    is read column by column."""
+    """Outcome of the identity name on block (p, q), in the form of
+    ``crossed.check_identity``, evaluated on the whole block: the sides are
+    built as products of the assembled operators ops.b, ops.B, ops.T,
+    ops.bbar and ops.Bbar and subtracted, and the residual is read column by
+    column; the failing column is given with its rows ascending."""
     lhs, rhs = _assembled_sides(name, ops, p, q)
     residual = lhs if rhs is None else lhs - rhs
     j = next((k for k, c in enumerate(residual._cols) if c), None)
     if j is None:
         return ""
+    col = dict(sorted(residual.column(j).items()))
     return (
         f"first residual at (p,q)=({p},{q}) on "
-        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {residual.column(j)}"
+        f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {col}"
     )

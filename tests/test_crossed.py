@@ -620,3 +620,75 @@ def test_broken_alg_B_gives_the_assembled_detail(monkeypatch, broken):
         first = next(details[ident, p, s - p] for s in range(4) for p in range(s + 1)
                      if details.get((ident, p, s - p)))
         assert suite[ident] == first
+
+
+@pytest.mark.parametrize("broken, failing", [
+    ("Bbar", {"bB+Bb+bbarU+Ubbar=0", "bU+Ub=0"}),
+    ("bbar", {"bbar^2=0", "bbarB+Bbbar=0", "[T,bbar]=0", "b.bbar+bbar.b=0",
+              "bB+Bb+bbarU+Ubbar=0"}),
+])
+def test_broken_group_operator_gives_the_assembled_detail(monkeypatch, broken, failing):
+    """bbar or Bbar off by one entry on block (1, 1): every identity names
+    the same first failing tensor and residual column as its evaluation by
+    whole products on assembled blocks, the identities that read the
+    broken block fail, and identity_suite and full_pair_check report the
+    same first failures."""
+    from oracles import assembled_identity
+
+    from thl.crossed import FULL_PAIR, IDENTITIES
+
+    A = triple_lines_algebra()
+    G = z3_group(A)
+    build = getattr(GJOperators, broken)
+
+    def off_by_one(self, p, q):
+        m = build(self, p, q)
+        if (p, q) != (1, 1):
+            return m
+        return m + QMatrix.from_columns(m.rows, [{m.rows - 1: 1} if k == 2 else {}
+                                                 for k in range(m.cols)])
+
+    monkeypatch.setattr(GJOperators, broken, off_by_one)
+    ops, whole = GJOperators(A, G), GJOperators(A, G)
+    details = {}
+    for ident, (p_min, q_min, _) in IDENTITIES.items():
+        for s in range(4):
+            for p in range(p_min, s - q_min + 1):
+                details[ident, p, s - p] = ops.identity(ident, p, s - p)
+                assert details[ident, p, s - p] == assembled_identity(whole, ident, p, s - p)
+    assert {ident for (ident, _, _), d in details.items() if d} == failing
+    # the first failing block by total degree, then p
+    first = {ident: next((details[ident, p, s - p] for s in range(4) for p in range(s + 1)
+                          if details.get((ident, p, s - p))), "")
+             for ident in IDENTITIES}
+    fresh = GJOperators(A, G)
+    for name, ok, detail in identity_suite(fresh, 3):
+        assert (ok, detail) == (not first[name], first[name])
+    assert full_pair_check(fresh, 3) == tuple(
+        (name, not any(first[part] for part in parts)) for name, parts in FULL_PAIR
+    )
+
+
+def test_identity_checks_multiply_only_to_build_U(monkeypatch):
+    """Once the operators are built, the suite and the full boundary pair
+    call QMatrix.__matmul__ only to build U = T.Bbar, once per block."""
+    A, G = _fixture_instance("triple-lines-s3")
+    ops = GJOperators(A, G)
+    identity_suite(ops, 3)
+    full_pair_check(ops, 3)
+    for key in [k for k in ops._memo if k[0] in ("identity", "stalk_identity", "U")]:
+        del ops._memo[key]
+    products = []
+    matmul = QMatrix.__matmul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__matmul__", counted)
+    identity_suite(ops, 3)
+    full_pair_check(ops, 3)
+    blocks = [k[1:] for k in ops._memo if k[0] == "U"]
+    assert blocks and len(products) == len(blocks) == len(set(blocks))
+    for (X, Y), (p, q) in zip(products, blocks):
+        assert X is ops.T(p + 1, q) and Y is ops.Bbar(p, q)

@@ -530,12 +530,23 @@ def product_sums(draw):
     return terms
 
 
-@given(product_sums())
-def test_first_nonzero_column_matches_materialized_sum(terms):
+def _first_nonzero_of_sum(terms):
+    """(j, column j) of the materialized sum of c * X @ Y, zeros dropped."""
     total = _scaled(terms[0][1] @ terms[0][2], terms[0][0])
     for c, X, Y in terms[1:]:
         total = total + _scaled(X @ Y, c)
-    assert first_nonzero_column(terms) == _first_nonzero(total)
+    j = _first_nonzero(total)
+    return None if j is None else (j, total.column(j))
+
+
+@given(product_sums())
+def test_first_nonzero_column_matches_materialized_sum(terms):
+    # the single-term branch, and the sum whose terms may cancel
+    for part in (terms[:1], terms):
+        found = first_nonzero_column(part)
+        assert found == _first_nonzero_of_sum(part)
+        if found is not None:
+            assert 0 not in found[1].values() and list(found[1]) == sorted(found[1])
     # a sum and its negative cancel in every column
     assert first_nonzero_column(terms + [(-c, X, Y) for c, X, Y in terms]) is None
 
