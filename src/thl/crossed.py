@@ -42,11 +42,11 @@ from .algebra import (
     tensor_operator,
 )
 from .complexes import (
-    ChainComplexQ,
     check_mixed_map,
     homology,
     induced_on_homology,
     quotient_mixed_complex,
+    total_complex,
     total_map,
 )
 from .errors import ComplexError
@@ -759,35 +759,16 @@ class UComplexReport:
 
 
 def u_complex_equivalence(mixed, label=""):
-    """Build the u-truncated complex of a mixed complex and compare its
-    homology with the bicomplex total-complex route.
+    """Compare the homology of the u-truncated complex of a mixed complex
+    with mixed.total_homology().
 
     Degree n of the u-complex is sum_j C_{n-2j} u^{-j}; the boundary is
-    b + uB, with u-powers above zero discarded.  It is assembled here, not
-    by ``complexes.total_complex``, so that the comparison with
-    mixed.total_homology() checks that totalization against an independent
-    construction.
+    b + uB, with u-powers above zero discarded.  That is the block layout of
+    ``complexes.total_complex`` (block j holds C_{n-2j}, b keeps it and B
+    moves it to block j - 1), so the u-complex is built by it, not by a
+    construction of its own.  Its homology is a fresh elimination, compared
+    with the one the mixed complex keeps.
     """
-    k = mixed.top
-
-    def dims(n):
-        # u^{-j} carries C_{n-2j}
-        return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
-
-    diffs = [None]
-    for n in range(1, k + 1):
-        # b keeps the u-power; u B raises it, dropped at j = 0
-        blocks = {}
-        for j in range(n // 2 + 1):
-            m = n - 2 * j
-            if m >= 1:
-                blocks[(j, j)] = mixed.b[m]
-            if j >= 1 and mixed.B[m] is not None:
-                blocks[(j - 1, j)] = mixed.B[m]
-        diffs.append(block_matrix(blocks, dims(n - 1), dims(n)))
-    dims_per_degree = [sum(dims(n)) for n in range(k + 1)]
-    u_chain = ChainComplexQ(dims_per_degree, diffs)
-    dims_u = homology(u_chain).dims
+    dims_u = homology(total_complex(mixed, mixed.top)).dims
     dims_total = mixed.total_homology().dims
     return UComplexReport(dims_u, dims_total, label)
-

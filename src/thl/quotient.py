@@ -8,18 +8,19 @@ presentation deterministic.
 
 A presentation stores only the pivot and free rows and ``pivot_images``,
 the classes of the pivot coordinates: a free coordinate is its own class,
-so ``project`` applies the projection from these alone, and a quotient by
-nothing stores no matrix entries.  This module is the only one that
-builds presentations: ``quotient_by`` from relations, ``trivial_quotient``
-for none, ``compose_quotients`` for a quotient of a quotient, and
-``direct_sum`` for a block-diagonal sum.
+so ``project`` applies the projection from these alone, in one pass, and
+``descend_map`` projects a map once.  A quotient by nothing stores no
+matrix entries.  This module is the only one that builds presentations:
+``quotient_by`` from relations, ``trivial_quotient`` for none,
+``compose_quotients`` for a quotient of a quotient, and ``direct_sum`` for
+a block-diagonal sum.
 """
 
 from bisect import bisect_left
 from math import lcm
 
 from .errors import WellDefinednessError
-from .sparse import QMatrix, block_diag, echelon, over_pivots
+from .sparse import QMatrix, block_diag, echelon, first_nonzero_column, over_pivots
 
 
 class QuotientPresentation:
@@ -53,7 +54,8 @@ class QuotientPresentation:
         return len(self.free_rows)
 
     def project(self, m):
-        """projection @ m: the free rows of m plus pivot_images @ its pivot rows."""
+        """projection @ m, one pass per column: a free entry lands at its free
+        position, v on pivot row k adds v times column k of pivot_images."""
         if m.rows != self.ambient_dim:
             raise ValueError(f"cannot project {m.rows} rows onto V of dim {self.ambient_dim}")
         piv = self.pivot_rows
@@ -61,21 +63,19 @@ class QuotientPresentation:
             return m
         # pivot and free rows split range(ambient_dim), both ascending: row r
         # with k pivot rows below it is pivot k, or else free row r - k
-        free, at_pivots = [], []
+        images, den = self.pivot_images._cols, self.pivot_images.den
+        cols = []
         for c in m._cols:
-            fc, pc = {}, {}
+            out = {}
             for r, v in c.items():
                 k = bisect_left(piv, r)
                 if k < len(piv) and piv[k] == r:
-                    pc[k] = v
+                    for i, w in images[k].items():
+                        out[i] = out.get(i, 0) + v * w
                 else:
-                    fc[r - k] = v
-            free.append(fc)
-            at_pivots.append(pc)
-        return (
-            QMatrix.from_integers(len(self.free_rows), free, m.den)
-            + self.pivot_images @ QMatrix.from_integers(len(piv), at_pivots, m.den)
-        )
+                    out[r - k] = out.get(r - k, 0) + v * den
+            cols.append(out)
+        return QMatrix.from_integers(len(self.free_rows), cols, m.den * den)
 
     def classes(self, rows):
         """The classes of the ambient coordinates rows, as columns."""
@@ -183,27 +183,26 @@ def descend_map(f, src, dst, what="map"):
 
     f maps src ambient to dst ambient.  Requires f(src relations) to land in
     the span of dst relations; otherwise raises WellDefinednessError naming
-    the first offending relation column and its pivot coordinate of the src
-    ambient module.
+    the first offending relation column, its pivot coordinate of the src
+    ambient module, and the class it is sent to in dst quotient coordinates.
 
-    The induced map is the class of f on the free coordinates of src.  Relation
-    column k of src is its pivot coordinate minus the lift of that pivot's
-    class, so f kills it in the quotient exactly when column k of the square
-    ``dst.project(f on src pivots) - down @ src.pivot_images`` is zero.
+    f is projected once: the induced map is dst.project(f) on the free
+    coordinates of src, and f descends exactly when dst.project(f) kills
+    src.relation_basis.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("map shape does not match the presentations")
+    projected = dst.project(f)
     if not src.pivot_rows:
-        return dst.project(f)
-    down = dst.project(f.select_columns(src.free_rows))
-    square = dst.project(f.select_columns(src.pivot_rows)) - down @ src.pivot_images
-    for j, col in enumerate(square._cols):
-        if col:
-            raise WellDefinednessError(
-                f"{what} does not descend to the quotient",
-                location=f"relation column {j} (pivot coordinate {src.pivot_rows[j]})",
-            )
-    return down
+        return projected
+    found = first_nonzero_column([(1, projected, src.relation_basis)])
+    if found is not None:
+        j, col = found
+        raise WellDefinednessError(
+            f"{what} does not descend to the quotient: the relation projects to {col}",
+            location=f"relation column {j} (pivot coordinate {src.pivot_rows[j]})",
+        )
+    return projected.select_columns(src.free_rows)
 
 
 def coinvariant_relations(dim, operators):

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from thl.errors import WellDefinednessError
 from thl.quotient import (
+    QuotientPresentation,
     _echelon_presentation,
     coinvariant_relations,
     compose_quotients,
@@ -328,5 +329,39 @@ def test_descend_with_relations_on_both_sides_matches_products(setup):
         assert err.value.location == (
             f"relation column {bad[0]} (pivot coordinate {src.pivot_rows[bad[0]]})"
         )
+        # the residual: that column in dst quotient coordinates, rows ascending
+        assert str(dict(sorted(moved.column(bad[0]).items()))) in str(err.value)
     else:
         assert descend_map(f, src, dst) == dst.projection @ f @ src.section
+
+
+def test_project_drops_a_free_entry_cancelled_by_a_pivot_image():
+    """Q^3 / (2 e0 + 3 e1): the class of e0 is -3/2 e1.  m = (1/3, 1/2, 5/2)
+    projects to (1/3 * -3/2 + 1/2, 5/2) = (0, 5/2): the cancelled entry is
+    not stored and the denominator 6 * 2 reduces to 2."""
+    qp = quotient_by(3, QMatrix.from_dense([[2], [3], [0]]))
+    assert qp.pivot_rows == [0] and qp.pivot_images.column(0) == {0: Q(-3, 2)}
+    assert qp.pivot_images.den == 2
+    m = QMatrix.from_dense([[Q(1, 3)], [Q(1, 2)], [Q(5, 2)]])
+    assert m.den == 6
+    projected = qp.project(m)
+    assert projected._cols == [{1: 5}] and projected.den == 2
+    assert projected == qp.projection @ m
+
+
+def test_descend_projects_once(monkeypatch):
+    """With relations on both sides, f is projected once: the induced map
+    and the well-definedness test both read that one projection."""
+    src = quotient_by(3, QMatrix.from_dense([[1], [-1], [0]]))
+    dst = quotient_by(2, QMatrix.from_dense([[1], [1]]))
+    calls = []
+    project = QuotientPresentation.project
+
+    def counted(self, m):
+        calls.append(m)
+        return project(self, m)
+
+    monkeypatch.setattr(QuotientPresentation, "project", counted)
+    f = QMatrix.from_dense([[1, 1, 0], [2, 2, 3]])
+    assert descend_map(f, src, dst) == QMatrix.from_dense([[1, 3]])
+    assert len(calls) == 1
