@@ -63,9 +63,10 @@ class HomologyResult:
     """Per-degree homology dimensions with lazily computed bases.
 
     dims[n] for n <= valid_through, and ranks[n] = rank d_n for n <= top
-    (ranks[0] = 0).  cycle_basis(n) and boundary_basis(n)
-    are canonical (RREF-derived) and cached; dims are computed from ranks
-    alone so that large complexes never pay for explicit bases.
+    (ranks[0] = 0).  cycle_basis(n) and boundary_basis(n) are canonical
+    (RREF-derived), and boundary_basis(n) and representatives(n) are
+    cached; dims are computed from ranks alone so that large complexes
+    never pay for explicit bases.
 
     The ranks are compressed: d_1, d_2, ... are ranked in ascending order,
     and d_{n+1} is ranked with the rows at the pivot columns P of d_n left
@@ -86,7 +87,6 @@ class HomologyResult:
     def __init__(self, complex_):
         self.complex = complex_
         self.valid_through = complex_.top - 1
-        self._cycles = {}
         self._boundaries = {}
         self._reps = {}
         # ranks[n] = rank d_n (d_0 = 0); below: the pivot columns of d_{n-1}
@@ -102,12 +102,9 @@ class HomologyResult:
 
     def cycle_basis(self, n):
         """Canonical basis of ker d_n (all of C_n when n = 0)."""
-        if n not in self._cycles:
-            if n == 0:
-                self._cycles[n] = QMatrix.identity(self.complex.dims[0])
-            else:
-                self._cycles[n] = kernel_basis(self.complex.d[n])
-        return self._cycles[n]
+        if n == 0:
+            return QMatrix.identity(self.complex.dims[0])
+        return kernel_basis(self.complex.d[n])
 
     def boundary_basis(self, n):
         """Canonical basis of im d_{n+1}."""

@@ -60,9 +60,9 @@ class GJOperators:
     for full slots, and the outcomes of the operator identities on them.
 
     Every value is built on first use and kept in one memo on the instance,
-    so it lives exactly as long as the operator set.  The per-element work
-    is done once per group element: the twist, b and B are kept here, the
-    (1 - T) presentation in the element's ``TwistedOperators``.
+    so it lives exactly as long as the operator set.  The per-element
+    operators are built once per group element: the twist, b and B are kept
+    here, the (1 - T) presentation in the element's ``TwistedOperators``.
     """
 
     def __init__(self, algebra, group):
@@ -220,17 +220,6 @@ class GJOperators:
         degree-raising candidate."""
         return self._kept(("U", p, q), lambda: self.T(p + 1, q) @ self.Bbar(p, q))
 
-    def stalk_identity(self, name, elem, q):
-        """The first nonzero column of the stalkwise identity name on the
-        degree-q blocks of the group element elem, as (j, rows, column)."""
-
-        def build():
-            terms = IDENTITIES[name][2](self, elem, q)
-            found = first_nonzero_column(terms)
-            return found and (found[0], terms[0][1].rows, found[1])
-
-        return self._kept(("stalk_identity", name, elem, q), build)
-
     def identity(self, name, p, q):
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
         it holds, else the first residual column, named by its tensor."""
@@ -331,14 +320,19 @@ def check_identity(ops, name, p, q):
 
 def _first_stalk_residual(ops, name, p, q):
     """The first nonzero column (j, column) of the stalkwise identity name
-    on block (p, q): read tuple by tuple, in order, from its outcome on the
-    element sigma of each group tuple, which ops keeps per element and q."""
-    basis = ops.basis(p, q)
+    on block (p, q): read tuple by tuple, in order, from its terms on the
+    element sigma of each group tuple, each element evaluated once."""
+    basis, held = ops.basis(p, q), set()
     for t, gt in enumerate(basis.iter_group()):
-        found = ops.stalk_identity(name, ops._sigma(gt), q)
-        if found is not None:
-            j, rows, col = found
-            return t * basis.asize + j, {t * rows + r: v for r, v in col.items()}
+        x = ops._sigma(gt)
+        if x not in held:
+            held.add(x)
+            terms = IDENTITIES[name][2](ops, x, q)
+            found = first_nonzero_column(terms)
+            if found is not None:
+                j, col = found
+                rows = terms[0][1].rows
+                return t * basis.asize + j, {t * rows + r: v for r, v in col.items()}
     return None
 
 
@@ -346,6 +340,11 @@ def _outcomes(ops, name, bound):
     """Outcomes of identity name on every block with p + q <= bound that it
     is checked on, by total degree, then p."""
     p_min, q_min, _ = IDENTITIES[name]
+    if name in STALKWISE:
+        # block (p, q) holds the element blocks of sigma(gt), gt in G^{p+1},
+        # and sigma is onto for every p: it fails exactly when block (0, q),
+        # which comes first, does
+        return [ops.identity(name, 0, q) for q in range(q_min, bound + 1)]
     return [
         ops.identity(name, p, s - p)
         for s in range(bound + 1)

@@ -38,7 +38,8 @@ class QuotientPresentation:
         section: (ambient_dim x quotient_dim), the free-row selector, so
             projection @ section = id
         relation_basis: canonical basis of W (columns), reduced echelon:
-            e_pivot - section @ pivot_images
+            column k is e_pivot_rows[k] less column k of pivot_images
+            placed on the free rows
     """
 
     __slots__ = ("ambient_dim", "pivot_rows", "free_rows", "pivot_images")
@@ -91,7 +92,14 @@ class QuotientPresentation:
 
     @property
     def relation_basis(self):
-        return _coordinates(self.ambient_dim, self.pivot_rows) - self.section @ self.pivot_images
+        images, den, free = self.pivot_images._cols, self.pivot_images.den, self.free_rows
+        cols = []
+        for r, image in zip(self.pivot_rows, images):
+            col = {r: den}
+            for i, v in image.items():
+                col[free[i]] = -v
+            cols.append(col)
+        return QMatrix.from_integers(self.ambient_dim, cols, den)
 
     def __repr__(self):
         return f"QuotientPresentation({self.ambient_dim} -> {self.quotient_dim})"

@@ -21,15 +21,14 @@ give them back, and so do the rows of ``rref``.
   ``first_nonzero_column`` tests a sum of products column by column,
   builds none of them and returns the first nonzero column.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
-  by the pivot, then divide out the content).  Pivots come from pendant
-  (single-column) rows first, then from the lightest live column, taken
-  from a lazy-deletion heap keyed on (column length, column index).  Rank
-  is invariant under pivot order, so this is safe, fully deterministic, and
-  orders of magnitude faster on the face-map matrices this library
-  produces.  It can leave out a set of rows and report the columns it
-  pivoted on, which is what compressed homology ranks need: when
-  d_n d_{n+1} = 0, deleting the rows of d_{n+1} at the pivot columns of
-  d_n keeps its rank (see ``complexes.HomologyResult``).
+  by the pivot, then divide out the content).  Each pivot is in the
+  lightest live column, taken from a lazy-deletion heap keyed on (column
+  length, column index).  Rank is invariant under pivot order, so this is
+  safe, fully deterministic, and orders of magnitude faster on the
+  face-map matrices this library produces.  It can leave out a set of rows
+  and report the columns it pivoted on, which is what compressed homology
+  ranks need: when d_n d_{n+1} = 0, deleting the rows of d_{n+1} at the
+  pivot columns of d_n keeps its rank (see ``complexes.HomologyResult``).
 * ``rank`` stops as soon as its value is certified.  The number of nonzero
   rows left is an upper bound, and the rank of any subset of the columns a
   lower bound; the columns are read in stride chunks (chunk i of k is every
@@ -505,13 +504,11 @@ def _eliminate(cols, log):
     and divides the result by its content, which keeps the integers small
     without creating a rational.
 
-    Pivot order: pendant rows (a single live column, so no fill-in) first,
-    found through a list of rows whose count dropped to one; otherwise the
-    lightest live column, lowest index first, popped from a lazy-deletion
-    heap keyed (len(col), j), pivoting on its row that meets the fewest
-    columns.  Every live column keeps a heap key no larger than its length
-    (a column is pushed again when it shrinks, or when a popped key turns
-    out stale), so a popped key that matches is the true minimum.
+    Pivot order: the lightest live column, lowest index first, popped from
+    a lazy-deletion heap keyed (len(col), j), pivoting on its row that meets
+    the fewest columns.  Every live column keeps a heap key no larger than
+    its length (a column is pushed again when it shrinks, or when a popped
+    key turns out stale), so a popped key that matches is the true minimum.
     """
     row_cols = {}
     for j, col in enumerate(cols):
@@ -520,12 +517,16 @@ def _eliminate(cols, log):
                 row_cols.setdefault(r, set()).add(j)
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapify(heap)
-    pendant = [r for r, s in row_cols.items() if len(s) == 1]
     pivots = []
-
-    def eliminate(r, c):
-        """Pivot at (r, c): clear row r from the other columns, drop row+col."""
+    while heap:
+        length, c = heappop(heap)
         piv_col = cols[c]
+        if piv_col is None:
+            continue
+        if len(piv_col) != length:
+            heappush(heap, (len(piv_col), c))
+            continue
+        r = min(piv_col, key=lambda r: (len(row_cols[r]), r))
         p = piv_col[r]
         piv_items = [(rr, v) for rr, v in piv_col.items() if rr != r]
         for j in row_cols.pop(r):
@@ -552,8 +553,8 @@ def _eliminate(cols, log):
                         if nv:
                             col[rr] = nv
                         else:
-                            # row rr still meets the pivot column c, and
-                            # becomes empty, not pendant, once c is dropped
+                            # row rr still meets the pivot column c, so its
+                            # set empties only below, once c is dropped
                             del col[rr]
                             row_cols[rr].discard(j)
                 if col:
@@ -568,33 +569,13 @@ def _eliminate(cols, log):
         for rr, _ in piv_items:
             s = row_cols[rr]
             s.discard(c)
-            if len(s) == 1:
-                pendant.append(rr)
-            elif not s:
+            if not s:
                 del row_cols[rr]
         cols[c] = None
         pivots.append(c)
         if log is not None:
             log.append((r, p, piv_items))
-
-    while True:
-        while pendant:
-            r = pendant.pop()
-            s = row_cols.get(r)
-            if s is not None and len(s) == 1:
-                (j,) = s
-                eliminate(r, j)
-        while heap:
-            n, j = heappop(heap)
-            col = cols[j]
-            if col is not None:
-                if len(col) == n:
-                    break
-                heappush(heap, (len(col), j))
-        else:
-            return pivots
-        r = min(col, key=lambda r: (len(row_cols[r]), r))
-        eliminate(r, j)
+    return pivots
 
 
 def nullity(matrix):

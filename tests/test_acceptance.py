@@ -21,6 +21,7 @@ The attainable halves of both criteria are asserted separately and pass.
 
 import hashlib
 import time
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +237,12 @@ def test_criterion_10_determinism():
         assert first == second, name
         assert hashlib.sha256(first.encode()).hexdigest() == digest, name
     _announce(10, True, "byte-identical machine reports across two runs of all, every fixture")
+
+
+def test_ci_pins_the_golden_all_reports():
+    """CI pins the SHA-256 of each of its reports (digest, tab, job); for
+    `all --fixture name` that is the golden digest above."""
+    lines = (Path(__file__).parent / "data" / "ci-report-sha256.txt").read_text().splitlines()
+    pinned = {job: digest for digest, job in (line.split("\t") for line in lines)}
+    for name, digest in GOLDEN_MACHINE_SHA256.items():
+        assert pinned[f"all --fixture {name}"] == digest, name

@@ -573,19 +573,59 @@ def _stalkwise_blocks(bound):
 
 @pytest.mark.parametrize("name", ["ground-field", "trunc-poly-z2", "triple-lines-z3",
                                   "triple-lines-s3", "trunc-cubic-z2", "half-lines-z2"])
-def test_stalkwise_identities_match_assembled_blocks(name):
+def test_stalkwise_identities_match_assembled_blocks(monkeypatch, name):
     from oracles import assembled_identity
+
+    from thl import crossed
 
     A, G = _fixture_instance(name)
     bound = 2 if G.order > 3 else 3
     ops, whole = GJOperators(A, G), GJOperators(A, G)
     for ident, p, q in _stalkwise_blocks(bound):
         assert ops.identity(ident, p, q) == assembled_identity(whole, ident, p, q) == ""
-    # each element's outcome was evaluated once per degree, and the
-    # assembled T and B of degree bound + 1 were never built
-    kept = [k for k in ops._memo if k[0] == "stalk_identity"]
-    assert len(kept) == len(set(kept))
+    # the assembled T and B of degree bound + 1 were never built
     assert not any(k[0] in ("T", "B") and k[1] + k[2] > bound for k in ops._memo)
+    # identity_suite tests each stalkwise identity once per group element
+    # and degree q: |G| zero tests per q
+    names, tests = [], {}
+    check, zero_test = crossed.check_identity, crossed.first_nonzero_column
+
+    def named(ops_, ident, p, q):
+        names.append(ident)
+        return check(ops_, ident, p, q)
+
+    def counted(terms):
+        tests[names[-1]] = tests.get(names[-1], 0) + 1
+        return zero_test(terms)
+
+    monkeypatch.setattr(crossed, "check_identity", named)
+    monkeypatch.setattr(crossed, "first_nonzero_column", counted)
+    identity_suite(GJOperators(A, G), bound)
+    for ident in crossed.STALKWISE:
+        assert tests[ident] == G.order * (bound + 1 - crossed.IDENTITIES[ident][1])
+
+
+def test_suites_check_stalkwise_identities_only_at_p_zero(monkeypatch):
+    """identity_suite and full_pair_check evaluate a stalkwise identity on
+    its blocks (0, q) alone, every q up to the bound."""
+    from thl import crossed
+
+    A, G = _fixture_instance("triple-lines-s3")
+    checked = []
+    check = crossed.check_identity
+
+    def recorded(ops, ident, p, q):
+        checked.append((ident, p, q))
+        return check(ops, ident, p, q)
+
+    monkeypatch.setattr(crossed, "check_identity", recorded)
+    ops = GJOperators(A, G)
+    identity_suite(ops, 3)
+    full_pair_check(ops, 3)
+    assert {c for c in checked if c[0] in crossed.STALKWISE} == {
+        (ident, 0, q) for ident in crossed.STALKWISE
+        for q in range(crossed.IDENTITIES[ident][1], 4)
+    }
 
 
 @pytest.mark.parametrize("broken", [1, 2])

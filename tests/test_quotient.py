@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from thl.errors import WellDefinednessError
 from thl.quotient import (
     QuotientPresentation,
+    _coordinates,
     _echelon_presentation,
     coinvariant_relations,
     compose_quotients,
@@ -238,6 +239,15 @@ def test_project_splits_rows_that_every_builder_keeps_in_order(qp, data):
         min_size=qp.ambient_dim, max_size=qp.ambient_dim,
     )), qp.ambient_dim, ncols)
     assert qp.project(m) == projection @ m
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_presentations())
+def test_relation_basis_is_e_pivot_less_the_lifted_pivot_images(qp):
+    """The relation basis, built in one pass, equals the product formula
+    e_pivot - section @ pivot_images, denominator included."""
+    oracle = _coordinates(qp.ambient_dim, qp.pivot_rows) - qp.section @ qp.pivot_images
+    assert qp.relation_basis == oracle
 
 
 @settings(max_examples=50, deadline=None)
