@@ -317,24 +317,27 @@ def conjugacy_data(group):
 
 
 class TensorBasis:
-    """Enumerated basis of k[G^s] (x) A (x) slots, some algebra slots reduced.
+    """Enumerated basis of k[G^s] (x) A^{(m)}: slot 0 is A, and when reduced
+    is set the other m - 1 slots are Abar, else A.
 
     group_slots may be zero (pure algebra tensor modules).  Reduced slots
     range over the basis-aligned complement of the unit, which must then be
     basis vector 0; their values are stored as actual basis indices >= 1.
+    ``reduced`` is kept per slot, for the operators that copy slots.
     Enumeration is lexicographic, group tuple major.
     """
 
-    def __init__(self, group_order, algebra_dim, group_slots, reduced_flags, unit_is_basis0):
+    def __init__(self, group_order, algebra_dim, group_slots, algebra_slots, reduced,
+                 unit_is_basis0):
         self.r = group_order
         self.d = algebra_dim
         self.group_slots = group_slots
-        self.reduced = tuple(reduced_flags)
+        self.algebra_slots = algebra_slots
+        self.reduced = (False,) + (reduced,) * (algebra_slots - 1)
         if any(self.reduced) and not unit_is_basis0:
             raise ReducedBasisError(
                 "reduced tensor slots need the unit to be basis vector 0"
             )
-        self.algebra_slots = len(self.reduced)
         self.slot_sizes = [self.d - 1 if f else self.d for f in self.reduced]
         self.asize = 1
         for s in self.slot_sizes:
@@ -514,19 +517,13 @@ def tensor_operator(src, dst, terms, den=1):
     return QMatrix.from_integers(dst.size, cols, den)
 
 
-def tensor_index(group, algebra, p, q, reduced_flags=None):
-    """Basis of k[G^{p+1}] (x) A^{(q+1)} with the given per-slot reduction."""
-    if reduced_flags is None:
-        reduced_flags = (False,) + (True,) * q
-    if len(reduced_flags) != q + 1:
-        raise ValueError("need one reduced flag per algebra slot")
-    return TensorBasis(
-        group.order, algebra.dim, p + 1, reduced_flags, algebra.unit_is_basis0
-    )
+def tensor_index(group, algebra, p, q, reduced=True):
+    """Basis of k[G^{p+1}] (x) A (x) Abar^q, or of k[G^{p+1}] (x) A^{(q+1)}
+    with full slots when reduced is False."""
+    return TensorBasis(group.order, algebra.dim, p + 1, q + 1, reduced, algebra.unit_is_basis0)
 
 
-def algebra_tensor_basis(algebra, slots, reduced_flags=None):
-    """Pure algebra tensor basis A^{(slots)} (group_slots = 0)."""
-    if reduced_flags is None:
-        reduced_flags = (False,) + (True,) * (slots - 1)
-    return TensorBasis(1, algebra.dim, 0, reduced_flags, algebra.unit_is_basis0)
+def algebra_tensor_basis(algebra, slots, reduced=True):
+    """Pure algebra tensor basis A (x) Abar^{slots - 1}, or A^{(slots)} with
+    full slots when reduced is False (group_slots = 0)."""
+    return TensorBasis(1, algebra.dim, 0, slots, reduced, algebra.unit_is_basis0)

@@ -38,6 +38,13 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def _known(mapping, fields, where):
+    """Refuse every key of mapping that is not one of fields."""
+    for key in mapping:
+        if key not in fields:
+            raise ParseError(f"unknown field {key!r} {where}")
+
+
 def _object(value, where):
     if not isinstance(value, dict):
         raise ParseError(f"{where} must be an object of fields, got {value!r}")
@@ -92,9 +99,11 @@ def config_from_dict(data, name=None):
     """Build and validate a JobConfig from parsed structured data."""
     if not isinstance(data, dict):
         raise ParseError("top level must be a table of fields")
+    _known(data, ("name", "algebra", "group", "task"), "at top level")
     name = name or _name(data.get("name", "unnamed"), "the name at top level")
 
     alg = _object(_need(data, "algebra", "config"), "algebra")
+    _known(alg, ("dim", "basis", "unit_index", "mult"), "in algebra")
     dim = _need(alg, "dim", "algebra")
     if not _int(dim) or dim < 1:
         raise ParseError("algebra.dim must be a positive integer")
@@ -128,6 +137,7 @@ def config_from_dict(data, name=None):
     algebra = Algebra(dim, basis, {unit_index: 1}, mult)
 
     grp = _object(_need(data, "group", "config"), "group")
+    _known(grp, ("elements", "table", "action"), "in group")
     elements = _list(_need(grp, "elements", "group"), "group.elements")
     for i, name_g in enumerate(elements):
         if _name(name_g, f"group.elements[{i}]") in elements[:i]:
@@ -149,6 +159,7 @@ def config_from_dict(data, name=None):
             if not _int(v) or not 0 <= v < r:
                 raise ParseError(f"group.table[{i}][{j}] must be an element index")
     action_raw = _object(_need(grp, "action", "group"), "group.action")
+    _known(action_raw, elements, "in group.action: it names no element of group.elements")
     action = []
     for name_g in elements:
         if name_g not in action_raw:
@@ -167,6 +178,7 @@ def config_from_dict(data, name=None):
         )
 
     task = _object(data.get("task", {}), "task")
+    _known(task, ("max_degree", "twist", "lambda_coinvariants", "format"), "in task")
     max_degree = task.get("max_degree", 3)
     if not _int(max_degree) or max_degree < 0:
         raise ParseError("task.max_degree must be a nonnegative integer")

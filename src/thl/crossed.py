@@ -101,9 +101,8 @@ class GJOperators:
 
     def basis(self, p, q, reduced=True):
         """Basis of block (p, q); reduced=False keeps the unit in every slot."""
-        flags = None if reduced else (False,) * (q + 1)
         return self._kept(
-            ("basis", p, q, reduced), lambda: tensor_index(self.group, self.algebra, p, q, flags)
+            ("basis", p, q, reduced), lambda: tensor_index(self.group, self.algebra, p, q, reduced)
         )
 
     def _sigma(self, gtuple):
@@ -234,7 +233,7 @@ def beta_map(algebra, group, p, q):
     """
     if p < 1:
         raise ValueError("beta needs p >= 1")
-    basis = tensor_index(group, algebra, p, q, reduced_flags=(False,) * (q + 1))
+    basis = tensor_index(group, algebra, p, q, reduced=False)
     return tensor_operator(
         basis, basis, [(0, range(q + 1), lambda gt, _: [(1, gt[1:] + (group.product(gt),), ())])]
     )
@@ -244,11 +243,10 @@ def beta_map(algebra, group, p, q):
 # operator identities
 # ---------------------------------------------------------------------
 
-def _bB(b, B, i, q):
-    """The terms of bB + Bb in degree q, for b(i, q) and B(i, q) the maps of
-    a block (i = p) or of a group element (i = x)."""
-    terms = [(1, b(i, q + 1), B(i, q))]
-    return terms + [(1, B(i, q - 1), b(i, q))] if q >= 1 else terms
+def _bB(o, p, q):
+    """The terms of bB + Bb on block (p, q)."""
+    terms = [(1, o.b(p, q + 1), o.B(p, q))]
+    return terms + [(1, o.B(p, q - 1), o.b(p, q))] if q >= 1 else terms
 
 
 def _T_minus_1(T):
@@ -261,33 +259,31 @@ def _T_minus_1(T):
 # (p, q) with p >= p_min and q >= q_min, where terms(ops, p, q) lists the
 # (c, X, Y) whose sum of c * X @ Y must vanish there, a right side entering
 # negated; sparse.first_nonzero_column tests the sum, builds no product and
-# gives the failing column.  The identities in STALKWISE are block diagonal
-# in the group tuples, and their terms(ops, x, q) are stated on the
-# degree-q blocks of one group element x.
+# gives the failing column.  Every entry reads the block operators of ops.
 IDENTITIES = {
-    "b^2=0": (0, 2, lambda o, x, q: [(1, o.alg_b(x, q - 1), o.alg_b(x, q))]),
-    "B^2=0": (0, 0, lambda o, x, q: [(1, o.alg_B(x, q + 1), o.alg_B(x, q))]),
+    "b^2=0": (0, 2, lambda o, p, q: [(1, o.b(p, q - 1), o.b(p, q))]),
+    "B^2=0": (0, 0, lambda o, p, q: [(1, o.B(p, q + 1), o.B(p, q))]),
     "bbar^2=0": (2, 0, lambda o, p, q: [(1, o.bbar(p - 1, q), o.bbar(p, q))]),
-    "bB+Bb=1-T": (0, 0, lambda o, x, q: (
-        _bB(o.alg_b, o.alg_B, x, q) + _T_minus_1(o.alg_twist(x, q)))),
+    "bB+Bb=1-T": (0, 0, lambda o, p, q: _bB(o, p, q) + _T_minus_1(o.T(p, q))),
     "bbarB+Bbbar=0": (1, 0, lambda o, p, q: [
         (1, o.bbar(p, q + 1), o.B(p, q)), (1, o.B(p - 1, q), o.bbar(p, q))]),
-    "[T,b]=0": (0, 1, lambda o, x, q: [
-        (1, o.alg_twist(x, q - 1), o.alg_b(x, q)), (-1, o.alg_b(x, q), o.alg_twist(x, q))]),
+    "[T,b]=0": (0, 1, lambda o, p, q: [
+        (1, o.T(p, q - 1), o.b(p, q)), (-1, o.b(p, q), o.T(p, q))]),
     "[T,bbar]=0": (1, 0, lambda o, p, q: [
         (1, o.T(p - 1, q), o.bbar(p, q)), (-1, o.bbar(p, q), o.T(p, q))]),
-    "[T,B]=0": (0, 0, lambda o, x, q: [
-        (1, o.alg_twist(x, q + 1), o.alg_B(x, q)), (-1, o.alg_B(x, q), o.alg_twist(x, q))]),
+    "[T,B]=0": (0, 0, lambda o, p, q: [
+        (1, o.T(p, q + 1), o.B(p, q)), (-1, o.B(p, q), o.T(p, q))]),
     "b.bbar+bbar.b=0": (1, 1, lambda o, p, q: [
         (1, o.b(p - 1, q), o.bbar(p, q)), (1, o.bbar(p, q - 1), o.b(p, q))]),
     # the parts of the full boundary pair that the suite does not check:
     # the (p, q) -> (p, q) part of D.F + F.D for D = b + bbar, F = B + U
-    "bB+Bb+bbarU+Ubbar=0": (0, 0, lambda o, p, q: _bB(o.b, o.B, p, q) + [
+    "bB+Bb+bbarU+Ubbar=0": (0, 0, lambda o, p, q: _bB(o, p, q) + [
         (1, o.bbar(p + 1, q), o.U(p, q))] + ([(1, o.U(p - 1, q), o.bbar(p, q))] if p else [])),
     "bU+Ub=0": (0, 1, lambda o, p, q: [
         (1, o.b(p + 1, q), o.U(p, q)), (1, o.U(p, q - 1), o.b(p, q))]),
 }
 
+# the identities that are block diagonal in the group tuples, read at p = 0
 STALKWISE = frozenset(("b^2=0", "B^2=0", "bB+Bb=1-T", "[T,b]=0", "[T,B]=0"))
 
 SUITE = ("b^2=0", "B^2=0", "bbar^2=0", "bB+Bb=1-T", "bbarB+Bbbar=0",
@@ -305,10 +301,7 @@ FULL_PAIR = (
 def check_identity(ops, name, p, q):
     """Evaluate the identity name on block (p, q) of ops; GJOperators.identity
     keeps the outcome, so each block is evaluated once per operator set."""
-    if name in STALKWISE:
-        found = _first_stalk_residual(ops, name, p, q)
-    else:
-        found = first_nonzero_column(IDENTITIES[name][2](ops, p, q))
+    found = first_nonzero_column(IDENTITIES[name][2](ops, p, q))
     if found is None:
         return ""
     j, col = found
@@ -316,24 +309,6 @@ def check_identity(ops, name, p, q):
         f"first residual at (p,q)=({p},{q}) on "
         f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {col}"
     )
-
-
-def _first_stalk_residual(ops, name, p, q):
-    """The first nonzero column (j, column) of the stalkwise identity name
-    on block (p, q): read tuple by tuple, in order, from its terms on the
-    element sigma of each group tuple, each element evaluated once."""
-    basis, held = ops.basis(p, q), set()
-    for t, gt in enumerate(basis.iter_group()):
-        x = ops._sigma(gt)
-        if x not in held:
-            held.add(x)
-            terms = IDENTITIES[name][2](ops, x, q)
-            found = first_nonzero_column(terms)
-            if found is not None:
-                j, col = found
-                rows = terms[0][1].rows
-                return t * basis.asize + j, {t * rows + r: v for r, v in col.items()}
-    return None
 
 
 def _outcomes(ops, name, bound):
@@ -695,7 +670,7 @@ def lambda_cyclic_operator(algebra, group, n):
     Its (n+1)-st power is the diagonal g^{-1}-twist; the sign makes b
     descend to the (1 - t)-quotient.
     """
-    basis = tensor_index(group, algebra, 0, n, reduced_flags=(False,) * (n + 1))
+    basis = tensor_index(group, algebra, 0, n, reduced=False)
     den, img = integer_images(group.action)
     sign = -1 if n % 2 else 1
     return tensor_operator(

@@ -18,8 +18,9 @@ give them back, and so do the rows of ``rref``.
 * ``@`` sums integer products over the product of the two denominators;
   ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
   result is divided by its common factor only when its denominator is not 1.
-  ``first_nonzero_column`` tests a sum of products column by column,
-  builds none of them and returns the first nonzero column.
+  ``first_nonzero_column`` tests a sum of any number of products column
+  by column, in one loop, builds none of them and returns the first
+  nonzero column.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Each pivot is in the
   lightest live column, taken from a lazy-deletion heap keyed on (column
@@ -266,25 +267,13 @@ def first_nonzero_column(terms):
     int, or None when the sum is zero: the one exact zero test.
 
     No product is built: each column of the sum is accumulated alone from
-    the integer columns over the lcm of the terms' denominators (one term is
-    scaled only in the column returned, and its empty columns are skipped).
+    the integer columns, each term scaled to the lcm of the terms'
+    denominators, in one loop for any number of terms.
     """
     rows, cols = terms[0][1].rows, terms[0][2].cols
     for _, X, Y in terms:
         if X.cols != Y.rows or (X.rows, Y.cols) != (rows, cols):
             raise ValueError(f"shape mismatch {X.rows}x{X.cols} @ {Y.rows}x{Y.cols}")
-    if len(terms) == 1:
-        c, X, Y = terms[0]
-        den, mine = X.den * Y.den, X._cols
-        for j, col in enumerate(Y._cols):
-            if col:
-                out = {}
-                for k, v in col.items():
-                    for r, w in mine[k].items():
-                        out[r] = out.get(r, 0) + v * w
-                if any(out.values()):
-                    return j, {r: Q(c * v, den) for r, v in sorted(out.items()) if v}
-        return None
     den = lcm(*[X.den * Y.den for _, X, Y in terms])
     parts = [(c * (den // (X.den * Y.den)), X._cols, Y._cols) for c, X, Y in terms]
     for j in range(cols):

@@ -42,13 +42,9 @@ from .quotient import coinvariant_relations, quotient_by, trivial_quotient
 from .rational import QONE
 
 
-def _basis(algebra, slots, reduced):
-    return algebra_tensor_basis(algebra, slots, None if reduced else (False,) * slots)
-
-
 def twist_matrix(algebra, g, n, reduced=False):
     """Matrix of g applied to every slot of A^{(n+1)} (reduced: A (x) Abar^n)."""
-    basis = _basis(algebra, n + 1, reduced)
+    basis = algebra_tensor_basis(algebra, n + 1, reduced)
     den, (img,) = integer_images([g])
     return tensor_operator(
         basis, basis, [(0, range(0), lambda _, a: [(1, (), [img[x] for x in a])])], den ** (n + 1)
@@ -76,7 +72,7 @@ def twisted_b(algebra, g, n, reduced=False):
     # the last face wraps g(a_n) a_0 into slot 0 and copies slots 1, ..., n - 1
     last = (0, range(1, n), lambda _, a: [(-1 if n % 2 else 1, (), (wrap[a[1] * d + a[0]],))])
     return tensor_operator(
-        _basis(algebra, n + 1, reduced), _basis(algebra, n, reduced),
+        algebra_tensor_basis(algebra, n + 1, reduced), algebra_tensor_basis(algebra, n, reduced),
         [face(i) for i in range(n)] + [last], den,
     )
 

@@ -20,6 +20,7 @@ The attainable halves of both criteria are asserted separately and pass.
 """
 
 import hashlib
+import re
 import time
 from pathlib import Path
 
@@ -246,3 +247,16 @@ def test_ci_pins_the_golden_all_reports():
     pinned = {job: digest for digest, job in (line.split("\t") for line in lines)}
     for name, digest in GOLDEN_MACHINE_SHA256.items():
         assert pinned[f"all --fixture {name}"] == digest, name
+
+
+def test_ci_jobs_are_the_pinned_jobs():
+    """The jobs of the CI `cmp` loop are the job column of the pinned
+    digests, in order, each job once: a job added to one list and not the
+    other fails here, not only in CI."""
+    root = Path(__file__).parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    loop = re.search(r"for job in (.*?); do", workflow, re.S).group(1)
+    jobs = re.findall(r'"([^"]*)"', loop)
+    lines = (root / "tests" / "data" / "ci-report-sha256.txt").read_text().splitlines()
+    pinned = [line.split("\t")[1] for line in lines]
+    assert jobs == pinned and len(set(jobs)) == len(jobs)

@@ -104,6 +104,9 @@ FIELDS = [
     ("task", "twist"), ("task", "lambda_coinvariants"), ("task", "format"),
 ]
 
+# every object of fields in a config, and group.action, keyed by element
+OBJECTS = [(), ("algebra",), ("group",), ("task",), ("group", "action")]
+
 
 @st.composite
 def mutated_configs(draw):
@@ -119,7 +122,7 @@ def mutated_configs(draw):
     name_paths = [("name",)] + [("algebra", "basis", i) for i in range(d)]
     name_paths += [("group", "elements", x) for x in range(len(elements))]
     for kind in draw(st.lists(st.sampled_from(
-        ["rational", "ragged", "type", "action", "names", "separator", "unit", "none"]
+        ["rational", "ragged", "type", "action", "names", "separator", "unit", "unknown", "none"]
     ), min_size=1, max_size=2)):
         if kind == "rational":
             _set(data, draw(st.sampled_from(rationals)), draw(st.sampled_from(BAD_RATIONALS)))
@@ -160,6 +163,10 @@ def mutated_configs(draw):
                 _set(data, path, old + draw(st.sampled_from(SEPARATORS)) + "x")
         elif kind == "unit":
             _set(data, ("algebra", "unit_index"), draw(st.integers(-1, d)))
+        elif kind == "unknown":
+            # a field no reader knows, or an action for an element not listed
+            path = draw(st.sampled_from(OBJECTS))
+            _set(data, path + ("maxdegree",), draw(st.sampled_from(WRONG_TYPES)))
     return data
 
 
@@ -247,4 +254,28 @@ def test_unit_not_at_index_zero_is_refused(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(data))
     assert cli.main(["hc-coinv", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"thl: {message}\n"
+
+
+@pytest.mark.parametrize("path, message", [
+    ((), "unknown field 'maxdegree' at top level"),
+    (("algebra",), "unknown field 'maxdegree' in algebra"),
+    (("group",), "unknown field 'maxdegree' in group"),
+    (("task",), "unknown field 'maxdegree' in task"),
+    (("group", "action"),
+     "unknown field 'maxdegree' in group.action: it names no element of group.elements"),
+], ids=["top", "algebra", "group", "task", "action"])
+def test_unknown_field_is_refused(path, message, tmp_path, capsys):
+    """A misspelt field (task.maxdegree for task.max_degree) would be
+    ignored, and its default used in its place; an action for a name that
+    is not an element would be dropped: both refused at load time, naming
+    the field, exit 2."""
+    data = _base("half-lines-z2")
+    _at(data, path)["maxdegree"] = 7
+    with pytest.raises(ParseError) as err:
+        config_from_dict(data)
+    assert str(err.value) == message
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(data))
+    assert cli.main(["hc-coinv", "--config", str(job)]) == 2
     assert capsys.readouterr().err == f"thl: {message}\n"

@@ -149,7 +149,7 @@ def test_beta_hand_values():
     bm = beta_map(A, G, 1, 0)
     from thl.algebra import tensor_index
 
-    basis = tensor_index(G, A, 1, 0, reduced_flags=(False,))
+    basis = tensor_index(G, A, 1, 0, reduced=False)
     # beta(s, s | a) = (s | e | a): product g = s s = e moves to the last slot
     src = basis.encode_group((1, 1)) * basis.asize + 0
     (tgt,) = bm.column(src)
@@ -546,7 +546,7 @@ def test_u_complex_fixture2_through_degree4():
     assert u_complex_equivalence(pc.mixed).equal
 
 
-# -- stalkwise identities, once per element ------------------------------
+# -- stalkwise identities against assembled blocks ------------------------
 
 def _fixture_instance(name):
     import os
@@ -583,10 +583,8 @@ def test_stalkwise_identities_match_assembled_blocks(monkeypatch, name):
     ops, whole = GJOperators(A, G), GJOperators(A, G)
     for ident, p, q in _stalkwise_blocks(bound):
         assert ops.identity(ident, p, q) == assembled_identity(whole, ident, p, q) == ""
-    # the assembled T and B of degree bound + 1 were never built
-    assert not any(k[0] in ("T", "B") and k[1] + k[2] > bound for k in ops._memo)
-    # identity_suite tests each stalkwise identity once per group element
-    # and degree q: |G| zero tests per q
+    # identity_suite tests each stalkwise identity once per degree q, on the
+    # block (0, q) that holds every group element's block once
     names, tests = [], {}
     check, zero_test = crossed.check_identity, crossed.first_nonzero_column
 
@@ -602,7 +600,7 @@ def test_stalkwise_identities_match_assembled_blocks(monkeypatch, name):
     monkeypatch.setattr(crossed, "first_nonzero_column", counted)
     identity_suite(GJOperators(A, G), bound)
     for ident in crossed.STALKWISE:
-        assert tests[ident] == G.order * (bound + 1 - crossed.IDENTITIES[ident][1])
+        assert tests[ident] == bound + 1 - crossed.IDENTITIES[ident][1]
 
 
 def test_suites_check_stalkwise_identities_only_at_p_zero(monkeypatch):
@@ -628,32 +626,38 @@ def test_suites_check_stalkwise_identities_only_at_p_zero(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("operator, failing", [
+    ("alg_b", {"b^2=0", "bB+Bb=1-T", "[T,b]=0"}),
+    ("alg_B", {"B^2=0", "bB+Bb=1-T", "[T,B]=0"}),
+    ("alg_twist", {"bB+Bb=1-T", "[T,b]=0", "[T,B]=0"}),
+], ids=["alg_b", "alg_B", "alg_twist"])
 @pytest.mark.parametrize("broken", [1, 2])
-def test_broken_alg_B_gives_the_assembled_detail(monkeypatch, broken):
-    """One element's B off by one entry in degree 1: the per-element path
-    names the same first failing block, tensor and residual column as the
-    evaluation on assembled blocks, for every stalkwise identity."""
+def test_broken_element_operator_gives_the_assembled_detail(monkeypatch, operator, failing,
+                                                            broken):
+    """One element's b, B or twist off by one entry in degree 1: every
+    stalkwise identity names the same first failing block, tensor and
+    residual column as its evaluation by whole products on assembled
+    blocks, and the identities that read the broken operator fail."""
     from oracles import assembled_identity
 
     A = triple_lines_algebra()
     G = z3_group(A)
-    alg_B = GJOperators.alg_B
+    build = getattr(GJOperators, operator)
 
-    def off_by_one(self, elem, q):
-        m = alg_B(self, elem, q)
+    def off_by_one(self, elem, q, *reduced):
+        m = build(self, elem, q, *reduced)
         if elem != broken or q != 1:
             return m
         return m + QMatrix.from_columns(m.rows, [{m.rows - 1: 1} if k == 2 else {}
                                                  for k in range(m.cols)])
 
-    monkeypatch.setattr(GJOperators, "alg_B", off_by_one)
+    monkeypatch.setattr(GJOperators, operator, off_by_one)
     ops, whole = GJOperators(A, G), GJOperators(A, G)
     details = {}
     for ident, p, q in _stalkwise_blocks(3):
         details[ident, p, q] = ops.identity(ident, p, q)
         assert details[ident, p, q] == assembled_identity(whole, ident, p, q)
-    failing = {ident for (ident, _, _), d in details.items() if d}
-    assert failing == {"B^2=0", "bB+Bb=1-T", "[T,B]=0"}
+    assert {ident for (ident, _, _), d in details.items() if d} == failing
     # the suite reports the first failing block by total degree, then p
     suite = {name: detail for name, _, detail in identity_suite(GJOperators(A, G), 3)}
     for ident in failing:

@@ -25,7 +25,7 @@ from thl.fixtures import fixture_names
 from thl.crossed import GJOperators, beta_map, lambda_cyclic_operator
 from thl.rational import QONE
 from thl.sequences import _identity_slot_map, derham_d_ambient
-from thl.twisted import _basis, twist_matrix, twisted_B, twisted_b
+from thl.twisted import twist_matrix, twisted_B, twisted_b
 
 from oracles import reference_tensor_operator
 
@@ -50,7 +50,7 @@ def _crossed():
 
 
 def ref_twist(algebra, g, n, reduced):
-    basis = _basis(algebra, n + 1, reduced)
+    basis = algebra_tensor_basis(algebra, n + 1, reduced)
     den, (img,) = integer_images([g])
     return reference_tensor_operator(
         basis, basis, lambda _, a: [(1, (), [img[x] for x in a])], den ** (n + 1)
@@ -74,7 +74,8 @@ def ref_b(algebra, g, n, reduced):
         return out
 
     return reference_tensor_operator(
-        _basis(algebra, n + 1, reduced), _basis(algebra, n, reduced), terms, den
+        algebra_tensor_basis(algebra, n + 1, reduced), algebra_tensor_basis(algebra, n, reduced),
+        terms, den,
     )
 
 
@@ -125,7 +126,7 @@ def test_group_slot_builders_match_reference(name):
     algebra, group = _instance(name)
     den, img = integer_images(group.action)
     for n in range(4):
-        full = tensor_index(group, algebra, 0, n, (False,) * (n + 1))
+        full = tensor_index(group, algebra, 0, n, reduced=False)
         reduced = tensor_index(group, algebra, 0, n)
 
         sign = -1 if n % 2 else 1
@@ -141,7 +142,7 @@ def test_group_slot_builders_match_reference(name):
                 src, dst, lambda g, a: [(1, g, a)]
             )
         for p in (1, 2):
-            basis = tensor_index(group, algebra, p, n, (False,) * (n + 1))
+            basis = tensor_index(group, algebra, p, n, reduced=False)
             assert beta_map(algebra, group, p, n) == reference_tensor_operator(
                 basis, basis, lambda gt, a: [(1, gt[1:] + (group.product(gt),), a)]
             )
