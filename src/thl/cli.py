@@ -8,6 +8,7 @@ import argparse
 import functools
 import sys
 import time
+from math import gcd
 
 from .algebra import crossed_product, validate_action, validate_algebra
 from .config import load_config, load_fixture
@@ -43,21 +44,10 @@ def _cyclic_generator(cfg):
     configured twist element; None otherwise."""
     grp = cfg.group
     r = grp.order
-
-    def order_of(x):
-        n, acc = 1, x
-        while acc != grp.identity_index:
-            acc = grp.mul(acc, x)
-            n += 1
-        return n
-
-    candidates = []
     tw = cfg.twist_index()
-    if tw is not None:
-        candidates.append(tw)
-    candidates.extend(x for x in range(r) if x != tw)
-    for x in candidates:
-        if order_of(x) == r:
+    # a stable sort on x != tw: the twist element first, then index order
+    for x in sorted(range(r), key=lambda x: x != tw):
+        if len({grp.product([x] * k) for k in range(r)}) == r:
             return x
     return None
 
@@ -197,14 +187,10 @@ def _run_verify_theorem(job, report):
     )
     report.add_check("theorem:f-onto-summand", frep.all_onto_summand(), detail)
     # powers generating the same cyclic group give the same dims
-    from math import gcd
-
     for k in range(2, r):
         if gcd(k, r) != 1:
             continue
-        power = grp.identity_index
-        for _ in range(k):
-            power = grp.mul(power, gen)
+        power = grp.product([gen] * k)
         hk = job.twisted(power).mixed.total_homology()
         report.add_check(
             f"corollary1:power-{k}",

@@ -14,7 +14,6 @@ from .sparse import (
     block_diag,
     block_matrix,
     first_nonzero_column,
-    image_basis,
     image_pivot_cols,
     kernel_basis,
     rank,
@@ -63,10 +62,11 @@ class HomologyResult:
     """Per-degree homology dimensions with lazily computed bases.
 
     dims[n] for n <= valid_through, and ranks[n] = rank d_n for n <= top
-    (ranks[0] = 0).  cycle_basis(n) and boundary_basis(n) are canonical
-    (RREF-derived), and boundary_basis(n) and representatives(n) are
-    cached; dims are computed from ranks alone so that large complexes
-    never pay for explicit bases.
+    (ranks[0] = 0).  cycle_basis(n) is canonical (RREF-derived), and
+    boundary_basis(n) and representatives(n) both come from one canonical
+    elimination of [d_{n+1} | cycle_basis(n)], cached per degree; dims are
+    computed from ranks alone so that large complexes never pay for
+    explicit bases.
 
     The ranks are compressed: d_1, d_2, ... are ranked in ascending order,
     and d_{n+1} is ranked with the rows at the pivot columns P of d_n left
@@ -87,8 +87,7 @@ class HomologyResult:
     def __init__(self, complex_):
         self.complex = complex_
         self.valid_through = complex_.top - 1
-        self._boundaries = {}
-        self._reps = {}
+        self._frames = {}
         # ranks[n] = rank d_n (d_0 = 0); below: the pivot columns of d_{n-1}
         ranks = self.ranks = [0]
         below = None
@@ -107,13 +106,8 @@ class HomologyResult:
         return kernel_basis(self.complex.d[n])
 
     def boundary_basis(self, n):
-        """Canonical basis of im d_{n+1}."""
-        if n not in self._boundaries:
-            if n + 1 > self.complex.top:
-                self._boundaries[n] = QMatrix.zero(self.complex.dims[n], 0)
-            else:
-                self._boundaries[n] = image_basis(self.complex.d[n + 1])
-        return self._boundaries[n]
+        """Canonical basis of im d_{n+1}: the pivot columns of d_{n+1}."""
+        return self._frame(n)[0]
 
     def representatives(self, n):
         """Cycle columns completing the boundaries to a basis of the cycles.
@@ -121,14 +115,22 @@ class HomologyResult:
         Returns (reps, frame) with frame = boundaries then reps; homology
         classes are coordinatized against frame's rep block.
         """
-        if n not in self._reps:
-            bd = self.boundary_basis(n)
+        return self._frame(n)[1:]
+
+    def _frame(self, n):
+        """(boundaries, reps, frame) from one canonical elimination of
+        [d_{n+1} | cycle basis]: its pivot columns in the d_{n+1} block are
+        those of d_{n+1}, and a cycle is a pivot exactly when it leaves the
+        span of im d_{n+1} and the cycles before it."""
+        if n not in self._frames:
+            c = self.complex
+            d = c.d[n + 1] if n < c.top else QMatrix.zero(c.dims[n], 0)
             cy = self.cycle_basis(n)
-            picked = image_pivot_cols(bd.hstack(cy))
-            reps_idx = [j - bd.cols for j in picked if j >= bd.cols]
-            reps = cy.select_columns(reps_idx)
-            self._reps[n] = (reps, bd.hstack(reps))
-        return self._reps[n]
+            picked = image_pivot_cols(d.hstack(cy))
+            bd = d.select_columns([j for j in picked if j < d.cols])
+            reps = cy.select_columns([j - d.cols for j in picked if j >= d.cols])
+            self._frames[n] = (bd, reps, bd.hstack(reps))
+        return self._frames[n]
 
     def class_coordinates(self, n, vectors):
         """Coordinates of cycle columns in the degree-n homology basis."""

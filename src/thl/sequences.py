@@ -65,6 +65,8 @@ def sbi_sequence(coinv):
 
     with I the column inclusion, S the column-dropping projection, and the
     connecting map computed by the lift-differentiate-project recipe.
+    The nodes HC_n, HC_{n-2} (the shift of HC_n) and HH_n all go through
+    one exactness test; S_0, S_1 and the map into HH_0 are zero matrices.
     """
     mixed = coinv.mixed
     k = coinv.n_internal
@@ -89,12 +91,17 @@ def sbi_sequence(coinv):
             raise ChainMapError(f"shift projection fails at degree {n}")
 
     def induced_S(n):
+        """HC_n -> HC_{n-2}, zero for n < 2."""
+        if n < 2:
+            return QMatrix.zero(0, hcH.dims[n])
         reps, _ = hcH.representatives(n)
         return hcH.class_coordinates(n - 2, proj[n] @ reps)
 
     def connecting(n):
         """HC_{n-2} -> HH_{n-1}: lift along the splitting, differentiate,
-        read off the first column."""
+        read off the first column; zero for n = 1, where HC_{-1} = 0."""
+        if n < 2:
+            return QMatrix.zero(hhH.dims[0], 0)
         reps, _ = hcH.representatives(n - 2)
         dlift = tot.d[n] @ reps.shift_rows(mixed.dims[n], tot.dims[n])
         first_col = dlift.shift_rows(0, mixed.dims[n - 1])
@@ -104,46 +111,23 @@ def sbi_sequence(coinv):
             )
         return hhH.class_coordinates(n - 1, first_col)
 
-    S_mats = {n: induced_S(n) for n in range(2, N + 1)}
+    S_mats = {n: induced_S(n) for n in range(N + 1)}
     # the connecting map out of HC_{n-2} lifts into internal degree n, so
     # it exists one step past the reported range, giving the HH_N node too
-    D_mats = {n: connecting(n) for n in range(2, N + 2)}
+    D_mats = {n: connecting(n) for n in range(1, N + 2)}
 
-    nodes = []
-    # node HC_n: in I_n, out S_n (zero map for n < 2)
-    for n in range(N + 1):
-        out = S_mats[n] if n >= 2 else QMatrix.zero(0, hcH.dims[n])
-        comp = first_nonzero_column([(1, out, I_mats[n])]) is None
-        nodes.append(
-            SequenceNode(
-                f"HC_{n}", f"I_{n}", f"S_{n}",
-                rank(I_mats[n]), nullity(out), comp,
-            )
-        )
-    # node HC_{n-2} between S_n and the connecting map
-    for n in range(2, N + 1):
-        comp = first_nonzero_column([(1, D_mats[n], S_mats[n])]) is None
-        nodes.append(
-            SequenceNode(
-                f"HC_{n - 2} (shift of HC_{n})", f"S_{n}", f"d_{n}",
-                rank(S_mats[n]), nullity(D_mats[n]), comp,
-            )
-        )
-    # node HH_n between the connecting map out of HC_{n-1} and I_n
-    for n in range(N + 1):
-        if n == 0:
-            # the sequence starts: nothing comes into HH_0 from HC_{-1}
-            comp, img = True, 0
-        else:
-            comp = first_nonzero_column([(1, I_mats[n], D_mats[n + 1])]) is None
-            img = rank(D_mats[n + 1])
-        nodes.append(
-            SequenceNode(
-                f"HH_{n}", f"d_{n + 1}", f"I_{n}",
-                img, nullity(I_mats[n]), comp,
-            )
-        )
-    return ExactnessReport(nodes, notes=[SBI_INDEXING_NOTE])
+    def node(label, inc, out, incoming, outgoing):
+        comp = first_nonzero_column([(1, outgoing, incoming)]) is None
+        return SequenceNode(label, inc, out, rank(incoming), nullity(outgoing), comp)
+
+    return ExactnessReport(
+        [node(f"HC_{n}", f"I_{n}", f"S_{n}", I_mats[n], S_mats[n]) for n in range(N + 1)]
+        + [node(f"HC_{n - 2} (shift of HC_{n})", f"S_{n}", f"d_{n}", S_mats[n], D_mats[n])
+           for n in range(2, N + 1)]
+        + [node(f"HH_{n}", f"d_{n + 1}", f"I_{n}", D_mats[n + 1], I_mats[n])
+           for n in range(N + 1)],
+        notes=[SBI_INDEXING_NOTE],
+    )
 
 
 # ---------------------------------------------------------------------
@@ -338,14 +322,10 @@ def _unit_reduced(connes):
 
 
 def _boundary_membership(vectors, hres, n, what):
-    """Exact check that columns are boundaries in homology hres at degree n."""
-    frame = hres.boundary_basis(n)
-    if frame.cols == 0:
-        if not vectors.is_zero():
-            raise ChainMapError(f"{what}: a relation does not map to a boundary")
-        return
+    """Exact check that columns are boundaries in homology hres at degree n
+    (with no boundaries, ``solve_in_span`` accepts only zero columns)."""
     try:
-        solve_in_span(frame, vectors)
+        solve_in_span(hres.boundary_basis(n), vectors)
     except ValueError:
         raise ChainMapError(f"{what}: a relation does not map to a boundary")
 

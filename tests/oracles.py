@@ -559,3 +559,20 @@ def assembled_identity(ops, name, p, q):
         f"first residual at (p,q)=({p},{q}) on "
         f"{ops.basis(p, q).label(j, ops.group, ops.algebra)}: {col}"
     )
+
+
+# -- homology frames by two eliminations ---------------------------------
+
+def two_step_frame(h, n):
+    """(boundaries, reps, frame) of degree n of the homology h, built with
+    two eliminations: the pivot columns of d_{n+1} (none in the top degree)
+    as the boundaries, then the cycle columns independent of the boundaries
+    and of the cycles before them as the representatives."""
+    from thl.sparse import QMatrix, image_basis, image_pivot_cols
+
+    c = h.complex
+    bd = image_basis(c.d[n + 1]) if n < c.top else QMatrix.zero(c.dims[n], 0)
+    cy = h.cycle_basis(n)
+    picked = image_pivot_cols(bd.hstack(cy))
+    reps = cy.select_columns([j - bd.cols for j in picked if j >= bd.cols])
+    return bd, reps, bd.hstack(reps)

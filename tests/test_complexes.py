@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thl.algebra import Algebra, AlgebraMap
 from thl.complexes import (
@@ -16,9 +17,11 @@ from thl.crossed import GJOperators, LambdaComplex, PropositionComplex
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.fixtures import fixture_names
 from thl.rational import Q
-from thl.sparse import QMatrix, rank
+from thl.sparse import QMatrix, kernel_basis, rank
 from thl.quotient import quotient_by
 from thl.twisted import HKBicomplex, TwistedOperators, twisted_b
+
+from oracles import two_step_frame
 
 
 def test_complex_rejects_bad_differential():
@@ -251,3 +254,39 @@ def test_total_complex_shares_b_and_leaves_it_unchanged(fixture, element):
         reps, _ = h.representatives(n)
         h.class_coordinates(n, reps)
     assert mixed.b == b and mixed.B == B
+
+
+def _integer_matrices(rows, cols):
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda data: QMatrix.from_dense(data, rows, cols))
+
+
+@st.composite
+def _exact_complexes(draw):
+    """A complex with d_1 random and d_{n+1} = (kernel basis of d_n) times a
+    random integer matrix, so d.d = 0; modules may be 0."""
+    dims = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5))
+    d = [None]
+    for n in range(1, len(dims)):
+        kb = kernel_basis(d[-1]) if n > 1 else QMatrix.identity(dims[0])
+        d.append(kb @ draw(_integer_matrices(kb.cols, dims[n])))
+    return ChainComplexQ(dims, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_complexes())
+@example(ChainComplexQ([2], []))
+@example(ChainComplexQ([1, 1], [None, QMatrix.identity(1)]))
+@example(ChainComplexQ([2, 0, 3], [None, QMatrix.zero(2, 0), QMatrix.zero(0, 3)]))
+def test_homology_frame_is_the_two_step_construction(chain):
+    """boundary_basis(n) and representatives(n), read from one elimination
+    of [d_{n+1} | cycles], equal the boundaries and representatives of two
+    separate eliminations in every degree, the top one included (no
+    d_{n+1}), also where the boundary or the cycle block is empty."""
+    h = homology(chain)
+    for n in range(chain.top + 1):
+        bd, reps, frame = two_step_frame(h, n)
+        assert h.boundary_basis(n) == bd
+        assert h.representatives(n) == (reps, frame)

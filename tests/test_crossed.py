@@ -458,6 +458,30 @@ def test_theorem_map_rejects_mismatched_twisted_complex():
     assert theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 2), deco, 1).all_injective()
 
 
+@pytest.mark.parametrize("first", [0, 3])
+def test_theorem_map_outside_its_stalk_names_the_degree(first):
+    """The class splitting with the stalk blocks of e and s swapped from
+    degree first on sends the theorem map of s into the rows of e's stalk.
+    The chain-level check raises, naming the first such degree.  Ranks on
+    homology alone show the breach at first = 0 only as onto_summand False,
+    and at first = 3, the internal degree past the reported range, not at
+    all."""
+    from thl.errors import ChainMapError
+    from thl.sparse import block_matrix
+
+    A = dual_numbers_algebra()
+    G = z2_group(A)
+    deco = conjugacy_decomposition(A, G, 2)
+    for n in range(first, deco.n_internal + 1):
+        dims = [st.mixed.dims[n] for st in deco.stalks]
+        assert dims[0] == dims[1]
+        swap = {(0, 1): QMatrix.identity(dims[0]), (1, 0): QMatrix.identity(dims[1])}
+        deco.split[n] = block_matrix(swap, dims, dims) @ deco.split[n]
+    with pytest.raises(ChainMapError) as err:
+        theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 2), deco, 1)
+    assert str(err.value) == f"theorem map leaves the stalk of s at degree {first}"
+
+
 def test_theorem_map_fixture3():
     A = triple_lines_algebra()
     rep = theorem_map(A, z3_group(A), 1, 2)

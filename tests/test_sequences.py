@@ -88,6 +88,32 @@ def test_sbi_fixture3_exact():
     assert rep.all_exact
 
 
+@pytest.mark.parametrize("fixture, N, nodes", [
+    ("ground-field", 0, [("HC_0", "I_0", "S_0", 1, 1, True), ("HH_0", "d_1", "I_0", 0, 0, True)]),
+    ("ground-field", 1, [
+        ("HC_0", "I_0", "S_0", 1, 1, True), ("HC_1", "I_1", "S_1", 0, 0, True),
+        ("HH_0", "d_1", "I_0", 0, 0, True), ("HH_1", "d_2", "I_1", 0, 0, True),
+    ]),
+    ("trunc-poly-z2", 0, [("HC_0", "I_0", "S_0", 2, 2, True), ("HH_0", "d_1", "I_0", 0, 0, True)]),
+    ("trunc-poly-z2", 1, [
+        ("HC_0", "I_0", "S_0", 2, 2, True), ("HC_1", "I_1", "S_1", 1, 1, True),
+        ("HH_0", "d_1", "I_0", 0, 0, True), ("HH_1", "d_2", "I_1", 0, 0, True),
+    ]),
+])
+def test_sbi_low_degree_nodes(fixture, N, nodes):
+    """Below degree 2 every node meets a zero map: S_0 and S_1 land in
+    HC_{-2} and HC_{-1}, and nothing comes into HH_0.  Each node reads
+    (label, incoming, outgoing, image, kernel, composite zero)."""
+    from thl.config import load_fixture
+
+    cfg = load_fixture(fixture)
+    rep = sbi_sequence(coinvariant_complex(cfg.algebra, cfg.group, N))
+    assert [
+        (n.label, n.incoming, n.outgoing, n.image_dim, n.kernel_dim, n.composite_zero)
+        for n in rep.nodes
+    ] == nodes
+
+
 def test_sbi_indexing_note_present():
     Aq = ground_field_algebra()
     rep = sbi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 2))
