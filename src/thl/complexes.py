@@ -4,7 +4,9 @@ mixed complexes.
 
 Truncation contract: a complex built through internal degree K has
 trustworthy homology through K-1 ("valid_through"), because degree-n
-homology needs the degree-(n+1) differential.
+homology needs the degree-(n+1) differential.  A total complex through K
+reads B_m for m <= K-2 only (B_m sits in d_{m+2}), so a quotient mixed
+complex descends B_{K-1} when a check first reads it (``top_B``).
 """
 
 from .errors import ChainMapError, ComplexError
@@ -184,48 +186,63 @@ def total_map(per_degree):
 class MixedComplex:
     """Modules C_n with b: C_n -> C_{n-1} and B: C_n -> C_{n+1}.
 
-    Checked at construction: b.b = 0, B.B = 0 and bB + Bb = 0 on the given
-    truncation, the last from degree 0 (where it reads b_1 B_0 = 0; a
-    missing B is zero).  These are exactly the identities that make the
-    cyclic-type bicomplex (columns indexed by B-applications) well defined,
-    and together they are every block of d.d on its total complex.
+    Checked at construction: b.b = 0, B.B = 0 and bB + Bb = 0 on every
+    given B, the last from degree 0 (where it reads b_1 B_0 = 0; a missing
+    B is zero).  These make the cyclic-type bicomplex well defined and hold
+    every block of d.d on its total complex, which reads B_m in d_{m+2}
+    only, so no B_{top-1}.  That may be pending (B[top-1] None): the first
+    ``top_B()`` builds it and checks B.B at top - 2 and bB + Bb at top - 1.
+    Errors name the degree and the first failing basis index.
 
     Its total and column homologies are computed once and shared, so ranks
     and bases taken through one reader serve every other.
     """
 
-    def __init__(self, dims, b, B, presentations=None, label=""):
+    def __init__(self, dims, b, B, presentations=None, label="", pending_top_B=None):
         self.dims = list(dims)
         self.top = len(self.dims) - 1
         self.b = list(b)
         self.B = list(B)
         self.presentations = presentations
         self.label = label
+        self._pending_top_B = pending_top_B
         self._total_h = None
         self._column_h = None
-        self._check_identities()
-
-    def _check_identities(self):
-        lbl = self.label or "mixed complex"
         for n in range(2, self.top + 1):
-            if first_nonzero_column([(1, self.b[n - 1], self.b[n])]) is not None:
-                raise ComplexError(f"b.b != 0 in {lbl}", location=f"degree {n}")
-        for n in range(self.top - 1):
-            if self.B[n + 1] is None or self.B[n] is None:
+            self._check("b.b != 0", n, [(1, self.b[n - 1], self.b[n])])
+        self._check_B(self.B, range(self.top - 1), range(self.top))
+
+    def _check_B(self, B, BB, bB_Bb):
+        """B.B = 0 at the degrees BB, then bB + Bb = 0 at the degrees bB_Bb."""
+        for n in BB:
+            if B[n + 1] is not None and B[n] is not None:
+                self._check("B.B != 0", n, [(1, B[n + 1], B[n])])
+        for n in bB_Bb:
+            if B[n] is None:
                 continue
-            if first_nonzero_column([(1, self.B[n + 1], self.B[n])]) is not None:
-                raise ComplexError(f"B.B != 0 in {lbl}", location=f"degree {n}")
-        for n in range(self.top):
-            if self.B[n] is None:
-                continue
-            bB_Bb = [(1, self.b[n + 1], self.B[n])]
-            if n and self.B[n - 1] is not None:
-                bB_Bb.append((1, self.B[n - 1], self.b[n]))
-            if first_nonzero_column(bB_Bb) is not None:
-                raise ComplexError(
-                    f"bB + Bb != 0 in {lbl} (quotient did not kill the twist)",
-                    location=f"degree {n}",
-                )
+            terms = [(1, self.b[n + 1], B[n])]
+            if n and B[n - 1] is not None:
+                terms.append((1, B[n - 1], self.b[n]))
+            self._check("bB + Bb != 0", n, terms, " (quotient did not kill the twist)")
+
+    def _check(self, identity, n, terms, why=""):
+        found = first_nonzero_column(terms)
+        if found is not None:
+            raise ComplexError(
+                f"{identity} in {self.label or 'mixed complex'}{why}",
+                location=f"degree {n}", basis_label=f"basis index {found[0]}",
+            )
+
+    def top_B(self):
+        """B_{top-1}: C_{top-1} -> C_top.  A pending one is built and its
+        two identities checked on the first call; every call returns the
+        same matrix (None when there is no B)."""
+        n = self.top - 1
+        if self._pending_top_B is not None:
+            B = self.B[:n] + [self._pending_top_B()] + self.B[n + 1:]
+            self._check_B(B, range(max(n - 1, 0), n), [n])
+            self.B, self._pending_top_B = B, None
+        return self.B[n]
 
     def total_homology(self):
         """Homology of the total complex through the top degree; the same
@@ -254,8 +271,9 @@ def quotient_mixed_complex(top, presentation, b, B, label):
     (callers with a relation span pass it to ``quotient_by``); b(n) for
     n >= 1 and B(n) for n < top are the raw operators on the undivided
     modules.  Both descend through the quotients with the exact
-    well-definedness check, whose error names the label and the degree.
-    B=None builds a complex with no B (the Connes complex).
+    well-definedness check, whose error names the label and the degree:
+    B_{top-1} on the first ``top_B()``, the rest at construction.  B=None
+    builds a complex with no B (the Connes complex).
     """
     pres = [presentation(n) for n in range(top + 1)]
     return _descended(pres, pres, b, B, label)
@@ -263,20 +281,25 @@ def quotient_mixed_complex(top, presentation, b, B, label):
 
 def divide_mixed_complex(mixed, relations, label):
     """The quotient mixed complex mixed divided once more by relations(n),
-    given in its quotient coordinates; b and B descend again (checked).
+    given in its quotient coordinates; b and B descend again (checked), the
+    top B from mixed.top_B() on the first top_B() of the result.
 
     Its presentations are those of the undivided modules by both relation
     spans, equal to dividing by the two spans at once.
     """
     steps = [quotient_by(mixed.dims[n], relations(n)) for n in range(mixed.top + 1)]
     whole = [compose_quotients(p, s) for p, s in zip(mixed.presentations, steps)]
-    B = None if mixed.B[0] is None else mixed.B.__getitem__
-    return _descended(steps, whole, mixed.b.__getitem__, B, label)
+
+    def B(n):
+        return mixed.top_B() if n == mixed.top - 1 else mixed.B[n]
+
+    no_B = mixed.B[0] is None and mixed._pending_top_B is None
+    return _descended(steps, whole, mixed.b.__getitem__, None if no_B else B, label)
 
 
 def _descended(pres, presentations, b, B, label):
     """b and B descended through the quotients pres into a MixedComplex
-    that records presentations."""
+    that records presentations, with B_{top-1} pending."""
     top = len(pres) - 1
 
     def descend(name, f, n, m):
@@ -284,10 +307,12 @@ def _descended(pres, presentations, b, B, label):
 
     b_down = [None] + [descend("b", b(n), n, n - 1) for n in range(1, top + 1)]
     B_down = [None] * (top + 1)
+    pending = None
     if B is not None:
-        B_down[:top] = [descend("B", B(n), n, n + 1) for n in range(top)]
+        B_down[:top - 1] = [descend("B", B(n), n, n + 1) for n in range(top - 1)]
+        pending = lambda: descend("B", B(top - 1), top - 1, top)
     dims = [p.quotient_dim for p in pres]
-    return MixedComplex(dims, b_down, B_down, presentations=presentations, label=label)
+    return MixedComplex(dims, b_down, B_down, presentations, label, pending)
 
 
 def check_chain_map(f_per_degree, src, dst, top):
@@ -299,15 +324,17 @@ def check_chain_map(f_per_degree, src, dst, top):
 
 
 def check_mixed_map(f, src, dst, what):
-    """Exact check that the maps f[n]: src C_n -> dst C_n, for n up to
-    len(f) - 1, commute with b and with B; raises ChainMapError naming what,
-    the operator and the first failing degree (b before B)."""
+    """Exact check that the maps f[n]: src C_n -> dst C_n, for n through
+    the top degree len(f) - 1 of both, commute with b and with B (read at
+    top - 1 through top_B()); raises ChainMapError naming what, the
+    operator and the first failing degree (b before B)."""
     top = len(f) - 1
     for n in range(1, top + 1):
         if first_nonzero_column([(1, dst.b[n], f[n]), (-1, f[n - 1], src.b[n])]) is not None:
             raise ChainMapError(f"{what} fails b at degree {n}")
     for n in range(top):
-        if first_nonzero_column([(1, dst.B[n], f[n]), (-1, f[n + 1], src.B[n])]) is not None:
+        B_src, B_dst = (src.B[n], dst.B[n]) if n < top - 1 else (src.top_B(), dst.top_B())
+        if first_nonzero_column([(1, B_dst, f[n]), (-1, f[n + 1], B_src)]) is not None:
             raise ChainMapError(f"{what} fails B at degree {n}")
 
 

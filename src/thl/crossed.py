@@ -567,7 +567,8 @@ class ConjugacyDecomposition:
         stalks = [st.mixed for st in self.stalks]
         stalk_sum = SimpleNamespace(
             b=[None] + [block_diag([m.b[n] for m in stalks]) for n in range(1, k + 1)],
-            B=[block_diag([m.B[n] for m in stalks]) for n in range(k)],
+            B=[block_diag([m.B[n] for m in stalks]) for n in range(k - 1)],
+            top_B=lambda: block_diag([m.top_B() for m in stalks]),
         )
         check_mixed_map(self.split, self.coinv.mixed, stalk_sum, "class splitting")
 

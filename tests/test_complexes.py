@@ -13,12 +13,19 @@ from thl.complexes import (
     total_map,
 )
 from thl.config import load_fixture
-from thl.crossed import GJOperators, LambdaComplex, PropositionComplex
+from thl.algebra import conjugacy_data
+from thl.crossed import (
+    CoinvariantComplex,
+    GJOperators,
+    LambdaComplex,
+    PropositionComplex,
+    StalkComplex,
+)
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.fixtures import fixture_names
 from thl.rational import Q
-from thl.sparse import QMatrix, kernel_basis, rank
-from thl.quotient import quotient_by
+from thl.sparse import QMatrix, block_matrix, kernel_basis, rank
+from thl.quotient import descend_map, quotient_by
 from thl.twisted import HKBicomplex, TwistedOperators, twisted_b
 
 from oracles import two_step_frame
@@ -168,9 +175,116 @@ def test_quotient_mixed_complex_names_theory_and_degree():
             lambda n: QMatrix.from_dense([[1], [1]]),
             lambda n: QMatrix.from_dense([[1, 0]]),
             "toy theory",
+        ).top_B()
+    assert "B_0" in str(err.value)
+    assert "toy theory" in str(err.value)
+
+
+def test_quotient_mixed_complex_below_the_top_names_theory_and_degree():
+    """The same B_0 with top = 2, where the total complex reads it: the
+    construction refuses it."""
+    rels = {0: QMatrix.from_dense([[1], [-1]]), 1: QMatrix.zero(1, 0), 2: QMatrix.zero(1, 0)}
+    with pytest.raises(WellDefinednessError) as err:
+        quotient_mixed_complex(
+            2,
+            lambda n: quotient_by(rels[n].rows, rels[n]),
+            lambda n: QMatrix.from_dense([[1], [1]]) if n == 1 else QMatrix.zero(1, 1),
+            lambda n: QMatrix.from_dense([[1, 0]]) if n == 0 else QMatrix.zero(1, 1),
+            "toy theory",
         )
     assert "B_0" in str(err.value)
     assert "toy theory" in str(err.value)
+
+
+def _pending_top_B_case(case):
+    """(a builder of a quotient mixed complex, its raw B(n) on the undivided
+    modules), all on trunc-poly-z2."""
+    cfg = load_fixture("trunc-poly-z2")
+    ops = GJOperators(cfg.algebra, cfg.group)
+    tw = TwistedOperators(cfg.algebra, cfg.group.action[1])
+    if case == "twisted":
+        return lambda: HKBicomplex(tw, 3).mixed, tw.B
+    if case == "proposition":
+        def sizes(n):
+            return [ops.basis(p, n - p).size for p in range(n + 1)]
+
+        return lambda: PropositionComplex(ops, 2).mixed, lambda n: block_matrix(
+            {(p, p): ops.B(p, n - p) for p in range(n + 1)}, sizes(n + 1), sizes(n))
+    if case == "coinvariant":
+        return lambda: CoinvariantComplex(ops, 2).mixed, lambda n: ops.B(0, n)
+    if case == "stalk":
+        conj = conjugacy_data(cfg.group)
+        rep, cent = conj.representatives[1], conj.centralizers[1]
+        sigma = cfg.group.inverse[rep]
+        return lambda: StalkComplex(ops, rep, cent, 2).mixed, lambda n: ops.alg_B(sigma, n)
+    return lambda: quotient_mixed_complex(2, tw.presentation, tw.b, tw.B, "bare"), tw.B
+
+
+@pytest.mark.parametrize("case", ["twisted", "proposition", "coinvariant", "stalk", "bare"])
+def test_top_B_is_descended_on_first_read(monkeypatch, case):
+    """No homology reads B_{top-1}, so reading both homologies descends no
+    B_{top-1}; top_B() descends it once, equal to a direct descent."""
+    import thl.complexes
+
+    build, raw_B = _pending_top_B_case(case)
+    calls = []
+
+    def spy(f, src, dst, what):
+        calls.append(what)
+        return descend_map(f, src, dst, what)
+
+    monkeypatch.setattr(thl.complexes, "descend_map", spy)
+    mixed = build()
+    top = mixed.top
+    mixed.total_homology()
+    mixed.column_homology()
+    assert f"B_{top - 2} of {mixed.label}" in calls
+    assert not [w for w in calls if w.startswith(f"B_{top - 1} of ")]
+    assert mixed.B[top - 1] is None
+    pres = mixed.presentations
+    direct = descend_map(raw_B(top - 1), pres[top - 1], pres[top])
+    top_B = mixed.top_B()
+    assert top_B == direct
+    assert calls[-1] == f"B_{top - 1} of {mixed.label}"
+    count = len(calls)
+    assert mixed.top_B() is top_B and len(calls) == count
+
+
+def test_unread_wrong_top_B_is_refused_on_first_read():
+    """A wrong B_{top-1} (twice the right one) leaves the total homology
+    alone, which does not read it; its first read fails bB + Bb = 0 at
+    degree top - 1."""
+    cfg = load_fixture("trunc-cubic-z2")
+    tw = TwistedOperators(cfg.algebra, cfg.group.action[0])
+    top = 3
+
+    def wrong_B(n):
+        return tw.B(n) + tw.B(n) if n == top - 1 else tw.B(n)
+
+    broken = quotient_mixed_complex(top, tw.presentation, tw.b, wrong_B, "broken")
+    assert broken.total_homology().dims == HKBicomplex(tw, top - 1).mixed.total_homology().dims
+    with pytest.raises(ComplexError, match=r"^bB \+ Bb != 0 in broken") as err:
+        broken.top_B()
+    assert err.value.location == f"degree {top - 1}"
+
+
+@pytest.mark.parametrize("identity, location, dims, b, B", [
+    ("b.b != 0", "degree 2", [1, 1, 2],
+     [None, QMatrix.identity(1), QMatrix.from_dense([[0, 1]])], [None] * 3),
+    ("B.B != 0", "degree 0", [2, 1, 1],
+     [None, QMatrix.zero(2, 1), QMatrix.zero(1, 1)],
+     [QMatrix.from_dense([[0, 1]]), QMatrix.identity(1), None]),
+    ("bB + Bb != 0", "degree 0", [2, 1],
+     [None, QMatrix.from_dense([[1], [0]])], [QMatrix.from_dense([[0, 1]]), None]),
+])
+def test_mixed_identity_error_names_the_basis_index(identity, location, dims, b, B):
+    """Each identity fails first on basis index 1; its error names the
+    degree and that index."""
+    with pytest.raises(ComplexError) as err:
+        MixedComplex(dims, b, B)
+    assert str(err.value).startswith(f"{identity} in mixed complex")
+    assert err.value.location == location
+    assert err.value.basis_label == "basis index 1"
 
 
 def _two_step_complex():

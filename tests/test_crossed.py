@@ -345,6 +345,9 @@ def test_wrong_twist_direction_breaks_class_splitting(monkeypatch):
     ("theorem map", 1, "last", "theorem map fails B at degree 1"),
     ("class splitting", 1, "first", "class splitting fails b at degree 2"),
     ("class splitting", 3, "last", "class splitting fails B at degree 3"),
+    # caught only by reading the top B, B_3 at N = 3
+    ("class splitting", 4, "last", "class splitting fails B at degree 3"),
+    ("theorem map", 3, "last", "theorem map fails B at degree 3"),
 ])
 def test_one_wrong_entry_names_the_operator_and_degree(monkeypatch, label, n, corner, message):
     """One entry of a descended map off by one: the chain-map check of

@@ -2,22 +2,25 @@
 change when the truncation grows, so every dims table of ``thl all`` at N
 is a prefix of the same table at N + 1.
 
-N = 1 and 2 on every fixture, except N = 1 only on triple-lines-s3, whose
-`all` run at N = 3 costs more than every other run here together.  hdr-G
-is tested apart, so that its documented top-degree defect is marked on
-exactly the cases where it shows.
+N = 1 and 2 on every fixture and on the config tests/data/half-lines-z2.json,
+except N = 1 only on triple-lines-s3, whose `all` run at N = 3 costs more
+than every other run here together.  hdr-G is tested apart, so that its
+documented top-degree defect is marked on exactly the cases where it shows.
 """
 
 import functools
+import os
 
 import pytest
 
 from thl.cli import run
-from thl.config import load_fixture
+from thl.config import load_config, load_fixture
 from thl.fixtures import fixture_names
 
+HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
+
 CASES = [(name, N) for name in fixture_names() for N in (1, 2)
-         if (name, N) != ("triple-lines-s3", 2)]
+         if (name, N) != ("triple-lines-s3", 2)] + [("half-lines-z2", N) for N in (1, 2)]
 
 HDR_TOP_DEGREE = pytest.mark.xfail(
     strict=True,
@@ -30,7 +33,7 @@ HDR_TOP_DEGREE = pytest.mark.xfail(
 
 @functools.lru_cache(maxsize=None)
 def _tables(name, N):
-    cfg = load_fixture(name)
+    cfg = load_config(HALF_LINES) if name == "half-lines-z2" else load_fixture(name)
     cfg.max_degree = N
     return {theory: tuple(d for _, d in rows) for theory, rows in run("all", cfg).dim_tables}
 
@@ -52,7 +55,8 @@ def test_dims_are_stable_under_truncation(name, N):
 
 @pytest.mark.parametrize("name, N", [
     pytest.param(name, N, marks=HDR_TOP_DEGREE)
-    if (name, N) in {("triple-lines-z3", 1), ("triple-lines-s3", 1)} else (name, N)
+    if (name, N) in {("triple-lines-z3", 1), ("triple-lines-s3", 1), ("half-lines-z2", 1)}
+    else (name, N)
     for name, N in CASES
 ])
 def test_hdr_G_is_stable_under_truncation(name, N):
