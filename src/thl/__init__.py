@@ -30,7 +30,6 @@ from .crossed import (
     identity_suite,
     proposition_bicomplex,
     theorem_map_f,
-    u_complex_equivalence,
 )
 from .errors import (
     AlgebraError,
@@ -56,6 +55,8 @@ from .sparse import QMatrix, image_basis, kernel_basis, rank
 from .twisted import (
     HKBicomplex,
     TwistedOperators,
+    connes_complex,
+    cyclic_operator,
     twist_matrix,
     twisted_B,
     twisted_b,

@@ -21,13 +21,12 @@ from .crossed import (
     full_pair_check,
     identity_suite,
     theorem_map_f,
-    u_complex_equivalence,
 )
 from .errors import ParseError, ThlError, ValidationError
 from .fixtures import fixture_names
 from .report import Report, emit_report
 from .sequences import DeRhamComplex, karoubi_sequence, sbi_sequence
-from .twisted import HKBicomplex
+from .twisted import HKBicomplex, connes_complex
 
 
 def _params(cfg, command):
@@ -204,15 +203,17 @@ def _run_verify_lemma(job, report):
     tw = cfg.twist_index()
     elem = tw if tw is not None else cfg.group.identity_index
     gname = cfg.group.name(elem)
-    rep = u_complex_equivalence(job.twisted(elem).mixed, f"twisted[{gname}]")
-    report.add_dims(f"u-complex-twisted[{gname}]", rep.dims_u)
-    report.add_dims(f"total-twisted[{gname}]", rep.dims_total)
-    report.add_check("lemma:u-equals-total[twisted]", rep.equal)
+    connes = connes_complex(job.ops.element(elem), cfg.max_degree).column_homology().dims
+    total = job.twisted(elem).mixed.total_homology().dims
+    report.add_dims(f"connes-twisted[{gname}]", connes)
+    report.add_dims(f"total-twisted[{gname}]", total)
+    report.add_check("lemma:connes-equals-total[twisted]", connes == total)
     if cfg.group.order > 1:
-        rep = u_complex_equivalence(job.proposition.mixed, "crossed")
-        report.add_dims("u-complex-crossed", rep.dims_u)
-        report.add_dims("total-crossed", rep.dims_total)
-        report.add_check("lemma:u-equals-total[crossed]", rep.equal)
+        connes = job.connes(True).homology().dims
+        total = job.proposition.mixed.total_homology().dims
+        report.add_dims("connes-crossed", connes)
+        report.add_dims("total-crossed", total)
+        report.add_check("lemma:connes-equals-total[crossed]", connes == total)
 
 
 def _run_verify_sbi(job, report):

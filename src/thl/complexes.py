@@ -281,20 +281,16 @@ def quotient_mixed_complex(top, presentation, b, B, label):
 
 def divide_mixed_complex(mixed, relations, label):
     """The quotient mixed complex mixed divided once more by relations(n),
-    given in its quotient coordinates; b and B descend again (checked), the
-    top B from mixed.top_B() on the first top_B() of the result.
+    given in its quotient coordinates; b descends again (checked).  The
+    result has no B, like the Connes complex it is built for: any B of
+    mixed is not carried over.
 
     Its presentations are those of the undivided modules by both relation
     spans, equal to dividing by the two spans at once.
     """
     steps = [quotient_by(mixed.dims[n], relations(n)) for n in range(mixed.top + 1)]
     whole = [compose_quotients(p, s) for p, s in zip(mixed.presentations, steps)]
-
-    def B(n):
-        return mixed.top_B() if n == mixed.top - 1 else mixed.B[n]
-
-    no_B = mixed.B[0] is None and mixed._pending_top_B is None
-    return _descended(steps, whole, mixed.b.__getitem__, None if no_B else B, label)
+    return _descended(steps, whole, mixed.b.__getitem__, None, label)
 
 
 def _descended(pres, presentations, b, B, label):

@@ -1,8 +1,8 @@
 """Group-extended tensor operators for a group acting on an algebra, the
 quotient bicomplex computing HC of the crossed product, the coinvariant
 bicomplex, its conjugacy-class stalk decomposition, the comparison map
-from a single twisted theory, the group-indexed Connes complex, and the
-u-parameter equivalence check.
+from a single twisted theory, and the group-indexed Connes complex, whose
+stalk at g is the twisted Connes complex of g^{-1}.
 
 Module conventions (machine-checked per instance):
 
@@ -34,25 +34,12 @@ centralizer take their relations from a generating set of it.
 from math import lcm
 from types import SimpleNamespace
 
-from .algebra import (
-    conjugacy_data,
-    generators,
-    integer_images,
-    tensor_index,
-    tensor_operator,
-)
-from .complexes import (
-    check_mixed_map,
-    homology,
-    induced_on_homology,
-    quotient_mixed_complex,
-    total_complex,
-    total_map,
-)
+from .algebra import conjugacy_data, generators, tensor_index, tensor_operator
+from .complexes import check_mixed_map, induced_on_homology, quotient_mixed_complex, total_map
 from .errors import ChainMapError, ComplexError
 from .quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
 from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, rank
-from .twisted import TwistedOperators
+from .twisted import TwistedOperators, cyclic_operator
 
 
 class GJOperators:
@@ -666,17 +653,14 @@ def theorem_map_f(hk, deco, g):
 def lambda_cyclic_operator(algebra, group, n):
     """Signed cyclic rotation t on k[G] (x) A^{(n+1)} (full slots):
 
-    t(g | a_0, ..., a_n) = (-1)^n (g | g^{-1}(a_n), a_0, ..., a_{n-1}).
-    Its (n+1)-st power is the diagonal g^{-1}-twist; the sign makes b
-    descend to the (1 - t)-quotient.
+    t(g | a_0, ..., a_n) = (-1)^n (g | g^{-1}(a_n), a_0, ..., a_{n-1}),
+    block diagonal over g in ``twisted.cyclic_operator`` of g^{-1}, the
+    twist of the stalk's b.  Its (n+1)-st power is the diagonal
+    g^{-1}-twist; the sign makes b descend to the (1 - t)-quotient.
     """
-    basis = tensor_index(group, algebra, 0, n, reduced=False)
-    den, img = integer_images(group.action)
-    sign = -1 if n % 2 else 1
-    return tensor_operator(
-        basis, basis,
-        [(0, range(n), lambda g, a: [(sign, g, (img[group.inverse[g[0]]][a[0]],))])], den,
-    )
+    return block_diag([
+        cyclic_operator(algebra, group.action[group.inverse[g]], n) for g in range(group.order)
+    ])
 
 
 class LambdaComplex:
@@ -715,34 +699,3 @@ class LambdaComplex:
 
 def connes_lambda_complex(algebra, group, max_degree, g_coinvariants=True):
     return LambdaComplex(GJOperators(algebra, group), max_degree, g_coinvariants).homology()
-
-
-# ---------------------------------------------------------------------
-# the u-parameter complex of the coefficients construction
-# ---------------------------------------------------------------------
-
-class UComplexReport:
-    def __init__(self, dims_u, dims_total, label):
-        self.dims_u = dims_u
-        self.dims_total = dims_total
-        self.label = label
-
-    @property
-    def equal(self):
-        return self.dims_u == self.dims_total
-
-
-def u_complex_equivalence(mixed, label=""):
-    """Compare the homology of the u-truncated complex of a mixed complex
-    with mixed.total_homology().
-
-    Degree n of the u-complex is sum_j C_{n-2j} u^{-j}; the boundary is
-    b + uB, with u-powers above zero discarded.  That is the block layout of
-    ``complexes.total_complex`` (block j holds C_{n-2j}, b keeps it and B
-    moves it to block j - 1), so the u-complex is built by it, not by a
-    construction of its own.  Its homology is a fresh elimination, compared
-    with the one the mixed complex keeps.
-    """
-    dims_u = homology(total_complex(mixed, mixed.top)).dims
-    dims_total = mixed.total_homology().dims
-    return UComplexReport(dims_u, dims_total, label)

@@ -1,5 +1,5 @@
-"""Twisted tensor-module operators and the twisted cyclic bicomplex for a
-single algebra automorphism.
+"""Twisted tensor-module operators, the twisted cyclic bicomplex and the
+twisted Connes complex for a single algebra automorphism.
 
 Operator conventions, fixed once and validated by the operator-identity
 suite (b.b = 0, B.B = 0, bB + Bb = 1 - T, and T commuting with both):
@@ -13,7 +13,11 @@ suite (b.b = 0, B.B = 0, bB + Bb = 1 - T, and T commuting with both):
       (1, g(a_j), ..., g(a_n), a_0, ..., a_{j-1}),
   the j = n+1 term being the untwisted (1, a_0, ..., a_n).
 
-The last formula is the s.N normalization of the twisted cyclic operator;
+* the signed cyclic rotation t wraps the last slot through the twist:
+  t(a_0, ..., a_n) = (-1)^n (g(a_n), a_0, ..., a_{n-1}), so d_n = d_0 t
+  and t^{n+1} = T on full slots.
+
+The B formula is the s.N normalization of the twisted cyclic operator;
 it agrees with the variant that twists the leading block once the modules
 are divided by (1 - T), but unlike that variant it satisfies the Connes
 identity bB + Bb = 1 - T on the nose, which is what the quotient
@@ -23,9 +27,9 @@ Each builder below states these formulas as terms of
 ``algebra.tensor_operator``: a sign and a map of the slots a term moves,
 with the leading slots and the run of slots it copies unchanged (face i
 of b copies slots 0, ..., i - 1 and i + 2, ..., n; the wrap face slots
-1, ..., n - 1; term j of B slots 1, ..., j - 1; T copies none).  The
-kernel expands each term once per assignment of the other slots, over
-Python integers.
+1, ..., n - 1; term j of B slots 1, ..., j - 1; t slots 0, ..., n - 1;
+T copies none).  The kernel expands each term once per assignment of
+the other slots, over Python integers.
 ``TwistedOperators`` gives them, and keeps the (1 - T) presentations, per
 automorphism.
 """
@@ -49,6 +53,15 @@ def twist_matrix(algebra, g, n, reduced=False):
     return tensor_operator(
         basis, basis, [(0, range(0), lambda _, a: [(1, (), [img[x] for x in a])])], den ** (n + 1)
     )
+
+
+def cyclic_operator(algebra, g, n):
+    """Signed twisted cyclic rotation t on A^{(n+1)} (full slots):
+    t(a_0, ..., a_n) = (-1)^n (g(a_n), a_0, ..., a_{n-1})."""
+    basis = algebra_tensor_basis(algebra, n + 1, reduced=False)
+    den, (img,) = integer_images([g])
+    sign = -1 if n % 2 else 1
+    return tensor_operator(basis, basis, [(0, range(n), lambda _, a: [(sign, (), (img[a[0]],))])], den)
 
 
 def twisted_b(algebra, g, n, reduced=False):
@@ -151,6 +164,27 @@ class HKBicomplex:
         self.mixed = quotient_mixed_complex(
             self.n_internal, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )
+
+
+def connes_complex(ops, max_degree):
+    """The twisted Connes complex (A^{(n+1)} / (1 - t), b) of the
+    TwistedOperators ops through degree max_degree + 1: t and b on full
+    slots, both twisted by ops.g (a rotation twisted otherwise fails the
+    exact descent of b).  Valid for a twist of finite order over Q, as every
+    group element's is: its ``column_homology()`` is then HC^g(A) through
+    max_degree (Connes' theorem, Loday, *Cyclic Homology*, Thm 2.1.5;
+    twisted: Kustermans, Murphy and Tuset, 2003), a route that shares no
+    quotient with the (b, B) total complex of ``HKBicomplex``.
+    """
+    def presentation(n):
+        size = algebra_tensor_basis(ops.algebra, n + 1, reduced=False).size
+        t = cyclic_operator(ops.algebra, ops.g, n)
+        return quotient_by(size, coinvariant_relations(size, [t]))
+
+    return quotient_mixed_complex(
+        max_degree + 1, presentation, lambda n: ops.b(n, reduced=False), None,
+        f"twisted Connes complex (N={max_degree})",
+    )
 
 
 def twisted_hochschild(algebra, g, max_degree):

@@ -1,5 +1,8 @@
 """Library-level fixture objects shared by the test modules (the CLI has
-its own serialized copies; these avoid going through config parsing)."""
+its own serialized copies; these avoid going through config parsing), and
+the table of pinned report digests."""
+
+from pathlib import Path
 
 from thl.algebra import Algebra, AlgebraMap, FiniteGroupAction
 from thl.crossed import (
@@ -12,6 +15,16 @@ from thl.crossed import (
 from thl.sequences import DeRhamComplex, karoubi_sequence
 from thl.sparse import QMatrix
 from thl.twisted import HKBicomplex, TwistedOperators
+
+
+ROOT = Path(__file__).parent.parent
+
+# job -> SHA-256 of its seed-0 machine report, one "digest<TAB>job" line per
+# job, in the order CI runs them; every digest a test compares is read here
+PINNED_SHA256 = dict(
+    line.split("\t")[::-1]
+    for line in (ROOT / "tests" / "data" / "ci-report-sha256.txt").read_text().splitlines()
+)
 
 
 def coinvariant_complex(algebra, group, max_degree):

@@ -22,12 +22,11 @@ The attainable halves of both criteria are asserted separately and pass.
 import hashlib
 import re
 import time
-from pathlib import Path
 
 import pytest
 
 from thl.algebra import AlgebraMap, crossed_product, trivial_group
-from thl.cli import run
+from thl.cli import main, run
 from thl.config import load_fixture
 from thl.crossed import (
     GJOperators,
@@ -36,13 +35,12 @@ from thl.crossed import (
     identity_suite,
     proposition_bicomplex,
     coinvariant_bicomplex,
-    u_complex_equivalence,
 )
 from thl.report import emit_machine
 from thl.sequences import sbi_sequence
-from thl.twisted import HKBicomplex, TwistedOperators, twisted_cyclic
+from thl.twisted import HKBicomplex, TwistedOperators, connes_complex, twisted_cyclic
 
-from fixtures_for_tests import coinvariant_complex, karoubi, theorem_map
+from fixtures_for_tests import PINNED_SHA256, ROOT, coinvariant_complex, karoubi, theorem_map
 
 
 def _fx(name):
@@ -143,19 +141,23 @@ def test_criterion_05_power_comparison():
 
 
 def test_criterion_06_u_complex_equivalence():
+    """The u-complex is the (b, B) total complex; its homology equals that
+    of the Connes complex C/(1 - t), a quotient ranked on its own."""
     # ground field, trivial twist
     cfg1 = _fx("ground-field")
-    hk = HKBicomplex(TwistedOperators(cfg1.algebra, AlgebraMap.identity(1)), 4)
-    rep1 = u_complex_equivalence(hk.mixed)
+    ops1 = TwistedOperators(cfg1.algebra, AlgebraMap.identity(1))
+    pairs = [(connes_complex(ops1, 4).column_homology(),
+              HKBicomplex(ops1, 4).mixed.total_homology())]
     # sign twist fixture: both the twisted pair and the crossed pair
     cfg2 = _fx("trunc-poly-z2")
-    hk2 = HKBicomplex(TwistedOperators(cfg2.algebra, cfg2.group.action[cfg2.twist_index()]), 4)
-    rep2 = u_complex_equivalence(hk2.mixed)
-    pc, _ = proposition_bicomplex(cfg2.algebra, cfg2.group, 4)
-    rep3 = u_complex_equivalence(pc.mixed)
-    ok = rep1.equal and rep2.equal and rep3.equal
-    _announce(6, ok, f"u-complex dims equal total-complex dims through degree 4")
-    assert rep1.equal and rep2.equal and rep3.equal
+    ops2 = TwistedOperators(cfg2.algebra, cfg2.group.action[cfg2.twist_index()])
+    pairs.append((connes_complex(ops2, 4).column_homology(),
+                  HKBicomplex(ops2, 4).mixed.total_homology()))
+    _, prop = proposition_bicomplex(cfg2.algebra, cfg2.group, 4)
+    pairs.append((connes_lambda_complex(cfg2.algebra, cfg2.group, 4), prop))
+    ok = all(c.dims == t.dims for c, t in pairs)
+    _announce(6, ok, "Connes-complex dims equal total-complex dims through degree 4")
+    assert [c.dims for c, _ in pairs] == [t.dims for _, t in pairs]
 
 
 def test_criterion_07_shapiro_decomposition():
@@ -219,15 +221,13 @@ def test_criterion_09_attainable_nodes():
     _announce(9, True, "left injectivity and composite-zero at n<=2; middle exact at n<=1")
 
 
-# SHA-256 of the machine report of `all` on each fixture.  Any change to a
-# reported basis, dimension or value changes a digest; a change that is
-# meant to alter the report must update the digest with it.
+# SHA-256 of the machine report of `all` on each fixture, from the pinned
+# table.  Any change to a reported basis, dimension or value changes a
+# digest; a change that is meant to alter the report must update it.
 GOLDEN_MACHINE_SHA256 = {
-    "ground-field": "662e6e4cc0514cdc101b235216c513b3cad5f62df0d5450b89c3252728e9a9f4",
-    "trunc-poly-z2": "ab3c2da4984c41847ef2556fa9768fd7f1a0145d5a5da27cacfe765b54625ca5",
-    "triple-lines-z3": "a02363a568263aa261fa6bb55b18b252412075caed34ef01a2c3863c6e6a852a",
-    "triple-lines-s3": "d9aea2298ce2fe1937a72b0aaf773eed0f3682ab743392a89f9ae6bc8a20bf1a",
-    "trunc-cubic-z2": "4dd8bcdc19a43d9068e895a08d859d165afdb4c9d0ad42e13e12ba594a62be92",
+    name: PINNED_SHA256[f"all --fixture {name}"]
+    for name in ("ground-field", "trunc-poly-z2", "triple-lines-z3", "triple-lines-s3",
+                 "trunc-cubic-z2")
 }
 
 
@@ -240,23 +240,34 @@ def test_criterion_10_determinism():
     _announce(10, True, "byte-identical machine reports across two runs of all, every fixture")
 
 
-def test_ci_pins_the_golden_all_reports():
-    """CI pins the SHA-256 of each of its reports (digest, tab, job); for
-    `all --fixture name` that is the golden digest above."""
-    lines = (Path(__file__).parent / "data" / "ci-report-sha256.txt").read_text().splitlines()
-    pinned = {job: digest for digest, job in (line.split("\t") for line in lines)}
-    for name, digest in GOLDEN_MACHINE_SHA256.items():
-        assert pinned[f"all --fixture {name}"] == digest, name
+# the largest job (S3 at degree 4, about 9 s and 400 MB in-process) is
+# left to CI
+IN_PROCESS_JOBS = [
+    job for job in PINNED_SHA256 if job != "hc-crossed --fixture triple-lines-s3 --max-degree 4"
+]
+
+
+@pytest.mark.parametrize("job", IN_PROCESS_JOBS)
+def test_pinned_job_report_digest(job, capsys):
+    """Each pinned job, run in-process through ``cli.main`` (a --config
+    path taken from the repository root), prints the report whose
+    SHA-256 is pinned for it."""
+    argv = job.split()
+    if "--config" in argv:
+        k = argv.index("--config") + 1
+        argv[k] = str(ROOT / argv[k])
+    assert main([*argv, "--format", "machine"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[job]
 
 
 def test_ci_jobs_are_the_pinned_jobs():
     """The jobs of the CI `cmp` loop are the job column of the pinned
     digests, in order, each job once: a job added to one list and not the
     other fails here, not only in CI."""
-    root = Path(__file__).parent.parent
-    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     loop = re.search(r"for job in (.*?); do", workflow, re.S).group(1)
     jobs = re.findall(r'"([^"]*)"', loop)
-    lines = (root / "tests" / "data" / "ci-report-sha256.txt").read_text().splitlines()
+    lines = (ROOT / "tests" / "data" / "ci-report-sha256.txt").read_text().splitlines()
     pinned = [line.split("\t")[1] for line in lines]
     assert jobs == pinned and len(set(jobs)) == len(jobs)

@@ -9,6 +9,8 @@ from thl.errors import ParseError, ValidationError
 from thl.fixtures import fixture_config, fixture_names
 from thl.report import emit_machine, emit_report, parse_machine
 
+from fixtures_for_tests import PINNED_SHA256
+
 
 def test_fixture_names_complete():
     assert set(fixture_names()) == {
@@ -137,7 +139,7 @@ def test_all_builds_each_complex_once(monkeypatch):
 # SHA-256 of the machine report of `all --lambda-coinv off` on
 # triple-lines-z3: the one run in which hc-lambda and the Karoubi sequence
 # read different Connes complexes.
-LAMBDA_OFF_SHA256 = "97b2a3bf3ef6d1a5d717ee66e1b98804cdcdadf854551ecfbb22b523c0bd403b"
+LAMBDA_OFF_SHA256 = PINNED_SHA256["all --fixture triple-lines-z3 --lambda-coinv off"]
 
 
 def test_all_with_lambda_coinvariants_off():

@@ -15,11 +15,10 @@ from thl.crossed import (
     identity_suite,
     proposition_bicomplex,
     theorem_map_f,
-    u_complex_equivalence,
 )
 from thl.rational import Q
 from thl.sparse import QMatrix, rank
-from thl.twisted import HKBicomplex, TwistedOperators, twisted_cyclic
+from thl.twisted import HKBicomplex, TwistedOperators, connes_complex, twisted_cyclic
 
 from fixtures_for_tests import (
     dual_numbers_algebra,
@@ -538,39 +537,40 @@ def test_lambda_triple_lines_matches_oracle():
     assert lam.dims == prop.dims == [1, 0, 1, 0]
 
 
-# -- the u-parameter comparison ------------------------------------------
+# -- the u-parameter complex against the Connes complex ------------------
+# The u-complex (sum_j C_{n-2j} u^{-j}, boundary b + uB) is the total
+# complex of the mixed complex; the Connes complex C/(1 - t) is ranked on
+# its own.
 
 def test_u_complex_ground_field():
     Aq = ground_field_algebra()
-    hk = HKBicomplex(TwistedOperators(Aq, AlgebraMap.identity(1)), 4)
-    rep = u_complex_equivalence(hk.mixed)
-    assert rep.equal
-    assert rep.dims_u == [1, 0, 1, 0, 1]
+    ops = TwistedOperators(Aq, AlgebraMap.identity(1))
+    total = HKBicomplex(ops, 4).mixed.total_homology().dims
+    assert connes_complex(ops, 4).column_homology().dims == total == [1, 0, 1, 0, 1]
 
 
 def test_u_complex_zero_differentials():
-    """With zero maps both sides give the stacked module dimensions."""
+    """With zero maps the total homology is the stacked module dimensions."""
     from thl.complexes import MixedComplex
 
     dims = [2, 3, 1, 2, 1]
     b = [None] + [QMatrix.zero(dims[n - 1], dims[n]) for n in range(1, 5)]
     B = [QMatrix.zero(dims[n + 1], dims[n]) for n in range(4)] + [None]
     mixed = MixedComplex(dims, b, B)
-    rep = u_complex_equivalence(mixed)
-    assert rep.equal
     expected = [
         sum(dims[n - 2 * j] for j in range(n // 2 + 1)) for n in range(4)
     ]
-    assert rep.dims_u[:4] == expected
+    assert mixed.total_homology().dims == expected
 
 
 def test_u_complex_fixture2_through_degree4():
     A = dual_numbers_algebra()
     G = z2_group(A)
-    hk = HKBicomplex(TwistedOperators(A, sign_twist(A)), 4)
-    assert u_complex_equivalence(hk.mixed).equal
-    pc, _ = proposition_bicomplex(A, G, 4)
-    assert u_complex_equivalence(pc.mixed).equal
+    ops = TwistedOperators(A, sign_twist(A))
+    total = HKBicomplex(ops, 4).mixed.total_homology().dims
+    assert connes_complex(ops, 4).column_homology().dims == total
+    _, prop = proposition_bicomplex(A, G, 4)
+    assert connes_lambda_complex(A, G, 4).dims == prop.dims
 
 
 # -- stalkwise identities against assembled blocks ------------------------

@@ -22,11 +22,11 @@ from thl.report import emit_machine
 from thl.sparse import QMatrix
 from thl.twisted import twist_matrix, twisted_B, twisted_b
 
-from fixtures_for_tests import dual_numbers_algebra
+from fixtures_for_tests import PINNED_SHA256, dual_numbers_algebra
 import oracles
 
 HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
-HALF_LINES_MACHINE_SHA256 = "29f1675b76c0e01aec90d1663c3f6dd8ff14f9aa3598c1c759638fcbc254b589"
+HALF_LINES_MACHINE_SHA256 = PINNED_SHA256["all --config tests/data/half-lines-z2.json"]
 
 
 def _dense(m):

@@ -1,15 +1,22 @@
+import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from thl.algebra import AlgebraMap
 from thl.complexes import homology
+from thl.config import load_config, load_fixture
+from thl.errors import WellDefinednessError
+from thl.fixtures import fixture_names
 from thl.quotient import coinvariant_relations
 from thl.rational import Q
 from thl.sparse import QMatrix, image_basis, rank
 from thl.twisted import (
     HKBicomplex,
     TwistedOperators,
+    connes_complex,
+    cyclic_operator,
     twist_matrix,
     twisted_B,
     twisted_b,
@@ -20,6 +27,7 @@ from thl.twisted import (
 from fixtures_for_tests import (
     dual_numbers_algebra,
     ground_field_algebra,
+    s3_group,
     shift_autom,
     sign_twist,
     triple_lines_algebra,
@@ -207,3 +215,73 @@ def test_cubic_twisted_vs_oracle():
     dense = _as_dense_algebra(A)
     dg = _as_dense_map(g)
     assert lib == oracles.hc_dims_lambda(dense, dg, 2)
+
+
+# -- the twisted Connes complex -------------------------------------------
+
+HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
+
+
+def _element_cases():
+    """(config, element, max degree), one per element of every fixture and
+    of half-lines-z2 at its default degree, and of trunc-poly-z2 at 4."""
+    cases = []
+    for cfg in [load_fixture(name) for name in fixture_names()] + [load_config(HALF_LINES)]:
+        for elem in range(cfg.group.order):
+            cases.append(pytest.param(cfg, elem, cfg.max_degree,
+                                      id=f"{cfg.name}-{cfg.group.name(elem)}"))
+    cfg = load_fixture("trunc-poly-z2")
+    for elem in range(cfg.group.order):
+        cases.append(pytest.param(cfg, elem, 4, id=f"{cfg.name}-{cfg.group.name(elem)}-N4"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg, elem, max_degree", _element_cases())
+def test_connes_complex_equals_total_complex(cfg, elem, max_degree):
+    """Connes' theorem per twist: C/(1 - t) has the homology of the (b, B)
+    total complex."""
+    ops = TwistedOperators(cfg.algebra, cfg.group.action[elem])
+    total = HKBicomplex(ops, max_degree).mixed.total_homology().dims
+    assert connes_complex(ops, max_degree).column_homology().dims == total
+
+
+def test_cyclic_operator_power_is_the_twist():
+    """t^{n+1} = T on full slots, for every element of S3."""
+    A = triple_lines_algebra()
+    G = s3_group(A)
+    for g in G.action:
+        for n in range(4):
+            t = cyclic_operator(A, g, n)
+            power = t
+            for _ in range(n):
+                power = t @ power
+            assert power == twist_matrix(A, g, n, reduced=False), n
+
+
+def test_cyclic_operator_vs_oracle():
+    cases = [
+        (dual_numbers_algebra(), sign_twist(dual_numbers_algebra())),
+        (dual_numbers_algebra(), AlgebraMap.identity(2)),
+        (triple_lines_algebra(), shift_autom()),
+        (trunc_cubic_algebra(), sign_twist(trunc_cubic_algebra())),
+    ]
+    for A, g in cases:
+        dense, dg = _as_dense_algebra(A), _as_dense_map(g)
+        for n in range(3):
+            t = cyclic_operator(A, g, n)
+            rows = [[t.entry(i, j) for j in range(t.cols)] for i in range(t.rows)]
+            assert rows == oracles.cyclic_matrix(dense, dg, n), (A.basis_names, n)
+
+
+def test_connes_complex_refuses_the_inverse_rotation():
+    """b twisted by g does not descend to the quotient by the rotation
+    twisted by g^{-1} (c123 on S3): the descent check names b_1."""
+    A = triple_lines_algebra()
+    G = s3_group(A)
+    c = G.index_of("c123")
+    g, ginv = G.action[c], G.action[G.inverse[c]]
+    mismatched = SimpleNamespace(
+        algebra=A, g=ginv, b=lambda n, reduced=True: twisted_b(A, g, n, reduced)
+    )
+    with pytest.raises(WellDefinednessError, match="b_1 of twisted Connes complex"):
+        connes_complex(mismatched, 2)
