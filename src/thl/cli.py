@@ -123,7 +123,8 @@ def _run_hc_coinv(job, report):
 
 
 def _run_hc_lambda(job, report):
-    report.add_dims("hc-lambda", job.connes(job.cfg.lambda_coinvariants).homology().dims)
+    lam = job.connes(job.cfg.lambda_coinvariants)
+    report.add_dims("hc-lambda", lam.mixed.column_homology().dims)
 
 
 def _run_hh_G(job, report):
@@ -147,8 +148,8 @@ def _run_verify_theorem(job, report):
     cfg = job.cfg
     grp = cfg.group
     deco = job.decomposition
-    stalkH = deco.stalk_homologies()
-    coinvH = deco.coinvariant_homology()
+    stalkH = [st.total_homology() for st in deco.stalks]
+    coinvH = job.coinvariant.mixed.total_homology()
     report.add_dims("hc-coinv", coinvH.dims)
     for cls_idx, h in enumerate(stalkH):
         rep = deco.conj.representatives[cls_idx]
@@ -209,7 +210,7 @@ def _run_verify_lemma(job, report):
     report.add_dims(f"total-twisted[{gname}]", total)
     report.add_check("lemma:connes-equals-total[twisted]", connes == total)
     if cfg.group.order > 1:
-        connes = job.connes(True).homology().dims
+        connes = job.connes(True).mixed.column_homology().dims
         total = job.proposition.mixed.total_homology().dims
         report.add_dims("connes-crossed", connes)
         report.add_dims("total-crossed", total)

@@ -10,7 +10,7 @@ complex descends B_{K-1} when a check first reads it (``top_B``).
 """
 
 from .errors import ChainMapError, ComplexError
-from .quotient import compose_quotients, descend_map, quotient_by
+from .quotient import descend_map
 from .sparse import (
     QMatrix,
     block_diag,
@@ -265,7 +265,7 @@ class MixedComplex:
 
 def quotient_mixed_complex(top, presentation, b, B, label):
     """The mixed complex of a graded module divided by relations, through
-    degree top.
+    degree top, recording its presentations.
 
     presentation(n) presents degree n as a quotient of the undivided module
     (callers with a relation span pass it to ``quotient_by``); b(n) for
@@ -273,30 +273,9 @@ def quotient_mixed_complex(top, presentation, b, B, label):
     modules.  Both descend through the quotients with the exact
     well-definedness check, whose error names the label and the degree:
     B_{top-1} on the first ``top_B()``, the rest at construction.  B=None
-    builds a complex with no B (the Connes complex).
+    builds a complex with no B (a Connes complex).
     """
     pres = [presentation(n) for n in range(top + 1)]
-    return _descended(pres, pres, b, B, label)
-
-
-def divide_mixed_complex(mixed, relations, label):
-    """The quotient mixed complex mixed divided once more by relations(n),
-    given in its quotient coordinates; b descends again (checked).  The
-    result has no B, like the Connes complex it is built for: any B of
-    mixed is not carried over.
-
-    Its presentations are those of the undivided modules by both relation
-    spans, equal to dividing by the two spans at once.
-    """
-    steps = [quotient_by(mixed.dims[n], relations(n)) for n in range(mixed.top + 1)]
-    whole = [compose_quotients(p, s) for p, s in zip(mixed.presentations, steps)]
-    return _descended(steps, whole, mixed.b.__getitem__, None, label)
-
-
-def _descended(pres, presentations, b, B, label):
-    """b and B descended through the quotients pres into a MixedComplex
-    that records presentations, with B_{top-1} pending."""
-    top = len(pres) - 1
 
     def descend(name, f, n, m):
         return descend_map(f, pres[n], pres[m], what=f"{name}_{n} of {label}")
@@ -308,7 +287,7 @@ def _descended(pres, presentations, b, B, label):
         B_down[:top - 1] = [descend("B", B(n), n, n + 1) for n in range(top - 1)]
         pending = lambda: descend("B", B(top - 1), top - 1, top)
     dims = [p.quotient_dim for p in pres]
-    return MixedComplex(dims, b_down, B_down, presentations, label, pending)
+    return MixedComplex(dims, b_down, B_down, pres, label, pending)
 
 
 def check_chain_map(f_per_degree, src, dst, top):

@@ -364,7 +364,7 @@ class PropositionComplex:
     def __init__(self, ops, max_degree):
         self.ops = ops
         self.max_degree = max_degree
-        self.n_internal = k = max_degree + 1
+        k = max_degree + 1
 
         for name, ok in full_pair_check(ops, min(k, 2)):
             if not ok:
@@ -421,11 +421,8 @@ class CoinvariantComplex:
 
     def __init__(self, ops, max_degree):
         self.ops = ops
-        self.algebra = ops.algebra
-        self.group = group = ops.group
         self.max_degree = max_degree
-        self.n_internal = k = max_degree + 1
-
+        group = ops.group
         gens = generators(group, range(group.order))
 
         def presentation(n):
@@ -434,7 +431,8 @@ class CoinvariantComplex:
             return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
 
         self.mixed = quotient_mixed_complex(
-            k, presentation, lambda n: ops.b(0, n), lambda n: ops.B(0, n), "coinvariant bicomplex"
+            max_degree + 1, presentation, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
+            "coinvariant bicomplex",
         )
 
 
@@ -460,41 +458,33 @@ def coinvariant_bicomplex(algebra, group, max_degree):
 # conjugacy stalks and the comparison map
 # ---------------------------------------------------------------------
 
-class StalkComplex:
-    """(A (x) Abar^n) / G^g for one conjugacy-class representative g.
+def stalk_complex(ops, rep, centralizer, max_degree):
+    """The mixed complex (A (x) Abar^n) / G^g of one conjugacy-class
+    representative g = rep through degree max_degree + 1.
 
     The centralizer acts diagonally, its relations taken over a generating
-    set; the operators are the g^{-1}-twisted b and B, descended.  The
-    quotient absorbs (1 - T_{g^{-1}}) because g centralizes itself.  The
-    per-element algebra blocks are read from ops.
+    set; the operators are the g^{-1}-twisted b and B of ops, descended.
+    The quotient absorbs (1 - T_{g^{-1}}) because g centralizes itself.
     """
+    sigma = ops.group.inverse[rep]
+    gens = generators(ops.group, list(centralizer))
 
-    def __init__(self, ops, rep, centralizer, max_degree):
-        self.rep = rep
-        self.centralizer = list(centralizer)
-        self.max_degree = max_degree
-        self.n_internal = max_degree + 1
-        sigma = ops.group.inverse[rep]
-        gens = generators(ops.group, self.centralizer)
+    def presentation(n):
+        # a trivial centralizer has no generators, so the size is the basis's
+        size = ops.basis(0, n).asize
+        acts = [ops.alg_twist(h, n) for h in gens]
+        return quotient_by(size, coinvariant_relations(size, acts))
 
-        def presentation(n):
-            # a trivial centralizer has no generators, so the size is the basis's
-            size = ops.basis(0, n).asize
-            acts = [ops.alg_twist(h, n) for h in gens]
-            return quotient_by(size, coinvariant_relations(size, acts))
-
-        self.mixed = quotient_mixed_complex(
-            self.n_internal,
-            presentation,
-            lambda n: ops.alg_b(sigma, n),
-            lambda n: ops.alg_B(sigma, n),
-            f"stalk over class of element {rep}",
-        )
+    return quotient_mixed_complex(
+        max_degree + 1, presentation, lambda n: ops.alg_b(sigma, n),
+        lambda n: ops.alg_B(sigma, n), f"stalk over class of element {rep}",
+    )
 
 
 class ConjugacyDecomposition:
-    """Stalk complexes per conjugacy class plus the chain-level splitting
-    of the coinvariant complex.
+    """The stalks, one ``MixedComplex`` per conjugacy class, built from the
+    centralizer quotients and not from the coinvariant blocks, plus the
+    chain-level splitting of the coinvariant complex.
 
     The splitting sends the class of (h | m) to u_h(m) in the stalk of the
     class representative, where u_h conjugates h to the representative; it
@@ -504,12 +494,11 @@ class ConjugacyDecomposition:
 
     def __init__(self, coinv):
         self.coinv = coinv
-        self.group = group = coinv.group
-        self.max_degree = max_degree = coinv.max_degree
-        self.n_internal = coinv.n_internal
+        self.group = group = coinv.ops.group
+        self.max_degree = coinv.max_degree
         self.conj = conjugacy_data(group)
         self.stalks = [
-            StalkComplex(coinv.ops, rep, cent, max_degree)
+            stalk_complex(coinv.ops, rep, cent, coinv.max_degree)
             for rep, cent in zip(self.conj.representatives, self.conj.centralizers)
         ]
         # u_h: first group element conjugating h to its class representative
@@ -525,8 +514,8 @@ class ConjugacyDecomposition:
         """Per degree: coinvariant quotient -> direct sum of stalk quotients."""
         ops = self.coinv.ops
         split = []
-        for n in range(self.n_internal + 1):
-            stalks = [st.mixed.presentations[n] for st in self.stalks]
+        for n in range(self.coinv.mixed.top + 1):
+            stalks = [st.presentations[n] for st in self.stalks]
             # stalk h goes to the stalk of its class through u_h
             ambient = block_matrix(
                 {(self.conj.class_of[h], h): ops.alg_twist(self.conjugator[h], n)
@@ -543,7 +532,7 @@ class ConjugacyDecomposition:
         return split
 
     def _verify_chain_iso(self):
-        k = self.n_internal
+        k = self.coinv.mixed.top
         for n in range(k + 1):
             v = self.split[n]
             if v.rows != v.cols or rank(v) != v.rows:
@@ -551,19 +540,12 @@ class ConjugacyDecomposition:
                     "class splitting is not an isomorphism", location=f"degree {n}"
                 )
         # chain map into the direct sum of the stalks, whose b and B are blockwise
-        stalks = [st.mixed for st in self.stalks]
         stalk_sum = SimpleNamespace(
-            b=[None] + [block_diag([m.b[n] for m in stalks]) for n in range(1, k + 1)],
-            B=[block_diag([m.B[n] for m in stalks]) for n in range(k - 1)],
-            top_B=lambda: block_diag([m.top_B() for m in stalks]),
+            b=[None] + [block_diag([m.b[n] for m in self.stalks]) for n in range(1, k + 1)],
+            B=[block_diag([m.B[n] for m in self.stalks]) for n in range(k - 1)],
+            top_B=lambda: block_diag([m.top_B() for m in self.stalks]),
         )
         check_mixed_map(self.split, self.coinv.mixed, stalk_sum, "class splitting")
-
-    def stalk_homologies(self):
-        return [st.mixed.total_homology() for st in self.stalks]
-
-    def coinvariant_homology(self):
-        return self.coinv.mixed.total_homology()
 
 
 def conjugacy_decomposition(algebra, group, max_degree):
@@ -618,12 +600,12 @@ def theorem_map_f(hk, deco, g):
     # composite into the distinguished stalk summand, assembled at the
     # mixed level where the stalk block is contiguous
     srcH = hk.mixed.total_homology()
-    stalkH = deco.stalks[cls].mixed.total_homology()
+    stalkH = deco.stalks[cls].total_homology()
     comp_mixed = []
     for n in range(k + 1):
         whole = deco.split[n] @ f_mixed[n]
-        pick_off = sum(st.mixed.dims[n] for st in deco.stalks[:cls])
-        comp = whole.shift_rows(-pick_off, deco.stalks[cls].mixed.dims[n])
+        pick_off = sum(st.dims[n] for st in deco.stalks[:cls])
+        comp = whole.shift_rows(-pick_off, deco.stalks[cls].dims[n])
         if comp.nnz() != whole.nnz():
             raise ChainMapError(f"theorem map leaves the stalk of {group.name(ginv)} at degree {n}")
         comp_mixed.append(comp)
@@ -675,7 +657,6 @@ class LambdaComplex:
         self.ops = ops
         self.max_degree = max_degree
         self.g_coinvariants = g_coinvariants
-        self.n_internal = max_degree + 1
         group = ops.group
         gens = generators(group, range(group.order)) if g_coinvariants else []
 
@@ -689,13 +670,11 @@ class LambdaComplex:
             return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
 
         self.mixed = quotient_mixed_complex(
-            self.n_internal, presentation, lambda n: ops.b(0, n, reduced=False),
+            max_degree + 1, presentation, lambda n: ops.b(0, n, reduced=False),
             None, "group-indexed Connes complex",
         )
 
-    def homology(self):
-        return self.mixed.column_homology()
-
 
 def connes_lambda_complex(algebra, group, max_degree, g_coinvariants=True):
-    return LambdaComplex(GJOperators(algebra, group), max_degree, g_coinvariants).homology()
+    lam = LambdaComplex(GJOperators(algebra, group), max_degree, g_coinvariants)
+    return lam.mixed.column_homology()

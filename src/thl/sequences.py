@@ -8,7 +8,7 @@ no tolerance.
 """
 
 from .algebra import tensor_index, tensor_operator
-from .complexes import ChainComplexQ, divide_mixed_complex, homology, induced_on_homology
+from .complexes import ChainComplexQ, homology, induced_on_homology, quotient_mixed_complex
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import compose_quotients, descend_map, quotient_by
@@ -69,7 +69,7 @@ def sbi_sequence(coinv):
     one exactness test; S_0, S_1 and the map into HH_0 are zero matrices.
     """
     mixed = coinv.mixed
-    k = coinv.n_internal
+    k = mixed.top
     hcH = mixed.total_homology()
     hhH = mixed.column_homology()
     tot = hcH.complex
@@ -149,7 +149,7 @@ def derham_d(coinv, n):
     the orbit quotient is checked exactly."""
     pres = coinv.mixed.presentations
     return descend_map(
-        derham_d_ambient(coinv.algebra, coinv.group, n), pres[n], pres[n + 1],
+        derham_d_ambient(coinv.ops.algebra, coinv.ops.group, n), pres[n], pres[n + 1],
         what=f"derham d_{n}",
     )
 
@@ -168,8 +168,8 @@ class DeRhamComplex:
     def __init__(self, coinv):
         self.coinv = coinv
         self.max_degree = coinv.max_degree
-        self.n_internal = k = coinv.n_internal
         mixed = coinv.mixed
+        k = mixed.top
         # d descended to the coinvariant quotient
         self.d_coinv = d_coinv = [derham_d(coinv, n) for n in range(k)] + [None]
         # abelianization: quotient by im(d b) + im(b), by im(d b) alone in
@@ -198,7 +198,7 @@ class DeRhamComplex:
         """This complex with the class of (e | 1) divided out of degree 0
         and d_0 descended again (checked); the other degrees are shared."""
         coinv = self.coinv
-        unit = coinv.ops.basis(0, 0).encode((coinv.group.identity_index,), (0,))
+        unit = coinv.ops.basis(0, 0).encode((coinv.ops.group.identity_index,), (0,))
         ab0 = self.ab[0]
         unit_class = ab0.project(coinv.mixed.presentations[0].classes([unit]))
         # a shallow copy: only degree 0 and d_0 are replaced
@@ -206,17 +206,17 @@ class DeRhamComplex:
         out.__dict__.update(self.__dict__)
         out.ab = [compose_quotients(ab0, quotient_by(ab0.quotient_dim, unit_class))] + self.ab[1:]
         out.d_ab = [out._descend_d(0)] + self.d_ab[1:]
-        if self.n_internal > 1:
+        if coinv.mixed.top > 1:
             out._check_dd([0])
         return out
 
     def homology(self):
         """Ascending-differential homology via the reversed chain complex.
 
-        A zero module is appended above the top so that every degree
-        0..n_internal - 1 of the original grading is trustworthy.
+        A zero module is appended above the top k so that every degree
+        0..k - 1 of the original grading is trustworthy.
         """
-        k = self.n_internal
+        k = self.coinv.mixed.top
         dims = [self.ab[k - m].quotient_dim for m in range(k + 1)] + [0]
         diffs = [None]
         for m in range(1, k + 1):
@@ -247,9 +247,8 @@ class ReversedHomology:
         return self.inner.boundary_basis(self.top - n)
 
 
-def derham_homology(algebra, group, max_degree, reduced=False):
-    dr = DeRhamComplex(CoinvariantComplex(GJOperators(algebra, group), max_degree))
-    return (dr.reduced() if reduced else dr).homology()
+def derham_homology(algebra, group, max_degree):
+    return DeRhamComplex(CoinvariantComplex(GJOperators(algebra, group), max_degree)).homology()
 
 
 # ---------------------------------------------------------------------
@@ -306,18 +305,22 @@ def _stalkwise_B_full_to_reduced(ops, n):
 
 def _unit_reduced(connes):
     """The Connes complex connes divided by the unit-stalk tensors
-    (e | 1, ..., 1) -- the image of the ground field's own complex -- in
-    its quotient coordinates, with b descended once more: the cyclic
-    theory reduced relative to k."""
-    ops = connes.ops
+    (e | 1, ..., 1) -- the image of the ground field's own complex -- too,
+    with b descended from the ambient operator: the cyclic theory reduced
+    relative to k.  Degree n is presented as connes's presentation composed
+    with the quotient by the unit's class, which equals dividing by both
+    relation spans at once."""
+    ops, mixed = connes.ops, connes.mixed
     e = ops.group.identity_index
 
-    def unit_class(n):
+    def presentation(n):
         unit = ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
-        return connes.mixed.presentations[n].classes([unit])
+        pres = mixed.presentations[n]
+        return compose_quotients(pres, quotient_by(pres.quotient_dim, pres.classes([unit])))
 
-    return divide_mixed_complex(
-        connes.mixed, unit_class, "unit-reduced group-indexed Connes complex"
+    return quotient_mixed_complex(
+        mixed.top, presentation, lambda n: ops.b(0, n, reduced=False), None,
+        "unit-reduced group-indexed Connes complex",
     )
 
 

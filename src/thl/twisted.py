@@ -157,12 +157,10 @@ class HKBicomplex:
     """
 
     def __init__(self, ops, max_degree):
-        self.algebra = ops.algebra
         self.g = ops.g
         self.max_degree = max_degree
-        self.n_internal = max_degree + 1
         self.mixed = quotient_mixed_complex(
-            self.n_internal, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
+            max_degree + 1, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )
 
 

@@ -140,9 +140,9 @@ def test_criterion_05_power_comparison():
     assert ok
 
 
-def test_criterion_06_u_complex_equivalence():
-    """The u-complex is the (b, B) total complex; its homology equals that
-    of the Connes complex C/(1 - t), a quotient ranked on its own."""
+def test_criterion_06_connes_equals_total():
+    """The homology of the (b, B) total complex equals that of the Connes
+    complex C/(1 - t), a quotient ranked on its own."""
     # ground field, trivial twist
     cfg1 = _fx("ground-field")
     ops1 = TwistedOperators(cfg1.algebra, AlgebraMap.identity(1))
@@ -163,8 +163,8 @@ def test_criterion_06_u_complex_equivalence():
 def test_criterion_07_shapiro_decomposition():
     cfg = _fx("triple-lines-s3")
     deco = conjugacy_decomposition(cfg.algebra, cfg.group, 2)
-    stalks = [h.dims for h in deco.stalk_homologies()]
-    coinv = deco.coinvariant_homology().dims
+    stalks = [st.total_homology().dims for st in deco.stalks]
+    coinv = deco.coinv.mixed.total_homology().dims
     sums = [sum(col) for col in zip(*stalks)]
     ok = len(stalks) == 3 and sums == coinv
     _announce(7, ok, f"three stalks sum {sums} = coinvariant dims {coinv}")

@@ -19,7 +19,7 @@ from thl.crossed import (
     GJOperators,
     LambdaComplex,
     PropositionComplex,
-    StalkComplex,
+    stalk_complex,
 )
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.fixtures import fixture_names
@@ -216,7 +216,7 @@ def _pending_top_B_case(case):
         conj = conjugacy_data(cfg.group)
         rep, cent = conj.representatives[1], conj.centralizers[1]
         sigma = cfg.group.inverse[rep]
-        return lambda: StalkComplex(ops, rep, cent, 2).mixed, lambda n: ops.alg_B(sigma, n)
+        return lambda: stalk_complex(ops, rep, cent, 2), lambda n: ops.alg_B(sigma, n)
     return lambda: quotient_mixed_complex(2, tw.presentation, tw.b, tw.B, "bare"), tw.B
 
 

@@ -87,7 +87,7 @@ def _homologies(cfg):
         ("coinvariant", coinv.mixed),
         ("proposition", PropositionComplex(ops, cfg.max_degree).mixed),
     ]
-    mixed += [(s.mixed.label, s.mixed) for s in ConjugacyDecomposition(coinv).stalks]
+    mixed += [(s.label, s) for s in ConjugacyDecomposition(coinv).stalks]
     for what, m in mixed:
         yield f"{what} total", m.total_homology()
         yield f"{what} column", m.column_homology()

@@ -237,7 +237,7 @@ def test_proposition_equals_oracle_cubic():
 def test_decomposition_trivial_group_single_stalk():
     A = dual_numbers_algebra()
     deco = conjugacy_decomposition(A, trivial_group(A), 3)
-    stalks = deco.stalk_homologies()
+    stalks = [st.total_homology() for st in deco.stalks]
     assert len(stalks) == 1
     assert stalks[0].dims == twisted_cyclic(A, AlgebraMap.identity(2), 3).dims
 
@@ -397,8 +397,8 @@ def test_gj_identity_stalk_is_untwisted():
 def test_stalk_decomposition_fixture2():
     A = dual_numbers_algebra()
     deco = conjugacy_decomposition(A, z2_group(A), 3)
-    stalks = [h.dims for h in deco.stalk_homologies()]
-    coinv = deco.coinvariant_homology().dims
+    stalks = [st.total_homology().dims for st in deco.stalks]
+    coinv = deco.coinv.mixed.total_homology().dims
     assert stalks == [[1, 0, 1, 0], [1, 1, 1, 1]]
     assert coinv == [sum(col) for col in zip(*stalks)]
 
@@ -406,8 +406,8 @@ def test_stalk_decomposition_fixture2():
 def test_stalk_decomposition_s3():
     A = triple_lines_algebra()
     deco = conjugacy_decomposition(A, s3_group(A), 2)
-    stalks = [h.dims for h in deco.stalk_homologies()]
-    coinv = deco.coinvariant_homology().dims
+    stalks = [st.total_homology().dims for st in deco.stalks]
+    coinv = deco.coinv.mixed.total_homology().dims
     assert len(stalks) == 3
     assert coinv == [sum(col) for col in zip(*stalks)]
     # two split matrix blocks: identity and transposition classes carry
@@ -427,7 +427,7 @@ def test_stalk_over_generator_is_twisted_theory():
     """For cyclic G the stalk of the generator is the twisted complex."""
     A = dual_numbers_algebra()
     deco = conjugacy_decomposition(A, z2_group(A), 3)
-    s_stalk = deco.stalk_homologies()[1].dims
+    s_stalk = deco.stalks[1].total_homology().dims
     assert s_stalk == twisted_cyclic(A, sign_twist(A), 3).dims
 
 
@@ -474,8 +474,8 @@ def test_theorem_map_outside_its_stalk_names_the_degree(first):
     A = dual_numbers_algebra()
     G = z2_group(A)
     deco = conjugacy_decomposition(A, G, 2)
-    for n in range(first, deco.n_internal + 1):
-        dims = [st.mixed.dims[n] for st in deco.stalks]
+    for n in range(first, deco.coinv.mixed.top + 1):
+        dims = [st.dims[n] for st in deco.stalks]
         assert dims[0] == dims[1]
         swap = {(0, 1): QMatrix.identity(dims[0]), (1, 0): QMatrix.identity(dims[1])}
         deco.split[n] = block_matrix(swap, dims, dims) @ deco.split[n]
@@ -537,19 +537,18 @@ def test_lambda_triple_lines_matches_oracle():
     assert lam.dims == prop.dims == [1, 0, 1, 0]
 
 
-# -- the u-parameter complex against the Connes complex ------------------
-# The u-complex (sum_j C_{n-2j} u^{-j}, boundary b + uB) is the total
-# complex of the mixed complex; the Connes complex C/(1 - t) is ranked on
-# its own.
+# -- the Connes complex against the total complex -------------------------
+# The (b, B) total complex (sum_j C_{n-2j}, boundary b + B) is ranked from
+# the mixed complex; the Connes complex C/(1 - t) is ranked on its own.
 
-def test_u_complex_ground_field():
+def test_connes_equals_total_ground_field():
     Aq = ground_field_algebra()
     ops = TwistedOperators(Aq, AlgebraMap.identity(1))
     total = HKBicomplex(ops, 4).mixed.total_homology().dims
     assert connes_complex(ops, 4).column_homology().dims == total == [1, 0, 1, 0, 1]
 
 
-def test_u_complex_zero_differentials():
+def test_total_homology_of_zero_differentials():
     """With zero maps the total homology is the stacked module dimensions."""
     from thl.complexes import MixedComplex
 
@@ -563,7 +562,7 @@ def test_u_complex_zero_differentials():
     assert mixed.total_homology().dims == expected
 
 
-def test_u_complex_fixture2_through_degree4():
+def test_connes_equals_total_fixture2_through_degree4():
     A = dual_numbers_algebra()
     G = z2_group(A)
     ops = TwistedOperators(A, sign_twist(A))
@@ -747,7 +746,7 @@ def test_identity_checks_multiply_only_to_build_U(monkeypatch):
     ops = GJOperators(A, G)
     identity_suite(ops, 3)
     full_pair_check(ops, 3)
-    for key in [k for k in ops._memo if k[0] in ("identity", "stalk_identity", "U")]:
+    for key in [k for k in ops._memo if k[0] in ("identity", "U")]:
         del ops._memo[key]
     products = []
     matmul = QMatrix.__matmul__

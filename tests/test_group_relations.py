@@ -22,9 +22,9 @@ from thl.crossed import (
     lambda_cyclic_operator,
 )
 from thl.fixtures import fixture_names
-from thl.quotient import coinvariant_relations, quotient_by
+from thl.quotient import coinvariant_relations, descend_map, quotient_by
 from thl.rational import QONE
-from thl.sparse import block_diag
+from thl.sparse import QMatrix, block_diag
 
 HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
 CONFIGS = [*fixture_names(), "half-lines-z2"]
@@ -81,10 +81,10 @@ def test_quotients_equal_those_of_every_group_element(name):
         _assert_same(LambdaComplex(ops, N, flag).mixed.presentations, ref)
 
     deco = ConjugacyDecomposition(coinv)
-    for stalk in deco.stalks:
-        ref = [_quotient(ops.basis(0, n).asize, [ops.alg_twist(h, n) for h in stalk.centralizer])
+    for stalk, centralizer in zip(deco.stalks, deco.conj.centralizers):
+        ref = [_quotient(ops.basis(0, n).asize, [ops.alg_twist(h, n) for h in centralizer])
                for n in range(N + 2)]
-        _assert_same(stalk.mixed.presentations, ref)
+        _assert_same(stalk.presentations, ref)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -96,11 +96,42 @@ def test_crossed_quotient_is_the_sum_of_per_element_quotients(name):
     ops = GJOperators(cfg.algebra, cfg.group)
     pc = PropositionComplex(ops, cfg.max_degree)
     ref = []
-    for n in range(pc.n_internal + 1):
+    for n in range(pc.mixed.top + 1):
         twists = [ops.T(p, n - p) for p in range(n + 1)]
         rel = block_diag([coinvariant_relations(T.rows, [T]) for T in twists])
         ref.append(quotient_by(rel.rows, rel))
     _assert_same(pc.mixed.presentations, ref)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_unit_reduced_connes_complex_divides_at_once(name):
+    """Each presentation of the unit-reduced Connes complex of the Karoubi
+    sequence equals the quotient of the ambient module by the Connes
+    relations of every group element and the unit tensor (e | 1, ..., 1)
+    at once, and its b equals the plain complex's b descended through the
+    unit quotient alone."""
+    from thl.sequences import _unit_reduced
+
+    cfg = _config(name)
+    group, N = cfg.group, cfg.max_degree
+    ops = GJOperators(cfg.algebra, group)
+    connes = LambdaComplex(ops, N, True)
+    reduced, plain = _unit_reduced(connes), connes.mixed
+    ref, steps = [], []
+    for n in range(N + 2):
+        basis = ops.basis(0, n, reduced=False)
+        acts = [lambda_cyclic_operator(cfg.algebra, group, n)]
+        acts += [group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
+                 for h in range(group.order)]
+        unit = basis.encode((group.identity_index,), (0,) * (n + 1))
+        rels = coinvariant_relations(basis.size, acts).hstack(
+            QMatrix.from_integers(basis.size, [{unit: 1}]))
+        ref.append(quotient_by(basis.size, rels))
+        steps.append(quotient_by(plain.dims[n], plain.presentations[n].classes([unit])))
+    _assert_same(reduced.presentations, ref)
+    assert reduced.dims == [p.quotient_dim for p in ref]
+    for n in range(1, N + 2):
+        assert reduced.b[n] == descend_map(plain.b[n], steps[n], steps[n - 1]), n
 
 
 # -- generators -----------------------------------------------------------

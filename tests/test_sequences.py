@@ -243,7 +243,7 @@ def _one_step_reduced(coinv):
     degree 0."""
     from thl.quotient import descend_map, quotient_by
 
-    mixed, k = coinv.mixed, coinv.n_internal
+    mixed, k = coinv.mixed, coinv.mixed.top
     d = [derham_d(coinv, n) for n in range(k)]
     ab = []
     for n in range(k + 1):
@@ -254,7 +254,7 @@ def _one_step_reduced(coinv):
             parts.append(d[n - 1] @ mixed.b[n])
         if n == 0:
             basis = coinv.ops.basis(0, 0)
-            unit = basis.encode((coinv.group.identity_index,), (0,))
+            unit = basis.encode((coinv.ops.group.identity_index,), (0,))
             parts.append(coinv.mixed.presentations[0].projection
                          @ QMatrix.from_columns(basis.size, [{unit: 1}]))
         rels = QMatrix.zero(mixed.dims[n], 0)
@@ -308,7 +308,7 @@ def test_derham_relations_need_no_b_after_d_block(name):
     else:
         cfg = load_fixture(name)
     dr = DeRhamComplex(coinvariant_complex(cfg.algebra, cfg.group, cfg.max_degree))
-    mixed, d, k = dr.coinv.mixed, dr.d_coinv, dr.n_internal
+    mixed, d, k = dr.coinv.mixed, dr.d_coinv, dr.coinv.mixed.top
     for n in range(k + 1):
         parts = []
         if n < k:
