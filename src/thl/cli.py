@@ -25,7 +25,7 @@ from .crossed import (
 from .errors import ParseError, ThlError, ValidationError
 from .fixtures import fixture_names
 from .report import Report, emit_report
-from .sequences import DeRhamComplex, karoubi_sequence, sbi_sequence
+from .sequences import SBI_INDEXING_NOTE, DeRhamComplex, karoubi_sequence, sbi_sequence
 from .twisted import HKBicomplex, connes_complex
 
 
@@ -178,14 +178,10 @@ def _run_verify_theorem(job, report):
         f"coinv={coinvH.dims} r*twisted={expected}",
     )
     frep = theorem_map_f(job.twisted(gen), deco, gen)
-    detail = " ".join(
-        f"n={d['degree']}:rank={d['rank']}/{d['dim_source']}" for d in frep.degrees
-    )
-    report.add_check("theorem:f-injective", frep.all_injective(), detail)
-    detail = " ".join(
-        f"n={d['degree']}:stalk={d['dim_stalk']}" for d in frep.degrees
-    )
-    report.add_check("theorem:f-onto-summand", frep.all_onto_summand(), detail)
+    detail = " ".join(f"n={d['degree']}:rank={d['rank']}/{d['dim_source']}" for d in frep)
+    report.add_check("theorem:f-injective", all(d["injective"] for d in frep), detail)
+    detail = " ".join(f"n={d['degree']}:stalk={d['dim_stalk']}" for d in frep)
+    report.add_check("theorem:f-onto-summand", all(d["onto_summand"] for d in frep), detail)
     # powers generating the same cyclic group give the same dims
     for k in range(2, r):
         if gcd(k, r) != 1:
@@ -218,20 +214,17 @@ def _run_verify_lemma(job, report):
 
 
 def _run_verify_sbi(job, report):
-    rep = sbi_sequence(job.coinvariant)
-    for node in rep.nodes:
+    for node in sbi_sequence(job.coinvariant):
         detail = (
             f"in={node.incoming} out={node.outgoing} "
             f"im={node.image_dim} ker={node.kernel_dim} comp0={node.composite_zero}"
         )
         report.add_check(f"sbi:exact[{node.label}]", node.exact, detail)
-    for note in rep.notes:
-        report.add_note(note)
+    report.add_note(SBI_INDEXING_NOTE)
 
 
 def _run_verify_karoubi(job, report):
-    rep = karoubi_sequence(job.derham, job.connes(True))
-    for node in rep.nodes:
+    for node in karoubi_sequence(job.derham, job.connes(True)):
         base = f"n={node.degree} hdr={node.hdr_dim} hc={node.hc_dim} hh={node.hh_next_dim}"
         if node.diagnostic:
             base += f" [{node.diagnostic}]"

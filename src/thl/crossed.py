@@ -363,7 +363,6 @@ class PropositionComplex:
 
     def __init__(self, ops, max_degree):
         self.ops = ops
-        self.max_degree = max_degree
         k = max_degree + 1
 
         for name, ok in full_pair_check(ops, min(k, 2)):
@@ -396,9 +395,8 @@ class PropositionComplex:
 
 
 def proposition_bicomplex(algebra, group, max_degree):
-    """Quotient-bicomplex pipeline; returns (complex object, HomologyResult)."""
-    pc = PropositionComplex(GJOperators(algebra, group), max_degree)
-    return pc, pc.mixed.total_homology()
+    """Homology of the quotient bicomplex of the crossed-product theory."""
+    return PropositionComplex(GJOperators(algebra, group), max_degree).mixed.total_homology()
 
 
 def group_action_operator(group, h, basis, twist):
@@ -421,7 +419,6 @@ class CoinvariantComplex:
 
     def __init__(self, ops, max_degree):
         self.ops = ops
-        self.max_degree = max_degree
         group = ops.group
         gens = generators(group, range(group.order))
 
@@ -494,11 +491,10 @@ class ConjugacyDecomposition:
 
     def __init__(self, coinv):
         self.coinv = coinv
-        self.group = group = coinv.ops.group
-        self.max_degree = coinv.max_degree
+        group = coinv.ops.group
         self.conj = conjugacy_data(group)
         self.stalks = [
-            stalk_complex(coinv.ops, rep, cent, coinv.max_degree)
+            stalk_complex(coinv.ops, rep, cent, coinv.mixed.top - 1)
             for rep, cent in zip(self.conj.representatives, self.conj.centralizers)
         ]
         # u_h: first group element conjugating h to its class representative
@@ -513,15 +509,16 @@ class ConjugacyDecomposition:
     def _build_splitting(self):
         """Per degree: coinvariant quotient -> direct sum of stalk quotients."""
         ops = self.coinv.ops
+        order = ops.group.order
         split = []
         for n in range(self.coinv.mixed.top + 1):
             stalks = [st.presentations[n] for st in self.stalks]
             # stalk h goes to the stalk of its class through u_h
             ambient = block_matrix(
                 {(self.conj.class_of[h], h): ops.alg_twist(self.conjugator[h], n)
-                 for h in range(self.group.order)},
+                 for h in range(order)},
                 [pres.ambient_dim for pres in stalks],
-                [ops.basis(0, n).asize] * self.group.order,
+                [ops.basis(0, n).asize] * order,
             )
             split.append(
                 descend_map(
@@ -552,37 +549,25 @@ def conjugacy_decomposition(algebra, group, max_degree):
     return ConjugacyDecomposition(CoinvariantComplex(GJOperators(algebra, group), max_degree))
 
 
-class TheoremMapReport:
-    def __init__(self, degrees):
-        self.degrees = degrees  # list of per-degree dicts
-
-    def all_injective(self):
-        return all(d["injective"] for d in self.degrees)
-
-    def all_onto_summand(self):
-        return all(d["onto_summand"] for d in self.degrees)
-
-
 def theorem_map_f(hk, deco, g):
     """The comparison map from the g-twisted theory hk into the
     crossed-product theory (the coinvariant model of the decomposition
-    deco), with per-degree rank certificates.
+    deco), as one dict of rank certificates per degree.
 
     Chain level: m -> class of (g^{-1} | m).  Composed with the class
     splitting, a checked chain isomorphism, it must land in the stalk of
     the class of g^{-1} (an entry outside raises ChainMapError naming the
-    degree); the report certifies from that composite alone whether the
+    degree); the certificates say from that composite alone whether the
     map is injective and onto that summand of the decomposition.
     Raises ValueError unless hk is the g-twisted complex at deco's degree.
     """
-    group = deco.group
-    max_degree = deco.max_degree
-    if hk.max_degree != max_degree or hk.g != group.action[g]:
-        raise ValueError(
-            f"theorem map needs the twisted complex of element {g} at degree {max_degree}"
-        )
-    k = max_degree + 1
     coinv = deco.coinv
+    group = coinv.ops.group
+    k = coinv.mixed.top
+    if hk.mixed.top != k or hk.ops.g != group.action[g]:
+        raise ValueError(
+            f"theorem map needs the twisted complex of element {g} at degree {k - 1}"
+        )
     ginv = group.inverse[g]
     cls = deco.conj.class_of[ginv]
 
@@ -612,7 +597,7 @@ def theorem_map_f(hk, deco, g):
     induced = induced_on_homology(total_map(comp_mixed), srcH, stalkH)
 
     degrees = []
-    for n in range(max_degree + 1):
+    for n in range(k):
         rk = rank(induced[n])
         degrees.append(
             {
@@ -625,7 +610,7 @@ def theorem_map_f(hk, deco, g):
                 "onto_summand": rk == stalkH.dims[n],
             }
         )
-    return TheoremMapReport(degrees)
+    return degrees
 
 
 # ---------------------------------------------------------------------
@@ -655,7 +640,6 @@ class LambdaComplex:
 
     def __init__(self, ops, max_degree, g_coinvariants=True):
         self.ops = ops
-        self.max_degree = max_degree
         self.g_coinvariants = g_coinvariants
         group = ops.group
         gens = generators(group, range(group.order)) if g_coinvariants else []

@@ -40,16 +40,6 @@ class SequenceNode:
         return self.composite_zero and self.image_dim == self.kernel_dim
 
 
-class ExactnessReport:
-    def __init__(self, nodes, notes=()):
-        self.nodes = nodes
-        self.notes = list(notes)
-
-    @property
-    def all_exact(self):
-        return all(n.exact for n in self.nodes)
-
-
 SBI_INDEXING_NOTE = (
     "periodicity sequence indexed classically: the map out of HC_{n-2} "
     "lands in HH_{n-1}"
@@ -67,13 +57,14 @@ def sbi_sequence(coinv):
     connecting map computed by the lift-differentiate-project recipe.
     The nodes HC_n, HC_{n-2} (the shift of HC_n) and HH_n all go through
     one exactness test; S_0, S_1 and the map into HH_0 are zero matrices.
+    Returns the list of nodes, indexed as SBI_INDEXING_NOTE says.
     """
     mixed = coinv.mixed
     k = mixed.top
     hcH = mixed.total_homology()
     hhH = mixed.column_homology()
     tot = hcH.complex
-    N = coinv.max_degree
+    N = k - 1
 
     # chain-level I: C_n -> Tot_n, whose first block is C_n
     incl = [QMatrix.identity(dim).shift_rows(0, tot.dims[n]) for n, dim in enumerate(mixed.dims)]
@@ -120,13 +111,12 @@ def sbi_sequence(coinv):
         comp = first_nonzero_column([(1, outgoing, incoming)]) is None
         return SequenceNode(label, inc, out, rank(incoming), nullity(outgoing), comp)
 
-    return ExactnessReport(
+    return (
         [node(f"HC_{n}", f"I_{n}", f"S_{n}", I_mats[n], S_mats[n]) for n in range(N + 1)]
         + [node(f"HC_{n - 2} (shift of HC_{n})", f"S_{n}", f"d_{n}", S_mats[n], D_mats[n])
            for n in range(2, N + 1)]
         + [node(f"HH_{n}", f"d_{n + 1}", f"I_{n}", D_mats[n + 1], I_mats[n])
-           for n in range(N + 1)],
-        notes=[SBI_INDEXING_NOTE],
+           for n in range(N + 1)]
     )
 
 
@@ -167,7 +157,6 @@ class DeRhamComplex:
 
     def __init__(self, coinv):
         self.coinv = coinv
-        self.max_degree = coinv.max_degree
         mixed = coinv.mixed
         k = mixed.top
         # d descended to the coinvariant quotient
@@ -275,15 +264,6 @@ class KaroubiNode:
         return self.left_injective and self.composite_zero and self.middle_exact
 
 
-class KaroubiReport:
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @property
-    def all_ok(self):
-        return all(n.ok for n in self.nodes)
-
-
 def _identity_slot_map(src, dst):
     """Each basis tensor of src to the same tensor of dst; zero where dst
     drops a unit from a reduced slot."""
@@ -348,10 +328,10 @@ def karoubi_sequence(derham, connes):
     The left map takes an abelianized class representative to its class in
     the group-indexed Connes complex; the right map applies the normalized
     degree-raising operator.  Every well-definedness obligation is checked
-    exactly before ranks are taken.
+    exactly before ranks are taken.  Returns one KaroubiNode per degree.
     """
-    max_degree = derham.max_degree
-    if not connes.g_coinvariants or connes.max_degree != max_degree:
+    max_degree = derham.coinv.mixed.top - 1
+    if not connes.g_coinvariants or connes.mixed.top != derham.coinv.mixed.top:
         raise ValueError(
             f"Karoubi sequence needs the g-coinvariant Connes complex at degree {max_degree}"
         )
@@ -372,7 +352,7 @@ def karoubi_sequence(derham, connes):
                 left_rank=-1, middle_kernel=-1, diagnostic=str(exc),
             )
         nodes.append(node)
-    return KaroubiReport(nodes)
+    return nodes
 
 
 def _karoubi_node(n, dr, hdrH, lam, lamH):

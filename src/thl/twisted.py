@@ -157,8 +157,7 @@ class HKBicomplex:
     """
 
     def __init__(self, ops, max_degree):
-        self.g = ops.g
-        self.max_degree = max_degree
+        self.ops = ops
         self.mixed = quotient_mixed_complex(
             max_degree + 1, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
         )

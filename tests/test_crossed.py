@@ -180,14 +180,14 @@ def test_full_pair_check_passes():
 
 def test_proposition_trivial_group_is_plain_cyclic():
     A = dual_numbers_algebra()
-    _, h = proposition_bicomplex(A, trivial_group(A), 3)
+    h = proposition_bicomplex(A, trivial_group(A), 3)
     assert h.dims == twisted_cyclic(A, AlgebraMap.identity(2), 3).dims
 
 
 def test_proposition_equals_oracle_fixture2():
     A = dual_numbers_algebra()
     G = z2_group(A)
-    _, h = proposition_bicomplex(A, G, 3)
+    h = proposition_bicomplex(A, G, 3)
     AG = crossed_product(A, G)
     oracle = twisted_cyclic(AG, AlgebraMap.identity(AG.dim), 3)
     assert h.dims == oracle.dims == [2, 1, 2, 1]
@@ -226,7 +226,7 @@ def test_proposition_equals_oracle_cubic():
 
     cfg = load_fixture("trunc-cubic-z2")
     A, G = cfg.algebra, cfg.group
-    _, prop = proposition_bicomplex(A, G, 2)
+    prop = proposition_bicomplex(A, G, 2)
     coinv = coinvariant_bicomplex(A, G, 2)
     AG = crossed_product(A, G)
     oracle = twisted_cyclic(AG, AlgebraMap.identity(AG.dim), 2)
@@ -286,7 +286,7 @@ def test_noncommutative_base_pipelines_agree():
     g = _diag_sign_involution()
     G = FiniteGroupAction(["e", "s"], [[0, 1], [1, 0]], [AlgebraMap.identity(3), g])
     validate_action(A, G)
-    _, prop = proposition_bicomplex(A, G, 2)
+    prop = proposition_bicomplex(A, G, 2)
     coinv = coinvariant_bicomplex(A, G, 2)
     AG = crossed_product(A, G)
     oracle = twisted_cyclic(AG, AlgebraMap.identity(AG.dim), 2)
@@ -419,7 +419,7 @@ def test_proposition_equals_coinvariant_s3():
     """Non-abelian cross-pipeline agreement."""
     A = triple_lines_algebra()
     G = s3_group(A)
-    _, prop = proposition_bicomplex(A, G, 2)
+    prop = proposition_bicomplex(A, G, 2)
     assert prop.dims == coinvariant_bicomplex(A, G, 2).dims == [2, 0, 2]
 
 
@@ -434,7 +434,7 @@ def test_stalk_over_generator_is_twisted_theory():
 def test_theorem_map_trivial_group_iso():
     A = dual_numbers_algebra()
     rep = theorem_map(A, trivial_group(A), 0, 3)
-    for d in rep.degrees:
+    for d in rep:
         assert d["injective"] and d["onto_summand"]
         assert d["dim_source"] == d["dim_target"]
 
@@ -442,9 +442,9 @@ def test_theorem_map_trivial_group_iso():
 def test_theorem_map_fixture2():
     A = dual_numbers_algebra()
     rep = theorem_map(A, z2_group(A), 1, 3)
-    assert rep.all_injective()
-    assert rep.all_onto_summand()
-    for d in rep.degrees:
+    assert all(d["injective"] for d in rep)
+    assert all(d["onto_summand"] for d in rep)
+    for d in rep:
         assert d["rank"] == d["dim_source"] == 1
 
 
@@ -457,7 +457,8 @@ def test_theorem_map_rejects_mismatched_twisted_complex():
         theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[0]), 2), deco, 1)
     with pytest.raises(ValueError):
         theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 3), deco, 1)
-    assert theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 2), deco, 1).all_injective()
+    rep = theorem_map_f(HKBicomplex(TwistedOperators(A, G.action[1]), 2), deco, 1)
+    assert all(d["injective"] for d in rep)
 
 
 @pytest.mark.parametrize("first", [0, 3])
@@ -487,8 +488,8 @@ def test_theorem_map_outside_its_stalk_names_the_degree(first):
 def test_theorem_map_fixture3():
     A = triple_lines_algebra()
     rep = theorem_map(A, z3_group(A), 1, 2)
-    assert rep.all_injective()          # the twisted theory vanishes
-    for d in rep.degrees:
+    assert all(d["injective"] for d in rep)  # the twisted theory vanishes
+    for d in rep:
         assert d["dim_source"] == 0
 
 
@@ -533,7 +534,7 @@ def test_lambda_triple_lines_matches_oracle():
     A = triple_lines_algebra()
     G = z3_group(A)
     lam = connes_lambda_complex(A, G, 3)
-    _, prop = proposition_bicomplex(A, G, 3)
+    prop = proposition_bicomplex(A, G, 3)
     assert lam.dims == prop.dims == [1, 0, 1, 0]
 
 
@@ -568,7 +569,7 @@ def test_connes_equals_total_fixture2_through_degree4():
     ops = TwistedOperators(A, sign_twist(A))
     total = HKBicomplex(ops, 4).mixed.total_homology().dims
     assert connes_complex(ops, 4).column_homology().dims == total
-    _, prop = proposition_bicomplex(A, G, 4)
+    prop = proposition_bicomplex(A, G, 4)
     assert connes_lambda_complex(A, G, 4).dims == prop.dims
 
 

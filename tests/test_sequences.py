@@ -63,8 +63,8 @@ def test_g_hochschild_fixture2():
 def test_sbi_ground_field_classical_pattern():
     Aq = ground_field_algebra()
     rep = sbi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 3))
-    assert rep.all_exact
-    labels = {n.label: n for n in rep.nodes}
+    assert all(n.exact for n in rep)
+    labels = {n.label: n for n in rep}
     # S: HC_2 -> HC_0 surjective in the classical pattern
     shifted = labels["HC_0 (shift of HC_2)"]
     assert shifted.image_dim == 1
@@ -73,19 +73,19 @@ def test_sbi_ground_field_classical_pattern():
 def test_sbi_composites_zero_everywhere():
     A = dual_numbers_algebra()
     rep = sbi_sequence(coinvariant_complex(A, z2_group(A), 3))
-    assert all(n.composite_zero for n in rep.nodes)
+    assert all(n.composite_zero for n in rep)
 
 
 def test_sbi_fixture2_exact():
     A = dual_numbers_algebra()
     rep = sbi_sequence(coinvariant_complex(A, z2_group(A), 3))
-    assert rep.all_exact
+    assert all(n.exact for n in rep)
 
 
 def test_sbi_fixture3_exact():
     A = triple_lines_algebra()
     rep = sbi_sequence(coinvariant_complex(A, z3_group(A), 3))
-    assert rep.all_exact
+    assert all(n.exact for n in rep)
 
 
 @pytest.mark.parametrize("fixture, N, nodes", [
@@ -110,14 +110,16 @@ def test_sbi_low_degree_nodes(fixture, N, nodes):
     rep = sbi_sequence(coinvariant_complex(cfg.algebra, cfg.group, N))
     assert [
         (n.label, n.incoming, n.outgoing, n.image_dim, n.kernel_dim, n.composite_zero)
-        for n in rep.nodes
+        for n in rep
     ] == nodes
 
 
 def test_sbi_indexing_note_present():
-    Aq = ground_field_algebra()
-    rep = sbi_sequence(coinvariant_complex(Aq, trivial_group(Aq), 2))
-    assert any("HH_{n-1}" in note for note in rep.notes)
+    from thl.cli import run
+    from thl.config import load_fixture
+
+    notes = run("verify-sbi", load_fixture("ground-field")).notes
+    assert any("HH_{n-1}" in note for note in notes)
 
 
 # -- de Rham ----------------------------------------------------------------
@@ -198,7 +200,7 @@ def test_homology_result_basis_invariant():
 def test_karoubi_ground_field_all_nodes():
     Aq = ground_field_algebra()
     rep = karoubi(Aq, trivial_group(Aq), 3)
-    assert rep.all_ok
+    assert all(n.ok for n in rep)
 
 
 def test_karoubi_rejects_connes_complex_it_cannot_read():
@@ -216,13 +218,13 @@ def test_karoubi_dual_numbers_trivial_group():
     """Nilpotent augmentation ideal: the classical sequence is exact."""
     A = dual_numbers_algebra()
     rep = karoubi(A, trivial_group(A), 3)
-    assert rep.all_ok
+    assert all(n.ok for n in rep)
 
 
 def test_karoubi_fixture2_low_degrees():
     A = dual_numbers_algebra()
     rep = karoubi(A, z2_group(A), 3)
-    by_degree = {n.degree: n for n in rep.nodes}
+    by_degree = {n.degree: n for n in rep}
     assert by_degree[0].ok
     assert by_degree[1].ok
     # Degree 2: the periodicity class of the semisimple group-algebra part

@@ -10,7 +10,9 @@ LAYERTRACE = Path(__file__).parent.parent / "benchmark" / "layertrace.py"
 
 def test_traced_names_resolve():
     """Every (owner, attribute) of layertrace.LAYERS resolves, read
-    without installing the tracer."""
+    without installing the tracer.  An owner traced through ``__init__``
+    must be a class: every function has a callable ``__init__`` too, but
+    the tracer would count no builds of it."""
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
@@ -22,3 +24,5 @@ def test_traced_names_resolve():
             target = getattr(target, clsname)
         for attr in attrs:
             assert callable(getattr(target, attr, None)), f"{layer}: {owner}.{attr}"
+            if attr == "__init__":
+                assert isinstance(target, type), f"{layer}: {owner} is not a class"
