@@ -4,13 +4,15 @@ mixed complexes.
 
 Truncation contract: a complex built through internal degree K has
 trustworthy homology through K-1 ("valid_through"), because degree-n
-homology needs the degree-(n+1) differential.  A total complex through K
-reads B_m for m <= K-2 only (B_m sits in d_{m+2}), so a quotient mixed
-complex descends B_{K-1} when a check first reads it (``top_B``).
+homology needs the degree-(n+1) differential: of d_K, only its image.  A
+total complex through K reads B_m for m <= K-2 only (B_m sits in d_{m+2}).
+So a quotient mixed complex presents C_K only when its top is read.
 """
 
+from bisect import bisect_left
+
 from .errors import ChainMapError, ComplexError
-from .quotient import descend_map
+from .quotient import descend_map, descended, quotient_by
 from .sparse import (
     QMatrix,
     block_diag,
@@ -29,31 +31,46 @@ class ChainComplexQ:
     d[0] is absent (stored as None).  d.d = 0 is checked exactly at
     construction; check=False is for callers that have checked it
     otherwise, because ``HomologyResult`` relies on it.
+
+    A pending top (present_top given) is a module mapping onto C_top with
+    the image of d_top, which ``HomologyResult`` ranks; the first read of
+    dims, d or ``differential(top)`` replaces both by present_top().
     """
 
-    def __init__(self, dims, differentials, check=True):
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.d = [None] * (self.top + 1)
-        for n, m in enumerate(differentials):
-            if m is None:
-                continue
-            self.d[n] = m
+    def __init__(self, dims, differentials, check=True, present_top=None):
+        self._dims = list(dims)
+        self.top = len(self._dims) - 1
+        self._d = [None] * (self.top + 1)
+        self._d[:len(differentials)] = differentials
         for n in range(1, self.top + 1):
-            m = self.d[n]
+            m = self._d[n]
             if m is None:
                 raise ComplexError(f"missing differential d_{n}")
-            if m.cols != self.dims[n] or m.rows != self.dims[n - 1]:
+            if m.cols != self._dims[n] or m.rows != self._dims[n - 1]:
                 raise ComplexError(
                     f"d_{n} has shape {m.rows}x{m.cols}, expected "
-                    f"{self.dims[n - 1]}x{self.dims[n]}"
+                    f"{self._dims[n - 1]}x{self._dims[n]}"
                 )
+        self._present_top = present_top
         if check:
             self.check_dd_zero()
 
+    def _presented(self):
+        if self._present_top:
+            self._dims[-1], self._d[-1] = self._present_top()
+            self._present_top = None
+        return self
+
+    dims = property(lambda self: self._presented()._dims)
+    d = property(lambda self: self._presented()._d)
+
+    def differential(self, n):
+        """d[n]; only n = top presents a pending top."""
+        return (self.d if n == self.top else self._d)[n]
+
     def check_dd_zero(self):
         for n in range(1, self.top):
-            found = first_nonzero_column([(1, self.d[n], self.d[n + 1])])
+            found = first_nonzero_column([(1, self._d[n], self._d[n + 1])])
             if found is not None:
                 raise ComplexError(
                     "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {found[0]}"
@@ -68,7 +85,7 @@ class HomologyResult:
     boundary_basis(n) and representatives(n) both come from one canonical
     elimination of [d_{n+1} | cycle_basis(n)], cached per degree; dims are
     computed from ranks alone so that large complexes never pay for
-    explicit bases.
+    explicit bases.  The bases read a pending top (``ChainComplexQ``) presented.
 
     The ranks are compressed: d_1, d_2, ... are ranked in ascending order,
     and d_{n+1} is ranked with the rows at the pivot columns P of d_n left
@@ -95,17 +112,17 @@ class HomologyResult:
         below = None
         for n in range(1, complex_.top + 1):
             pivots = []
-            ranks.append(rank(complex_.d[n], skip_rows=below, pivot_cols=pivots))
+            ranks.append(rank(complex_._d[n], skip_rows=below, pivot_cols=pivots))
             below = set(pivots)
         self.dims = [
-            complex_.dims[n] - ranks[n] - ranks[n + 1] for n in range(self.valid_through + 1)
+            complex_._dims[n] - ranks[n] - ranks[n + 1] for n in range(self.valid_through + 1)
         ]
 
     def cycle_basis(self, n):
         """Canonical basis of ker d_n (all of C_n when n = 0)."""
         if n == 0:
-            return QMatrix.identity(self.complex.dims[0])
-        return kernel_basis(self.complex.d[n])
+            return QMatrix.identity(self.complex._dims[0])
+        return kernel_basis(self.complex.differential(n))
 
     def boundary_basis(self, n):
         """Canonical basis of im d_{n+1}: the pivot columns of d_{n+1}."""
@@ -126,7 +143,7 @@ class HomologyResult:
         span of im d_{n+1} and the cycles before it."""
         if n not in self._frames:
             c = self.complex
-            d = c.d[n + 1] if n < c.top else QMatrix.zero(c.dims[n], 0)
+            d = c.differential(n + 1) if n < c.top else QMatrix.zero(c.dims[n], 0)
             cy = self.cycle_basis(n)
             picked = image_pivot_cols(d.hstack(cy))
             bd = d.select_columns([j for j in picked if j < d.cols])
@@ -158,23 +175,31 @@ def total_complex(mixed, top):
     degree below.  d.d = 0 is not checked again here: its blocks are the
     identities that ``MixedComplex`` checked at construction.  Block column
     0 of d_n is b_n alone: d_n shares its column dicts when b_n is over the
-    common denominator (``block_matrix``).
+    common denominator (``block_matrix``).  A pending top stays pending.
     """
+    column, B = mixed.column, mixed.B
 
     def dims(n):
-        return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
+        return [column._dims[n - 2 * j] for j in range(n // 2 + 1)]
 
-    diffs = [None]
-    for n in range(1, top + 1):
+    def d(n):
         blocks = {}
         for j in range(n // 2 + 1):
             m = n - 2 * j
             if m >= 1:
-                blocks[(j, j)] = mixed.b[m]
-            if j >= 1 and mixed.B[m] is not None:
-                blocks[(j - 1, j)] = mixed.B[m]
-        diffs.append(block_matrix(blocks, dims(n - 1), dims(n)))
-    return ChainComplexQ([sum(dims(n)) for n in range(top + 1)], diffs, check=False)
+                blocks[(j, j)] = column._d[m]
+            if j >= 1 and B[m] is not None:
+                blocks[(j - 1, j)] = B[m]
+        return block_matrix(blocks, dims(n - 1), dims(n))
+
+    def present_top():
+        column._presented()
+        return sum(dims(top)), d(top)
+
+    return ChainComplexQ(
+        [sum(dims(n)) for n in range(top + 1)], [None] + [d(n) for n in range(1, top + 1)],
+        check=False, present_top=present_top if column._present_top and top == column.top else None,
+    )
 
 
 def total_map(per_degree):
@@ -190,27 +215,42 @@ class MixedComplex:
     given B, the last from degree 0 (where it reads b_1 B_0 = 0; a missing
     B is zero).  These make the cyclic-type bicomplex well defined and hold
     every block of d.d on its total complex, which reads B_m in d_{m+2}
-    only, so no B_{top-1}.  That may be pending (B[top-1] None): the first
-    ``top_B()`` builds it and checks B.B at top - 2 and bB + Bb at top - 1.
-    Errors name the degree and the first failing basis index.
+    only, so no B_{top-1}.  Errors name the degree and the first failing
+    basis index.  ``column`` is the first column (C_*, b).
+
+    With pending_top = (present, top_B), the top of column is pending on
+    present(), which sets presentations[top] too; reading dims, b or
+    presentations presents it.  The first ``top_B()`` presents it, sets
+    B[top-1] to top_B() and checks B.B at top - 2 and bB + Bb at top - 1.
 
     Its total and column homologies are computed once and shared, so ranks
     and bases taken through one reader serve every other.
     """
 
-    def __init__(self, dims, b, B, presentations=None, label="", pending_top_B=None):
-        self.dims = list(dims)
-        self.top = len(self.dims) - 1
-        self.b = list(b)
+    def __init__(self, dims, b, B, presentations=None, label="", pending_top=None):
+        present, self._pending_top_B = pending_top or (None, None)
+        self.column = ChainComplexQ(dims, b, check=False, present_top=present)
+        self.top = self.column.top
         self.B = list(B)
-        self.presentations = presentations
+        self._presentations = presentations
         self.label = label
-        self._pending_top_B = pending_top_B
         self._total_h = None
         self._column_h = None
         for n in range(2, self.top + 1):
-            self._check("b.b != 0", n, [(1, self.b[n - 1], self.b[n])])
+            self._check("b.b != 0", n, [(1, self.column._d[n - 1], self.column._d[n])])
         self._check_B(self.B, range(self.top - 1), range(self.top))
+
+    dims = property(lambda self: self.column.dims)
+    b = property(lambda self: self.column.d)
+
+    @property
+    def presentations(self):
+        self.column._presented()
+        return self._presentations
+
+    def presentation(self, n):
+        """presentations[n], presenting a pending top only for n = top."""
+        return self.presentations[n] if n == self.top else self._presentations[n]
 
     def _check_B(self, B, BB, bB_Bb):
         """B.B = 0 at the degrees BB, then bB + Bb = 0 at the degrees bB_Bb."""
@@ -220,9 +260,9 @@ class MixedComplex:
         for n in bB_Bb:
             if B[n] is None:
                 continue
-            terms = [(1, self.b[n + 1], B[n])]
+            terms = [(1, self.column._d[n + 1], B[n])]
             if n and B[n - 1] is not None:
-                terms.append((1, B[n - 1], self.b[n]))
+                terms.append((1, B[n - 1], self.column._d[n]))
             self._check("bB + Bb != 0", n, terms, " (quotient did not kill the twist)")
 
     def _check(self, identity, n, terms, why=""):
@@ -234,10 +274,11 @@ class MixedComplex:
             )
 
     def top_B(self):
-        """B_{top-1}: C_{top-1} -> C_top.  A pending one is built and its
-        two identities checked on the first call; every call returns the
-        same matrix (None when there is no B)."""
+        """B_{top-1}: C_{top-1} -> C_top, into the presented top.  A pending
+        one is built and its two identities checked on the first call;
+        every call returns the same matrix (None when there is no B)."""
         n = self.top - 1
+        self.column._presented()
         if self._pending_top_B is not None:
             B = self.B[:n] + [self._pending_top_B()] + self.B[n + 1:]
             self._check_B(B, range(max(n - 1, 0), n), [n])
@@ -255,39 +296,51 @@ class MixedComplex:
         """Homology of the first column (C_*, b); the same HomologyResult
         on every call."""
         if self._column_h is None:
-            self._column_h = homology(self.column_complex())
+            self._column_h = homology(self.column)
         return self._column_h
 
-    def column_complex(self):
-        """The first column (C_*, b) as a plain chain complex."""
-        return ChainComplexQ(self.dims, [None] + self.b[1:], check=False)
 
-
-def quotient_mixed_complex(top, presentation, b, B, label):
+def quotient_mixed_complex(top, relations, b, B, label, presentation=None):
     """The mixed complex of a graded module divided by relations, through
-    degree top, recording its presentations.
+    degree top >= 1, recording its presentations, its top pending.
 
-    presentation(n) presents degree n as a quotient of the undivided module
-    (callers with a relation span pass it to ``quotient_by``); b(n) for
+    The columns of relations(n) span the relations of degree n, which
+    presentation(n), by default ``quotient_by``, divides out; b(n) for
     n >= 1 and B(n) for n < top are the raw operators on the undivided
-    modules.  Both descend through the quotients with the exact
-    well-definedness check, whose error names the label and the degree:
-    B_{top-1} on the first ``top_B()``, the rest at construction.  B=None
-    builds a complex with no B (a Connes complex).
+    modules.  Below the top both descend with the exact well-definedness
+    check.  b_top is projected into C_{top-1}, checked to kill
+    relations(top), and ranked on coordinates spanning C_top
+    (``descended``); B_{top-1} descends on the first ``top_B()``.
+    Errors name the label and the degree.  B=None builds no B.
     """
-    pres = [presentation(n) for n in range(top + 1)]
+    if presentation is None:
+        def presentation(n):
+            rels = relations(n)
+            return quotient_by(rels.rows, rels)
+
+    pres = [presentation(n) for n in range(top)] + [None]
 
     def descend(name, f, n, m):
         return descend_map(f, pres[n], pres[m], what=f"{name}_{n} of {label}")
 
-    b_down = [None] + [descend("b", b(n), n, n - 1) for n in range(1, top + 1)]
+    b_down = [None] + [descend("b", b(n), n, n - 1) for n in range(1, top)]
+    # the raw b_top is dropped before the relations are built: the two are
+    # the largest matrices of a build, and held together they set its peak
+    image = pres[top - 1].project(b(top))
+    keep, image = descended(image, relations(top), f"b_{top} of {label}")
+
+    def present():
+        # pres is the complex's own list, which top_B() reads
+        p = pres[top] = presentation(top)
+        return p.quotient_dim, image.select_columns([bisect_left(keep, r) for r in p.free_rows])
+
     B_down = [None] * (top + 1)
-    pending = None
+    top_B = None
     if B is not None:
         B_down[:top - 1] = [descend("B", B(n), n, n + 1) for n in range(top - 1)]
-        pending = lambda: descend("B", B(top - 1), top - 1, top)
-    dims = [p.quotient_dim for p in pres]
-    return MixedComplex(dims, b_down, B_down, pres, label, pending)
+        top_B = lambda: descend("B", B(top - 1), top - 1, top)
+    dims = [p.quotient_dim for p in pres[:top]] + [image.cols]
+    return MixedComplex(dims, b_down + [image], B_down, pres, label, (present, top_B))
 
 
 def check_chain_map(f_per_degree, src, dst, top):

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from .algebra import conjugacy_data, generators, tensor_index, tensor_operator
 from .complexes import check_mixed_map, induced_on_homology, quotient_mixed_complex, total_map
 from .errors import ChainMapError, ComplexError
-from .quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
+from .quotient import coinvariant_relations, descend_map, direct_sum
 from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, rank
 from .twisted import TwistedOperators, cyclic_operator
 
@@ -102,12 +102,13 @@ class GJOperators:
             [block(self._sigma(gt), q, *flags) for gt in self.basis(p, q).iter_group()]
         ))
 
-    def presentations(self, p, q):
-        """Per group tuple gt of block (p, q), in order, the presentation of
-        its stalk divided by (1 - T): that of the element sigma(gt)."""
-        return [
-            self.element(self._sigma(gt)).presentation(q) for gt in self.basis(p, q).iter_group()
-        ]
+    def stalks(self, p, q, kind):
+        """Per group tuple gt of block (p, q), in order, the kind(q) of the
+        element sigma(gt), built once per element: the "relations" or the
+        "presentation" of its stalk divided by (1 - T)."""
+        sigmas = [self._sigma(gt) for gt in self.basis(p, q).iter_group()]
+        got = {s: getattr(self.element(s), kind)(q) for s in set(sigmas)}
+        return [got[s] for s in sigmas]
 
     # -- operators --------------------------------------------------------
 
@@ -373,10 +374,8 @@ class PropositionComplex:
         def sizes(n):
             return [ops.basis(p, n - p).size for p in range(n + 1)]
 
-        def presentation(n):
-            return direct_sum(
-                [pres for p in range(n + 1) for pres in ops.presentations(p, n - p)]
-            )
+        def stalks(n, kind):
+            return [x for p in range(n + 1) for x in ops.stalks(p, n - p, kind)]
 
         def b(n):
             # b keeps p, bbar lowers it
@@ -390,7 +389,9 @@ class PropositionComplex:
             return block_matrix(blocks, sizes(n + 1), sizes(n))
 
         self.mixed = quotient_mixed_complex(
-            k, presentation, b, B, f"crossed-product quotient bicomplex (N={max_degree})"
+            k, lambda n: block_diag(stalks(n, "relations")), b, B,
+            f"crossed-product quotient bicomplex (N={max_degree})",
+            lambda n: direct_sum(stalks(n, "presentation")),
         )
 
 
@@ -422,13 +423,13 @@ class CoinvariantComplex:
         group = ops.group
         gens = generators(group, range(group.order))
 
-        def presentation(n):
+        def relations(n):
             basis = ops.basis(0, n)
             acts = [group_action_operator(group, h, basis, ops.alg_twist(h, n)) for h in gens]
-            return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
+            return coinvariant_relations(basis.size, acts)
 
         self.mixed = quotient_mixed_complex(
-            max_degree + 1, presentation, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
+            max_degree + 1, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
             "coinvariant bicomplex",
         )
 
@@ -438,9 +439,9 @@ def hcG_bicomplex(algebra, group, max_degree):
     (k[G] (x) A (x) Abar^n) / (1 - T)."""
     ops = GJOperators(algebra, group)
     mixed = quotient_mixed_complex(
-        max_degree + 1, lambda n: direct_sum(ops.presentations(0, n)),
-        lambda n: ops.b(0, n), lambda n: ops.B(0, n),
-        "group-extended twisted bicomplex",
+        max_degree + 1, lambda n: block_diag(ops.stalks(0, n, "relations")),
+        lambda n: ops.b(0, n), lambda n: ops.B(0, n), "group-extended twisted bicomplex",
+        lambda n: direct_sum(ops.stalks(0, n, "presentation")),
     )
     return mixed.total_homology()
 
@@ -466,14 +467,13 @@ def stalk_complex(ops, rep, centralizer, max_degree):
     sigma = ops.group.inverse[rep]
     gens = generators(ops.group, list(centralizer))
 
-    def presentation(n):
+    def relations(n):
         # a trivial centralizer has no generators, so the size is the basis's
         size = ops.basis(0, n).asize
-        acts = [ops.alg_twist(h, n) for h in gens]
-        return quotient_by(size, coinvariant_relations(size, acts))
+        return coinvariant_relations(size, [ops.alg_twist(h, n) for h in gens])
 
     return quotient_mixed_complex(
-        max_degree + 1, presentation, lambda n: ops.alg_b(sigma, n),
+        max_degree + 1, relations, lambda n: ops.alg_b(sigma, n),
         lambda n: ops.alg_B(sigma, n), f"stalk over class of element {rep}",
     )
 
@@ -635,7 +635,7 @@ class LambdaComplex:
     twisted boundary, on the full-slot blocks of ops.  Computes the
     crossed-product cyclic homology when the rationals are in the ground
     ring and coinvariants are enabled.  The group relations are taken over
-    a generating set of G, next to those of t.
+    a generating set of G, next to those of t, in relations(n).
     """
 
     def __init__(self, ops, max_degree, g_coinvariants=True):
@@ -644,17 +644,18 @@ class LambdaComplex:
         group = ops.group
         gens = generators(group, range(group.order)) if g_coinvariants else []
 
-        def presentation(n):
+        def relations(n):
             basis = ops.basis(0, n, reduced=False)
             acts = [lambda_cyclic_operator(ops.algebra, group, n)]
             acts.extend(
                 group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
                 for h in gens
             )
-            return quotient_by(basis.size, coinvariant_relations(basis.size, acts))
+            return coinvariant_relations(basis.size, acts)
 
+        self.relations = relations
         self.mixed = quotient_mixed_complex(
-            max_degree + 1, presentation, lambda n: ops.b(0, n, reduced=False),
+            max_degree + 1, relations, lambda n: ops.b(0, n, reduced=False),
             None, "group-indexed Connes complex",
         )
 

@@ -187,30 +187,38 @@ def _coordinates(dim, rows):
 
 
 def descend_map(f, src, dst, what="map"):
-    """Induce f on quotient coordinates, checking well-definedness exactly.
-
-    f maps src ambient to dst ambient.  Requires f(src relations) to land in
-    the span of dst relations; otherwise raises WellDefinednessError naming
-    the first offending relation column, its pivot coordinate of the src
-    ambient module, and the class it is sent to in dst quotient coordinates.
-
-    f is projected once: the induced map is dst.project(f) on the free
-    coordinates of src, and f descends exactly when dst.project(f) kills
-    src.relation_basis.
+    """Induce f, from src ambient to dst ambient, on quotient coordinates:
+    f(src relations) must land in the span of dst relations, checked
+    exactly by ``descended`` of dst.project(f) on src.relation_basis, whose
+    lowest rows are the pivot rows of src, so its result is on src.free_rows.
     """
     if f.cols != src.ambient_dim or f.rows != dst.ambient_dim:
         raise ValueError("map shape does not match the presentations")
-    projected = dst.project(f)
-    if not src.pivot_rows:
-        return projected
-    found = first_nonzero_column([(1, projected, src.relation_basis)])
+    return descended(dst.project(f), src.relation_basis, what)[1]
+
+
+def descended(projected, relations, what="map"):
+    """(rows, projected on the columns rows) for projected, a map from V
+    into a quotient, checked exactly to kill the relations, columns
+    spanning W: it descends to V/W, and rows span V/W.  They are all but
+    the lowest row r of each relation, which puts e_r in the span of higher
+    ones; each r is a pivot row of V/W's canonical presentation, whose free
+    rows are thus kept.  Otherwise raises WellDefinednessError naming the
+    first relation not killed, its lowest (pivot) coordinate, and its
+    image.
+    """
+    found = first_nonzero_column([(1, projected, relations)])
     if found is not None:
         j, col = found
         raise WellDefinednessError(
             f"{what} does not descend to the quotient: the relation projects to {col}",
-            location=f"relation column {j} (pivot coordinate {src.pivot_rows[j]})",
+            location=f"relation column {j} (pivot coordinate {min(relations._cols[j])})",
         )
-    return projected.select_columns(src.free_rows)
+    lowest = {min(c) for c in relations._cols if c}
+    if not lowest:
+        return range(relations.rows), projected
+    rows = [r for r in range(relations.rows) if r not in lowest]
+    return rows, projected.select_columns(rows)
 
 
 def coinvariant_relations(dim, operators):

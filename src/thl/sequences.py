@@ -289,18 +289,24 @@ def _unit_reduced(connes):
     with b descended from the ambient operator: the cyclic theory reduced
     relative to k.  Degree n is presented as connes's presentation composed
     with the quotient by the unit's class, which equals dividing by both
-    relation spans at once."""
+    relation spans at once; the top's relations are connes's and the unit."""
     ops, mixed = connes.ops, connes.mixed
     e = ops.group.identity_index
 
+    def unit(n):
+        return ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
+
+    def relations(n):
+        rels = connes.relations(n)
+        return rels.hstack(QMatrix.from_integers(rels.rows, [{unit(n): 1}]))
+
     def presentation(n):
-        unit = ops.basis(0, n, reduced=False).encode((e,), (0,) * (n + 1))
-        pres = mixed.presentations[n]
-        return compose_quotients(pres, quotient_by(pres.quotient_dim, pres.classes([unit])))
+        pres = mixed.presentation(n)
+        return compose_quotients(pres, quotient_by(pres.quotient_dim, pres.classes([unit(n)])))
 
     return quotient_mixed_complex(
-        mixed.top, presentation, lambda n: ops.b(0, n, reduced=False), None,
-        "unit-reduced group-indexed Connes complex",
+        mixed.top, relations, lambda n: ops.b(0, n, reduced=False), None,
+        "unit-reduced group-indexed Connes complex", presentation,
     )
 
 
@@ -360,12 +366,12 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
     hhH = cx.mixed.column_homology()
     # abelianized coordinates -> lambda coordinates, through the reduced
     # module's inclusion into the full one
-    to_lambda = lam.presentations[n].project(
+    to_lambda = lam.presentation(n).project(
         _reduced_to_full_section(cx.ops, n).select_columns(cx.mixed.presentations[n].free_rows)
     )
     rel = dr.ab[n].relation_basis
     if n >= 1:
-        d_lam = lam.b[n]
+        d_lam = lam.column.differential(n)
         move = d_lam @ (to_lambda @ rel)
 
     def lambda_classes(vectors, what):
@@ -405,12 +411,12 @@ def _karoubi_node(n, dr, hdrH, lam, lamH):
 
     # right map: lambda class -> normalized degree raise -> group Hochschild
     raw_right = cx.mixed.presentations[n + 1].project(_stalkwise_B_full_to_reduced(cx.ops, n))
-    right_chain = raw_right.select_columns(lam.presentations[n].free_rows)
+    right_chain = raw_right.select_columns(lam.presentation(n).free_rows)
     lreps, _ = lamH.representatives(n)
     rimages = right_chain @ lreps
     if first_nonzero_column([(1, cx.mixed.b[n + 1], rimages)]) is not None:
         raise ChainMapError(f"degree-raise image is not a cycle at degree {n}")
-    lrel = raw_right @ lam.presentations[n].relation_basis
+    lrel = raw_right @ lam.presentation(n).relation_basis
     if not lrel.is_zero():
         _boundary_membership(lrel, hhH, n + 1, "right map relations")
     lbd = lamH.boundary_basis(n)

@@ -42,7 +42,7 @@ from .algebra import (
     tensor_operator,
 )
 from .complexes import quotient_mixed_complex
-from .quotient import coinvariant_relations, quotient_by, trivial_quotient
+from .quotient import coinvariant_relations, quotient_by
 from .rational import QONE
 
 
@@ -107,15 +107,17 @@ def twisted_B(algebra, g, n):
 
 
 class TwistedOperators:
-    """The g-twisted theory on A (x) Abar^q: the twist T_g, b and B, built
-    on each call, and the presentation of (A (x) Abar^q)/(1 - T_g), built
-    on first use and kept for the life of the instance.
+    """The g-twisted theory on A (x) Abar^q: the twist T_g, b and B and the
+    generators of the relations of (A (x) Abar^q)/(1 - T_g), built on each
+    call, and its presentation, built on first use and kept for the life of
+    the instance.
 
     One instance serves every reader of g: its twisted bicomplex and,
     through ``crossed.GJOperators.element``, every block of the
     crossed-product theory that twists by g.  The raw operators are not
     kept here: a twisted bicomplex drops each one once it has descended
-    it, and ``GJOperators`` keeps those it reads again.
+    it, and ``GJOperators`` keeps those it reads again.  A bicomplex through
+    K presents degree K only when its top is read (``complexes``).
     """
 
     def __init__(self, algebra, g):
@@ -132,18 +134,19 @@ class TwistedOperators:
     def B(self, q):
         return twisted_B(self.algebra, self.g, q)
 
+    def relations(self, q):
+        """The columns m - T_g(m) spanning the relations of degree q: none
+        for the identity, for which no twist matrix is built."""
+        twist = [] if self.g == AlgebraMap.identity(self.algebra.dim) else [self.twist(q)]
+        return coinvariant_relations(algebra_tensor_basis(self.algebra, q + 1).asize, twist)
+
     def presentation(self, q):
-        """(A (x) Abar^q)/(1 - T_g); the identity has no relations, and
-        no twist matrix is built for it."""
+        """(A (x) Abar^q)/(1 - T_g)."""
         pres = self._presentations.get(q)
         if pres is None:
-            size = algebra_tensor_basis(self.algebra, q + 1).asize
-            if self.g == AlgebraMap.identity(self.algebra.dim):
-                pres = trivial_quotient(size)
-            else:
-                # the twist is dropped before the relations are reduced
-                pres = quotient_by(size, coinvariant_relations(size, [self.twist(q)]))
-            self._presentations[q] = pres
+            # the twist is dropped before the relations are reduced
+            rels = self.relations(q)
+            pres = self._presentations[q] = quotient_by(rels.rows, rels)
         return pres
 
 
@@ -159,7 +162,8 @@ class HKBicomplex:
     def __init__(self, ops, max_degree):
         self.ops = ops
         self.mixed = quotient_mixed_complex(
-            max_degree + 1, ops.presentation, ops.b, ops.B, f"twisted bicomplex (N={max_degree})"
+            max_degree + 1, ops.relations, ops.b, ops.B, f"twisted bicomplex (N={max_degree})",
+            ops.presentation,
         )
 
 
@@ -173,13 +177,12 @@ def connes_complex(ops, max_degree):
     twisted: Kustermans, Murphy and Tuset, 2003), a route that shares no
     quotient with the (b, B) total complex of ``HKBicomplex``.
     """
-    def presentation(n):
+    def relations(n):
         size = algebra_tensor_basis(ops.algebra, n + 1, reduced=False).size
-        t = cyclic_operator(ops.algebra, ops.g, n)
-        return quotient_by(size, coinvariant_relations(size, [t]))
+        return coinvariant_relations(size, [cyclic_operator(ops.algebra, ops.g, n)])
 
     return quotient_mixed_complex(
-        max_degree + 1, presentation, lambda n: ops.b(n, reduced=False), None,
+        max_degree + 1, relations, lambda n: ops.b(n, reduced=False), None,
         f"twisted Connes complex (N={max_degree})",
     )
 

@@ -326,3 +326,19 @@ def test_cli_accepts_integer_fields(tmp_path, capsys):
                _bad_config(tmp_path, _set("task", {"max_degree": 1})), "--format", "machine"])
     assert rc == 0
     assert "param\tmax_degree\t1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["trunc-poly-z2", "triple-lines-z3"])
+def test_single_commands_write_the_lines_of_all(name):
+    """`all` shares each complex between its steps, which read its top in
+    another order than a command run alone (homology before or after the
+    top is presented); each command still writes exactly its lines of
+    `all`, in the same order."""
+    from thl.cli import STEPS
+
+    cfg = load_fixture(name)
+    whole = run("all", cfg)
+    alone = [run(command, cfg) for command in STEPS]
+    assert whole.dim_tables == [t for r in alone for t in r.dim_tables]
+    assert whole.checks == [c for r in alone for c in r.checks]
+    assert whole.notes == [n for r in alone for n in r.notes]

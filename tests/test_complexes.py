@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,8 +28,9 @@ from thl.fixtures import fixture_names
 from thl.rational import Q
 from thl.sparse import QMatrix, block_matrix, kernel_basis, rank
 from thl.quotient import descend_map, quotient_by
-from thl.twisted import HKBicomplex, TwistedOperators, twisted_b
+from thl.twisted import HKBicomplex, TwistedOperators, connes_complex, twisted_b
 
+from fixtures_for_tests import s3_group, triple_lines_algebra
 from oracles import two_step_frame
 
 
@@ -171,7 +174,7 @@ def test_quotient_mixed_complex_names_theory_and_degree():
     with pytest.raises(WellDefinednessError) as err:
         quotient_mixed_complex(
             1,
-            lambda n: quotient_by(rels[n].rows, rels[n]),
+            lambda n: rels[n],
             lambda n: QMatrix.from_dense([[1], [1]]),
             lambda n: QMatrix.from_dense([[1, 0]]),
             "toy theory",
@@ -187,7 +190,7 @@ def test_quotient_mixed_complex_below_the_top_names_theory_and_degree():
     with pytest.raises(WellDefinednessError) as err:
         quotient_mixed_complex(
             2,
-            lambda n: quotient_by(rels[n].rows, rels[n]),
+            lambda n: rels[n],
             lambda n: QMatrix.from_dense([[1], [1]]) if n == 1 else QMatrix.zero(1, 1),
             lambda n: QMatrix.from_dense([[1, 0]]) if n == 0 else QMatrix.zero(1, 1),
             "toy theory",
@@ -196,28 +199,39 @@ def test_quotient_mixed_complex_below_the_top_names_theory_and_degree():
     assert "toy theory" in str(err.value)
 
 
-def _pending_top_B_case(case):
-    """(a builder of a quotient mixed complex, its raw B(n) on the undivided
-    modules), all on trunc-poly-z2."""
+def _pending_top_case(case):
+    """(a builder of a quotient mixed complex, its raw b(n) and B(n) on the
+    undivided modules, B None for a Connes complex), all on trunc-poly-z2."""
     cfg = load_fixture("trunc-poly-z2")
     ops = GJOperators(cfg.algebra, cfg.group)
     tw = TwistedOperators(cfg.algebra, cfg.group.action[1])
     if case == "twisted":
-        return lambda: HKBicomplex(tw, 3).mixed, tw.B
+        return lambda: HKBicomplex(tw, 3).mixed, tw.b, tw.B
     if case == "proposition":
         def sizes(n):
             return [ops.basis(p, n - p).size for p in range(n + 1)]
 
-        return lambda: PropositionComplex(ops, 2).mixed, lambda n: block_matrix(
+        def b(n):
+            blocks = {(p, p): ops.b(p, n - p) for p in range(n)}
+            blocks.update({(p - 1, p): ops.bbar(p, n - p) for p in range(1, n + 1)})
+            return block_matrix(blocks, sizes(n - 1), sizes(n))
+
+        return lambda: PropositionComplex(ops, 2).mixed, b, lambda n: block_matrix(
             {(p, p): ops.B(p, n - p) for p in range(n + 1)}, sizes(n + 1), sizes(n))
     if case == "coinvariant":
-        return lambda: CoinvariantComplex(ops, 2).mixed, lambda n: ops.B(0, n)
+        return (lambda: CoinvariantComplex(ops, 2).mixed, lambda n: ops.b(0, n),
+                lambda n: ops.B(0, n))
     if case == "stalk":
         conj = conjugacy_data(cfg.group)
         rep, cent = conj.representatives[1], conj.centralizers[1]
         sigma = cfg.group.inverse[rep]
-        return lambda: stalk_complex(ops, rep, cent, 2), lambda n: ops.alg_B(sigma, n)
-    return lambda: quotient_mixed_complex(2, tw.presentation, tw.b, tw.B, "bare"), tw.B
+        return (lambda: stalk_complex(ops, rep, cent, 2), lambda n: ops.alg_b(sigma, n),
+                lambda n: ops.alg_B(sigma, n))
+    if case == "connes":
+        return lambda: connes_complex(tw, 2), lambda n: tw.b(n, reduced=False), None
+    if case == "lambda":
+        return lambda: LambdaComplex(ops, 2).mixed, lambda n: ops.b(0, n, reduced=False), None
+    return lambda: quotient_mixed_complex(2, tw.relations, tw.b, tw.B, "bare"), tw.b, tw.B
 
 
 @pytest.mark.parametrize("case", ["twisted", "proposition", "coinvariant", "stalk", "bare"])
@@ -226,7 +240,7 @@ def test_top_B_is_descended_on_first_read(monkeypatch, case):
     B_{top-1}; top_B() descends it once, equal to a direct descent."""
     import thl.complexes
 
-    build, raw_B = _pending_top_B_case(case)
+    build, _, raw_B = _pending_top_case(case)
     calls = []
 
     def spy(f, src, dst, what):
@@ -261,11 +275,106 @@ def test_unread_wrong_top_B_is_refused_on_first_read():
     def wrong_B(n):
         return tw.B(n) + tw.B(n) if n == top - 1 else tw.B(n)
 
-    broken = quotient_mixed_complex(top, tw.presentation, tw.b, wrong_B, "broken")
+    broken = quotient_mixed_complex(top, tw.relations, tw.b, wrong_B, "broken")
     assert broken.total_homology().dims == HKBicomplex(tw, top - 1).mixed.total_homology().dims
     with pytest.raises(ComplexError, match=r"^bB \+ Bb != 0 in broken") as err:
         broken.top_B()
     assert err.value.location == f"degree {top - 1}"
+
+
+@pytest.fixture
+def presented(monkeypatch):
+    """The (label, degree) of every presentation the quotient mixed
+    complexes of the library build, in order."""
+    import thl.crossed
+    import thl.sequences
+    import thl.twisted
+
+    log = []
+
+    def spied(top, relations, b, B, label, presentation=None):
+        def spy(n):
+            log.append((label, n))
+            if presentation is not None:
+                return presentation(n)
+            rels = relations(n)
+            return quotient_by(rels.rows, rels)
+
+        return quotient_mixed_complex(top, relations, b, B, label, spy)
+
+    for module in (thl.twisted, thl.crossed, thl.sequences):
+        monkeypatch.setattr(module, "quotient_mixed_complex", spied)
+    return log
+
+
+PENDING_CASES = ["twisted", "proposition", "coinvariant", "stalk", "connes", "lambda", "bare"]
+
+
+@pytest.mark.parametrize("read", ["presentations", "dims", "b"])
+@pytest.mark.parametrize("case", PENDING_CASES)
+def test_top_is_presented_on_first_read(presented, case, read):
+    """Both homologies present every degree but the top; the first read of
+    presentations, dims or b presents it once, with b_top equal to a direct
+    descent, and the homologies' rank of d_top is that of the presented
+    complexes (a bare complex is built here, outside the spy)."""
+    build, raw_b, _ = _pending_top_case(case)
+    mixed = build()
+    top = mixed.top
+    total, column = mixed.total_homology(), mixed.column_homology()
+    if case != "bare":
+        assert [n for label, n in presented if label == mixed.label] == list(range(top))
+    getattr(mixed, read)
+    pres = mixed.presentations
+    assert mixed.b[top] == descend_map(raw_b(top), pres[top], pres[top - 1])
+    assert mixed.dims[top] == pres[top].quotient_dim
+    if case != "bare":
+        assert [n for label, n in presented if label == mixed.label] == list(range(top + 1))
+    assert total.ranks[top] == rank(total.complex.d[top])
+    assert column.ranks[top] == rank(mixed.b[top])
+    assert total_complex(mixed, top).d[top] == total.complex.d[top]
+
+
+def test_karoubi_sequence_presents_no_connes_top(presented):
+    """The Karoubi sequence reads the group-indexed Connes complex and its
+    unit-reduced quotient below the top only, so it presents neither top."""
+    from thl.crossed import CoinvariantComplex
+    from thl.sequences import DeRhamComplex, karoubi_sequence
+
+    cfg = load_fixture("trunc-poly-z2")
+    ops = GJOperators(cfg.algebra, cfg.group)
+    lam = LambdaComplex(ops, 2)
+    karoubi_sequence(DeRhamComplex(CoinvariantComplex(ops, 2)), lam)
+    tops = {label for label, n in presented if n == 3}
+    assert tops == {"coinvariant bicomplex"}
+
+
+def test_top_that_does_not_descend_is_refused_at_construction():
+    """b twisted by g^{-1} at the top only, on the Connes complex of c123 on
+    S3: the construction fails on the relation generators of the top,
+    naming b_top, before any homology is read."""
+    A = triple_lines_algebra()
+    G = s3_group(A)
+    c = G.index_of("c123")
+    g, ginv = G.action[c], G.action[G.inverse[c]]
+    top = 3
+    ops = SimpleNamespace(
+        algebra=A, g=g,
+        b=lambda n, reduced=True: twisted_b(A, ginv if n == top else g, n, reduced),
+    )
+    with pytest.raises(WellDefinednessError, match=f"^b_{top} of twisted Connes complex") as err:
+        connes_complex(ops, top - 1)
+    assert err.value.location.startswith("relation column ")
+    # below the top the same b descends
+    assert connes_complex(ops, top - 2).column_homology().dims == [0, 0]
+
+
+def test_top_b_squared_is_checked_at_construction():
+    """b_1 b_2 != 0 with b_2 at the top of an undivided complex: refused at
+    construction, at degree 2."""
+    one = QMatrix.identity(1)
+    with pytest.raises(ComplexError, match=r"^b\.b != 0 in toy") as err:
+        quotient_mixed_complex(2, lambda n: QMatrix.zero(1, 0), lambda n: one, None, "toy")
+    assert err.value.location == "degree 2"
 
 
 @pytest.mark.parametrize("identity, location, dims, b, B", [

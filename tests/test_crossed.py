@@ -2,8 +2,10 @@ import pytest
 
 from thl.algebra import AlgebraMap, crossed_product, trivial_group
 from thl.complexes import homology
+from thl.config import load_fixture
 from thl.crossed import (
     CoinvariantComplex,
+    ConjugacyDecomposition,
     GJOperators,
     LambdaComplex,
     beta_map,
@@ -763,3 +765,23 @@ def test_identity_checks_multiply_only_to_build_U(monkeypatch):
     assert blocks and len(products) == len(blocks) == len(set(blocks))
     for (X, Y), (p, q) in zip(products, blocks):
         assert X is ops.T(p + 1, q) and Y is ops.Bbar(p, q)
+
+
+@pytest.mark.parametrize("name", ["trunc-poly-z2", "triple-lines-z3"])
+def test_theorem_map_does_not_depend_on_read_order(name):
+    """The certificates of theorem_map_f are the same whether the homology
+    of every complex it reads is taken before it runs (the twisted
+    complex's on its undivided top) or by it, once it has presented the
+    tops."""
+    cfg = load_fixture(name)
+
+    def certificates(homology_first):
+        ops = GJOperators(cfg.algebra, cfg.group)
+        hk = HKBicomplex(ops.element(1), 2)
+        deco = ConjugacyDecomposition(CoinvariantComplex(ops, 2))
+        if homology_first:
+            for mixed in (hk.mixed, deco.coinv.mixed, *deco.stalks):
+                mixed.total_homology()
+        return theorem_map_f(hk, deco, 1)
+
+    assert certificates(True) == certificates(False)
