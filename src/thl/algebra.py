@@ -448,7 +448,9 @@ def tensor_operator(src, dst, terms, den=1):
     columns and target rows are each a fixed stride apart along either
     axis, so each image is expanded once and added to every column of the
     grid at constant cost per entry.  Coefficients are Python ints, and the
-    matrix keeps them over den.  Every tensor-module operator is built here.
+    matrix keeps them over den.  Every tensor-module operator is built here
+    except bbar and Bbar, which ``crossed.GJOperators._group_blocks``
+    assembles from the twist blocks of group elements.
     """
     strides, dstrides = _strides(src.slot_sizes), _strides(dst.slot_sizes)
     place = []          # per target slot: basis index -> offset, None for a dropped unit

@@ -6,7 +6,8 @@ Truncation contract: a complex built through internal degree K has
 trustworthy homology through K-1 ("valid_through"), because degree-n
 homology needs the degree-(n+1) differential: of d_K, only its image.  A
 total complex through K reads B_m for m <= K-2 only (B_m sits in d_{m+2}).
-So a quotient mixed complex presents C_K only when its top is read.
+So a quotient mixed complex leaves C_K pending until its first read, which
+presents C_K and descends B_{K-1}.
 """
 
 from bisect import bisect_left
@@ -69,12 +70,37 @@ class ChainComplexQ:
         return (self.d if n == self.top else self._d)[n]
 
     def check_dd_zero(self):
-        for n in range(1, self.top):
-            found = first_nonzero_column([(1, self._d[n], self._d[n + 1])])
-            if found is not None:
-                raise ComplexError(
-                    "d.d != 0", location=f"degree {n + 1}", basis_label=f"basis index {found[0]}"
-                )
+        for n in range(2, self.top + 1):
+            check_zero("d.d", "chain complex", n, [(1, self._d[n - 1], self._d[n])])
+
+
+def check_zero(identity, label, n, terms):
+    """Exact check that the sum of the products c X Y in terms, read from
+    C_n, is zero: the one check of every d.d, b.b, B.B and bB + Bb.  Raises
+    ComplexError "<identity> != 0 in <label>" naming the degree n and the
+    first nonzero column (``first_nonzero_column``) as the basis index."""
+    found = first_nonzero_column(terms)
+    if found is not None:
+        raise ComplexError(
+            f"{identity} != 0 in {label}", location=f"degree {n}",
+            basis_label=f"basis index {found[0]}",
+        )
+
+
+def check_mixed_identities(label, b, B, bb=(), BB=(), bB_Bb=()):
+    """b.b = 0 at the degrees bb, B.B = 0 at BB and bB + Bb = 0 at bB_Bb
+    of a mixed complex named label, each skipped where a B it reads is
+    None (a missing B is zero)."""
+    for n in bb:
+        check_zero("b.b", label, n, [(1, b[n - 1], b[n])])
+    for n in BB:
+        if B[n + 1] is not None and B[n] is not None:
+            check_zero("B.B", label, n, [(1, B[n + 1], B[n])])
+    for n in bB_Bb:
+        if B[n] is not None:
+            Bb = [(1, B[n - 1], b[n])] if n and B[n - 1] is not None else []
+            hinted = f"{label} (quotient did not kill the twist)"
+            check_zero("bB + Bb", hinted, n, [(1, b[n + 1], B[n])] + Bb)
 
 
 class HomologyResult:
@@ -167,8 +193,8 @@ def homology(complex_):
     return HomologyResult(complex_)
 
 
-def total_complex(mixed, top):
-    """Total complex of the (b, B) bicomplex of mixed through degree top.
+def total_complex(mixed):
+    """Total complex of the (b, B) bicomplex of mixed through its top.
 
     Degree n is C_n + C_{n-2} + ... in that order (block j holds C_{n-2j});
     b acts inside each block and B moves block j to block j-1 of the
@@ -177,7 +203,7 @@ def total_complex(mixed, top):
     0 of d_n is b_n alone: d_n shares its column dicts when b_n is over the
     common denominator (``block_matrix``).  A pending top stays pending.
     """
-    column, B = mixed.column, mixed.B
+    column, B, top = mixed.column, mixed._B, mixed.top
 
     def dims(n):
         return [column._dims[n - 2 * j] for j in range(n // 2 + 1)]
@@ -198,7 +224,7 @@ def total_complex(mixed, top):
 
     return ChainComplexQ(
         [sum(dims(n)) for n in range(top + 1)], [None] + [d(n) for n in range(1, top + 1)],
-        check=False, present_top=present_top if column._present_top and top == column.top else None,
+        check=False, present_top=present_top if column._present_top else None,
     )
 
 
@@ -215,33 +241,37 @@ class MixedComplex:
     given B, the last from degree 0 (where it reads b_1 B_0 = 0; a missing
     B is zero).  These make the cyclic-type bicomplex well defined and hold
     every block of d.d on its total complex, which reads B_m in d_{m+2}
-    only, so no B_{top-1}.  Errors name the degree and the first failing
-    basis index.  ``column`` is the first column (C_*, b).
+    only, so no B_{top-1}.  Errors name the label, the degree and the first
+    failing basis index.  ``column`` is the first column (C_*, b).
 
-    With pending_top = (present, top_B), the top of column is pending on
-    present(), which sets presentations[top] too; reading dims, b or
-    presentations presents it.  The first ``top_B()`` presents it, sets
-    B[top-1] to top_B() and checks B.B at top - 2 and bB + Bb at top - 1.
+    present_top, when given, is the pending top of column: it also checks
+    B.B at top - 2 and bB + Bb at top - 1, then fills presentations[top]
+    and B[top-1] in the lists given here.  So B, like dims, b and
+    presentations, presents the top on its first read.
 
     Its total and column homologies are computed once and shared, so ranks
     and bases taken through one reader serve every other.
     """
 
-    def __init__(self, dims, b, B, presentations=None, label="", pending_top=None):
-        present, self._pending_top_B = pending_top or (None, None)
-        self.column = ChainComplexQ(dims, b, check=False, present_top=present)
+    def __init__(self, dims, b, B, presentations=None, label="", present_top=None):
+        self.column = ChainComplexQ(dims, b, check=False, present_top=present_top)
         self.top = self.column.top
-        self.B = list(B)
+        self._B = B
         self._presentations = presentations
         self.label = label
-        self._total_h = None
-        self._column_h = None
-        for n in range(2, self.top + 1):
-            self._check("b.b != 0", n, [(1, self.column._d[n - 1], self.column._d[n])])
-        self._check_B(self.B, range(self.top - 1), range(self.top))
+        self._total_h = self._column_h = None
+        check_mixed_identities(
+            label or "mixed complex", self.column._d, B,
+            range(2, self.top + 1), range(self.top - 1), range(self.top),
+        )
 
     dims = property(lambda self: self.column.dims)
     b = property(lambda self: self.column.d)
+
+    @property
+    def B(self):
+        self.column._presented()
+        return self._B
 
     @property
     def presentations(self):
@@ -252,44 +282,11 @@ class MixedComplex:
         """presentations[n], presenting a pending top only for n = top."""
         return self.presentations[n] if n == self.top else self._presentations[n]
 
-    def _check_B(self, B, BB, bB_Bb):
-        """B.B = 0 at the degrees BB, then bB + Bb = 0 at the degrees bB_Bb."""
-        for n in BB:
-            if B[n + 1] is not None and B[n] is not None:
-                self._check("B.B != 0", n, [(1, B[n + 1], B[n])])
-        for n in bB_Bb:
-            if B[n] is None:
-                continue
-            terms = [(1, self.column._d[n + 1], B[n])]
-            if n and B[n - 1] is not None:
-                terms.append((1, B[n - 1], self.column._d[n]))
-            self._check("bB + Bb != 0", n, terms, " (quotient did not kill the twist)")
-
-    def _check(self, identity, n, terms, why=""):
-        found = first_nonzero_column(terms)
-        if found is not None:
-            raise ComplexError(
-                f"{identity} in {self.label or 'mixed complex'}{why}",
-                location=f"degree {n}", basis_label=f"basis index {found[0]}",
-            )
-
-    def top_B(self):
-        """B_{top-1}: C_{top-1} -> C_top, into the presented top.  A pending
-        one is built and its two identities checked on the first call;
-        every call returns the same matrix (None when there is no B)."""
-        n = self.top - 1
-        self.column._presented()
-        if self._pending_top_B is not None:
-            B = self.B[:n] + [self._pending_top_B()] + self.B[n + 1:]
-            self._check_B(B, range(max(n - 1, 0), n), [n])
-            self.B, self._pending_top_B = B, None
-        return self.B[n]
-
     def total_homology(self):
         """Homology of the total complex through the top degree; the same
         HomologyResult on every call."""
         if self._total_h is None:
-            self._total_h = homology(total_complex(self, self.top))
+            self._total_h = homology(total_complex(self))
         return self._total_h
 
     def column_homology(self):
@@ -310,7 +307,9 @@ def quotient_mixed_complex(top, relations, b, B, label, presentation=None):
     modules.  Below the top both descend with the exact well-definedness
     check.  b_top is projected into C_{top-1}, checked to kill
     relations(top), and ranked on coordinates spanning C_top
-    (``descended``); B_{top-1} descends on the first ``top_B()``.
+    (``descended``).  The first read of the top presents C_top, restricts
+    b_top to its free columns, descends B_{top-1} and checks the two
+    identities that read it (``MixedComplex``).
     Errors name the label and the degree.  B=None builds no B.
     """
     if presentation is None:
@@ -329,18 +328,26 @@ def quotient_mixed_complex(top, relations, b, B, label, presentation=None):
     image = pres[top - 1].project(b(top))
     keep, image = descended(image, relations(top), f"b_{top} of {label}")
 
-    def present():
-        # pres is the complex's own list, which top_B() reads
-        p = pres[top] = presentation(top)
-        return p.quotient_dim, image.select_columns([bisect_left(keep, r) for r in p.free_rows])
-
     B_down = [None] * (top + 1)
-    top_B = None
     if B is not None:
         B_down[:top - 1] = [descend("B", B(n), n, n + 1) for n in range(top - 1)]
-        top_B = lambda: descend("B", B(top - 1), top - 1, top)
+
+    def present_top():
+        # fills pres and B_down, the complex's own lists: a step holding
+        # the complex would make a reference cycle through its column
+        p = pres[top] = presentation(top)
+        b_top = image.select_columns([bisect_left(keep, r) for r in p.free_rows])
+        if B is not None:
+            B_top = descend("B", B(top - 1), top - 1, top)
+            check_mixed_identities(
+                label, b_down + [b_top], B_down[:top - 1] + [B_top, None],
+                BB=range(max(top - 2, 0), top - 1), bB_Bb=[top - 1],
+            )
+            B_down[top - 1] = B_top
+        return p.quotient_dim, b_top
+
     dims = [p.quotient_dim for p in pres[:top]] + [image.cols]
-    return MixedComplex(dims, b_down + [image], B_down, pres, label, (present, top_B))
+    return MixedComplex(dims, b_down + [image], B_down, pres, label, present_top)
 
 
 def check_chain_map(f_per_degree, src, dst, top):
@@ -353,16 +360,15 @@ def check_chain_map(f_per_degree, src, dst, top):
 
 def check_mixed_map(f, src, dst, what):
     """Exact check that the maps f[n]: src C_n -> dst C_n, for n through
-    the top degree len(f) - 1 of both, commute with b and with B (read at
-    top - 1 through top_B()); raises ChainMapError naming what, the
-    operator and the first failing degree (b before B)."""
+    the top degree len(f) - 1 of both, commute with b and with B, which
+    present a pending top; raises ChainMapError naming what, the operator
+    and the first failing degree (b before B)."""
     top = len(f) - 1
     for n in range(1, top + 1):
         if first_nonzero_column([(1, dst.b[n], f[n]), (-1, f[n - 1], src.b[n])]) is not None:
             raise ChainMapError(f"{what} fails b at degree {n}")
     for n in range(top):
-        B_src, B_dst = (src.B[n], dst.B[n]) if n < top - 1 else (src.top_B(), dst.top_B())
-        if first_nonzero_column([(1, B_dst, f[n]), (-1, f[n + 1], B_src)]) is not None:
+        if first_nonzero_column([(1, dst.B[n], f[n]), (-1, f[n + 1], src.B[n])]) is not None:
             raise ChainMapError(f"{what} fails B at degree {n}")
 
 

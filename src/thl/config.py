@@ -199,10 +199,12 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ParseError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed config {path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}")
     return config_from_dict(data)
 
 

@@ -539,8 +539,7 @@ class ConjugacyDecomposition:
         # chain map into the direct sum of the stalks, whose b and B are blockwise
         stalk_sum = SimpleNamespace(
             b=[None] + [block_diag([m.b[n] for m in self.stalks]) for n in range(1, k + 1)],
-            B=[block_diag([m.B[n] for m in self.stalks]) for n in range(k - 1)],
-            top_B=lambda: block_diag([m.top_B() for m in self.stalks]),
+            B=[block_diag([m.B[n] for m in self.stalks]) for n in range(k)],
         )
         check_mixed_map(self.split, self.coinv.mixed, stalk_sum, "class splitting")
 

@@ -7,8 +7,12 @@ zero matrix AND rank(incoming) = dim kernel(outgoing) -- both over Q with
 no tolerance.
 """
 
+from typing import NamedTuple
+
 from .algebra import tensor_index, tensor_operator
-from .complexes import ChainComplexQ, homology, induced_on_homology, quotient_mixed_complex
+from .complexes import (
+    ChainComplexQ, check_zero, homology, induced_on_homology, quotient_mixed_complex
+)
 from .crossed import CoinvariantComplex, GJOperators
 from .errors import ChainMapError, ComplexError
 from .quotient import compose_quotients, descend_map, quotient_by
@@ -26,14 +30,13 @@ def g_hochschild(algebra, group, max_degree):
 # the periodicity sequence
 # ---------------------------------------------------------------------
 
-class SequenceNode:
-    def __init__(self, label, incoming, outgoing, image_dim, kernel_dim, composite_zero):
-        self.label = label
-        self.incoming = incoming
-        self.outgoing = outgoing
-        self.image_dim = image_dim
-        self.kernel_dim = kernel_dim
-        self.composite_zero = composite_zero
+class SequenceNode(NamedTuple):
+    label: str
+    incoming: str
+    outgoing: str
+    image_dim: int
+    kernel_dim: int
+    composite_zero: bool
 
     @property
     def exact(self):
@@ -180,8 +183,7 @@ class DeRhamComplex:
     def _check_dd(self, degrees):
         """d.d = 0 on the abelianized complex, out of each of the degrees."""
         for n in degrees:
-            if first_nonzero_column([(1, self.d_ab[n + 1], self.d_ab[n])]) is not None:
-                raise ComplexError("d.d != 0 on the abelianized complex", location=f"degree {n}")
+            check_zero("d.d", "abelianized complex", n, [(1, self.d_ab[n + 1], self.d_ab[n])])
 
     def reduced(self):
         """This complex with the class of (e | 1) divided out of degree 0
@@ -244,20 +246,17 @@ def derham_homology(algebra, group, max_degree):
 # the Karoubi sequence
 # ---------------------------------------------------------------------
 
-class KaroubiNode:
-    def __init__(self, degree, left_injective, composite_zero, middle_exact,
-                 hdr_dim, hc_dim, hh_next_dim, left_rank, middle_kernel,
-                 diagnostic=""):
-        self.degree = degree
-        self.left_injective = left_injective
-        self.composite_zero = composite_zero
-        self.middle_exact = middle_exact
-        self.hdr_dim = hdr_dim
-        self.hc_dim = hc_dim
-        self.hh_next_dim = hh_next_dim
-        self.left_rank = left_rank
-        self.middle_kernel = middle_kernel
-        self.diagnostic = diagnostic
+class KaroubiNode(NamedTuple):
+    degree: int
+    left_injective: bool
+    composite_zero: bool
+    middle_exact: bool
+    hdr_dim: int
+    hc_dim: int
+    hh_next_dim: int
+    left_rank: int
+    middle_kernel: int
+    diagnostic: str = ""
 
     @property
     def ok(self):

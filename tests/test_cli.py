@@ -62,6 +62,24 @@ def test_load_config_from_file(tmp_path):
     assert cfg.algebra.dim == 1
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_cli_rejects_unreadable_config(tmp_path, capsys, case):
+    """A config that cannot be read as text (a directory, bytes that are
+    not UTF-8) is an input error naming the path in one line (exit 2), not
+    a traceback with the exit code of a failed check."""
+    path = tmp_path / "job.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"name": "\xff\xfe"}')
+    rc = main(["all", "--config", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("thl: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")

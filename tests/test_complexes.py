@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -97,7 +99,7 @@ def test_total_complex_layout(case):
     same; and the blocks after C_n form degree n - 2."""
     mixed = _layout_mixed(case)
     top = mixed.top
-    tot = total_complex(mixed, top)
+    tot = total_complex(mixed)
 
     def dims(n):
         return [mixed.dims[n - 2 * j] for j in range(n // 2 + 1)]
@@ -178,7 +180,7 @@ def test_quotient_mixed_complex_names_theory_and_degree():
             lambda n: QMatrix.from_dense([[1], [1]]),
             lambda n: QMatrix.from_dense([[1, 0]]),
             "toy theory",
-        ).top_B()
+        ).B
     assert "B_0" in str(err.value)
     assert "toy theory" in str(err.value)
 
@@ -235,9 +237,11 @@ def _pending_top_case(case):
 
 
 @pytest.mark.parametrize("case", ["twisted", "proposition", "coinvariant", "stalk", "bare"])
-def test_top_B_is_descended_on_first_read(monkeypatch, case):
+def test_last_B_is_descended_on_first_read_of_the_top(monkeypatch, case):
     """No homology reads B_{top-1}, so reading both homologies descends no
-    B_{top-1}; top_B() descends it once, equal to a direct descent."""
+    B_{top-1}; the first read of the top (here its presentations) descends
+    it once, equal to a direct descent, and no later read descends it
+    again."""
     import thl.complexes
 
     build, _, raw_B = _pending_top_case(case)
@@ -254,20 +258,20 @@ def test_top_B_is_descended_on_first_read(monkeypatch, case):
     mixed.column_homology()
     assert f"B_{top - 2} of {mixed.label}" in calls
     assert not [w for w in calls if w.startswith(f"B_{top - 1} of ")]
-    assert mixed.B[top - 1] is None
     pres = mixed.presentations
-    direct = descend_map(raw_B(top - 1), pres[top - 1], pres[top])
-    top_B = mixed.top_B()
-    assert top_B == direct
-    assert calls[-1] == f"B_{top - 1} of {mixed.label}"
+    last = [w for w in calls if w.startswith(f"B_{top - 1} of ")]
+    assert last == [f"B_{top - 1} of {mixed.label}"]
+    last_B = mixed.B[top - 1]
+    assert last_B == descend_map(raw_B(top - 1), pres[top - 1], pres[top])
     count = len(calls)
-    assert mixed.top_B() is top_B and len(calls) == count
+    mixed.b, mixed.dims, mixed.total_homology().complex.d
+    assert mixed.B[top - 1] is last_B and len(calls) == count
 
 
-def test_unread_wrong_top_B_is_refused_on_first_read():
+def test_unread_wrong_last_B_is_refused_on_first_read_of_the_top():
     """A wrong B_{top-1} (twice the right one) leaves the total homology
-    alone, which does not read it; its first read fails bB + Bb = 0 at
-    degree top - 1."""
+    alone, which does not read it; the first read of the top (here b) fails
+    bB + Bb = 0 at degree top - 1."""
     cfg = load_fixture("trunc-cubic-z2")
     tw = TwistedOperators(cfg.algebra, cfg.group.action[0])
     top = 3
@@ -278,8 +282,33 @@ def test_unread_wrong_top_B_is_refused_on_first_read():
     broken = quotient_mixed_complex(top, tw.relations, tw.b, wrong_B, "broken")
     assert broken.total_homology().dims == HKBicomplex(tw, top - 1).mixed.total_homology().dims
     with pytest.raises(ComplexError, match=r"^bB \+ Bb != 0 in broken") as err:
-        broken.top_B()
+        broken.b
     assert err.value.location == f"degree {top - 1}"
+
+
+@pytest.mark.parametrize("present", [False, True], ids=["pending", "presented"])
+@pytest.mark.parametrize("case", ["twisted", "coinvariant", "stalk", "bare"])
+def test_no_reference_cycle_holds_a_mixed_complex(case, present):
+    """Nothing a quotient mixed complex holds refers back to it, its top
+    pending or presented: with the cyclic garbage collector off, the
+    complex dies as soon as its last name is deleted, after both homologies
+    are read and (presented) after B presents the top.  A pending step or
+    total complex holding the complex would keep it alive."""
+    build = _pending_top_case(case)[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mixed = build()
+        mixed.total_homology()
+        mixed.column_homology()
+        if present:
+            mixed.B
+        ref = weakref.ref(mixed)
+        del mixed
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture
@@ -331,7 +360,7 @@ def test_top_is_presented_on_first_read(presented, case, read):
         assert [n for label, n in presented if label == mixed.label] == list(range(top + 1))
     assert total.ranks[top] == rank(total.complex.d[top])
     assert column.ranks[top] == rank(mixed.b[top])
-    assert total_complex(mixed, top).d[top] == total.complex.d[top]
+    assert total_complex(mixed).d[top] == total.complex.d[top]
 
 
 def test_karoubi_sequence_presents_no_connes_top(presented):
