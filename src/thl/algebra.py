@@ -1,19 +1,25 @@
 """Finite-dimensional Q-algebras, automorphism groups, crossed products,
 and enumeration of the tensor-module bases everything else is built on.
+
+An algebra's multiplication is one matrix, the product map mu: A (x) A -> A.
+Every product and every algebra identity (the unit laws, associativity,
+the multiplicativity of an automorphism) is read from it with
+``sparse.kron``, ``@`` and the one zero test ``first_nonzero_column``.
 """
 
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from .errors import ActionError, AlgebraError, ReducedBasisError
 from .rational import Q, QONE
-from .sparse import QMatrix, integer_columns, rank
+from .sparse import QMatrix, block_matrix, first_nonzero_column, integer_columns, kron, rank
 
 
 class Algebra:
     """Unital associative algebra given by structure constants.
 
-    mult[i][j] is the sparse coordinate vector {k: c} of e_i * e_j.
+    mult[i][j] is the sparse coordinate vector {k: c} of e_i * e_j, kept
+    as mu, the dim x dim^2 QMatrix whose column i * dim + j is e_i e_j.
     The unit is a coordinate vector; normalized (reduced) tensor modules
     additionally require it to be the basis vector e_0.
     """
@@ -22,32 +28,19 @@ class Algebra:
         self.dim = dim
         self.basis_names = list(basis_names)
         self.unit = {k: Q(v) for k, v in unit.items() if v}
-        self.mult = [
-            [{k: Q(v) for k, v in cell.items() if v} for cell in row] for row in mult
-        ]
+        self.mu = QMatrix.from_columns(dim, [cell for row in mult for cell in row])
 
     @property
     def unit_is_basis0(self):
         return self.unit == {0: QONE}
 
     def multiply(self, a, b):
-        """Product of two sparse coordinate vectors."""
-        out = {}
-        for i, va in a.items():
-            row = self.mult[i]
-            for j, vb in b.items():
-                c = va * vb
-                for k, w in row[j].items():
-                    nv = out.get(k)
-                    nv = c * w if nv is None else nv + c * w
-                    if nv:
-                        out[k] = nv
-                    elif k in out:
-                        del out[k]
-        return out
+        """Product of two sparse coordinate vectors: mu (a (x) b)."""
+        d = self.dim
+        return (self.mu @ kron(QMatrix(d, 1, [a]), QMatrix(d, 1, [b]))).column(0)
 
     def basis_product(self, i, j):
-        return self.mult[i][j]
+        return self.mu.column(i * self.dim + j)
 
     def label(self, i):
         return self.basis_names[i]
@@ -57,47 +50,25 @@ class Algebra:
 
 
 def validate_algebra(algebra):
-    """Associativity and unit laws, checked exactly over every basis triple,
-    on the structure constants over one denominator."""
-    d = algebra.dim
-    den, prod = _structure_constants(algebra)
-    uden, (unit,) = integer_columns([algebra.unit])
-    for i in range(d):
-        # u e_i and e_i u, over uden * den, must both be e_i
-        e_i = {i: uden * den}
-        if _int_product(prod, d, unit, {i: 1}) != e_i or _int_product(prod, d, {i: 1}, unit) != e_i:
-            raise AlgebraError(
-                f"unit law fails on basis vector {algebra.label(i)}"
-            )
-    for i in range(d):
-        for j in range(d):
-            ij = prod[i * d + j]
-            for k in range(d):
-                # both sides over den^2
-                left = _int_product(prod, d, ij, {k: 1})
-                right = _int_product(prod, d, {i: 1}, prod[j * d + k])
-                if left != right:
-                    raise AlgebraError(
-                        "associativity fails on triple "
-                        f"({algebra.label(i)}, {algebra.label(j)}, {algebra.label(k)})"
-                    )
-
-
-def _structure_constants(algebra):
-    """(den, prod): prod[i * dim + j] is den * (e_i e_j) as an integer vector."""
-    d = algebra.dim
-    return integer_columns([algebra.mult[i][j] for i in range(d) for j in range(d)])
-
-
-def _int_product(prod, d, x, y):
-    """The integer vector sum x_a y_b prod[a * d + b] of integer vectors x, y."""
-    out = {}
-    for a, u in x.items():
-        for b, v in y.items():
-            c = u * v
-            for k, w in prod[a * d + b].items():
-                out[k] = out.get(k, 0) + c * w
-    return {k: v for k, v in out.items() if v}
+    """The unit laws mu (u (x) 1) = 1 = mu (1 (x) u) and associativity
+    mu (mu (x) 1) = mu (1 (x) mu), checked exactly with the one zero test.
+    Column i of a unit law is basis vector i, and column (i * dim + j) * dim
+    + k of associativity the triple (i, j, k), so the first nonzero column
+    names the first failing one."""
+    d, mu = algebra.dim, algebra.mu
+    one, u = QMatrix.identity(d), QMatrix(d, 1, [algebra.unit])
+    sides = kron(u, one), kron(one, u)
+    fails = [first_nonzero_column([(1, mu, side), (-1, one, one)]) for side in sides]
+    if any(fails):
+        i = min(f[0] for f in fails if f)
+        raise AlgebraError(f"unit law fails on basis vector {algebra.label(i)}")
+    found = first_nonzero_column([(1, mu, kron(mu, one)), (-1, mu, kron(one, mu))])
+    if found:
+        i, jk = divmod(found[0], d * d)
+        raise AlgebraError(
+            "associativity fails on triple "
+            f"({algebra.label(i)}, {algebra.label(jk // d)}, {algebra.label(jk % d)})"
+        )
 
 
 class AlgebraMap:
@@ -110,9 +81,6 @@ class AlgebraMap:
     def image_of_basis(self, i):
         return self.matrix.column(i)
 
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
     @staticmethod
     def identity(dim):
         return AlgebraMap(QMatrix.identity(dim))
@@ -123,26 +91,19 @@ class AlgebraMap:
 
 def validate_automorphism(algebra, amap, name="g"):
     """Unit preservation, multiplicativity, invertibility."""
-    if amap.matrix.rows != algebra.dim or amap.matrix.cols != algebra.dim:
+    g, mu = amap.matrix, algebra.mu
+    if g.rows != algebra.dim or g.cols != algebra.dim:
         raise ActionError(f"{name}: matrix has wrong shape")
-    if amap.apply(algebra.unit) != algebra.unit:
+    if g.apply(algebra.unit) != algebra.unit:
         raise ActionError(f"{name}: does not fix the unit")
-    d = algebra.dim
-    den, prod = _structure_constants(algebra)
-    gden, images = amap.matrix.den, amap.matrix._cols
-    for i, gi in enumerate(images):
-        for j, gj in enumerate(images):
-            # g(e_i e_j) and g(e_i) g(e_j), both over den * gden^2
-            lhs = {}
-            for m, c in prod[i * d + j].items():
-                for r, w in images[m].items():
-                    lhs[r] = lhs.get(r, 0) + gden * c * w
-            if {r: v for r, v in lhs.items() if v} != _int_product(prod, d, gi, gj):
-                raise ActionError(
-                    f"{name}: not multiplicative on "
-                    f"({algebra.label(i)}, {algebra.label(j)})"
-                )
-    if rank(amap.matrix) != algebra.dim:
+    # column i * dim + j of g mu is g(e_i e_j), of mu (g (x) g) g(e_i) g(e_j)
+    found = first_nonzero_column([(1, g, mu), (-1, mu, kron(g, g))])
+    if found:
+        i, j = divmod(found[0], algebra.dim)
+        raise ActionError(
+            f"{name}: not multiplicative on ({algebra.label(i)}, {algebra.label(j)})"
+        )
+    if rank(g) != algebra.dim:
         raise ActionError(f"{name}: matrix is singular")
 
 
@@ -243,21 +204,18 @@ def crossed_product(algebra, group):
         f"{algebra.label(i)}|{group.name(j)}" for i in range(d) for j in range(r)
     ]
 
-    def pair(i, j):
-        return i * r + j
-
-    mult = [[{} for _ in range(d * r)] for _ in range(d * r)]
-    for i in range(d):
-        for gj in range(r):
-            act = group.action[gj]
-            for k in range(d):
-                gk = act.image_of_basis(k)
-                prod = algebra.multiply({i: QONE}, gk)
-                for hj in range(r):
-                    tgt_g = group.mul(gj, hj)
-                    cell = {pair(m, tgt_g): v for m, v in prod.items()}
-                    mult[pair(i, gj)][pair(k, hj)] = cell
-    unit = {pair(i, group.identity_index): v for i, v in algebra.unit.items()}
+    # (e_i x g)(e_k x h) = e_i g(e_k) x gh, read from column i * d + k of mu (1 (x) g)
+    one = QMatrix.identity(d)
+    twisted = [algebra.mu @ kron(one, act.matrix) for act in group.action]
+    prods = [[t.column(c) for c in range(d * d)] for t in twisted]
+    mult = [
+        [
+            {m * r + group.mul(g, h): v for m, v in prods[g][i * d + k].items()}
+            for k in range(d) for h in range(r)
+        ]
+        for i in range(d) for g in range(r)
+    ]
+    unit = {i * r + group.identity_index: v for i, v in algebra.unit.items()}
     out = Algebra(d * r, names, unit, mult)
     validate_algebra(out)
     return out
@@ -402,6 +360,12 @@ def integer_slots(vectors):
     return den, _slots(ivecs)
 
 
+def matrix_slots(matrix):
+    """(den, slots) of the columns of the matrix, as ``integer_slots``
+    gives them: slots[j] is den times column j, read from its integers."""
+    return matrix.den, _slots(matrix._cols)
+
+
 def _slots(ivecs):
     """The integer vectors, each {k: 1} replaced by the bare index k."""
     return [next(iter(v)) if len(v) == 1 and 1 in v.values() else v for v in ivecs]
@@ -409,15 +373,11 @@ def _slots(ivecs):
 
 def integer_images(maps):
     """(den, images): images[m][i] is the slot of den * maps[m](e_i), read
-    from the integer columns of the maps' matrices."""
-    den = lcm(*[m.matrix.den for m in maps])
-    images = []
-    for m in maps:
-        s = den // m.matrix.den
-        images.append(_slots(
-            m.matrix._cols if s == 1 else [{k: s * v for k, v in c.items()} for c in m.matrix._cols]
-        ))
-    return den, images
+    from the integer columns of the maps' matrices side by side."""
+    d, n = maps[0].dim, len(maps)
+    side_by_side = block_matrix({(0, k): m.matrix for k, m in enumerate(maps)}, [d], [d] * n)
+    den, slots = matrix_slots(side_by_side)
+    return den, [slots[k * d : (k + 1) * d] for k in range(n)]
 
 
 def _strides(sizes):

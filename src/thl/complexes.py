@@ -87,10 +87,11 @@ def check_zero(identity, label, n, terms):
         )
 
 
-def check_mixed_identities(label, b, B, bb=(), BB=(), bB_Bb=()):
+def check_mixed_identities(label, b, B, bb=(), BB=(), bB_Bb=(), quotient=False):
     """b.b = 0 at the degrees bb, B.B = 0 at BB and bB + Bb = 0 at bB_Bb
     of a mixed complex named label, each skipped where a B it reads is
-    None (a missing B is zero)."""
+    None (a missing B is zero).  The bB + Bb error of a quotient complex
+    adds that the quotient did not kill the twist."""
     for n in bb:
         check_zero("b.b", label, n, [(1, b[n - 1], b[n])])
     for n in BB:
@@ -99,7 +100,7 @@ def check_mixed_identities(label, b, B, bb=(), BB=(), bB_Bb=()):
     for n in bB_Bb:
         if B[n] is not None:
             Bb = [(1, B[n - 1], b[n])] if n and B[n - 1] is not None else []
-            hinted = f"{label} (quotient did not kill the twist)"
+            hinted = f"{label} (quotient did not kill the twist)" if quotient else label
             check_zero("bB + Bb", hinted, n, [(1, b[n + 1], B[n])] + Bb)
 
 
@@ -242,7 +243,9 @@ class MixedComplex:
     B is zero).  These make the cyclic-type bicomplex well defined and hold
     every block of d.d on its total complex, which reads B_m in d_{m+2}
     only, so no B_{top-1}.  Errors name the label, the degree and the first
-    failing basis index.  ``column`` is the first column (C_*, b).
+    failing basis index; a complex given presentations is a quotient, whose
+    bB + Bb error adds that the quotient did not kill the twist.  ``column``
+    is the first column (C_*, b).
 
     present_top, when given, is the pending top of column: it also checks
     B.B at top - 2 and bB + Bb at top - 1, then fills presentations[top]
@@ -263,6 +266,7 @@ class MixedComplex:
         check_mixed_identities(
             label or "mixed complex", self.column._d, B,
             range(2, self.top + 1), range(self.top - 1), range(self.top),
+            quotient=presentations is not None,
         )
 
     dims = property(lambda self: self.column.dims)
@@ -341,7 +345,7 @@ def quotient_mixed_complex(top, relations, b, B, label, presentation=None):
             B_top = descend("B", B(top - 1), top - 1, top)
             check_mixed_identities(
                 label, b_down + [b_top], B_down[:top - 1] + [B_top, None],
-                BB=range(max(top - 2, 0), top - 1), bB_Bb=[top - 1],
+                BB=range(max(top - 2, 0), top - 1), bB_Bb=[top - 1], quotient=True,
             )
             B_down[top - 1] = B_top
         return p.quotient_dim, b_top

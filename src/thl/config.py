@@ -86,13 +86,16 @@ def _matrix(rows, dim, where):
     rows = [_list(row, f"{where}[{i}]") for i, row in enumerate(_list(rows, where))]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ParseError(f"matrix at {where} must be {dim}x{dim}")
-    cols = [dict() for _ in range(dim)]
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            v = _q(cell, f"{where}[{i}][{j}]")
-            if v:
-                cols[j][i] = v
-    return QMatrix(dim, dim, cols)
+    return QMatrix.from_dense(
+        [[_q(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)] for i, row in enumerate(rows)]
+    )
+
+
+def _coordinates(cell, dim, where):
+    """The coordinate vector {k: rational} of a list of dim rationals."""
+    if len(_list(cell, where)) != dim:
+        raise ParseError(f"{where} must have {dim} coordinates")
+    return {k: _q(entry, f"{where}[{k}]") for k, entry in enumerate(cell)}
 
 
 def config_from_dict(data, name=None):
@@ -121,19 +124,10 @@ def config_from_dict(data, name=None):
     ]
     if len(mult_raw) != dim or any(len(row) != dim for row in mult_raw):
         raise ParseError("algebra.mult must be a dim x dim table")
-    mult = []
-    for i, row in enumerate(mult_raw):
-        out_row = []
-        for j, cell in enumerate(row):
-            if len(_list(cell, f"algebra.mult[{i}][{j}]")) != dim:
-                raise ParseError(f"algebra.mult[{i}][{j}] must have {dim} coordinates")
-            vec = {}
-            for k, entry in enumerate(cell):
-                v = _q(entry, f"algebra.mult[{i}][{j}][{k}]")
-                if v:
-                    vec[k] = v
-            out_row.append(vec)
-        mult.append(out_row)
+    mult = [
+        [_coordinates(cell, dim, f"algebra.mult[{i}][{j}]") for j, cell in enumerate(row)]
+        for i, row in enumerate(mult_raw)
+    ]
     algebra = Algebra(dim, basis, {unit_index: 1}, mult)
 
     grp = _object(_need(data, "group", "config"), "group")

@@ -15,12 +15,20 @@ appears only at the boundary: the constructor, ``from_dense`` and
 ``from_columns`` take rational values, ``column``, ``entry`` and ``apply``
 give them back, and so do the rows of ``rref``.
 
-* ``@`` sums integer products over the product of the two denominators;
-  ``+`` and ``-`` scale by an lcm only when the denominators differ.  A
-  result is divided by its common factor only when its denominator is not 1.
-  ``first_nonzero_column`` tests a sum of any number of products column
-  by column, in one loop, builds none of them and returns the first
-  nonzero column.
+* One loop sums products: ``_sum_of_products`` yields, column by column,
+  a sum of c * X @ Y over the lcm of the terms' denominators.  ``@``
+  collects every column (``apply`` is a one-column product), and
+  ``first_nonzero_column``, the one exact zero test, stops at the first
+  nonzero one and builds no product.  With ``kron`` this is every product
+  and identity of an algebra (``algebra.Algebra.mu``).  ``+`` and ``-``
+  scale by an lcm only when the denominators differ.  A result is divided
+  by its common factor only when its denominator is not 1.
+* The other loops that add into columns are not sums of products: ``_combine``
+  adds two matrices; ``quotient.QuotientPresentation.project`` applies a
+  projection it never builds; ``quotient.coinvariant_relations`` subtracts
+  operators from the identity; ``algebra.tensor_operator`` and
+  ``crossed.GJOperators._group_blocks`` scatter images into the columns
+  they build; the elimination kernels update columns in place.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Each pivot is in the
   lightest live column, taken from a lazy-deletion heap keyed on (column
@@ -169,27 +177,12 @@ class QMatrix:
 
     def __matmul__(self, other):
         """Exact product: integer products summed over den(self) * den(other)."""
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        mine = self._cols
-        data = []
-        for col in other._cols:
-            out = {}
-            for k, v in col.items():
-                for r, w in mine[k].items():
-                    out[r] = out.get(r, 0) + v * w
-            data.append({r: n for r, n in out.items() if n})
-        return _lowest(self.rows, other.cols, data, self.den * other.den)
+        rows, den, columns = _sum_of_products([(1, self, other)])
+        return QMatrix.from_integers(rows, list(columns), den)
 
     def apply(self, vec):
         """Matrix times a sparse vector {index: rational} -> sparse vector."""
-        vden, (ivec,) = integer_columns([vec])
-        out = {}
-        for k, v in ivec.items():
-            for r, w in self._cols[k].items():
-                out[r] = out.get(r, 0) + v * w
-        den = vden * self.den
-        return {r: Q(n, den) for r, n in out.items() if n}
+        return (self @ QMatrix(self.cols, 1, [vec])).column(0)
 
     def transpose(self):
         data = [{} for _ in range(self.rows)]
@@ -261,14 +254,35 @@ def block_diag(mats):
     return block_matrix(blocks, [m.rows for m in mats], [m.cols for m in mats])
 
 
+def kron(X, Y):
+    """The Kronecker product X (x) Y: column j1 * Y.cols + j2 is the tensor
+    X_{j1} (x) Y_{j2}, whose row i1 * Y.rows + i2 holds X_{i1 j1} Y_{i2 j2}."""
+    data = [
+        {i * Y.rows + k: v * w for i, v in x.items() for k, w in y.items()}
+        for x in X._cols for y in Y._cols
+    ]
+    return _lowest(X.rows * Y.rows, X.cols * Y.cols, data, X.den * Y.den)
+
+
 def first_nonzero_column(terms):
     """(j, column j as {row: rational}, rows ascending) for the first nonzero
     column j of the sum of c * (X @ Y) over the terms (c, X, Y), c a nonzero
     int, or None when the sum is zero: the one exact zero test.
 
-    No product is built: each column of the sum is accumulated alone from
-    the integer columns, each term scaled to the lcm of the terms'
-    denominators, in one loop for any number of terms.
+    No product is built: the loop behind ``@`` stops at that column.
+    """
+    _, den, columns = _sum_of_products(terms)
+    for j, out in enumerate(columns):
+        if any(out.values()):
+            return j, {r: Q(v, den) for r, v in sorted(out.items()) if v}
+    return None
+
+
+def _sum_of_products(terms):
+    """(rows, den, columns) of the sum of c * (X @ Y) over the terms
+    (c, X, Y), c a nonzero int, the shapes checked at once: columns yields
+    its integer columns over den, the lcm of the terms' denominators, each
+    accumulated alone when read, cancelled entries left as zeros.
     """
     rows, cols = terms[0][1].rows, terms[0][2].cols
     for _, X, Y in terms:
@@ -276,16 +290,18 @@ def first_nonzero_column(terms):
             raise ValueError(f"shape mismatch {X.rows}x{X.cols} @ {Y.rows}x{Y.cols}")
     den = lcm(*[X.den * Y.den for _, X, Y in terms])
     parts = [(c * (den // (X.den * Y.den)), X._cols, Y._cols) for c, X, Y in terms]
-    for j in range(cols):
-        out = {}
-        for s, mine, other in parts:
-            for k, v in other[j].items():
-                v *= s
-                for r, w in mine[k].items():
-                    out[r] = out.get(r, 0) + v * w
-        if any(out.values()):
-            return j, {r: Q(v, den) for r, v in sorted(out.items()) if v}
-    return None
+
+    def columns():
+        for j in range(cols):
+            out = {}
+            for s, mine, other in parts:
+                for k, v in other[j].items():
+                    v *= s
+                    for r, w in mine[k].items():
+                        out[r] = out.get(r, 0) + v * w
+            yield out
+
+    return rows, den, columns()
 
 
 # ---------------------------------------------------------------------

@@ -38,12 +38,12 @@ from .algebra import (
     AlgebraMap,
     algebra_tensor_basis,
     integer_images,
-    integer_slots,
+    matrix_slots,
     tensor_operator,
 )
 from .complexes import quotient_mixed_complex
 from .quotient import coinvariant_relations, quotient_by
-from .rational import QONE
+from .sparse import QMatrix, kron
 
 
 def twist_matrix(algebra, g, n, reduced=False):
@@ -68,12 +68,10 @@ def twisted_b(algebra, g, n, reduced=False):
     """Twisted Hochschild boundary A^{(n+1)} -> A^{(n)} (n >= 1)."""
     if n < 1:
         raise ValueError("twisted_b needs n >= 1")
-    d = algebra.dim
-    # e_x e_y for the inner faces, g(e_x) e_y for the last one, one denominator
-    den, slots = integer_slots(
-        [algebra.basis_product(x, y) for x in range(d) for y in range(d)]
-        + [algebra.multiply(g.image_of_basis(x), {y: QONE}) for x in range(d) for y in range(d)]
-    )
+    d, mu = algebra.dim, algebra.mu
+    # e_x e_y for the inner faces, g(e_x) e_y for the last one: column
+    # x * d + y of mu and of mu (g (x) 1), over one denominator
+    den, slots = matrix_slots(mu.hstack(mu @ kron(g.matrix, QMatrix.identity(d))))
     prod, wrap = slots[: d * d], slots[d * d :]
 
     def face(i):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thl.algebra import (
     Algebra,
@@ -14,12 +17,13 @@ from thl.algebra import (
     trivial_group,
     validate_action,
     validate_algebra,
+    validate_automorphism,
 )
 from thl.errors import ActionError, AlgebraError, ReducedBasisError
 from thl.rational import Q
 from thl.sparse import QMatrix
 
-from oracles import reference_tensor_operator
+from oracles import dense_rank, reference_tensor_operator
 from fixtures_for_tests import (
     dual_numbers_algebra,
     sign_twist,
@@ -78,7 +82,7 @@ def test_crossed_product_trivial_group():
     A = dual_numbers_algebra()
     AG = crossed_product(A, trivial_group(A))
     assert AG.dim == 2
-    assert AG.mult[0][1] == A.mult[0][1]
+    assert AG.basis_product(0, 1) == A.basis_product(0, 1)
 
 
 def test_crossed_product_convention():
@@ -87,7 +91,7 @@ def test_crossed_product_convention():
     G = z2_group(A)
     AG = crossed_product(A, G)
     # basis order: (i, j) -> i*r + j; (1 x| s) = index 1, (x x| e) = index 2
-    prod = AG.mult[0 * 2 + 1][1 * 2 + 0]
+    prod = AG.basis_product(0 * 2 + 1, 1 * 2 + 0)
     assert prod == {1 * 2 + 1: Q(-1)}
 
 
@@ -325,3 +329,151 @@ def test_validate_algebra_and_action_name_the_failure():
     with pytest.raises(ActionError) as err:
         validate_action(C, group)
     assert str(err.value) == "s: not multiplicative on (x, x)"
+
+
+# -- first failure order and a reference oracle --------------------------------
+
+def _table(d, products):
+    """The structure constants of unit e_0 with the products {(i, j): {k: c}}
+    of the other basis vectors (a missing product is zero)."""
+    return [
+        [{j: 1} if i == 0 else {i: 1} if j == 0 else products.get((i, j), {}) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+# Q[x]/(x^4): g(x) = x, g(x2) = x2 and g(x3) = 2 x3 fails on (x, x2) and (x2, x)
+QUARTIC = _table(4, {(1, 1): {2: 1}, (1, 2): {3: 1}, (2, 1): {3: 1}})
+STRETCH_X3 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+
+FIRST_FAILURES = [
+    # y y = 1 and every other product of x, y zero: (x y) y = 0 but
+    # x (y y) = x, and (y y) x = x but y (y x) = 0; the first triple in
+    # lexicographic order is named, not (y, y, x)
+    (["1", "x", "y"], _table(3, {(2, 2): {0: 1}}), None,
+     "associativity fails on triple (x, y, y)"),
+    # e_0 is a left unit, but x 1 = y 1 = 0
+    (["1", "x", "y"], [[{0: 1}, {1: 1}, {2: 1}], [{}, {}, {}], [{}, {}, {}]], None,
+     "unit law fails on basis vector x"),
+    # e_0 fails on the left on y only and on the right on x only
+    (["1", "x", "y"], [[{0: 1}, {1: 1}, {}], [{}, {}, {}], [{2: 1}, {}, {}]], None,
+     "unit law fails on basis vector x"),
+    (["1", "x", "x2", "x3"], QUARTIC, STRETCH_X3, "g: not multiplicative on (x, x2)"),
+]
+
+
+@pytest.mark.parametrize("names, mult, g, message", FIRST_FAILURES)
+def test_validation_names_the_first_failure(names, mult, g, message):
+    """Of several failing triples, basis vectors or pairs, the message
+    names the first: triples and pairs in lexicographic order, and the
+    smallest basis vector on which either unit law fails; the reference
+    loop below finds more than one failure in each case."""
+    A = Algebra(len(names), names, {0: 1}, mult)
+    table = _dense_table(A.dim, mult)
+    if g is None:
+        units, triples = _algebra_failures(table, [1] + [0] * (A.dim - 1))
+        assert len(units or triples) > 1
+        with pytest.raises(AlgebraError) as err:
+            validate_algebra(A)
+    else:
+        assert len(_multiplicativity_failures(table, g)) > 1
+        with pytest.raises(ActionError) as err:
+            validate_automorphism(A, AlgebraMap(QMatrix.from_dense(g)))
+    assert str(err.value) == message
+
+
+def _dense_table(d, mult):
+    return [[[Fraction(mult[i][j].get(k, 0)) for k in range(d)] for j in range(d)] for i in range(d)]
+
+
+def _product(table, a, b):
+    """a b, for dense Fraction vectors, from the structure constants."""
+    d = len(a)
+    return [
+        sum(a[i] * b[j] * table[i][j][k] for i in range(d) for j in range(d)) for k in range(d)
+    ]
+
+
+def _image(g, v):
+    return [sum(g[r][c] * v[c] for c in range(len(v))) for r in range(len(v))]
+
+
+def _algebra_failures(table, unit):
+    """The basis vectors failing a unit law and the triples failing
+    associativity, each in ascending order."""
+    d = len(unit)
+    e = [[Fraction(int(i == k)) for k in range(d)] for i in range(d)]
+    units = [i for i in range(d)
+             if _product(table, unit, e[i]) != e[i] or _product(table, e[i], unit) != e[i]]
+    triples = [(i, j, k) for i, j, k in product(range(d), repeat=3)
+               if _product(table, table[i][j], e[k]) != _product(table, e[i], table[j][k])]
+    return units, triples
+
+
+def _multiplicativity_failures(table, g):
+    """The pairs (i, j) with g(e_i e_j) != g(e_i) g(e_j), ascending."""
+    d = len(g)
+    col = [[Fraction(g[r][c]) for r in range(d)] for c in range(d)]
+    return [(i, j) for i, j in product(range(d), repeat=2)
+            if _image(g, table[i][j]) != _product(table, col[i], col[j])]
+
+
+ENTRIES = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)])
+
+
+@st.composite
+def algebras_and_maps(draw):
+    """Structure constants of dim 2 or 3 with unit e_0, whose unit row and
+    column are kept, for the unit laws to hold, unless a draw overwrites
+    them, and a map g that keeps e_0 unless a draw moves it."""
+    d = draw(st.integers(2, 3))
+    table = [[[draw(ENTRIES) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        for i in range(d):
+            table[0][i] = table[i][0] = [Fraction(int(i == k)) for k in range(d)]
+    g = [[draw(ENTRIES) for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        for r in range(d):
+            g[r][0] = Fraction(int(r == 0))
+    return table, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_and_maps())
+def test_algebra_and_automorphism_checks_match_a_reference_loop(case):
+    """validate_algebra and validate_automorphism raise exactly when a plain
+    Fraction loop over every basis vector, triple and pair finds a failure,
+    and name the first failure it finds."""
+    table, g = case
+    d = len(table)
+    names = ["1", "x", "y"][:d]
+    A = Algebra(d, names, {0: 1}, [[{k: v for k, v in enumerate(c)} for c in row] for row in table])
+    units, triples = _algebra_failures(table, [Fraction(int(k == 0)) for k in range(d)])
+    if units:
+        expected = f"unit law fails on basis vector {names[units[0]]}"
+    elif triples:
+        expected = "associativity fails on triple ({}, {}, {})".format(*[names[t] for t in triples[0]])
+    else:
+        expected = None
+    try:
+        validate_algebra(A)
+        got = None
+    except AlgebraError as err:
+        got = str(err)
+    assert got == expected
+
+    pairs = _multiplicativity_failures(table, g)
+    if _image(g, [Fraction(int(k == 0)) for k in range(d)]) != [Fraction(int(k == 0)) for k in range(d)]:
+        expected = "g: does not fix the unit"
+    elif pairs:
+        expected = "g: not multiplicative on ({}, {})".format(*[names[t] for t in pairs[0]])
+    elif dense_rank(g) != d:
+        expected = "g: matrix is singular"
+    else:
+        expected = None
+    try:
+        validate_automorphism(A, AlgebraMap(QMatrix.from_dense(g)))
+        got = None
+    except ActionError as err:
+        got = str(err)
+    assert got == expected

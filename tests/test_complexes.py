@@ -420,9 +420,32 @@ def test_mixed_identity_error_names_the_basis_index(identity, location, dims, b,
     degree and that index."""
     with pytest.raises(ComplexError) as err:
         MixedComplex(dims, b, B)
-    assert str(err.value).startswith(f"{identity} in mixed complex")
+    assert str(err.value) == (
+        f"{identity} in mixed complex [at {location}] [offending basis tensor basis index 1]"
+    )
     assert err.value.location == location
     assert err.value.basis_label == "basis index 1"
+
+
+@pytest.mark.parametrize("b, B, location", [
+    ([None, 1, 0], [1, 0], "degree 0"),     # at construction: b_1 B_0 = 1
+    ([None, 0, 1], [0, 1], "degree 1"),     # on the first read of the top: b_2 B_1 = 1
+])
+def test_quotient_bB_Bb_error_says_the_twist_was_not_killed(b, B, location):
+    """A quotient complex's bB + Bb error, at construction or on the first
+    read of its top, adds that the quotient did not kill the twist."""
+    def entry(v):
+        return QMatrix.from_dense([[v]])
+
+    no_relations = QMatrix.zero(1, 0)
+    with pytest.raises(ComplexError) as err:
+        quotient_mixed_complex(
+            2, lambda n: no_relations, lambda n: entry(b[n]), lambda n: entry(B[n]), "toy"
+        ).b
+    assert str(err.value) == (
+        f"bB + Bb != 0 in toy (quotient did not kill the twist) [at {location}] "
+        "[offending basis tensor basis index 0]"
+    )
 
 
 def _two_step_complex():

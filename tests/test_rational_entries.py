@@ -42,7 +42,7 @@ def _dense_algebra(algebra):
     table = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            for k, v in algebra.mult[i][j].items():
+            for k, v in algebra.basis_product(i, j).items():
                 table[i][j][k] = v
     unit = [Fraction(0)] * d
     for k, v in algebra.unit.items():
