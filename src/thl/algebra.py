@@ -4,7 +4,9 @@ and enumeration of the tensor-module bases everything else is built on.
 An algebra's multiplication is one matrix, the product map mu: A (x) A -> A.
 Every product and every algebra identity (the unit laws, associativity,
 the multiplicativity of an automorphism) is read from it with
-``sparse.kron``, ``@`` and the one zero test ``first_nonzero_column``.
+``sparse.kron``, ``@`` and the one zero test ``first_nonzero_column``,
+which also checks that an automorphism fixes the unit and that a group
+acts by a homomorphism.
 """
 
 from itertools import product
@@ -12,7 +14,7 @@ from math import prod
 
 from .errors import ActionError, AlgebraError, ReducedBasisError
 from .rational import Q, QONE
-from .sparse import QMatrix, block_matrix, first_nonzero_column, integer_columns, kron, rank
+from .sparse import QMatrix, block_matrix, first_nonzero_column, kron, rank
 
 
 class Algebra:
@@ -94,7 +96,8 @@ def validate_automorphism(algebra, amap, name="g"):
     g, mu = amap.matrix, algebra.mu
     if g.rows != algebra.dim or g.cols != algebra.dim:
         raise ActionError(f"{name}: matrix has wrong shape")
-    if g.apply(algebra.unit) != algebra.unit:
+    u = QMatrix(algebra.dim, 1, [algebra.unit])
+    if first_nonzero_column([(1, g, u), (-1, QMatrix.identity(algebra.dim), u)]):
         raise ActionError(f"{name}: does not fix the unit")
     # column i * dim + j of g mu is g(e_i e_j), of mu (g (x) g) g(e_i) g(e_j)
     found = first_nonzero_column([(1, g, mu), (-1, mu, kron(g, g))])
@@ -179,10 +182,10 @@ def validate_action(algebra, group):
     ident = AlgebraMap.identity(algebra.dim)
     if group.action[group.identity_index] != ident:
         raise ActionError("identity element does not act as the identity map")
+    g = [a.matrix for a in group.action]
     for x in range(r):
         for y in range(r):
-            comp = group.action[x].matrix @ group.action[y].matrix
-            if comp != group.action[group.mul(x, y)].matrix:
+            if first_nonzero_column([(1, g[x], g[y]), (-1, g[group.mul(x, y)], ident.matrix)]):
                 raise ActionError(
                     f"action is not a homomorphism on ({group.name(x)}, {group.name(y)})"
                 )
@@ -350,25 +353,13 @@ class TensorBasis:
         return product(range(self.r), repeat=self.group_slots)
 
 
-def integer_slots(vectors):
-    """The rational vectors over one common denominator: (den, slots).
-
-    slots[m] is den * vectors[m] as an integer vector {index: int}, or as
-    the bare basis index k when that vector is {k: 1}.
-    """
-    den, ivecs = integer_columns(vectors)
-    return den, _slots(ivecs)
-
-
 def matrix_slots(matrix):
-    """(den, slots) of the columns of the matrix, as ``integer_slots``
-    gives them: slots[j] is den times column j, read from its integers."""
-    return matrix.den, _slots(matrix._cols)
-
-
-def _slots(ivecs):
-    """The integer vectors, each {k: 1} replaced by the bare index k."""
-    return [next(iter(v)) if len(v) == 1 and 1 in v.values() else v for v in ivecs]
+    """(den, slots) of the columns of the matrix over one denominator:
+    slots[j] is den times column j as an integer vector {index: int}, or
+    as the bare basis index k when that vector is {k: 1}."""
+    return matrix.den, [
+        next(iter(v)) if len(v) == 1 and 1 in v.values() else v for v in matrix._cols
+    ]
 
 
 def integer_images(maps):

@@ -38,7 +38,7 @@ from .algebra import conjugacy_data, generators, tensor_index, tensor_operator
 from .complexes import check_mixed_map, induced_on_homology, quotient_mixed_complex, total_map
 from .errors import ChainMapError, ComplexError
 from .quotient import coinvariant_relations, descend_map, direct_sum
-from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, rank
+from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, kron, rank
 from .twisted import TwistedOperators, cyclic_operator
 
 
@@ -400,13 +400,12 @@ def proposition_bicomplex(algebra, group, max_degree):
     return PropositionComplex(GJOperators(algebra, group), max_degree).mixed.total_homology()
 
 
-def group_action_operator(group, h, basis, twist):
-    """Action of h on k[G] (x) (the algebra slots of basis): conjugation on
-    the group slot, and twist, the matrix of h on every algebra slot."""
-    dims = [basis.asize] * group.order
-    return block_matrix(
-        {(group.conjugate(h, g0), g0): twist for g0 in range(group.order)}, dims, dims
-    )
+def group_action_operator(group, h, twist):
+    """Action of h on k[G] (x) (algebra slots): C_h (x) twist, where C_h is
+    conjugation by h on the group slot and twist the matrix of h on every
+    algebra slot."""
+    conj = [{group.conjugate(h, g0): 1} for g0 in range(group.order)]
+    return kron(QMatrix.from_integers(group.order, conj), twist)
 
 
 class CoinvariantComplex:
@@ -425,7 +424,7 @@ class CoinvariantComplex:
 
         def relations(n):
             basis = ops.basis(0, n)
-            acts = [group_action_operator(group, h, basis, ops.alg_twist(h, n)) for h in gens]
+            acts = [group_action_operator(group, h, ops.alg_twist(h, n)) for h in gens]
             return coinvariant_relations(basis.size, acts)
 
         self.mixed = quotient_mixed_complex(
@@ -647,7 +646,7 @@ class LambdaComplex:
             basis = ops.basis(0, n, reduced=False)
             acts = [lambda_cyclic_operator(ops.algebra, group, n)]
             acts.extend(
-                group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
+                group_action_operator(group, h, ops.alg_twist(h, n, reduced=False))
                 for h in gens
             )
             return coinvariant_relations(basis.size, acts)

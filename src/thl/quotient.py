@@ -8,19 +8,19 @@ presentation deterministic.
 
 A presentation stores only the pivot and free rows and ``pivot_images``,
 the classes of the pivot coordinates: a free coordinate is its own class,
-so ``project`` applies the projection from these alone, in one pass, and
-``descend_map`` projects a map once.  A quotient by nothing stores no
-matrix entries.  This module is the only one that builds presentations:
-``quotient_by`` from relations, ``trivial_quotient`` for none,
-``compose_quotients`` for a quotient of a quotient, and ``direct_sum`` for
-a block-diagonal sum.
+so ``projection`` is built from these when read, in one pass that lends
+the pivot columns.  ``project`` is the product with it, ``classes`` a
+selection of its columns, and ``descend_map`` projects a map once.  A
+quotient by nothing stores no matrix entries and projects nothing.  The
+relations of a quotient by operators are the columns of 1 - op
+(``coinvariant_relations``), so every sum is taken by ``sparse``.  This
+module is the only one that builds presentations: ``quotient_by`` from
+relations, ``trivial_quotient`` for none, ``compose_quotients`` for a
+quotient of a quotient, and ``direct_sum`` for a block-diagonal sum.
 """
 
-from bisect import bisect_left
-from math import lcm
-
 from .errors import WellDefinednessError
-from .sparse import QMatrix, block_diag, echelon, first_nonzero_column, over_pivots
+from .sparse import QMatrix, block_diag, block_matrix, echelon, first_nonzero_column, over_pivots
 
 
 class QuotientPresentation:
@@ -55,36 +55,26 @@ class QuotientPresentation:
         return len(self.free_rows)
 
     def project(self, m):
-        """projection @ m, one pass per column: a free entry lands at its free
-        position, v on pivot row k adds v times column k of pivot_images."""
+        """projection @ m; m itself when no coordinate is eliminated."""
         if m.rows != self.ambient_dim:
             raise ValueError(f"cannot project {m.rows} rows onto V of dim {self.ambient_dim}")
-        piv = self.pivot_rows
-        if not piv:
-            return m
-        # pivot and free rows split range(ambient_dim), both ascending: row r
-        # with k pivot rows below it is pivot k, or else free row r - k
-        images, den = self.pivot_images._cols, self.pivot_images.den
-        cols = []
-        for c in m._cols:
-            out = {}
-            for r, v in c.items():
-                k = bisect_left(piv, r)
-                if k < len(piv) and piv[k] == r:
-                    for i, w in images[k].items():
-                        out[i] = out.get(i, 0) + v * w
-                else:
-                    out[r - k] = out.get(r - k, 0) + v * den
-            cols.append(out)
-        return QMatrix.from_integers(len(self.free_rows), cols, m.den * den)
+        return self.projection @ m if self.pivot_rows else m
 
     def classes(self, rows):
         """The classes of the ambient coordinates rows, as columns."""
-        return self.project(_coordinates(self.ambient_dim, rows))
+        return self.projection.select_columns(rows)
 
     @property
     def projection(self):
-        return self.classes(range(self.ambient_dim))
+        # column r is den e_k when r is free row k, and is lent column k of
+        # pivot_images when r is pivot row k: in lowest terms, as that is
+        images, den = self.pivot_images._cols, self.pivot_images.den
+        cols = [None] * self.ambient_dim
+        for k, r in enumerate(self.free_rows):
+            cols[r] = {k: den}
+        for k, r in enumerate(self.pivot_rows):
+            cols[r] = images[k]
+        return QMatrix.from_integers(len(self.free_rows), cols, den)
 
     @property
     def section(self):
@@ -222,23 +212,17 @@ def descended(projected, relations, what="map"):
 
 
 def coinvariant_relations(dim, operators):
-    """Relation columns {m - op(m)} for every basis m and every operator.
+    """Relation columns {m - op(m)} for every basis m and every operator:
+    the nonzero columns of each 1 - op, side by side over one denominator.
 
     operators: list of (dim x dim) QMatrix.  Used for group coinvariants,
     (1-T) quotients, and friends.  Zero columns (op(m) = m) span nothing and
     are left out, so an identity operator adds no relation to row-reduce.
     """
-    den = lcm(*[op.den for op in operators])
-    cols = []
-    for op in operators:
-        s = den // op.den
-        for j, c in enumerate(op._cols):
-            col = {r: -s * v for r, v in c.items()}
-            d = col.get(j, 0) + den
-            if d:
-                col[j] = d
-            else:
-                del col[j]
-            if col:
-                cols.append(col)
-    return QMatrix.from_integers(dim, cols, den)
+    if not operators:
+        return QMatrix.zero(dim, 0)
+    one = QMatrix.identity(dim)
+    side = block_matrix(
+        {(0, k): one - op for k, op in enumerate(operators)}, [dim], [dim] * len(operators)
+    )
+    return side.select_columns([j for j, c in enumerate(side._cols) if c])

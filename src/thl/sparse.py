@@ -24,11 +24,12 @@ give them back, and so do the rows of ``rref``.
   scale by an lcm only when the denominators differ.  A result is divided
   by its common factor only when its denominator is not 1.
 * The other loops that add into columns are not sums of products: ``_combine``
-  adds two matrices; ``quotient.QuotientPresentation.project`` applies a
-  projection it never builds; ``quotient.coinvariant_relations`` subtracts
-  operators from the identity; ``algebra.tensor_operator`` and
-  ``crossed.GJOperators._group_blocks`` scatter images into the columns
-  they build; the elimination kernels update columns in place.
+  adds two matrices (``+`` and ``-``); the elimination kernels ``_clear``,
+  ``_reduce`` and ``_eliminate`` update columns in place.  Outside this
+  module only ``algebra.tensor_operator`` and
+  ``crossed.GJOperators._group_blocks`` add into columns: they scatter
+  images into the columns they build.  A quotient projects through ``@``
+  and takes its relations as ``1 - op``.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Each pivot is in the
   lightest live column, taken from a lazy-deletion heap keyed on (column

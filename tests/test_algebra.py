@@ -382,6 +382,22 @@ def test_validation_names_the_first_failure(names, mult, g, message):
     assert str(err.value) == message
 
 
+def test_action_check_names_the_first_pair_that_is_not_a_homomorphism():
+    """Z/3 acting on the dual numbers by x -> 2x and x -> 4x: g_s g_s =
+    g_s2, but (s, s2), (s2, s) and (s2, s2) fail, and the pairs are read
+    first element major, so (s, s2) is named."""
+    A = dual_numbers_algebra()
+    scale = [AlgebraMap(QMatrix.from_dense([[1, 0], [0, c]])) for c in (1, 2, 4)]
+    group = FiniteGroupAction(["e", "s", "s2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], scale)
+    factor = [1, 2, 4]
+    failing = [(x, y) for x in range(3) for y in range(3)
+               if factor[x] * factor[y] != factor[group.mul(x, y)]]
+    assert failing == [(1, 2), (2, 1), (2, 2)]
+    with pytest.raises(ActionError) as err:
+        validate_action(A, group)
+    assert str(err.value) == "action is not a homomorphism on (s, s2)"
+
+
 def _dense_table(d, mult):
     return [[[Fraction(mult[i][j].get(k, 0)) for k in range(d)] for j in range(d)] for i in range(d)]
 

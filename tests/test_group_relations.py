@@ -24,7 +24,7 @@ from thl.crossed import (
 from thl.fixtures import fixture_names
 from thl.quotient import coinvariant_relations, descend_map, quotient_by
 from thl.rational import QONE
-from thl.sparse import QMatrix, block_diag
+from thl.sparse import QMatrix, block_diag, block_matrix
 
 HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
 CONFIGS = [*fixture_names(), "half-lines-z2"]
@@ -65,7 +65,7 @@ def test_quotients_equal_those_of_every_group_element(name):
     for n in range(N + 2):
         basis = ops.basis(0, n)
         ref.append(_quotient(basis.size, [
-            group_action_operator(group, h, basis, ops.alg_twist(h, n)) for h in everyone
+            group_action_operator(group, h, ops.alg_twist(h, n)) for h in everyone
         ]))
     _assert_same(coinv.mixed.presentations, ref)
 
@@ -75,7 +75,7 @@ def test_quotients_equal_those_of_every_group_element(name):
             basis = ops.basis(0, n, reduced=False)
             acts = [lambda_cyclic_operator(cfg.algebra, group, n)]
             if flag:
-                acts += [group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
+                acts += [group_action_operator(group, h, ops.alg_twist(h, n, reduced=False))
                          for h in everyone]
             ref.append(_quotient(basis.size, acts))
         _assert_same(LambdaComplex(ops, N, flag).mixed.presentations, ref)
@@ -85,6 +85,24 @@ def test_quotients_equal_those_of_every_group_element(name):
         ref = [_quotient(ops.basis(0, n).asize, [ops.alg_twist(h, n) for h in centralizer])
                for n in range(N + 2)]
         _assert_same(stalk.presentations, ref)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_group_action_is_conjugation_tensor_twist(name):
+    """The action of each h on k[G] (x) A (x) Abar^n, reduced and full,
+    equals the twist of h placed at block (h g h^-1, g) for every g."""
+    cfg = _config(name)
+    group = cfg.group
+    ops = GJOperators(cfg.algebra, group)
+    for n in range(cfg.max_degree + 2):
+        for reduced in (True, False):
+            dims = [ops.basis(0, n, reduced=reduced).asize] * group.order
+            for h in range(group.order):
+                twist = ops.alg_twist(h, n, reduced=reduced)
+                placed = block_matrix(
+                    {(group.conjugate(h, g), g): twist for g in range(group.order)}, dims, dims
+                )
+                assert group_action_operator(group, h, twist) == placed, (n, reduced, h)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -121,7 +139,7 @@ def test_unit_reduced_connes_complex_divides_at_once(name):
     for n in range(N + 2):
         basis = ops.basis(0, n, reduced=False)
         acts = [lambda_cyclic_operator(cfg.algebra, group, n)]
-        acts += [group_action_operator(group, h, basis, ops.alg_twist(h, n, reduced=False))
+        acts += [group_action_operator(group, h, ops.alg_twist(h, n, reduced=False))
                  for h in range(group.order)]
         unit = basis.encode((group.identity_index,), (0,) * (n + 1))
         rels = coinvariant_relations(basis.size, acts).hstack(

@@ -16,7 +16,6 @@ from thl.algebra import (
     algebra_tensor_basis,
     crossed_product,
     integer_images,
-    integer_slots,
     tensor_index,
     trivial_group,
 )
@@ -24,6 +23,7 @@ from thl.config import load_config, load_fixture
 from thl.fixtures import fixture_names
 from thl.crossed import GJOperators, beta_map, lambda_cyclic_operator
 from thl.rational import QONE
+from thl.sparse import integer_columns
 from thl.sequences import _identity_slot_map, derham_d_ambient
 from thl.twisted import twist_matrix, twisted_B, twisted_b
 
@@ -59,10 +59,12 @@ def ref_twist(algebra, g, n, reduced):
 
 def ref_b(algebra, g, n, reduced):
     d = algebra.dim
-    den, slots = integer_slots(
+    den, vecs = integer_columns(
         [algebra.basis_product(x, y) for x in range(d) for y in range(d)]
         + [algebra.multiply(g.image_of_basis(x), {y: QONE}) for x in range(d) for y in range(d)]
     )
+    # a slot {k: 1} is the bare basis index k
+    slots = [next(iter(v)) if len(v) == 1 and 1 in v.values() else v for v in vecs]
     prod, wrap = slots[: d * d], slots[d * d :]
 
     def terms(_, a):

@@ -99,6 +99,36 @@ def test_zero_relation_columns_change_nothing():
     assert_same_presentation(quotient_by(3, with_zeros), quotient_by(3, rels))
 
 
+@st.composite
+def operator_lists(draw):
+    """dim 1-4 and 0-3 dim x dim operators, entries in {-1, 0, 1, 1/2}."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entry = st.sampled_from([Q(-1), Q(0), Q(1), Q(1, 2)])
+    square = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    dense = draw(st.lists(square, max_size=3))
+    return dim, [QMatrix.from_dense(rows, dim, dim) for rows in dense]
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_lists())
+def test_coinvariant_relations_match_a_plain_loop(setup):
+    """The relations are the nonzero columns m - op(m), operator-major,
+    stored exactly as a plain Fraction loop over the basis stores them."""
+    dim, ops = setup
+    cols = []
+    for op in ops:
+        for j in range(dim):
+            col = {j: Q(1)}
+            for r, v in op.column(j).items():
+                col[r] = col.get(r, Q(0)) - v
+            col = {r: v for r, v in col.items() if v}
+            if col:
+                cols.append(col)
+    want = QMatrix.from_columns(dim, cols)
+    got = coinvariant_relations(dim, ops)
+    assert (got.rows, got.cols, got.den, got._cols) == (want.rows, want.cols, want.den, want._cols)
+
+
 @pytest.mark.parametrize("dim, ncols", [(0, 0), (1, 0), (3, 2), (5, 0), (5, 4)])
 def test_empty_relation_span_is_the_echelon_presentation(dim, ncols):
     """quotient_by builds the identity presentation directly when the
@@ -221,9 +251,9 @@ def built_presentations(draw):
 @given(built_presentations(), st.data())
 def test_project_splits_rows_that_every_builder_keeps_in_order(qp, data):
     """Pivot and free rows are ascending, disjoint and cover every
-    coordinate, which ``project`` relies on to place a row by bisection;
-    it equals the product with the projection written out column by
-    column (e_k at free row k, pivot_images column k at pivot row k)."""
+    coordinate, which the projection relies on to place each column;
+    ``project`` equals the product with the projection written out column
+    by column (e_k at free row k, pivot_images column k at pivot row k)."""
     assert qp.pivot_rows == sorted(set(qp.pivot_rows))
     assert qp.free_rows == sorted(set(qp.free_rows))
     assert sorted(qp.pivot_rows + qp.free_rows) == list(range(qp.ambient_dim))
@@ -239,6 +269,16 @@ def test_project_splits_rows_that_every_builder_keeps_in_order(qp, data):
         min_size=qp.ambient_dim, max_size=qp.ambient_dim,
     )), qp.ambient_dim, ncols)
     assert qp.project(m) == projection @ m
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_presentations(), st.data())
+def test_classes_are_the_projected_coordinate_columns(qp, data):
+    """classes(rows), a selection of the projection's columns, equals the
+    projection of the coordinate columns e_r, repeats and any order."""
+    index = st.integers(min_value=0, max_value=max(qp.ambient_dim - 1, 0))
+    rows = data.draw(st.lists(index, max_size=4)) if qp.ambient_dim else []
+    assert qp.classes(rows) == qp.project(_coordinates(qp.ambient_dim, rows))
 
 
 @settings(max_examples=100, deadline=None)
