@@ -20,7 +20,7 @@ quotient of a quotient, and ``direct_sum`` for a block-diagonal sum.
 """
 
 from .errors import WellDefinednessError
-from .sparse import QMatrix, block_diag, block_matrix, echelon, first_nonzero_column, over_pivots
+from .sparse import QMatrix, block_diag, block_matrix, echelon_rows, first_nonzero_column, over_pivots
 
 
 class QuotientPresentation:
@@ -106,9 +106,10 @@ def quotient_by(ambient_dim, relations):
 
 def _echelon_presentation(ambient_dim, relations):
     """quotient_by through the reduced echelon form of the relation span."""
-    # canonical reduced column echelon of the relation span: column k is
-    # e_{pivot_rows[k]} plus a free part, which is minus that pivot's class
-    pivot_rows, ech = echelon(relations.transpose())
+    # canonical reduced column echelon of the relation span, eliminated
+    # from the relation columns as rows: column k is e_{pivot_rows[k]} plus
+    # a free part, which is minus that pivot's class
+    pivot_rows, ech = echelon_rows(relations._cols, ambient_dim)
     den, scales = over_pivots(pivot_rows, ech)
     pivot_set = set(pivot_rows)
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]

@@ -50,9 +50,12 @@ give them back, and so do the rows of ``rref``.
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
-  reported bases cannot depend on elimination internals.  ``echelon``
-  eliminates primitive integer rows; its consumers put the finished rows
-  over the lcm of their pivot entries.
+  reported bases cannot depend on elimination internals.
+  ``echelon_rows`` eliminates primitive integer rows; ``echelon`` gives it
+  a matrix's rows, for ``rref``, ``kernel_basis``, ``image_pivot_cols`` and
+  the two solvers, and ``quotient.quotient_by`` gives it the relation
+  columns themselves, the rows of the span it reduces.  Every consumer puts
+  the finished rows over the lcm of their pivot entries.
 """
 
 from heapq import heapify, heappop, heappush
@@ -599,7 +602,20 @@ def echelon(matrix):
     {col: int} vectors, one per pivot, each positive in its pivot column
     and zero in every other pivot column: row k divided by its entry in
     pivot_cols[k] is row k of the canonical RREF, which is unique for the
-    row space, so the output is independent of elimination order.
+    row space, so the output is independent of elimination order.  The
+    matrix's rows are bucketed out of its columns and eliminated by
+    ``echelon_rows``.
+    """
+    buckets = {}
+    for j, col in enumerate(matrix._cols):
+        for i, v in col.items():
+            buckets.setdefault(i, {})[j] = v
+    return echelon_rows(buckets.values(), matrix.cols)
+
+
+def echelon_rows(vectors, width):
+    """``echelon`` of the matrix whose rows are the integer vectors
+    {col: int}, col < width, empty ones skipped; none is modified.
 
     Each row is divided once by its content, eliminated forward with
     ``_clear``, then back-substituted from the last pivot.  Rows are
@@ -608,15 +624,12 @@ def echelon(matrix):
     row with an entry in c has leading column exactly c, and the shortest
     of them is the pivot row.
     """
-    buckets = {}
-    for j, col in enumerate(matrix._cols):
-        for i, v in col.items():
-            buckets.setdefault(i, {})[j] = v
     rows_by_lead = {}
-    for r in buckets.values():
-        rows_by_lead.setdefault(min(r), []).append(_primitive(r))
+    for v in vectors:
+        if v:
+            rows_by_lead.setdefault(min(v), []).append(_primitive(v))
     pivot_rows = {}   # pivot col -> integer row, ascending pivot col
-    for col in range(matrix.cols):
+    for col in range(width):
         bucket = rows_by_lead.pop(col, None)
         if not bucket:
             continue

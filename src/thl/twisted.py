@@ -23,13 +23,14 @@ are divided by (1 - T), but unlike that variant it satisfies the Connes
 identity bB + Bb = 1 - T on the nose, which is what the quotient
 bicomplex construction checks against.
 
-Each builder below states these formulas as terms of
-``algebra.tensor_operator``: a sign and a map of the slots a term moves,
-with the leading slots and the run of slots it copies unchanged (face i
-of b copies slots 0, ..., i - 1 and i + 2, ..., n; the wrap face slots
-1, ..., n - 1; term j of B slots 1, ..., j - 1; t slots 0, ..., n - 1;
-T copies none).  The kernel expands each term once per assignment of
-the other slots, over Python integers.
+T moves every slot and copies none, so it is the Kronecker power of its
+slot maps, built with ``sparse.kron``.  Each other builder below states
+its formula as terms of ``algebra.tensor_operator``: a sign and a map of
+the slots a term moves, with the leading slots and the run of slots it
+copies unchanged (face i of b copies slots 0, ..., i - 1 and i + 2, ...,
+n; the wrap face slots 1, ..., n - 1; term j of B slots 1, ..., j - 1; t
+slots 0, ..., n - 1).  The kernel expands each term once per assignment
+of the other slots, over Python integers.
 ``TwistedOperators`` gives them, and keeps the (1 - T) presentations, per
 automorphism.
 """
@@ -47,12 +48,18 @@ from .sparse import QMatrix, kron
 
 
 def twist_matrix(algebra, g, n, reduced=False):
-    """Matrix of g applied to every slot of A^{(n+1)} (reduced: A (x) Abar^n)."""
-    basis = algebra_tensor_basis(algebra, n + 1, reduced)
-    den, (img,) = integer_images([g])
-    return tensor_operator(
-        basis, basis, [(0, range(0), lambda _, a: [(1, (), [img[x] for x in a])])], den ** (n + 1)
-    )
+    """Matrix of g applied to every slot of A^{(n+1)} (reduced: A (x) Abar^n):
+    the Kronecker power of the slot maps, g on slot 0 and on a full slot,
+    and on a reduced slot gbar, g on Abar = A/Q.1, its unit row and column
+    dropped."""
+    # a reduced slot needs the unit at e_0, as the basis does
+    algebra_tensor_basis(algebra, n + 1, reduced)
+    out = slot = g.matrix
+    if reduced:
+        slot = slot.select_columns(range(1, algebra.dim)).shift_rows(-1, algebra.dim - 1)
+    for _ in range(n):
+        out = kron(out, slot)
+    return out
 
 
 def cyclic_operator(algebra, g, n):

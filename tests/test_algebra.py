@@ -22,6 +22,7 @@ from thl.algebra import (
 from thl.errors import ActionError, AlgebraError, ReducedBasisError
 from thl.rational import Q
 from thl.sparse import QMatrix
+from thl.twisted import twist_matrix
 
 from oracles import dense_rank, reference_tensor_operator
 from fixtures_for_tests import (
@@ -244,12 +245,30 @@ def test_from_integers_adopts_columns_in_place():
     assert cols == [{0: 2}, {}, {1: 3, 2: -1}, {}] and m.den == 5
 
 
-def test_reduced_needs_unit_basis_vector():
+def _idempotent_q2():
     # coordinatewise Q^2 with basis the two idempotents: unit is (1,1)
     A = Algebra(2, ["p", "q"], {0: 1, 1: 1}, [[{0: 1}, {}], [{}, {1: 1}]])
     validate_algebra(A)
+    return A
+
+
+def test_reduced_needs_unit_basis_vector():
     with pytest.raises(ReducedBasisError):
-        algebra_tensor_basis(A, 2)
+        algebra_tensor_basis(_idempotent_q2(), 2)
+
+
+def test_reduced_twist_needs_unit_basis_vector():
+    """The Kronecker twist keeps the basis's check: every reduced twist past
+    degree 0 needs the unit at e_0.  Degree 0 has no reduced slot, and
+    the full twists need no unit."""
+    A = _idempotent_q2()
+    swap = AlgebraMap(QMatrix.from_dense([[0, 1], [1, 0]]))
+    validate_automorphism(A, swap)
+    for n in (1, 2, 3):
+        with pytest.raises(ReducedBasisError):
+            twist_matrix(A, swap, n, reduced=True)
+        assert twist_matrix(A, swap, n).cols == 2 ** (n + 1)
+    assert twist_matrix(A, swap, 0, reduced=True) == swap.matrix
 
 
 def test_group_table_validation():

@@ -1,7 +1,8 @@
 """Every tensor-module operator against the per-tuple reference kernel.
 
-Each builder states its formula as copied slot runs for
-``algebra.tensor_operator``; here the same formula is stated one basis
+The twist is a Kronecker power of its slot maps (``sparse.kron``), and
+each other builder states its formula as copied slot runs for
+``algebra.tensor_operator``; here every formula is stated one basis
 tensor at a time and expanded by ``oracles.reference_tensor_operator``.
 The matrices must be equal as stored: same shape, denominator and
 integer columns.
@@ -100,6 +101,9 @@ def ref_B(algebra, g, n):
 
 
 def _check_twisted(algebra, g, top):
+    for reduced in (False, True):
+        # no slot past slot 0: the twist is g itself
+        assert twist_matrix(algebra, g, 0, reduced) == g.matrix
     for n in range(top + 1):
         for reduced in (False, True):
             assert twist_matrix(algebra, g, n, reduced) == ref_twist(algebra, g, n, reduced)
@@ -110,9 +114,12 @@ def _check_twisted(algebra, g, top):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_twisted_builders_match_reference(name):
+    """Through degree 3, and through degree 6 on half-lines-z2: its action
+    has denominator 2 and Abar dimension 1, so its Kronecker powers are
+    cheap and put the twist over denominators up to 2^7."""
     algebra, group = _instance(name)
     for g in group.action:
-        _check_twisted(algebra, g, 3)
+        _check_twisted(algebra, g, 6 if name == "half-lines-z2" else 3)
 
 
 def test_twisted_builders_match_reference_on_crossed_product():

@@ -18,6 +18,8 @@ from thl.quotient import (
 from thl.rational import Q
 from thl.sparse import QMatrix, block_diag, rank
 
+from oracles import dense_rref
+
 
 def test_quotient_one_relation():
     qp = quotient_by(2, QMatrix.from_dense([[1], [-1]]))
@@ -194,6 +196,24 @@ def test_quotient_invariants(setup):
     assert (qp.projection @ qp.section) == QMatrix.identity(qp.quotient_dim)
     assert (qp.projection @ qp.relation_basis).is_zero()
     assert (qp.projection @ rels).is_zero()
+
+
+@settings(max_examples=50, deadline=None)
+@given(relation_setups())
+def test_presentation_is_read_off_the_dense_rref_of_the_relation_span(setup):
+    """quotient_by, which reduces the relation columns as rows, equals the
+    presentation read off the dense reduced row echelon form of the
+    relations' transpose: its pivots are the pivot rows, and pivot k's class
+    is minus its RREF row on the free rows."""
+    dim, rels = setup
+    qp = quotient_by(dim, rels)
+    span = [[rels.entry(i, j) for i in range(dim)] for j in range(rels.cols)]
+    pivots, rref_rows = dense_rref(span)
+    free = [i for i in range(dim) if i not in pivots]
+    images = [{k: -row[i] for k, i in enumerate(free) if row[i]} for row in rref_rows]
+    assert qp.pivot_rows == pivots
+    assert qp.free_rows == free
+    assert qp.pivot_images == QMatrix.from_columns(len(free), images)
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,8 @@ from thl.sparse import (
     QMatrix,
     block_diag,
     block_matrix,
+    echelon,
+    echelon_rows,
     first_nonzero_column,
     image_basis,
     image_pivot_cols,
@@ -451,6 +453,20 @@ def test_rref_large_integers_match_dense_oracle(m):
 @given(structured_matrices())
 def test_rref_structured_sparse_match_dense_oracle(m):
     assert_rref_matches_dense_oracle(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), structured_matrices()), st.data())
+def test_echelon_rows_of_the_rows_is_echelon(m, data):
+    """echelon_rows on a matrix's integer rows, with an empty row and a
+    repeated one added (neither changes the row space), is echelon of the
+    matrix, and modifies none of them."""
+    rows = m.transpose()._cols
+    repeat = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    vectors = [{}] + rows + [dict(rows[repeat])]
+    before = [dict(v) for v in vectors]
+    assert echelon_rows(vectors, m.cols) == echelon(m)
+    assert vectors == before
 
 
 @st.composite
