@@ -26,7 +26,6 @@ from .crossed import (
     conjugacy_decomposition,
     connes_lambda_complex,
     full_pair_check,
-    hcG_bicomplex,
     identity_suite,
     proposition_bicomplex,
     theorem_map_f,

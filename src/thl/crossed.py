@@ -95,20 +95,22 @@ class GJOperators:
     def _sigma(self, gtuple):
         return self.group.inverse[self.group.product(gtuple)]
 
+    def _sigmas(self, p, q):
+        """sigma(gt) for the group tuples gt of block (p, q), in order."""
+        return [self._sigma(gt) for gt in self.basis(p, q).iter_group()]
+
     def _stalkwise(self, name, block, p, q, *flags):
         """Block diagonal over the group tuples gt of block (p, q) of
         block(sigma(gt), q, *flags), kept under name."""
         return self._kept((name, p, q, *flags), lambda: block_diag(
-            [block(self._sigma(gt), q, *flags) for gt in self.basis(p, q).iter_group()]
+            [block(s, q, *flags) for s in self._sigmas(p, q)]
         ))
 
-    def stalks(self, p, q, kind):
-        """Per group tuple gt of block (p, q), in order, the kind(q) of the
-        element sigma(gt), built once per element: the "relations" or the
-        "presentation" of its stalk divided by (1 - T)."""
-        sigmas = [self._sigma(gt) for gt in self.basis(p, q).iter_group()]
-        got = {s: getattr(self.element(s), kind)(q) for s in set(sigmas)}
-        return [got[s] for s in sigmas]
+    def stalks(self, p, q):
+        """Per group tuple gt of block (p, q), in order, the presentation of
+        its stalk divided by (1 - T): that of the element sigma(gt), kept by
+        the element's ``TwistedOperators``."""
+        return [self.element(s).presentation(q) for s in self._sigmas(p, q)]
 
     # -- operators --------------------------------------------------------
 
@@ -359,7 +361,10 @@ class PropositionComplex:
     of degree n are the block-diagonal sum of those of its stalks, one per
     group tuple: the reduced echelon form of a direct sum is the direct
     sum of the echelon forms, so degree n is presented as the direct sum
-    of the stalks' presentations, each that of one group element.
+    of the stalks' presentations, each that of one group element.  The
+    top's b is checked against that sum's ``relation_basis``, whose lowest
+    rows are its pivot rows, so its rank form is on the quotient's free
+    rows.
     """
 
     def __init__(self, ops, max_degree):
@@ -374,8 +379,8 @@ class PropositionComplex:
         def sizes(n):
             return [ops.basis(p, n - p).size for p in range(n + 1)]
 
-        def stalks(n, kind):
-            return [x for p in range(n + 1) for x in ops.stalks(p, n - p, kind)]
+        def presentation(n):
+            return direct_sum([x for p in range(n + 1) for x in ops.stalks(p, n - p)])
 
         def b(n):
             # b keeps p, bbar lowers it
@@ -389,9 +394,8 @@ class PropositionComplex:
             return block_matrix(blocks, sizes(n + 1), sizes(n))
 
         self.mixed = quotient_mixed_complex(
-            k, lambda n: block_diag(stalks(n, "relations")), b, B,
-            f"crossed-product quotient bicomplex (N={max_degree})",
-            lambda n: direct_sum(stalks(n, "presentation")),
+            k, lambda n: presentation(n).relation_basis, b, B,
+            f"crossed-product quotient bicomplex (N={max_degree})", presentation,
         )
 
 
@@ -431,18 +435,6 @@ class CoinvariantComplex:
             max_degree + 1, relations, lambda n: ops.b(0, n), lambda n: ops.B(0, n),
             "coinvariant bicomplex",
         )
-
-
-def hcG_bicomplex(algebra, group, max_degree):
-    """Homology of the p = 0 sub-bicomplex (the HC^G theory):
-    (k[G] (x) A (x) Abar^n) / (1 - T)."""
-    ops = GJOperators(algebra, group)
-    mixed = quotient_mixed_complex(
-        max_degree + 1, lambda n: block_diag(ops.stalks(0, n, "relations")),
-        lambda n: ops.b(0, n), lambda n: ops.B(0, n), "group-extended twisted bicomplex",
-        lambda n: direct_sum(ops.stalks(0, n, "presentation")),
-    )
-    return mixed.total_homology()
 
 
 def coinvariant_bicomplex(algebra, group, max_degree):

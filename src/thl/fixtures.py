@@ -4,7 +4,9 @@ Five fixtures cover: the ground field, an order-2 sign twist on dual
 numbers, an order-3 shift on a split three-line algebra (abelian, lets
 powers of the generator be compared), the full symmetric group on three
 lines (non-abelian, conjugacy classes of sizes 1/3/2), and an order-2
-twist on a longer truncated polynomial algebra.
+twist on a longer truncated polynomial algebra.  They come from two
+families: Q^n acted on by permutations of its points (the ground field is
+Q^1), and Q[x]/(x^m) with x -> -x (dual numbers at m = 2).
 
 Point-permutation algebras are rebased so that the unit is basis vector
 0, which the normalized (reduced) tensor modules require.
@@ -76,102 +78,38 @@ def _perm_group(perms, names):
     return {"elements": list(names), "table": table}
 
 
-def _ground_field():
-    return {
-        "name": "ground-field",
-        "algebra": {
-            "dim": 1,
-            "basis": ["1"],
-            "unit_index": 0,
-            "mult": [[["1"]]],
-        },
-        "group": {
-            "elements": ["e"],
-            "table": [[0]],
-            "action": {"e": [["1"]]},
-        },
-        "task": {"max_degree": 3},
-    }
+def _points_fixture(name, perms, names, task):
+    """Q^n acted on by a group of permutations of its n points."""
+    algebra, actions = _points_algebra_spec(len(perms[0]), perms, names)
+    group = _perm_group(perms, names)
+    group["action"] = actions
+    return {"name": name, "algebra": algebra, "group": group, "task": task}
 
 
-def _trunc_poly_z2():
+def _trunc_poly_fixture(name, m):
+    """Q[x]/(x^m), basis (1, x, x2, ...), acted on by x -> -x."""
+    basis = ["1", "x"] + [f"x{k}" for k in range(2, m)]
+
+    def diagonal(entry):
+        return [[entry(i) if i == j else "0" for j in range(m)] for i in range(m)]
+
     return {
-        "name": "trunc-poly-z2",
+        "name": name,
         "algebra": {
-            "dim": 2,
-            "basis": ["1", "x"],
+            "dim": m,
+            "basis": basis,
             "unit_index": 0,
             "mult": [
-                [["1", "0"], ["0", "1"]],
-                [["0", "1"], ["0", "0"]],
+                [["1" if k == i + j else "0" for k in range(m)] for j in range(m)]
+                for i in range(m)
             ],
         },
         "group": {
             "elements": ["e", "s"],
             "table": [[0, 1], [1, 0]],
             "action": {
-                "e": [["1", "0"], ["0", "1"]],
-                "s": [["1", "0"], ["0", "-1"]],
-            },
-        },
-        "task": {"max_degree": 3, "twist": "s"},
-    }
-
-
-def _triple_lines_z3():
-    perms = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
-    names = ["e", "s", "s2"]
-    algebra, actions = _points_algebra_spec(3, perms, names)
-    group = _perm_group(perms, names)
-    group["action"] = actions
-    return {
-        "name": "triple-lines-z3",
-        "algebra": algebra,
-        "group": group,
-        "task": {"max_degree": 3, "twist": "s"},
-    }
-
-
-def _triple_lines_s3():
-    perms = [
-        (1, 2, 3),
-        (2, 1, 3),
-        (3, 2, 1),
-        (1, 3, 2),
-        (2, 3, 1),
-        (3, 1, 2),
-    ]
-    names = ["e", "t12", "t13", "t23", "c123", "c132"]
-    algebra, actions = _points_algebra_spec(3, perms, names)
-    group = _perm_group(perms, names)
-    group["action"] = actions
-    return {
-        "name": "triple-lines-s3",
-        "algebra": algebra,
-        "group": group,
-        "task": {"max_degree": 2},
-    }
-
-
-def _trunc_cubic_z2():
-    return {
-        "name": "trunc-cubic-z2",
-        "algebra": {
-            "dim": 3,
-            "basis": ["1", "x", "x2"],
-            "unit_index": 0,
-            "mult": [
-                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
-                [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
-            ],
-        },
-        "group": {
-            "elements": ["e", "s"],
-            "table": [[0, 1], [1, 0]],
-            "action": {
-                "e": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                "s": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+                "e": diagonal(lambda i: "1"),
+                "s": diagonal(lambda i: "-1" if i % 2 else "1"),
             },
         },
         "task": {"max_degree": 3, "twist": "s"},
@@ -181,11 +119,19 @@ def _trunc_cubic_z2():
 FIXTURES = {
     f["name"]: f
     for f in (
-        _ground_field(),
-        _trunc_poly_z2(),
-        _triple_lines_z3(),
-        _triple_lines_s3(),
-        _trunc_cubic_z2(),
+        _points_fixture("ground-field", [(1,)], ["e"], {"max_degree": 3}),
+        _trunc_poly_fixture("trunc-poly-z2", 2),
+        _points_fixture(
+            "triple-lines-z3", [(1, 2, 3), (2, 3, 1), (3, 1, 2)], ["e", "s", "s2"],
+            {"max_degree": 3, "twist": "s"},
+        ),
+        _points_fixture(
+            "triple-lines-s3",
+            [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2)],
+            ["e", "t12", "t13", "t23", "c123", "c132"],
+            {"max_degree": 2},
+        ),
+        _trunc_poly_fixture("trunc-cubic-z2", 3),
     )
 }
 

@@ -341,21 +341,35 @@ PENDING_CASES = ["twisted", "proposition", "coinvariant", "stalk", "connes", "la
 
 @pytest.mark.parametrize("read", ["presentations", "dims", "b"])
 @pytest.mark.parametrize("case", PENDING_CASES)
-def test_top_is_presented_on_first_read(presented, case, read):
+def test_top_is_presented_on_first_read(presented, monkeypatch, case, read):
     """Both homologies present every degree but the top; the first read of
     presentations, dims or b presents it once, with b_top equal to a direct
     descent, and the homologies' rank of d_top is that of the presented
-    complexes (a bare complex is built here, outside the spy)."""
+    complexes (a bare complex is built here, outside the spy).  The
+    crossed-product top is divided at construction instead, through the
+    direct sum of its elements' presentations, which the spy does not see:
+    its pending b_top already has the quotient's columns, and its first
+    read builds no element presentation again."""
+    import thl.twisted
+
     build, raw_b, _ = _pending_top_case(case)
     mixed = build()
     top = mixed.top
+    pending = mixed.column._d[top].cols
     total, column = mixed.total_homology(), mixed.column_homology()
     if case != "bare":
         assert [n for label, n in presented if label == mixed.label] == list(range(top))
+    if case == "proposition":
+        def rebuilt(*args):
+            raise AssertionError("an element presentation is built on the first read")
+
+        monkeypatch.setattr(thl.twisted, "quotient_by", rebuilt)
     getattr(mixed, read)
     pres = mixed.presentations
     assert mixed.b[top] == descend_map(raw_b(top), pres[top], pres[top - 1])
     assert mixed.dims[top] == pres[top].quotient_dim
+    if case == "proposition":
+        assert pending == pres[top].quotient_dim
     if case != "bare":
         assert [n for label, n in presented if label == mixed.label] == list(range(top + 1))
     assert total.ranks[top] == rank(total.complex.d[top])
@@ -395,6 +409,33 @@ def test_top_that_does_not_descend_is_refused_at_construction():
     assert err.value.location.startswith("relation column ")
     # below the top the same b descends
     assert connes_complex(ops, top - 2).column_homology().dims == [0, 0]
+
+
+def test_crossed_product_top_that_does_not_descend_is_refused_at_construction():
+    """bbar with the identity in place of the wrap twist on total degree 4,
+    on S3: the quotient bicomplex through degree 4 fails on the relation
+    basis of its top, naming b_4; through degree 3 it reads no such block.
+    Below degree 4 the full-pair check reads bbar(p + 1, q) and fails
+    first."""
+    A = triple_lines_algebra()
+    G = s3_group(A)
+
+    class UntwistedWrap(GJOperators):
+        def _group_blocks(self, moves, p_src, p_dst, q):
+            if p_dst == p_src - 1 and p_src + q == 4:
+                def untwisted(gt):
+                    *inner, (c, h, _) = moves(gt)    # the wrap move is the last
+                    return inner + [(c, h, G.identity_index)]
+
+                return super()._group_blocks(untwisted, p_src, p_dst, q)
+            return super()._group_blocks(moves, p_src, p_dst, q)
+
+    with pytest.raises(
+        WellDefinednessError, match="^b_4 of crossed-product quotient bicomplex"
+    ) as err:
+        PropositionComplex(UntwistedWrap(A, G), 3)
+    assert err.value.location.startswith("relation column ")
+    assert PropositionComplex(UntwistedWrap(A, G), 2).mixed.total_homology().dims == [2, 0, 2]
 
 
 def test_top_b_squared_is_checked_at_construction():
