@@ -416,6 +416,7 @@ def tensor_operator(src, dst, terms, den=1):
     offsets = [[k * st for k in range(size)] for size, st in zip(src.slot_sizes, strides)]
     goff = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
     gbases = [(g, k * src.asize) for k, g in enumerate(src.iter_group())]
+    idx = list(range(dst.size))
     cols = [{} for _ in range(src.size)]
     for head, run, fn in terms:
         tail = dst.algebra_slots - len(run)
@@ -467,7 +468,8 @@ def tensor_operator(src, dst, terms, den=1):
                             for i, v in part:
                                 i += t
                                 for col in targets:
-                                    col[i] = col.get(i, 0) + v
+                                    r = idx[i]
+                                    col[r] = col.get(r, 0) + v
                                     i += r_in
     return QMatrix.from_integers(dst.size, cols, den)
 

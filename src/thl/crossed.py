@@ -140,6 +140,7 @@ class GJOperators:
         twists = [self.alg_twist(x, q) for x in range(self.group.order)]
         den = lcm(*[m.den for m in twists])
         entries = {}    # (c, x) -> (column, row, integer) per entry of c * twist x over den
+        idx = list(range(dst.size))
         cols = [{} for _ in range(src.size)]
         for j, gt in enumerate(src.iter_group()):
             block = cols[j * src.asize : (j + 1) * src.asize]
@@ -154,7 +155,7 @@ class GJOperators:
                 ro = target[h]
                 for k, i, v in es:
                     col = block[k]
-                    i += ro
+                    i = idx[i + ro]
                     col[i] = col.get(i, 0) + v
         return QMatrix.from_integers(dst.size, cols, den)
 

@@ -10,6 +10,19 @@ Matrices are treated as immutable once built; every routine that needs to
 mutate works on copies, so matrices may share column dicts
 (``block_matrix`` lends a block's columns to the result).
 
+Row keys are shared ints.  The constructors that compute row indices
+(``kron``, ``shift_rows``, a block ``block_matrix`` copies,
+``algebra.tensor_operator`` and ``crossed.GJOperators._group_blocks``)
+take each key from a row table made for the call, ``list(range(rows))``,
+instead of storing the int just computed; every other producer reuses
+the keys of its inputs (``@`` those of its left factor) or makes one int
+per row (``identity``, ``transpose``).  So a matrix built from one source holds one int object
+per row index, and the dict loops (``_sum_of_products``, ``rank``,
+``echelon_rows``) match its keys by identity.  CPython shares only the
+ints below 257, so a key computed per entry would cost an int object per
+entry.  A matrix mixing sources (``1 - op``, a projection, a direct sum)
+can hold one int per row and source, still not one per entry.
+
 Every kernel works on these integers.  The scalar type Q (``Fraction``)
 appears only at the boundary: the constructor, ``from_dense`` and
 ``from_columns`` take rational values, ``column``, ``entry`` and ``apply``
@@ -209,8 +222,10 @@ class QMatrix:
     def shift_rows(self, shift, rows):
         """The rows x cols matrix whose row r + shift is row r of self; rows
         that land outside [0, rows) are dropped."""
+        idx = list(range(rows))
         data = [
-            {r + shift: v for r, v in c.items() if 0 <= r + shift < rows} for c in self._cols
+            {idx[r + shift]: v for r, v in c.items() if 0 <= r + shift < rows}
+            for c in self._cols
         ]
         return _lowest(rows, self.cols, data, self.den)
 
@@ -228,6 +243,8 @@ def block_matrix(blocks, row_dims, col_dims):
     The blocks are put over the lcm of their denominators, which stays in
     lowest terms (see ``_scaled``).  A block alone in its block column, at
     row offset 0 and over that lcm, lends the result its column dicts.
+    Copied blocks take their row keys from one row table, built at the
+    first copied column.
     """
     row_off = [0]
     for d in row_dims:
@@ -239,16 +256,19 @@ def block_matrix(blocks, row_dims, col_dims):
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
         parts.setdefault(bj, []).append((row_off[bi], m))
     data = []
+    idx = None          # the row table, built at the first copied column
     for bj, n in enumerate(col_dims):
         ms = parts.get(bj, ())
         if len(ms) == 1 and ms[0][0] == 0 and ms[0][1].den == den:
             data.extend(ms[0][1]._cols)
             continue
+        if idx is None and n:
+            idx = list(range(row_off[-1]))
         cols = [{} for _ in range(n)]
         for ro, m in ms:
             for tgt, col in zip(cols, m._cols if m.den == den else _scaled(m, den)):
                 for i, v in col.items():
-                    tgt[ro + i] = v
+                    tgt[idx[ro + i]] = v
         data.extend(cols)
     return _new(row_off[-1], len(data), data, den)
 
@@ -261,8 +281,9 @@ def block_diag(mats):
 def kron(X, Y):
     """The Kronecker product X (x) Y: column j1 * Y.cols + j2 is the tensor
     X_{j1} (x) Y_{j2}, whose row i1 * Y.rows + i2 holds X_{i1 j1} Y_{i2 j2}."""
+    idx = list(range(X.rows * Y.rows))
     data = [
-        {i * Y.rows + k: v * w for i, v in x.items() for k, w in y.items()}
+        {idx[i * Y.rows + k]: v * w for i, v in x.items() for k, w in y.items()}
         for x in X._cols for y in Y._cols
     ]
     return _lowest(X.rows * Y.rows, X.cols * Y.cols, data, X.den * Y.den)

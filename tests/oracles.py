@@ -112,6 +112,13 @@ def column_space_basis(m):
     return picked
 
 
+def one_int_per_row(m):
+    """Whether every row index of the QMatrix m is stored as one int object:
+    each key is the first key of its value seen in m's columns."""
+    first = {}
+    return all(first.setdefault(r, r) is r for col in m._cols for r in col)
+
+
 # -- dense algebras ----------------------------------------------------
 
 class DenseAlgebra:

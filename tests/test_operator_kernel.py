@@ -28,7 +28,7 @@ from thl.sparse import integer_columns
 from thl.sequences import _identity_slot_map, derham_d_ambient
 from thl.twisted import twist_matrix, twisted_B, twisted_b
 
-from oracles import reference_tensor_operator
+from oracles import one_int_per_row, reference_tensor_operator
 
 # the five fixtures, and a config whose action has denominator 2
 FIXTURES = [*fixture_names(), "half-lines-z2"]
@@ -110,6 +110,22 @@ def _check_twisted(algebra, g, top):
             if n >= 1:
                 assert twisted_b(algebra, g, n, reduced) == ref_b(algebra, g, n, reduced)
         assert twisted_B(algebra, g, n) == ref_B(algebra, g, n)
+
+
+def test_operators_are_one_int_per_row():
+    """The scatter constructors and the twist's Kronecker power key each
+    row by one int object from a row table, past the 256 ints CPython
+    shares: b of Q^3 x| Z/3 at degree 3, bbar(3, 0) on S3 and the t12 twist
+    of Q^3 at degree 7."""
+    cp, _ = _crossed()
+    algebra, group = _instance("triple-lines-s3")
+    t12 = group.action[group.element_names.index("t12")]
+    for m, rows in [
+        (twisted_b(cp, AlgebraMap.identity(cp.dim), 3, reduced=True), 576),
+        (GJOperators(algebra, group).bbar(3, 0), 648),
+        (twist_matrix(algebra, t12, 7, reduced=True), 384),
+    ]:
+        assert m.rows == rows and one_int_per_row(m)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -14,13 +14,14 @@ from thl.sparse import (
     image_basis,
     image_pivot_cols,
     kernel_basis,
+    kron,
     rank,
     rref,
     solve_general,
     solve_in_span,
 )
 
-from oracles import dense_rank, dense_rref, mat_mul
+from oracles import dense_rank, dense_rref, mat_mul, one_int_per_row
 
 
 def test_rank_identity():
@@ -138,6 +139,23 @@ def test_block_matrix_shares_only_a_lone_top_block():
     assert all(m._cols[2 + j] is top._cols[j] for j in range(2))
     assert [top, below] == snapshots[:2]
     assert dense(m) == [[1, 0, 1, 0], [2, 3, 2, 3], [5, 0, 0, 0]]
+
+
+def test_computed_row_indices_are_one_int_per_row():
+    """kron, shift_rows and a block that block_matrix copies compute row
+    indices, and take each key from one row table.  Past 256 rows CPython
+    no longer shares small ints, so a key computed per entry would hold
+    one int object per entry; ``@`` keys by its left factor."""
+    ones = QMatrix.from_dense([[1] * 20] * 20)
+    k = kron(QMatrix.identity(20), ones)
+    assert k.rows == 400 and one_int_per_row(k) and one_int_per_row(k @ k)
+    wide = QMatrix.from_dense([[1, 2, 3]] * 400)
+    assert one_int_per_row(wide.shift_rows(-50, 400))
+    # both blocks of block row 1 are copied to row offset 300, keyed by
+    # one table
+    low = QMatrix.from_dense([[1, 2], [0, 3], [4, 0]])
+    m = block_matrix({(1, 0): low, (1, 1): low}, [300, 3], [2, 2])
+    assert dense(m)[300:] == [[1, 2, 1, 2], [0, 3, 0, 3], [4, 0, 4, 0]] and one_int_per_row(m)
 
 
 def test_matmul_and_transpose():
