@@ -20,7 +20,7 @@ quotient of a quotient, and ``direct_sum`` for a block-diagonal sum.
 """
 
 from .errors import WellDefinednessError
-from .sparse import QMatrix, block_diag, block_matrix, echelon_rows, first_nonzero_column, over_pivots
+from .sparse import QMatrix, block_diag, echelon_rows, first_nonzero_column, one_minus, over_pivots
 
 
 class QuotientPresentation:
@@ -214,7 +214,8 @@ def descended(projected, relations, what="map"):
 
 def coinvariant_relations(dim, operators):
     """Relation columns {m - op(m)} for every basis m and every operator:
-    the nonzero columns of each 1 - op, side by side over one denominator.
+    the nonzero columns of each 1 - op, side by side over one denominator,
+    built in one sweep of each operator's columns (``sparse.one_minus``).
 
     operators: list of (dim x dim) QMatrix.  Used for group coinvariants,
     (1-T) quotients, and friends.  Zero columns (op(m) = m) span nothing and
@@ -222,8 +223,4 @@ def coinvariant_relations(dim, operators):
     """
     if not operators:
         return QMatrix.zero(dim, 0)
-    one = QMatrix.identity(dim)
-    side = block_matrix(
-        {(0, k): one - op for k, op in enumerate(operators)}, [dim], [dim] * len(operators)
-    )
-    return side.select_columns([j for j, c in enumerate(side._cols) if c])
+    return one_minus(dim, operators)

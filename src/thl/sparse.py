@@ -11,16 +11,17 @@ mutate works on copies, so matrices may share column dicts
 (``block_matrix`` lends a block's columns to the result).
 
 Row keys are shared ints.  The constructors that compute row indices
-(``kron``, ``shift_rows``, a block ``block_matrix`` copies,
+(``kron``, ``shift_rows``, a block ``block_matrix`` copies, ``one_minus``,
 ``algebra.tensor_operator`` and ``crossed.GJOperators._group_blocks``)
-take each key from a row table made for the call, ``list(range(rows))``,
-instead of storing the int just computed; every other producer reuses
-the keys of its inputs (``@`` those of its left factor) or makes one int
-per row (``identity``, ``transpose``).  So a matrix built from one source holds one int object
-per row index, and the dict loops (``_sum_of_products``, ``rank``,
-``echelon_rows``) match its keys by identity.  CPython shares only the
-ints below 257, so a key computed per entry would cost an int object per
-entry.  A matrix mixing sources (``1 - op``, a projection, a direct sum)
+take each key from a row table made for the call, ``list(range(rows))``
+(``block_matrix``: only over the rows its copied blocks reach), instead
+of storing the int just computed; every other producer reuses the keys
+of its inputs (``@`` those of its left factor) or makes one int per row
+(``identity``, ``transpose``).  So a matrix built from one source holds
+one int object per row index, and the dict loops (``_sum_of_products``,
+``rank``, ``echelon_rows``) match its keys by identity.  CPython shares
+only the ints below 257, so a key computed per entry would cost an int
+object per entry.  A matrix mixing sources (a projection, a direct sum)
 can hold one int per row and source, still not one per entry.
 
 Every kernel works on these integers.  The scalar type Q (``Fraction``)
@@ -37,12 +38,14 @@ give them back, and so do the rows of ``rref``.
   scale by an lcm only when the denominators differ.  A result is divided
   by its common factor only when its denominator is not 1.
 * The other loops that add into columns are not sums of products: ``_combine``
-  adds two matrices (``+`` and ``-``); the elimination kernels ``_clear``,
-  ``_reduce`` and ``_eliminate`` update columns in place.  Outside this
-  module only ``algebra.tensor_operator`` and
+  adds two matrices (``+`` and ``-``); ``one_minus`` builds the nonzero
+  columns of 1 - op for a list of operators in one sweep of their
+  columns, the relations of a quotient by operators; the elimination
+  kernels ``_clear``, ``_reduce`` and ``_eliminate`` update columns in
+  place.  Outside this module only ``algebra.tensor_operator`` and
   ``crossed.GJOperators._group_blocks`` add into columns: they scatter
   images into the columns they build.  A quotient projects through ``@``
-  and takes its relations as ``1 - op``.
+  and takes its relations from ``one_minus``.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Each pivot is in the
   lightest live column, taken from a lazy-deletion heap keyed on (column
@@ -64,8 +67,12 @@ give them back, and so do the rows of ``rref``.
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
   reported bases cannot depend on elimination internals.
-  ``echelon_rows`` eliminates primitive integer rows; ``echelon`` gives it
-  a matrix's rows, for ``rref``, ``kernel_basis``, ``image_pivot_cols`` and
+  ``echelon_rows`` eliminates integer rows fraction-free (Bareiss, *Math.
+  Comp.* 22, 1968): each bucket's pivot row is read once to clear the
+  bucket's other rows, a cleared row is divided by its content only when
+  the clear scaled it, and each finished row is made primitive and
+  positive in its pivot once, at the end.  ``echelon`` gives it a
+  matrix's rows, for ``rref``, ``kernel_basis``, ``image_pivot_cols`` and
   the two solvers, and ``quotient.quotient_by`` gives it the relation
   columns themselves, the rows of the span it reduces.  Every consumer puts
   the finished rows over the lcm of their pivot entries.
@@ -243,8 +250,8 @@ def block_matrix(blocks, row_dims, col_dims):
     The blocks are put over the lcm of their denominators, which stays in
     lowest terms (see ``_scaled``).  A block alone in its block column, at
     row offset 0 and over that lcm, lends the result its column dicts.
-    Copied blocks take their row keys from one row table, built at the
-    first copied column.
+    Copied blocks take their row keys from one row table, which spans only
+    the rows the copied blocks reach.
     """
     row_off = [0]
     for d in row_dims:
@@ -255,17 +262,20 @@ def block_matrix(blocks, row_dims, col_dims):
         if m.rows != row_dims[bi] or m.cols != col_dims[bj]:
             raise ValueError(f"block ({bi},{bj}) has wrong shape")
         parts.setdefault(bj, []).append((row_off[bi], m))
+    lent = {
+        bj for bj, ms in parts.items() if len(ms) == 1 and ms[0][0] == 0 and ms[0][1].den == den
+    }
+    copied = [(ro, m) for bj, ms in parts.items() if bj not in lent for ro, m in ms if m.cols]
+    lo = min([ro for ro, _ in copied], default=0)
+    idx = list(range(lo, max([ro + m.rows for ro, m in copied], default=0)))
     data = []
-    idx = None          # the row table, built at the first copied column
     for bj, n in enumerate(col_dims):
-        ms = parts.get(bj, ())
-        if len(ms) == 1 and ms[0][0] == 0 and ms[0][1].den == den:
-            data.extend(ms[0][1]._cols)
+        if bj in lent:
+            data.extend(parts[bj][0][1]._cols)
             continue
-        if idx is None and n:
-            idx = list(range(row_off[-1]))
         cols = [{} for _ in range(n)]
-        for ro, m in ms:
+        for ro, m in parts.get(bj, ()):
+            ro -= lo
             for tgt, col in zip(cols, m._cols if m.den == den else _scaled(m, den)):
                 for i, v in col.items():
                     tgt[idx[ro + i]] = v
@@ -287,6 +297,31 @@ def kron(X, Y):
         for x in X._cols for y in Y._cols
     ]
     return _lowest(X.rows * Y.rows, X.cols * Y.cols, data, X.den * Y.den)
+
+
+def one_minus(n, ops):
+    """The nonzero columns of 1 - op for each n x n matrix op of ops, side
+    by side in order, over the lcm of their denominators.
+
+    One sweep of each op's columns: column j of 1 - op is minus op's column
+    j scaled to that lcm, plus the lcm at row j, and is left out when it
+    cancels (op(e_j) = e_j).  Row keys come from one row table.
+    """
+    den = lcm(*[op.den for op in ops])
+    idx = list(range(n))
+    data = []
+    for op in ops:
+        if (op.rows, op.cols) != (n, n):
+            raise ValueError(f"shape mismatch {n}x{n} vs {op.rows}x{op.cols}")
+        s = -(den // op.den)
+        for j, c in enumerate(op._cols):
+            col = {idx[r]: s * v for r, v in c.items()}
+            v = col.pop(j, 0) + den
+            if v:
+                col[idx[j]] = v
+            if col:
+                data.append(col)
+    return _lowest(n, len(data), data, den)
 
 
 def first_nonzero_column(terms):
@@ -394,14 +429,17 @@ def _primitive(vec, skip=None):
     return out
 
 
-def _clear(r, prow, c):
-    """Clear entry c of the integer row r with the row prow, in place.
+def _clear(r, c, p, rest):
+    """Clear entry c of the integer row r, in place, with a pivot row whose
+    entry in c is p and whose other entries are the (col, int) pairs rest.
 
-    With pivot p = prow[c], entry a = r[c] and g = gcd(a, p), sets
-    ``r <- (p/g)*r - (a/g)*prow`` (entry c cancels) and divides r by its
-    content, so r stays a primitive integer vector.
+    With entry a = r.pop(c) and g = gcd(a, p), sets
+    ``r <- (p/g)*r - (a/g)*pivot row`` (entry c cancels).  Only a row that
+    was scaled (p/g != 1) is divided by its content: a clear that does not
+    scale r can leave it a common factor, which ``echelon_rows`` divides out
+    once, at the end.
     """
-    p, a = prow[c], r[c]
+    a = r.pop(c)
     g = gcd(a, p)
     pm, am = p // g, a // g
     if pm < 0:
@@ -409,13 +447,13 @@ def _clear(r, prow, c):
     if pm != 1:
         for k in r:
             r[k] *= pm
-    for k, v in prow.items():
+    for k, v in rest:
         nv = r.get(k, 0) - am * v
         if nv:
             r[k] = nv
         else:
             del r[k]
-    if r:
+    if pm != 1 and r:
         g = gcd(*r.values())
         if g != 1:
             for k in r:
@@ -639,11 +677,13 @@ def echelon_rows(vectors, width):
     {col: int}, col < width, empty ones skipped; none is modified.
 
     Each row is divided once by its content, eliminated forward with
-    ``_clear``, then back-substituted from the last pivot.  Rows are
-    bucketed by their leading column, which keeps the pivot search linear in
-    the actual reduction work: when column c is reached, every unprocessed
-    row with an entry in c has leading column exactly c, and the shortest
-    of them is the pivot row.
+    ``_clear``, then back-substituted from the last pivot; each pivot row is
+    made primitive and positive in its pivot column once, at the end.  Rows
+    are bucketed by their leading column, which keeps the pivot search
+    linear in the actual reduction work: when column c is reached, every
+    unprocessed row with an entry in c has leading column exactly c, and
+    the shortest of them is the pivot row, whose other entries are read
+    once to clear all the others.
     """
     rows_by_lead = {}
     for v in vectors:
@@ -655,11 +695,13 @@ def echelon_rows(vectors, width):
         if not bucket:
             continue
         prow = min(bucket, key=len)
-        for r in bucket:
-            if r is not prow:
-                _clear(r, prow, col)
-                if r:
-                    rows_by_lead.setdefault(min(r), []).append(r)
+        if len(bucket) > 1:
+            p, rest = prow[col], [(k, v) for k, v in prow.items() if k != col]
+            for r in bucket:
+                if r is not prow:
+                    _clear(r, col, p, rest)
+                    if r:
+                        rows_by_lead.setdefault(min(r), []).append(r)
         pivot_rows[col] = prow
     # back-substitution: rows after col are final, with zeros in every
     # other pivot column, so clearing them never brings a pivot column back
@@ -667,11 +709,15 @@ def echelon_rows(vectors, width):
     for col in reversed(pivot_cols):
         r = pivot_rows[col]
         for c in [c for c in r if c != col and c in pivot_rows]:
-            _clear(r, pivot_rows[c], c)
+            prow = pivot_rows[c]
+            _clear(r, c, prow[c], [(k, v) for k, v in prow.items() if k != c])
     rows = [pivot_rows[col] for col in pivot_cols]
-    return pivot_cols, [
-        r if r[col] > 0 else {c: -v for c, v in r.items()} for col, r in zip(pivot_cols, rows)
-    ]
+    for col, r in zip(pivot_cols, rows):
+        g = gcd(*r.values()) if r[col] > 0 else -gcd(*r.values())
+        if g != 1:
+            for k in r:
+                r[k] //= g
+    return pivot_cols, rows
 
 
 def over_pivots(pivot_cols, rows):

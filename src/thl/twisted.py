@@ -32,7 +32,9 @@ n; the wrap face slots 1, ..., n - 1; term j of B slots 1, ..., j - 1; t
 slots 0, ..., n - 1).  The kernel expands each term once per assignment
 of the other slots, over Python integers.
 ``TwistedOperators`` gives them, and keeps the (1 - T) presentations, per
-automorphism.
+automorphism.  It hands each twist power to the next degree, T_q =
+kron(T_{q-1}, slot map), and holds one power at a time: a bicomplex's
+relations hold none once its top's are built.
 """
 
 from .algebra import (
@@ -54,12 +56,17 @@ def twist_matrix(algebra, g, n, reduced=False):
     dropped."""
     # a reduced slot needs the unit at e_0, as the basis does
     algebra_tensor_basis(algebra, n + 1, reduced)
-    out = slot = g.matrix
-    if reduced:
-        slot = slot.select_columns(range(1, algebra.dim)).shift_rows(-1, algebra.dim - 1)
+    out, slot = g.matrix, _slot_map(algebra, g, reduced)
     for _ in range(n):
         out = kron(out, slot)
     return out
+
+
+def _slot_map(algebra, g, reduced):
+    """g on a full slot, gbar on a reduced one."""
+    if not reduced:
+        return g.matrix
+    return g.matrix.select_columns(range(1, algebra.dim)).shift_rows(-1, algebra.dim - 1)
 
 
 def cyclic_operator(algebra, g, n):
@@ -123,15 +130,30 @@ class TwistedOperators:
     kept here: a twisted bicomplex drops each one once it has descended
     it, and ``GJOperators`` keeps those it reads again.  A bicomplex through
     K presents degree K only when its top is read (``complexes``).
+
+    Twist powers are handed along: the instance holds at most one, the last
+    it built, and builds T_q as kron(T_{q-1}, slot map) when it holds
+    T_{q-1} over the same slots, from scratch otherwise (readers such as
+    ``GJOperators.alg_twist`` ask for degrees in any order).  Relations
+    asked for as the last degree, as a bicomplex asks for its top's, hold
+    none, so no power outlives the bicomplex's construction.
     """
 
     def __init__(self, algebra, g):
         self.algebra = algebra
         self.g = g
         self._presentations = {}
+        self._power = None      # (q, reduced, T_q), handed to degree q + 1
 
     def twist(self, q, reduced=True):
-        return twist_matrix(self.algebra, self.g, q, reduced=reduced)
+        """T_g on degree q, held in place of the power held before."""
+        held = self._power
+        if held is not None and held[:2] == (q - 1, reduced):
+            out = kron(held[2], _slot_map(self.algebra, self.g, reduced))
+        else:
+            out = twist_matrix(self.algebra, self.g, q, reduced=reduced)
+        self._power = (q, reduced, out)
+        return out
 
     def b(self, q, reduced=True):
         return twisted_b(self.algebra, self.g, q, reduced=reduced)
@@ -139,18 +161,21 @@ class TwistedOperators:
     def B(self, q):
         return twisted_B(self.algebra, self.g, q)
 
-    def relations(self, q):
+    def relations(self, q, last=False):
         """The columns m - T_g(m) spanning the relations of degree q: none
-        for the identity, for which no twist matrix is built."""
+        for the identity, for which no twist matrix is built.  T_g is held
+        for degree q + 1 unless q is the last degree asked for."""
         twist = [] if self.g == AlgebraMap.identity(self.algebra.dim) else [self.twist(q)]
+        if last:
+            self._power = None
         return coinvariant_relations(algebra_tensor_basis(self.algebra, q + 1).asize, twist)
 
-    def presentation(self, q):
-        """(A (x) Abar^q)/(1 - T_g)."""
+    def presentation(self, q, last=False):
+        """(A (x) Abar^q)/(1 - T_g); last as for ``relations``."""
         pres = self._presentations.get(q)
         if pres is None:
-            # the twist is dropped before the relations are reduced
-            rels = self.relations(q)
+            # only a held twist power outlives the relation columns
+            rels = self.relations(q, last)
             pres = self._presentations[q] = quotient_by(rels.rows, rels)
         return pres
 
@@ -166,9 +191,10 @@ class HKBicomplex:
 
     def __init__(self, ops, max_degree):
         self.ops = ops
+        top = max_degree + 1
         self.mixed = quotient_mixed_complex(
-            max_degree + 1, ops.relations, ops.b, ops.B, f"twisted bicomplex (N={max_degree})",
-            ops.presentation,
+            top, lambda n: ops.relations(n, n == top), ops.b, ops.B,
+            f"twisted bicomplex (N={max_degree})", lambda n: ops.presentation(n, n == top),
         )
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from thl.config import load_config, load_fixture
+from thl.crossed import GJOperators, generators, group_action_operator
 from thl.errors import WellDefinednessError
 from thl.quotient import (
     QuotientPresentation,
@@ -16,9 +18,11 @@ from thl.quotient import (
     trivial_quotient,
 )
 from thl.rational import Q
-from thl.sparse import QMatrix, block_diag, rank
+from thl.sparse import QMatrix, block_diag, block_matrix, rank
+from thl.twisted import TwistedOperators, twist_matrix
 
-from oracles import dense_rref
+from fixtures_for_tests import ROOT
+from oracles import dense_rref, one_int_per_row
 
 
 def test_quotient_one_relation():
@@ -131,6 +135,63 @@ def test_coinvariant_relations_match_a_plain_loop(setup):
     assert (got.rows, got.cols, got.den, got._cols) == (want.rows, want.cols, want.den, want._cols)
 
 
+def _side_by_side_relations(dim, ops):
+    """The relations as they were once built: each 1 - op, side by side
+    through block_matrix, less the zero columns."""
+    one = QMatrix.identity(dim)
+    side = block_matrix({(0, k): one - op for k, op in enumerate(ops)}, [dim], [dim] * len(ops))
+    return side.select_columns([j for j, c in enumerate(side._cols) if c])
+
+
+def _s3_generator_actions(n):
+    """The actions of S3's two generators on k[S3] (x) A (x) Abar^n, as the
+    coinvariant complex of triple-lines-s3 divides by them."""
+    cfg = load_fixture("triple-lines-s3")
+    ops = GJOperators(cfg.algebra, cfg.group)
+    gens = generators(cfg.group, range(cfg.group.order))
+    assert len(gens) == 2
+    return [group_action_operator(cfg.group, h, ops.alg_twist(h, n)) for h in gens]
+
+
+def _half_lines_twist(q):
+    """s of half-lines-z2, whose action has denominator 2, on A^{(q+1)}."""
+    cfg = load_config(ROOT / "tests" / "data" / "half-lines-z2.json")
+    return twist_matrix(cfg.algebra, cfg.group.action[1], q)
+
+
+def _cycle(n):
+    return QMatrix.from_columns(n, [{(j + 1) % n: 1} for j in range(n)])
+
+
+@pytest.mark.parametrize("ops", [
+    lambda: [_cycle(3)],
+    lambda: _s3_generator_actions(2),
+    lambda: [_half_lines_twist(3)],
+    lambda: [QMatrix.identity(16), _half_lines_twist(3), _cycle(16)],
+], ids=["one-operator", "s3-generators", "denominator-2", "mixed-denominators"])
+def test_coinvariant_relations_equal_the_side_by_side_columns(ops):
+    """One sweep of each operator gives the nonzero columns of the
+    side-by-side 1 - op, over the same denominator."""
+    ops = ops()
+    dim = ops[0].rows
+    got = coinvariant_relations(dim, ops)
+    assert got == _side_by_side_relations(dim, ops)
+    assert got.cols == sum(dim - sum(op._cols[j] == {j: op.den} for j in range(dim)) for op in ops)
+
+
+def test_coinvariant_relations_refuse_a_wrong_shape():
+    with pytest.raises(ValueError):
+        coinvariant_relations(3, [QMatrix.identity(3), QMatrix.identity(2)])
+
+
+def test_twist_relation_span_is_one_int_per_row():
+    """The relations of t12 at degree 7 (384 rows) key every row index by
+    one int object, however many columns meet it."""
+    cfg = load_fixture("triple-lines-s3")
+    rels = TwistedOperators(cfg.algebra, cfg.group.action[cfg.group.index_of("t12")]).relations(7)
+    assert rels.rows == 384 and one_int_per_row(rels)
+
+
 @pytest.mark.parametrize("dim, ncols", [(0, 0), (1, 0), (3, 2), (5, 0), (5, 4)])
 def test_empty_relation_span_is_the_echelon_presentation(dim, ncols):
     """quotient_by builds the identity presentation directly when the
@@ -172,6 +233,15 @@ def test_empty_relation_span_stores_no_ambient_size_matrix(build, args):
     sum.  An identity of size 50 000 takes over 14 MB; the free-row list
     about 2."""
     assert _peak_mb(build, *args()) < 5
+
+
+def test_direct_sum_copies_no_row_table_over_an_unrelated_part():
+    """The pivot images of a 50 000-row trivial quotient and a 2-row one
+    hold one entry: copying it builds no table over the 50 000 rows before
+    it.  The free-row list of the sum takes about 2 MB; a row table over
+    every row would take 2 more."""
+    parts = [trivial_quotient(50_000), quotient_by(2, QMatrix.from_dense([[1], [-1]]))]
+    assert _peak_mb(direct_sum, parts) < 3
 
 
 small = st.integers(min_value=-3, max_value=3)

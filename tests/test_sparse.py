@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -485,6 +486,26 @@ def test_echelon_rows_of_the_rows_is_echelon(m, data):
     before = [dict(v) for v in vectors]
     assert echelon_rows(vectors, m.cols) == echelon(m)
     assert vectors == before
+
+
+@pytest.mark.parametrize("vectors, width", [
+    ([{0: 1, 1: 1}, {0: 1, 1: -1}], 2),
+    ([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}, {1: 1, 2: 5}], 3),
+    ([{0: -1, 2: 1, 3: 1}, {0: 1, 1: 2, 3: 1}, {1: 1, 2: 1}], 4),
+])
+def test_echelon_rows_primitive_after_a_clear_that_leaves_content(vectors, width):
+    """A clear under a unit pivot divides out no content: {0: 1, 1: 1}
+    less {0: 1, 1: -1} leaves {1: 2}, which becomes a pivot row (in the
+    second case {2: 8}).  Every row still comes out primitive, positive in
+    its pivot and the dense RREF row times that pivot."""
+    pivots, rows = echelon_rows(vectors, width)
+    want_pivots, want_rows = dense_rref(
+        [[Q(v.get(c, 0)) for c in range(width)] for v in vectors]
+    )
+    assert pivots == want_pivots
+    for c, r, want in zip(pivots, rows, want_rows):
+        assert gcd(*r.values()) == 1 and r[c] > 0
+        assert {k: Q(v, r[c]) for k, v in r.items()} == {k: v for k, v in enumerate(want) if v}
 
 
 @st.composite

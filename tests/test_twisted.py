@@ -285,3 +285,59 @@ def test_connes_complex_refuses_the_inverse_rotation():
     )
     with pytest.raises(WellDefinednessError, match="b_1 of twisted Connes complex"):
         connes_complex(mismatched, 2)
+
+
+# -- twist powers handed along ---------------------------------------------
+
+MIRRORED_S3 = os.path.join(os.path.dirname(__file__), "data", "triple-lines-s3-mirrored.json")
+
+
+def _twist_cases():
+    """(algebra, twist) for t12 and c123 on triple-lines-s3 in both basis
+    orders, and s on half-lines-z2 (an action with denominator 2)."""
+    cases = []
+    for cfg in (load_fixture("triple-lines-s3"), load_config(MIRRORED_S3)):
+        for name in ("t12", "c123"):
+            g = cfg.group.action[cfg.group.index_of(name)]
+            cases.append(pytest.param(cfg.algebra, g, id=f"{cfg.name}-{name}"))
+    cfg = load_config(HALF_LINES)
+    cases.append(pytest.param(cfg.algebra, cfg.group.action[1], id="half-lines-z2-s"))
+    return cases
+
+
+@pytest.mark.parametrize("A, g", _twist_cases())
+def test_handed_twist_powers_equal_twist_matrix(A, g):
+    """Each degree built from the power held from the degree below is the
+    Kronecker power twist_matrix builds from scratch, through q = 7, on
+    reduced and on full slots; the instance then holds that one power."""
+    for reduced in (True, False):
+        ops = TwistedOperators(A, g)
+        for q in range(8):
+            T = ops.twist(q, reduced)
+            assert T == twist_matrix(A, g, q, reduced=reduced), (reduced, q)
+            assert ops._power == (q, reduced, T)
+
+
+@pytest.mark.parametrize("A, g", _twist_cases())
+def test_twist_powers_asked_out_of_order(A, g):
+    """Degrees asked for in any order, and a power over the other slots,
+    are built from scratch where nothing is handed along, and are still
+    the Kronecker powers."""
+    ops = TwistedOperators(A, g)
+    for q, reduced in [(5, True), (3, True), (4, True), (5, False), (4, False), (5, True),
+                       (6, True), (2, True)]:
+        assert ops.twist(q, reduced) == twist_matrix(A, g, q, reduced=reduced), (q, reduced)
+    ops.relations(3, last=True)
+    assert ops._power is None
+
+
+def test_bicomplex_holds_no_twist_power():
+    """A twisted bicomplex hands each degree's power to the next and holds
+    none once its top's relations are built, nor after its top is read."""
+    cfg = load_config(MIRRORED_S3)
+    ops = TwistedOperators(cfg.algebra, cfg.group.action[cfg.group.index_of("c123")])
+    hk = HKBicomplex(ops, 4)
+    assert ops._power is None
+    hk.mixed.presentation(5)
+    assert ops._power is None
+    assert hk.mixed.total_homology().dims == [0, 0, 0, 0, 0]
