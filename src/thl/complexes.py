@@ -127,7 +127,9 @@ class HomologyResult:
     stride chunks of columns it has read reach that bound: their pivot
     columns then span the image, and they are the pivot columns that the
     next degree leaves out.  A differential short of the bound (homology in
-    degree n) has every chunk read, each reduced by the pivots before it.
+    degree n) is certified by the annihilators of the chunks read: a later
+    column they kill is skipped, and only a chunk with a column they do
+    not kill is reduced by the pivots before it.
     """
 
     def __init__(self, complex_):

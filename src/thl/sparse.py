@@ -48,9 +48,9 @@ give them back, and so do the rows of ``rref``.
   and takes its relations from ``one_minus``.
 * ``rank`` eliminates primitive integer columns fraction-free (cross-multiply
   by the pivot, then divide out the content).  Each pivot is in the
-  lightest live column, taken from a lazy-deletion heap keyed on (column
-  length, column index).  Rank is invariant under pivot order, so this is
-  safe, fully deterministic, and orders of magnitude faster on the
+  lightest live column, lowest index first, taken from buckets by column
+  length with lazy deletion.  Rank is invariant under pivot order, so this
+  is safe, fully deterministic, and orders of magnitude faster on the
   face-map matrices this library produces.  It can leave out a set of rows
   and report the columns it pivoted on, which is what compressed homology
   ranks need: when d_n d_{n+1} = 0, deleting the rows of d_{n+1} at the
@@ -59,10 +59,11 @@ give them back, and so do the rows of ``rref``.
   rows left is an upper bound, and the rank of any subset of the columns a
   lower bound; the columns are read in stride chunks (chunk i of k is every
   column j = i mod k, k = cols // (2 * bound)), and the rank is returned
-  once the columns read reach the bound.  A chunk that ends short is
-  followed by the next, its columns first reduced by the pivots logged so
-  far, in log order.  This is the full-rank case of rank certificates
-  (Kaltofen, Nehring, Saunders, ISSAC 2011).
+  once the columns read reach the bound.  A chunk that ends short leaves
+  the left null vectors of the pivots logged so far, and a later column
+  they kill is skipped; the others are reduced by those pivots, in log
+  order.  These are the rank certificates of Kaltofen, Nehring and
+  Saunders (ISSAC 2011).
 * everything that exposes a *basis* (``rref``, ``kernel_basis``,
   ``image_pivot_cols``, quotient presentations) goes through the reduced
   row echelon form, which is canonical -- unique for the row space -- so
@@ -419,7 +420,10 @@ def integer_columns(columns):
 def _primitive(vec, skip=None):
     """A copy of the integer vector, less the keys in the set skip, divided
     by its content; None when no entry is left."""
-    out = {k: v for k, v in vec.items() if k not in skip} if skip else dict(vec)
+    if not skip or skip.isdisjoint(vec):
+        out = dict(vec)
+    else:
+        out = {k: v for k, v in vec.items() if k not in skip}
     if not out:
         return None
     g = gcd(*out.values())
@@ -480,10 +484,13 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
     (at least 1) taken from the shape alone; once the columns read reach
     rank ``bound`` the rank is exact, their pivot columns span the image,
     and the remaining chunks are never copied.  A chunk that ends below the
-    bound is followed by the next one, whose columns are first reduced by
-    every pivot logged so far (``_reduce``), so no chunk's work is redone.
-    With k == 1 (fewer than four times as many columns as bound) this is
-    one plain elimination of every column.
+    bound leaves the ``bound - rank`` annihilators of the logged pivot
+    columns (``_annihilators``).  A later column they all kill lies in the
+    span of the columns read and would reduce to zero, so it is skipped
+    uncopied; the others are first reduced by every pivot logged so far
+    (``_reduce``), so no chunk's work is redone, and a chunk that adds a
+    pivot renews the annihilators.  With k == 1 (fewer than four times as
+    many columns as bound) this is one plain elimination of every column.
 
     Each column is divided once by its content and then eliminated
     fraction-free (``_eliminate``).  Deterministic; the value is independent
@@ -496,12 +503,18 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
     if not bound:
         return 0
     k = max(1, matrix.cols // (2 * bound))
-    log, log_at = [], {}
+    log, log_at, nulls, at = [], {}, [], {}
     rk = 0
     for i in range(k):
         cols = []
         for j in range(i, matrix.cols, k):
-            col = _primitive(matrix._cols[j], skip_rows)
+            col = matrix._cols[j]
+            if at and (
+                at.keys().isdisjoint(col) or not any(_dots(col.items(), nulls, at).values())
+            ):
+                cols.append(None)
+                continue
+            col = _primitive(col, skip_rows)
             cols.append(_reduce(col, log, log_at) if col and log_at else col)
         pivots = _eliminate(cols, log if i < k - 1 else None)
         if pivot_cols is not None:
@@ -509,9 +522,59 @@ def rank(matrix, skip_rows=None, pivot_cols=None):
         rk += len(pivots)
         if rk == bound:
             break
-        for t in range(len(log_at), len(log)):
-            log_at[log[t][0]] = t
+        if pivots and i < k - 1:
+            for t in range(len(log_at), len(log)):
+                log_at[log[t][0]] = t
+            nulls, at = _annihilators(log, [f for f in live if f not in log_at])
     return rk
+
+
+def _annihilators(log, free):
+    """(nulls, at): the integer row vectors y, one per free row f, that
+    are a positive multiple of e_f on the free rows and have y . c = 0 for
+    every logged pivot column c, and {row: the n with nulls[n] nonzero
+    there}.  They span the left null space of the logged columns on the
+    live rows (the free rows and the pivot rows).
+
+    One backward sweep of the log.  A logged column is zero on the rows of
+    the pivots before it, so pivot t (row r, entry p, other entries rest)
+    fixes y[r] from entries already final: p * y[r] = -(sum of y[rr] * v
+    over rest).  Where p does not divide that sum, y is scaled first and
+    then divided by its content, so its entries stay small integers.
+    """
+    nulls = [{f: 1} for f in free]
+    at = {f: [n] for n, f in enumerate(free)}
+    for r, p, rest in reversed(log):
+        s = _dots(rest, nulls, at)
+        hit = [n for n, a in s.items() if a]
+        for n in hit:
+            y, a = nulls[n], s[n]
+            g = gcd(a, p)
+            pm, am = p // g, a // g
+            if pm < 0:
+                pm, am = -pm, -am
+            if pm != 1:
+                for q in y:
+                    y[q] *= pm
+            y[r] = -am
+            if pm != 1:
+                g = gcd(*y.values())
+                if g != 1:
+                    for q in y:
+                        y[q] //= g
+        if hit:
+            at[r] = hit
+    return nulls, at
+
+
+def _dots(items, nulls, at):
+    """{n: nulls[n] . v} for the vector v of the (row, int) pairs items,
+    over the n whose vectors meet it."""
+    s = {}
+    for r, v in items:
+        for n in at.get(r, ()):
+            s[n] = s.get(n, 0) + nulls[n][r] * v
+    return s
 
 
 def _reduce(col, log, log_at):
@@ -572,29 +635,41 @@ def _eliminate(cols, log):
     and divides the result by its content, which keeps the integers small
     without creating a rational.
 
-    Pivot order: the lightest live column, lowest index first, popped from
-    a lazy-deletion heap keyed (len(col), j), pivoting on its row that meets
-    the fewest columns.  Every live column keeps a heap key no larger than
-    its length (a column is pushed again when it shrinks, or when a popped
-    key turns out stale), so a popped key that matches is the true minimum.
+    Pivot order: the lightest live column, lowest index first, pivoting on
+    its row that meets the fewest columns.  Columns wait in buckets by
+    length (Dial, CACM 12, 1969): a heap of column indices per length and
+    a heap of the lengths in use.  A column is pushed again when it shrinks,
+    or when it is popped from a stale bucket, so every live column waits in
+    some bucket no longer than it, and a popped column of the popped length
+    is the true minimum.
     """
     row_cols = {}
+    buckets = {}
     for j, col in enumerate(cols):
         if col:
             for r in col:
                 row_cols.setdefault(r, set()).add(j)
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
-    heapify(heap)
+            buckets.setdefault(len(col), []).append(j)
+    lengths = sorted(buckets)
     pivots = []
-    while heap:
-        length, c = heappop(heap)
+    while lengths:
+        length = lengths[0]
+        bucket = buckets[length]
+        c = heappop(bucket)
+        if not bucket:
+            heappop(lengths)
+            del buckets[length]
         piv_col = cols[c]
         if piv_col is None:
             continue
         if len(piv_col) != length:
-            heappush(heap, (len(piv_col), c))
+            _wait(buckets, lengths, len(piv_col), c)
             continue
-        r = min(piv_col, key=lambda r: (len(row_cols[r]), r))
+        r = None
+        for rr in piv_col:
+            n = len(row_cols[rr])
+            if r is None or n < least or n == least and rr < r:
+                r, least = rr, n
         p = piv_col[r]
         piv_items = [(rr, v) for rr, v in piv_col.items() if rr != r]
         for j in row_cols.pop(r):
@@ -633,7 +708,7 @@ def _eliminate(cols, log):
             if not col:
                 cols[j] = None
             elif len(col) < n:
-                heappush(heap, (len(col), j))
+                _wait(buckets, lengths, len(col), j)
         for rr, _ in piv_items:
             s = row_cols[rr]
             s.discard(c)
@@ -644,6 +719,16 @@ def _eliminate(cols, log):
         if log is not None:
             log.append((r, p, piv_items))
     return pivots
+
+
+def _wait(buckets, lengths, n, j):
+    """Put column j in the bucket of length n."""
+    bucket = buckets.get(n)
+    if bucket is None:
+        buckets[n] = [j]
+        heappush(lengths, n)
+    else:
+        heappush(bucket, j)
 
 
 def nullity(matrix):

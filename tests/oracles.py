@@ -8,6 +8,7 @@ and the sparse normalized pipeline is what the oracle tests assert.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 
@@ -117,6 +118,80 @@ def one_int_per_row(m):
     each key is the first key of its value seen in m's columns."""
     first = {}
     return all(first.setdefault(r, r) is r for col in m._cols for r in col)
+
+
+def reference_rank(m, skip_rows=None):
+    """(rank, pivot columns) of the QMatrix m less skip_rows, by the stride
+    chunks of ``thl.sparse.rank`` with neither annihilators nor length
+    buckets: every chunk after a short one is reduced by all the pivots
+    logged before it, in log order, and each pivot is popped from one heap
+    of (column length, column index) pairs, on its row that meets the
+    fewest columns (lowest row first).  Exact over Fraction; every pivot
+    choice depends only on nonzero patterns, so the library must agree.
+    """
+    skip = skip_rows or set()
+    live = {r for c in m._cols for r in c if r not in skip}
+    if not live:
+        return 0, []
+    k = max(1, m.cols // (2 * len(live)))
+    log, pivots = [], []
+    for i in range(k):
+        cols = []
+        for j in range(i, m.cols, k):
+            col = {r: Fraction(v) for r, v in m._cols[j].items() if r not in skip}
+            for r, piv in log:
+                if r in col:
+                    _subtract(col, col[r] / piv[r], piv, r)
+            cols.append(col or None)
+        row_cols = {}
+        for j, col in enumerate(cols):
+            for r in col or ():
+                row_cols.setdefault(r, set()).add(j)
+        heap = [(len(col), j) for j, col in enumerate(cols) if col]
+        heapify(heap)
+        while heap:
+            n, c = heappop(heap)
+            piv = cols[c]
+            if piv is None:
+                continue
+            if len(piv) != n:
+                heappush(heap, (len(piv), c))
+                continue
+            r = min(piv, key=lambda r: (len(row_cols[r]), r))
+            for j in row_cols.pop(r) - {c}:
+                col = cols[j]
+                before = len(col)
+                for rr in _subtract(col, col[r] / piv[r], piv, r):
+                    (row_cols[rr].add if rr in col else row_cols[rr].discard)(j)
+                if not col:
+                    cols[j] = None
+                elif len(col) < before:
+                    heappush(heap, (len(col), j))
+            for rr in piv:
+                if rr != r:
+                    row_cols[rr].discard(c)
+                    if not row_cols[rr]:
+                        del row_cols[rr]
+            cols[c] = None
+            pivots.append(i + k * c)
+            log.append((r, piv))
+        if len(pivots) == len(live):
+            break
+    return len(pivots), pivots
+
+
+def _subtract(col, f, piv, r):
+    """col -= f * piv in place, where the subtraction clears row r; returns
+    the other rows of piv, whose entries of col changed."""
+    del col[r]
+    rows = [rr for rr in piv if rr != r]
+    for rr in rows:
+        nv = col.get(rr, 0) - f * piv[rr]
+        if nv:
+            col[rr] = nv
+        else:
+            del col[rr]
+    return rows
 
 
 # -- dense algebras ----------------------------------------------------

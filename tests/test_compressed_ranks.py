@@ -8,6 +8,7 @@ pipelines build for every fixture.
 """
 
 import os
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from thl.crossed import (
 )
 from thl.fixtures import fixture_names
 from thl.sequences import DeRhamComplex
+from thl import sparse
 from thl.sparse import QMatrix, kernel_basis, rank
 from thl.twisted import twisted_cyclic
 
@@ -103,22 +105,47 @@ def test_compressed_ranks_on_every_fixture(name):
         assert h.ranks == [0] + [rank(d[n]) for n in range(1, h.complex.top + 1)], what
 
 
-def test_crossed_route_top_rank_certified_in_early_chunks():
+# sha256 of repr(pivot_cols) of d_3 and d_4 below, computed by the
+# heap-and-reduce rank that preceded the annihilators and length buckets
+CROSSED_ROUTE_PIVOTS_SHA256 = {
+    3: "f26bd85cee2fac6625ef97d30088f31dd8d0ee383f023e3738def10c358759fd",
+    4: "18fa154a46886c82bedb829d0c602f23641498209571413ff6c4a164b190a3e7",
+}
+
+
+def test_crossed_route_top_rank_certified_in_early_chunks(monkeypatch):
     """HC of Q^3 x| Z/3 by the twisted route with the identity twist at N=3
-    (the crossed-route benchmark): d_4 is 4680x37449 with 4160 live rows
-    and rank 4160, so rank reads it in k = 37449 // 8320 = 4 stride chunks
-    and the certificate must close before the last one.  A full elimination
-    would pivot on columns of every residue class mod k."""
+    (the crossed-route benchmark), ranked as ``HomologyResult`` ranks it.
+    d_3 is 585x4680 with 521 live rows and rank 520, so rank reads it in
+    k = 4680 // 1042 = 4 stride chunks: chunk 0 is one short of the bound
+    and its one annihilator kills every later column, so every pivot lies
+    in chunk 0 and no later column is reduced.  d_4 is 4680x37449 with 4160
+    live rows and rank 4160, k = 37449 // 8320 = 4, and its certificate
+    closes in chunk 0.  Both pivot lists are the earlier algorithm's."""
     cfg = load_fixture("triple-lines-z3")
     ag = crossed_product(cfg.algebra, cfg.group)
     h = twisted_cyclic(ag, AlgebraMap.identity(ag.dim), 3)
     assert h.ranks == [0, 8, 64, 520, 4160]
     assert h.dims == [1, 0, 1, 0]
     d = h.complex.d
-    below = []
-    rank(d[3], pivot_cols=below)
-    pivots = []
-    assert rank(d[4], skip_rows=set(below), pivot_cols=pivots) == 4160
-    k = d[4].cols // (2 * 4160)
-    assert k == 4
-    assert max(j % k for j in pivots) < k - 1
+    below = None
+    for n in (1, 2):
+        pivots = []
+        rank(d[n], skip_rows=below, pivot_cols=pivots)
+        below = set(pivots)
+    reduced = []
+    reduce = sparse._reduce
+
+    def counted(col, *log):
+        reduced.append(col)
+        return reduce(col, *log)
+
+    monkeypatch.setattr(sparse, "_reduce", counted)
+    for n, rk in ((3, 520), (4, 4160)):
+        pivots = []
+        assert rank(d[n], skip_rows=below, pivot_cols=pivots) == rk
+        assert d[n].cols // (2 * len(set().union(*d[n]._cols) - below)) == 4
+        assert all(j % 4 == 0 for j in pivots)
+        assert sha256(repr(pivots).encode()).hexdigest() == CROSSED_ROUTE_PIVOTS_SHA256[n]
+        assert not reduced
+        below = set(pivots)

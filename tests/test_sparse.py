@@ -21,8 +21,10 @@ from thl.sparse import (
     solve_general,
     solve_in_span,
 )
+from thl import sparse
+from thl.sparse import _annihilators, _eliminate, _primitive, _reduce
 
-from oracles import dense_rank, dense_rref, mat_mul, one_int_per_row
+from oracles import dense_rank, dense_rref, mat_mul, one_int_per_row, reference_rank
 
 
 def test_rank_identity():
@@ -346,8 +348,9 @@ def wide_matrices(draw, max_rows=8):
     "full" matrices usually reach full row rank in some chunk, the
     certified early exit.  "deficient" ones never can: row 0 is the sum of
     the other rows, some rows may be zero, and columns repeat earlier ones,
-    so every chunk is read and each later chunk is reduced by the pivots of
-    the earlier ones.
+    so every chunk is read, each later column is tested against the
+    annihilators of the pivots before it, and those it meets are reduced
+    by those pivots.
     """
     rows = draw(st.integers(min_value=1, max_value=max_rows))
     ncols = draw(st.integers(min_value=4 * rows, max_value=8 * rows + 4))
@@ -416,13 +419,107 @@ def test_rank_later_chunk_reduced_by_earlier_pivots():
 
 
 def test_rank_certificate_never_closes():
-    """Row 0 equals row 1 on every column: two live rows, rank 1, so every
-    chunk is read; the rows left out by skip_rows leave rank 1."""
+    """Row 0 equals row 1 on every column: two live rows, rank 1, so the
+    certificate never closes and every later chunk is tested against the
+    one annihilator of chunk 0; the rows left out by skip_rows leave rank 1."""
     m = QMatrix.from_columns(3, [{0: j % 3 + 1, 1: j % 3 + 1} for j in range(12)])
     pivots = []
     assert rank(m, pivot_cols=pivots) == 1
     assert rank(m, skip_rows={0}) == rank(m, skip_rows={1}) == 1
     assert rank(m, skip_rows={0, 1}) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matrices(), st.data())
+def test_rank_pivots_are_the_reference_algorithms(m, data):
+    """Annihilators and length buckets change no pivot: with and without
+    skipped rows, rank returns the (rank, pivot columns) of the heap and
+    reduce algorithm it replaced."""
+    skip = data.draw(row_subsets(m))
+    for skip_rows in (None, skip):
+        pivots = []
+        rk = rank(m, skip_rows=skip_rows, pivot_cols=pivots)
+        assert (rk, pivots) == reference_rank(m, skip_rows)
+
+
+def _reduce_calls(monkeypatch):
+    """The columns sparse._reduce is called on, from now on."""
+    calls = []
+    reduce = sparse._reduce
+
+    def counted(col, *log):
+        calls.append(dict(col))
+        return reduce(col, *log)
+
+    monkeypatch.setattr(sparse, "_reduce", counted)
+    return calls
+
+
+def _spanned_chunks(odd):
+    """Three live rows, twelve columns (k = 2): the even columns a*u + b*v
+    for u = (1, 0, 1) and v = (0, 1, 2) span a plane, one short of the
+    bound, whose one annihilator is (1, 2, -1); the odd columns are odd."""
+    u, v = {0: 1, 2: 1}, {1: 1, 2: 2}
+    even = [u, v, {0: 2, 1: -1}, {0: 3, 2: 3}, {1: -2, 2: -4}, {0: 1, 1: 1, 2: 3}]
+    return QMatrix.from_columns(3, [c for pair in zip(even, odd) for c in pair])
+
+
+def test_rank_chunk_in_the_span_is_not_reduced(monkeypatch):
+    """Chunk 0 is one short and every odd column lies in its span: its
+    annihilator kills them, so the rank is 2, every pivot is even and no
+    odd column is copied or reduced."""
+    odd = [{0: 1, 2: 1}, {0: -1, 1: 3, 2: 5}, {}, {1: 2, 2: 4}, {0: 4, 2: 4}, {0: 2, 1: 2, 2: 6}]
+    m = _spanned_chunks(odd)
+    calls = _reduce_calls(monkeypatch)
+    pivots = []
+    assert rank(m, pivot_cols=pivots) == 2 == dense_rank(dense(m))
+    assert all(j % 2 == 0 for j in pivots)
+    assert calls == []
+    assert (2, pivots) == reference_rank(m)
+
+
+def test_rank_chunk_leaving_the_span_is_reduced(monkeypatch):
+    """As above, but odd column 7 = e_2 leaves the span: it alone is
+    reduced by the pivots of chunk 0, and its pivot closes the bound."""
+    odd = [{0: 1, 2: 1}, {0: -1, 1: 3, 2: 5}, {}, {2: 1}, {0: 4, 2: 4}, {0: 2, 1: 2, 2: 6}]
+    m = _spanned_chunks(odd)
+    calls = _reduce_calls(monkeypatch)
+    pivots = []
+    assert rank(m, pivot_cols=pivots) == 3 == dense_rank(dense(m))
+    assert [j for j in pivots if j % 2] == [7]
+    assert calls == [{2: 1}]
+    assert (3, pivots) == reference_rank(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(structured_matrices(), wide_matrices()), st.data())
+def test_annihilators_kill_every_logged_column(m, data):
+    """Log the pivots of two chunks as rank does (the second reduced by the
+    first): there is one annihilator per live row f left free, an integer
+    vector that is a positive multiple of e_f on the free rows, and each
+    kills every logged column and every input column exactly; ``at`` lists
+    each annihilator at its nonzero rows."""
+    split = data.draw(st.integers(min_value=0, max_value=m.cols))
+    log, log_at = [], {}
+    for part in (m._cols[:split], m._cols[split:]):
+        cols = [_primitive(c) for c in part]
+        cols = [_reduce(c, log, log_at) if c and log_at else c for c in cols]
+        _eliminate(cols, log)
+        log_at = {r: t for t, (r, _, _) in enumerate(log)}
+    live = set().union(*m._cols)
+    free = sorted(live - set(log_at))
+    nulls, at = _annihilators(log, free)
+    assert len(nulls) == len(free) == len(live) - dense_rank(dense(m))
+    for f, y in zip(free, nulls):
+        assert {r: v for r, v in y.items() if r not in log_at} == {f: y[f]} and y[f] > 0
+        assert all(isinstance(v, int) and v for v in y.values())
+        for r, p, rest in log:
+            assert y.get(r, 0) * p + sum(y.get(rr, 0) * v for rr, v in rest) == 0
+        for col in m._cols:
+            assert sum(y.get(r, 0) * v for r, v in col.items()) == 0
+    assert {r: sorted(ns) for r, ns in at.items()} == {
+        r: [n for n, y in enumerate(nulls) if r in y] for r in set().union(*nulls)
+    }
 
 
 @settings(max_examples=40, deadline=None)
