@@ -27,7 +27,12 @@ Module conventions (machine-checked per instance):
 b, B and T are block diagonal in the per-element operators of
 ``twisted.TwistedOperators``, one instance per group element; bbar and
 Bbar are block matrices over the group tuples whose blocks are signed sums
-of those elements' twists.  The quotients by the group and by a
+of those elements' twists, placed by one scatter constructor from their
+moves, whose targets are computed from the digits of the tuple index.
+The ambient operators serve the identity checks.  The crossed-product
+quotient is placed by the same constructor from element blocks on the
+non-degenerate group tuples, each block descended once from one element's
+(1 - T) quotient to another's.  The quotients by the group and by a
 centralizer take their relations from a generating set of it.
 """
 
@@ -35,8 +40,10 @@ from math import lcm
 from types import SimpleNamespace
 
 from .algebra import conjugacy_data, generators, tensor_index, tensor_operator
-from .complexes import check_mixed_map, induced_on_homology, quotient_mixed_complex, total_map
-from .errors import ChainMapError, ComplexError
+from .complexes import (
+    MixedComplex, check_mixed_map, induced_on_homology, quotient_mixed_complex, total_map,
+)
+from .errors import ChainMapError, ComplexError, WellDefinednessError
 from .quotient import coinvariant_relations, descend_map, direct_sum
 from .sparse import QMatrix, block_diag, block_matrix, first_nonzero_column, kron, rank
 from .twisted import TwistedOperators, cyclic_operator
@@ -106,12 +113,6 @@ class GJOperators:
             [block(s, q, *flags) for s in self._sigmas(p, q)]
         ))
 
-    def stalks(self, p, q):
-        """Per group tuple gt of block (p, q), in order, the presentation of
-        its stalk divided by (1 - T): that of the element sigma(gt), kept by
-        the element's ``TwistedOperators``."""
-        return [self.element(s).presentation(q) for s in self._sigmas(p, q)]
-
     # -- operators --------------------------------------------------------
 
     def T(self, p, q):
@@ -126,38 +127,108 @@ class GJOperators:
     def B(self, p, q):
         return self._stalkwise("B", self.alg_B, p, q)
 
-    def _group_blocks(self, moves, p_src, p_dst, q):
-        """The map from block (p_src, q) to (p_dst, q) whose block at the
-        target tuple h and source tuple gt is the sum of c * alg_twist(x, q)
-        over the moves (c, h, x) in moves(gt); c is +1 or -1.  Two moves of
-        gt can land on the same h, and their blocks are then added.
+    def moves(self, name, p, q):
+        """The terms of the group-direction operator name, "bbar" or "Bbar",
+        on block (p, q), the Koszul sign included: per term (c, targets,
+        twists), sending the group tuple of index t in G^{p+1} to the tuple
+        of index targets[t] with sign c and the twist of twists[t] (of
+        twists, when an int).  Each target is computed from the digits of t
+        (slot 0 the most significant), so no tuple is built."""
+        grp = self.group
+        r, e = grp.order, grp.identity_index
+        koszul = -1 if q % 2 else 1
+        n = r ** (p + 1)
+        if name == "bbar":
+            if p == 0:
+                return []
+            mul = [grp.mul(a, b) for a in range(r) for b in range(r)]
+            out = []
+            for i in range(p):
+                # slots i, i + 1 merge: t = (head, g_i, g_{i+1}, tail)
+                lo = r ** (p - i - 1)
+                out.append((-koszul if i % 2 else koszul, [
+                    t // (lo * r * r) * (lo * r) + mul[t // lo % (r * r)] * lo + t % lo
+                    for t in range(n)
+                ], e))
+            # the wrap move (g_p g_0, g_1, ..., g_{p-1}) twists by g_p
+            mid = r ** (p - 1)
+            out.append((-koszul if p % 2 else koszul, [
+                mul[t % r * r + t // (mid * r)] * mid + t // r % mid for t in range(n)
+            ], list(range(r)) * (n // r)))
+            return out
+        # term i rotates the last i slots to the front after e and twists
+        # by their product
+        out = []
+        for i, prods in enumerate(_tuple_products(grp, p)):
+            head = r ** i
+            out.append((-koszul if i * p % 2 else koszul, [
+                e * n + t % head * (n // head) + t // head for t in range(n)
+            ], [prods[t % head] for t in range(n)]))
+        return out
 
-        Every twist is put over the lcm of the denominators of the group's
-        twists, and each column is accumulated once from their integer
-        entries; the matrix is then divided to lowest terms."""
-        src, dst = self.basis(p_src, q), self.basis(p_dst, q)
-        target = {h: k * dst.asize for k, h in enumerate(dst.iter_group())}
-        twists = [self.alg_twist(x, q) for x in range(self.group.order)]
-        den = lcm(*[m.den for m in twists])
-        entries = {}    # (c, x) -> (column, row, integer) per entry of c * twist x over den
-        idx = list(range(dst.size))
-        cols = [{} for _ in range(src.size)]
-        for j, gt in enumerate(src.iter_group()):
-            block = cols[j * src.asize : (j + 1) * src.asize]
-            for c, h, x in moves(gt):
-                es = entries.get((c, x))
-                if es is None:
-                    m = twists[x]
-                    s = c * (den // m.den)
-                    es = entries[(c, x)] = [
-                        (k, i, s * v) for k, col in enumerate(m._cols) for i, v in col.items()
-                    ]
-                ro = target[h]
-                for k, i, v in es:
-                    col = block[k]
-                    i = idx[i + ro]
-                    col[i] = col.get(i, 0) + v
-        return QMatrix.from_integers(dst.size, cols, den)
+    def _group_blocks(self, rows, cols, parts):
+        """The rows x cols map that places, for each part (sources, moves,
+        targets, block), source (t, o, s) and term (c, hs, xs) of moves,
+        c * block(s, s2, x) at row offset ro and column offset o, where
+        (ro, s2) = targets[hs[t]] and x = xs[t] (xs, when an int); a target
+        None drops the term.  t is a group tuple index, s and s2 name the
+        stalks of source and target (None on the ambient modules), and two
+        terms landing on one block are added.
+
+        Each block is built on first use in its part and its entries are
+        expanded once; the columns are accumulated over the denominator of
+        each block, with the row keys of one row table, and the sums over
+        different denominators are added over their lcm at the end."""
+        idx = list(range(rows))
+        sums = {}       # den -> integer columns over it
+        for sources, moves, targets, block in parts:
+            entries = {}    # (c, s, s2, x) -> (columns, [(column, row, integer)])
+            for t, o, s in sources:
+                for c, hs, xs in moves:
+                    placed = targets[hs[t]]
+                    if placed is None:
+                        continue
+                    ro, s2 = placed
+                    x = xs if xs.__class__ is int else xs[t]
+                    es = entries.get((c, s, s2, x))
+                    if es is None:
+                        m = block(s, s2, x)
+                        out = sums.get(m.den)
+                        if out is None:
+                            out = sums[m.den] = [{} for _ in range(cols)]
+                        es = entries[(c, s, s2, x)] = (out, [
+                            (k, i, c * v) for k, col in enumerate(m._cols) for i, v in col.items()
+                        ])
+                    out, es = es
+                    for k, i, v in es:
+                        col = out[o + k]
+                        i = idx[i + ro]
+                        col[i] = col.get(i, 0) + v
+        den = lcm(*sums)
+        cols_out = None
+        for d, out in sums.items():
+            s = den // d
+            if cols_out is None:
+                cols_out = out
+                if s != 1:
+                    for col in out:
+                        for i in col:
+                            col[i] *= s
+                continue
+            for col, add in zip(cols_out, out):
+                for i, v in add.items():
+                    col[i] = col.get(i, 0) + s * v
+        return QMatrix.from_integers(rows, cols_out or [{} for _ in range(cols)], den)
+
+    def _ambient(self, name, p, p_dst, q):
+        """The group-direction operator name from block (p, q) to (p_dst, q)
+        on the ambient modules: every block a signed twist."""
+        src, dst = self.basis(p, q), self.basis(p_dst, q)
+        sources = [(t, t * src.asize, None) for t in range(src.gsize)]
+        targets = [(h * dst.asize, None) for h in range(dst.gsize)]
+        return self._group_blocks(dst.size, src.size, [(
+            sources, self.moves(name, p, q), targets, lambda s, s2, x: self.alg_twist(x, q)
+        )])
 
     def bbar(self, p, q):
         """Group-direction boundary (p, q) -> (p-1, q); zero map at p = 0.
@@ -166,44 +237,14 @@ class GJOperators:
         def build():
             if p == 0:
                 return QMatrix.zero(0, self.basis(p, q).size)
-            grp = self.group
-            e = grp.identity_index
-            koszul = -1 if q % 2 else 1
-
-            def moves(gt):
-                out = [
-                    (-koszul if i % 2 else koszul,
-                     gt[:i] + (grp.mul(gt[i], gt[i + 1]),) + gt[i + 2 :], e)
-                    for i in range(p)
-                ]
-                wrap = (grp.mul(gt[p], gt[0]),) + gt[1:p]
-                out.append((-koszul if p % 2 else koszul, wrap, gt[p]))
-                return out
-
-            return self._group_blocks(moves, p, p - 1, q)
+            return self._ambient("bbar", p, p - 1, q)
 
         return self._kept(("bbar", p, q), build)
 
     def Bbar(self, p, q):
         """Group-direction degree raise (p, q) -> (p+1, q); term i carries
         the twist of h_i = g_{p-i+1} ... g_p."""
-
-        def build():
-            grp = self.group
-            e = grp.identity_index
-            koszul = -1 if q % 2 else 1
-
-            def moves(gt):
-                return [
-                    (-koszul if i * p % 2 else koszul,
-                     (e,) + gt[p - i + 1 :] + gt[: p - i + 1],
-                     grp.product(gt[p - i + 1 :]))
-                    for i in range(p + 1)
-                ]
-
-            return self._group_blocks(moves, p, p + 1, q)
-
-        return self._kept(("Bbar", p, q), build)
+        return self._kept(("Bbar", p, q), lambda: self._ambient("Bbar", p, p + 1, q))
 
     def U(self, p, q):
         """U = T.Bbar (p, q) -> (p+1, q), the group-direction half of the
@@ -214,6 +255,15 @@ class GJOperators:
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
         it holds, else the first residual column, named by its tensor."""
         return self._kept(("identity", name, p, q), lambda: check_identity(self, name, p, q))
+
+
+def _tuple_products(group, slots):
+    """For s = 0, ..., slots, the products g_0 ... g_{s-1} of the tuples of
+    G^s by index (slot 0 the most significant digit)."""
+    out = [[group.identity_index]]
+    for _ in range(slots):
+        out.append([group.mul(a, x) for a in range(group.order) for x in out[-1]])
+    return out
 
 
 def beta_map(algebra, group, p, q):
@@ -354,50 +404,150 @@ def full_pair_check(ops, bound):
 # ---------------------------------------------------------------------
 
 class PropositionComplex:
-    """The quotient bicomplex of the crossed-product theory.
+    """The quotient bicomplex of the crossed-product theory, normalized in
+    the group direction.
 
-    Every block (p, q) with p + q <= N + 1 is divided by (1 - T); the
-    boundary b + bbar and the degree-raising B descend (checked); total
-    degree n collects blocks with p + q = n, ascending p.  The relations
-    of degree n are the block-diagonal sum of those of its stalks, one per
-    group tuple: the reduced echelon form of a direct sum is the direct
-    sum of the echelon forms, so degree n is presented as the direct sum
-    of the stalks' presentations, each that of one group element.  The
-    top's b is checked against that sum's ``relation_basis``, whose lowest
-    rows are its pivot rows, so its rank form is on the quotient's free
-    rows.
+    Degree n collects the blocks (p, n - p), ascending p, and block p runs
+    over the non-degenerate group tuples gt = (g_0, ..., g_p), those with
+    g_i != e for i >= 1, in index order.  Each tuple carries the quotient
+    of its stalk by (1 - T): the presentation of the element sigma(gt) of
+    degree n - p, so ``mixed.presentations[n]`` lists those of degree n's
+    tuples in order, and the module is their direct sum.  The degenerate
+    tuples span a subcomplex, checked at construction to be closed under
+    b + bbar (b and B keep every tuple), which is row-acyclic over Q
+    (normalization theorem: Loday, *Cyclic Homology*, 1.6), so dividing it
+    out keeps the total homology.
+
+    b + bbar and B are placed from element blocks, each descended once,
+    with its exact check, through the presentations it joins: b and B of
+    sigma(gt) on the diagonal, and for a move (c, h, x) of bbar from gt the
+    twist of x from the stalk of sigma(gt) to that of sigma(h).  Moves onto
+    degenerate tuples are dropped.  The full boundary pair is checked on the
+    ambient operators of ops through total degree 2, and the mixed
+    identities on the assembled quotient.
     """
 
     def __init__(self, ops, max_degree):
         self.ops = ops
         k = max_degree + 1
+        label = f"crossed-product quotient bicomplex (N={max_degree})"
 
         for name, ok in full_pair_check(ops, min(k, 2)):
             if not ok:
                 raise ComplexError(f"full boundary pair identity failed: {name}")
 
-        # block p of total degree n is (p, n - p)
-        def sizes(n):
-            return [ops.basis(p, n - p).size for p in range(n + 1)]
+        group = ops.group
+        r, e = group.order, group.identity_index
+        sigma = [[group.inverse[x] for x in prods] for prods in _tuple_products(group, k + 1)]
+        # presented by ascending degree, so that each twist power is handed on
+        pres = [[ops.element(s).presentation(q, q == k) for s in range(r)] for q in range(k + 1)]
+        nondeg = [range(r)]
+        for p in range(1, k + 1):
+            nondeg.append([t * r + g for t in nondeg[-1] for g in range(r) if g != e])
 
-        def presentation(n):
-            return direct_sum([x for p in range(n + 1) for x in ops.stalks(p, n - p)])
+        # per degree n and block p: the sources (t, offset, sigma) of its
+        # non-degenerate tuples, and per tuple index the (offset, sigma) it
+        # is placed at, None for a degenerate one
+        sources, places, dims, stalks = [], [], [], []
+        for n in range(k + 1):
+            off, src, place, parts = 0, [], [], []
+            for p in range(n + 1):
+                sig = sigma[p + 1]
+                at = [None] * r ** (p + 1)
+                tuples = []
+                for t in nondeg[p]:
+                    s = sig[t]
+                    at[t] = (off, s)
+                    tuples.append((t, off, s))
+                    parts.append(pres[n - p][s])
+                    off += pres[n - p][s].quotient_dim
+                src.append(tuples)
+                place.append(at)
+            sources.append(src)
+            places.append(place)
+            dims.append(off)
+            stalks.append(parts)
+
+        blocks = {}
+
+        def descended(key, f, src, dst, what):
+            """The element block f() from the presentation src to dst,
+            descended once."""
+            if key not in blocks:
+                blocks[key] = descend_map(f(), src, dst, what=what)
+            return blocks[key]
+
+        def diagonal(name, n, m, what):
+            """The parts of the map name of the elements ("alg_b" or "alg_B")
+            from degree n to m, which keeps every tuple and its block p."""
+            f = getattr(ops, name)
+            return [
+                (sources[n][p], [(1, range(r ** (p + 1)), e)], places[m][p],
+                 lambda s, _, __, q=n - p: descended(
+                     (name, s, q), lambda: f(s, q), pres[q][s], pres[q + m - n][s], what))
+                for p in range(min(n, m) + 1)
+            ]
 
         def b(n):
-            # b keeps p, bbar lowers it
-            blocks = {(p, p): ops.b(p, n - p) for p in range(n)}
+            what = f"b_{n} of {label}"
+            parts = diagonal("alg_b", n, n - 1, what)
             for p in range(1, n + 1):
-                blocks[(p - 1, p)] = ops.bbar(p, n - p)
-            return block_matrix(blocks, sizes(n - 1), sizes(n))
+                q = n - p
+
+                def twist(s, s2, x, q=q):
+                    return descended(("twist", s, s2, x, q), lambda: ops.alg_twist(x, q),
+                                     pres[q][s], pres[q][s2], what)
+
+                moves = ops.moves("bbar", p, q)
+                _check_closed(ops, moves, places[n][p], places[n - 1][p - 1], sigma[p + 1],
+                              twist, what, p, q)
+                parts.append((sources[n][p], moves, places[n - 1][p - 1], twist))
+            return ops._group_blocks(dims[n - 1], dims[n], parts)
 
         def B(n):
-            blocks = {(p, p): ops.B(p, n - p) for p in range(n + 1)}
-            return block_matrix(blocks, sizes(n + 1), sizes(n))
+            what = f"B_{n} of {label}"
+            return ops._group_blocks(dims[n + 1], dims[n], diagonal("alg_B", n, n + 1, what))
 
-        self.mixed = quotient_mixed_complex(
-            k, lambda n: presentation(n).relation_basis, b, B,
-            f"crossed-product quotient bicomplex (N={max_degree})", presentation,
+        self.mixed = MixedComplex(
+            dims, [None] + [b(n) for n in range(1, k + 1)], [B(n) for n in range(k)] + [None],
+            stalks, label,
         )
+
+
+def _check_closed(ops, moves, sources, targets, sigma, block, what, p, q):
+    """Check that the moves of bbar on block (p, q) from each degenerate
+    tuple (sources[t] None) onto the non-degenerate ones cancel: formally,
+    the (target, twist) pairs of either sign matching, and otherwise as the
+    sum of the element blocks they place on each target, which must vanish.
+    Raises WellDefinednessError naming the first source and target tuple
+    where they do not."""
+    for t, at in enumerate(sources):
+        if at is not None:
+            continue
+        plus, minus = [], []
+        for c, hs, xs in moves:
+            h = hs[t]
+            if targets[h] is not None:
+                (plus if c > 0 else minus).append((h, xs if xs.__class__ is int else xs[t]))
+        if sorted(plus) == sorted(minus):
+            continue
+        s = sigma[t]
+        for h in sorted({h for h, _ in plus + minus}):
+            s2 = targets[h][1]
+            terms = [(c, m, QMatrix.identity(m.cols))
+                     for c, pairs in ((1, plus), (-1, minus)) for hh, x in pairs if hh == h
+                     for m in [block(s, s2, x)]]
+            if first_nonzero_column(terms) is not None:
+                raise WellDefinednessError(
+                    f"{what} does not keep the degenerate group tuples closed",
+                    location=f"(p,q)=({p},{q}), group tuple {_names(ops, t, p, q)} "
+                             f"onto {_names(ops, h, p - 1, q)}",
+                )
+
+
+def _names(ops, t, p, q):
+    """The names of the group tuple of index t of block (p, q)."""
+    return ",".join(map(ops.group.name, ops.basis(p, q).decode_group(t)))
 
 
 def proposition_bicomplex(algebra, group, max_degree):

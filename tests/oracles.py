@@ -658,3 +658,66 @@ def two_step_frame(h, n):
     picked = image_pivot_cols(bd.hstack(cy))
     reps = cy.select_columns([j - bd.cols for j in picked if j >= bd.cols])
     return bd, reps, bd.hstack(reps)
+
+
+# -- the crossed-product quotient on the ambient modules ------------------
+
+def ambient_crossed_quotient(ops, max_degree):
+    """The crossed-product quotient bicomplex of the GJOperators ops,
+    un-normalized and assembled on the ambient modules: degree n is the
+    direct sum over p and every group tuple gt of G^{p+1} of the (1 - T)
+    quotient of the element sigma(gt) in degree n - p, and b + bbar and B
+    are the ambient block matrices, projected through that sum."""
+    from thl.complexes import quotient_mixed_complex
+    from thl.quotient import direct_sum
+    from thl.sparse import block_matrix
+
+    group = ops.group
+
+    def sizes(n):
+        return [ops.basis(p, n - p).size for p in range(n + 1)]
+
+    def presentation(n):
+        return direct_sum([
+            ops.element(group.inverse[group.product(gt)]).presentation(n - p)
+            for p in range(n + 1) for gt in ops.basis(p, n - p).iter_group()
+        ])
+
+    def b(n):
+        blocks = {(p, p): ops.b(p, n - p) for p in range(n)}
+        blocks.update({(p - 1, p): ops.bbar(p, n - p) for p in range(1, n + 1)})
+        return block_matrix(blocks, sizes(n - 1), sizes(n))
+
+    def B(n):
+        return block_matrix({(p, p): ops.B(p, n - p) for p in range(n + 1)},
+                            sizes(n + 1), sizes(n))
+
+    return quotient_mixed_complex(
+        max_degree + 1, lambda n: presentation(n).relation_basis, b, B,
+        "ambient crossed-product quotient", presentation,
+    )
+
+
+def degenerate_coordinates(ops, n):
+    """(kept, degenerate): the quotient coordinates of degree n of
+    ``ambient_crossed_quotient`` on the non-degenerate group tuples (g_i != e
+    for every i >= 1), and those on the others, each ascending."""
+    group = ops.group
+    kept, degenerate, off = [], [], 0
+    for p in range(n + 1):
+        for gt in ops.basis(p, n - p).iter_group():
+            dim = ops.element(group.inverse[group.product(gt)]).presentation(n - p).quotient_dim
+            part = degenerate if group.identity_index in gt[1:] else kept
+            part.extend(range(off, off + dim))
+            off += dim
+    return kept, degenerate
+
+
+def restricted(m, rows, cols):
+    """The submatrix of m on the rows and the columns given, in their order."""
+    from thl.sparse import QMatrix
+
+    at = {r: k for k, r in enumerate(rows)}
+    return QMatrix.from_columns(
+        len(rows), [{at[r]: v for r, v in m.column(j).items() if r in at} for j in cols]
+    )

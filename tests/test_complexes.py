@@ -28,7 +28,7 @@ from thl.crossed import (
 from thl.errors import ChainMapError, ComplexError, WellDefinednessError
 from thl.fixtures import fixture_names
 from thl.rational import Q
-from thl.sparse import QMatrix, block_matrix, kernel_basis, rank
+from thl.sparse import QMatrix, kernel_basis, rank
 from thl.quotient import descend_map, quotient_by
 from thl.twisted import HKBicomplex, TwistedOperators, connes_complex, twisted_b
 
@@ -209,17 +209,6 @@ def _pending_top_case(case):
     tw = TwistedOperators(cfg.algebra, cfg.group.action[1])
     if case == "twisted":
         return lambda: HKBicomplex(tw, 3).mixed, tw.b, tw.B
-    if case == "proposition":
-        def sizes(n):
-            return [ops.basis(p, n - p).size for p in range(n + 1)]
-
-        def b(n):
-            blocks = {(p, p): ops.b(p, n - p) for p in range(n)}
-            blocks.update({(p - 1, p): ops.bbar(p, n - p) for p in range(1, n + 1)})
-            return block_matrix(blocks, sizes(n - 1), sizes(n))
-
-        return lambda: PropositionComplex(ops, 2).mixed, b, lambda n: block_matrix(
-            {(p, p): ops.B(p, n - p) for p in range(n + 1)}, sizes(n + 1), sizes(n))
     if case == "coinvariant":
         return (lambda: CoinvariantComplex(ops, 2).mixed, lambda n: ops.b(0, n),
                 lambda n: ops.B(0, n))
@@ -236,7 +225,7 @@ def _pending_top_case(case):
     return lambda: quotient_mixed_complex(2, tw.relations, tw.b, tw.B, "bare"), tw.b, tw.B
 
 
-@pytest.mark.parametrize("case", ["twisted", "proposition", "coinvariant", "stalk", "bare"])
+@pytest.mark.parametrize("case", ["twisted", "coinvariant", "stalk", "bare"])
 def test_last_B_is_descended_on_first_read_of_the_top(monkeypatch, case):
     """No homology reads B_{top-1}, so reading both homologies descends no
     B_{top-1}; the first read of the top (here its presentations) descends
@@ -336,40 +325,26 @@ def presented(monkeypatch):
     return log
 
 
-PENDING_CASES = ["twisted", "proposition", "coinvariant", "stalk", "connes", "lambda", "bare"]
+PENDING_CASES = ["twisted", "coinvariant", "stalk", "connes", "lambda", "bare"]
 
 
 @pytest.mark.parametrize("read", ["presentations", "dims", "b"])
 @pytest.mark.parametrize("case", PENDING_CASES)
-def test_top_is_presented_on_first_read(presented, monkeypatch, case, read):
+def test_top_is_presented_on_first_read(presented, case, read):
     """Both homologies present every degree but the top; the first read of
     presentations, dims or b presents it once, with b_top equal to a direct
     descent, and the homologies' rank of d_top is that of the presented
-    complexes (a bare complex is built here, outside the spy).  The
-    crossed-product top is divided at construction instead, through the
-    direct sum of its elements' presentations, which the spy does not see:
-    its pending b_top already has the quotient's columns, and its first
-    read builds no element presentation again."""
-    import thl.twisted
-
+    complexes (a bare complex is built here, outside the spy)."""
     build, raw_b, _ = _pending_top_case(case)
     mixed = build()
     top = mixed.top
-    pending = mixed.column._d[top].cols
     total, column = mixed.total_homology(), mixed.column_homology()
     if case != "bare":
         assert [n for label, n in presented if label == mixed.label] == list(range(top))
-    if case == "proposition":
-        def rebuilt(*args):
-            raise AssertionError("an element presentation is built on the first read")
-
-        monkeypatch.setattr(thl.twisted, "quotient_by", rebuilt)
     getattr(mixed, read)
     pres = mixed.presentations
     assert mixed.b[top] == descend_map(raw_b(top), pres[top], pres[top - 1])
     assert mixed.dims[top] == pres[top].quotient_dim
-    if case == "proposition":
-        assert pending == pres[top].quotient_dim
     if case != "bare":
         assert [n for label, n in presented if label == mixed.label] == list(range(top + 1))
     assert total.ranks[top] == rank(total.complex.d[top])
@@ -414,21 +389,19 @@ def test_top_that_does_not_descend_is_refused_at_construction():
 def test_crossed_product_top_that_does_not_descend_is_refused_at_construction():
     """bbar with the identity in place of the wrap twist on total degree 4,
     on S3: the quotient bicomplex through degree 4 fails on the relation
-    basis of its top, naming b_4; through degree 3 it reads no such block.
-    Below degree 4 the full-pair check reads bbar(p + 1, q) and fails
-    first."""
+    basis of the stalk that a move lands in, naming b_4; through degree 3
+    it reads no such block.  Below degree 4 the full-pair check reads
+    bbar(p + 1, q) and fails first."""
     A = triple_lines_algebra()
     G = s3_group(A)
 
     class UntwistedWrap(GJOperators):
-        def _group_blocks(self, moves, p_src, p_dst, q):
-            if p_dst == p_src - 1 and p_src + q == 4:
-                def untwisted(gt):
-                    *inner, (c, h, _) = moves(gt)    # the wrap move is the last
-                    return inner + [(c, h, G.identity_index)]
-
-                return super()._group_blocks(untwisted, p_src, p_dst, q)
-            return super()._group_blocks(moves, p_src, p_dst, q)
+        def moves(self, name, p, q):
+            out = super().moves(name, p, q)
+            if name == "bbar" and p + q == 4:
+                *inner, (c, targets, _) = out    # the wrap move is the last
+                return inner + [(c, targets, G.identity_index)]
+            return out
 
     with pytest.raises(
         WellDefinednessError, match="^b_4 of crossed-product quotient bicomplex"
@@ -436,6 +409,33 @@ def test_crossed_product_top_that_does_not_descend_is_refused_at_construction():
         PropositionComplex(UntwistedWrap(A, G), 3)
     assert err.value.location.startswith("relation column ")
     assert PropositionComplex(UntwistedWrap(A, G), 2).mixed.total_homology().dims == [2, 0, 2]
+
+
+def test_crossed_product_degenerate_tuples_must_stay_closed():
+    """The last inner move of bbar with its sign flipped on total degree 4,
+    on S3: from a degenerate tuple (g_0, ..., g_{p-1}, e) it no longer
+    cancels the wrap move, so the degenerate tuples do not span a
+    subcomplex and the normalized quotient is not defined.  The closure
+    check refuses it at construction, naming b_4 and the tuple, before any
+    block of degree 4 is placed; through degree 3 the flip is not read."""
+    A = triple_lines_algebra()
+    G = s3_group(A)
+
+    class FlippedMove(GJOperators):
+        def moves(self, name, p, q):
+            out = super().moves(name, p, q)
+            if name == "bbar" and p + q == 4:
+                c, targets, twists = out[p - 1]
+                out[p - 1] = (-c, targets, twists)
+            return out
+
+    with pytest.raises(
+        WellDefinednessError,
+        match="^b_4 of crossed-product quotient bicomplex .* degenerate group tuples",
+    ) as err:
+        PropositionComplex(FlippedMove(A, G), 3)
+    assert err.value.location.startswith("(p,q)=(1,3), group tuple ")
+    assert PropositionComplex(FlippedMove(A, G), 2).mixed.total_homology().dims == [2, 0, 2]
 
 
 def test_top_b_squared_is_checked_at_construction():

@@ -8,6 +8,7 @@ from thl.crossed import (
     ConjugacyDecomposition,
     GJOperators,
     LambdaComplex,
+    PropositionComplex,
     beta_map,
     coinvariant_bicomplex,
     conjugacy_decomposition,
@@ -771,3 +772,53 @@ def test_theorem_map_does_not_depend_on_read_order(name):
         return theorem_map_f(hk, deco, 1)
 
     assert certificates(True) == certificates(False)
+
+
+# -- the normalized quotient against the ambient one ----------------------
+
+def _normalized_cases():
+    from thl.fixtures import fixture_names
+
+    names = [*fixture_names(), "half-lines-z2"]
+    return [(name, n) for name in names for n in range(1, 4)
+            if not (name == "triple-lines-s3" and n > 2)]
+
+
+@pytest.mark.parametrize("name,max_degree", _normalized_cases())
+def test_normalized_quotient_is_the_ambient_quotient_restricted(name, max_degree):
+    """The crossed-product quotient, placed from descended element blocks on
+    the non-degenerate group tuples, is the ambient-assembled quotient of
+    all tuples restricted to the coordinates of the non-degenerate ones:
+    b and B are equal there, and so is the total homology."""
+    from oracles import ambient_crossed_quotient, degenerate_coordinates, restricted
+
+    A, G = _fixture_instance(name)
+    ops = GJOperators(A, G)
+    mixed = PropositionComplex(ops, max_degree).mixed
+    ref = ambient_crossed_quotient(ops, max_degree)
+    kept = [degenerate_coordinates(ops, n)[0] for n in range(mixed.top + 1)]
+    assert mixed.dims == [len(k) for k in kept]
+    for n in range(1, mixed.top + 1):
+        assert mixed.b[n] == restricted(ref.b[n], kept[n - 1], kept[n]), n
+    for n in range(mixed.top):
+        assert mixed.B[n] == restricted(ref.B[n], kept[n + 1], kept[n]), n
+    assert mixed.total_homology().dims == ref.total_homology().dims
+
+
+@pytest.mark.parametrize("name,max_degree", _normalized_cases())
+def test_degenerate_tuples_span_a_subcomplex(name, max_degree):
+    """On the ambient-assembled quotient, b + bbar and B send the coordinates
+    of the degenerate group tuples into their own span: the rows of the
+    non-degenerate tuples are zero on those columns."""
+    from oracles import ambient_crossed_quotient, degenerate_coordinates, restricted
+
+    A, G = _fixture_instance(name)
+    ops = GJOperators(A, G)
+    ref = ambient_crossed_quotient(ops, max_degree)
+    split = [degenerate_coordinates(ops, n) for n in range(ref.top + 1)]
+    for n in range(1, ref.top + 1):
+        assert restricted(ref.b[n], split[n - 1][0], split[n][1]).is_zero(), n
+    for n in range(ref.top):
+        assert restricted(ref.B[n], split[n + 1][0], split[n][1]).is_zero(), n
+    if G.order > 1 and ref.top >= 2:
+        assert split[2][1], "no degenerate tuple to check"

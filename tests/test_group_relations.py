@@ -17,14 +17,13 @@ from thl.crossed import (
     ConjugacyDecomposition,
     GJOperators,
     LambdaComplex,
-    PropositionComplex,
     group_action_operator,
     lambda_cyclic_operator,
 )
 from thl.fixtures import fixture_names
-from thl.quotient import coinvariant_relations, descend_map, quotient_by
+from thl.quotient import coinvariant_relations, descend_map, direct_sum, quotient_by
 from thl.rational import QONE
-from thl.sparse import QMatrix, block_diag, block_matrix
+from thl.sparse import QMatrix, block_matrix
 
 HALF_LINES = os.path.join(os.path.dirname(__file__), "data", "half-lines-z2.json")
 CONFIGS = [*fixture_names(), "half-lines-z2"]
@@ -107,18 +106,24 @@ def test_group_action_is_conjugation_tensor_twist(name):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_crossed_quotient_is_the_sum_of_per_element_quotients(name):
-    """Degree n of the crossed-product complex, presented as the direct sum
-    of the per-element (1 - T) quotients, equals the quotient by the
-    block-diagonal relations of all its blocks."""
+    """Each block (p, n - p) of the crossed-product module, presented as the
+    direct sum of the per-element (1 - T) quotients of its group tuples
+    (``quotient.direct_sum``), equals the quotient by the block-diagonal
+    relations of the block."""
     cfg = _config(name)
-    ops = GJOperators(cfg.algebra, cfg.group)
-    pc = PropositionComplex(ops, cfg.max_degree)
-    ref = []
-    for n in range(pc.mixed.top + 1):
-        twists = [ops.T(p, n - p) for p in range(n + 1)]
-        rel = block_diag([coinvariant_relations(T.rows, [T]) for T in twists])
-        ref.append(quotient_by(rel.rows, rel))
-    _assert_same(pc.mixed.presentations, ref)
+    group = cfg.group
+    ops = GJOperators(cfg.algebra, group)
+    got, ref = [], []
+    for n in range(cfg.max_degree + 2):
+        for p in range(n + 1):
+            q = n - p
+            got.append(direct_sum([
+                ops.element(group.inverse[group.product(gt)]).presentation(q)
+                for gt in ops.basis(p, q).iter_group()
+            ]))
+            T = ops.T(p, q)
+            ref.append(quotient_by(T.rows, coinvariant_relations(T.rows, [T])))
+    _assert_same(got, ref)
 
 
 @pytest.mark.parametrize("name", CONFIGS)

@@ -42,8 +42,9 @@ def _characters(cfg):
 @pytest.mark.parametrize("name", NAMES)
 def test_module_sizes_are_character_counts(name):
     """(A (x) Abar^n)/<g> for each element g, the crossed-product quotient
-    sum_p |G|^p sum_x stalk(x, n - p) (sigma is onto, each fibre holds
-    |G|^p tuples), the coinvariants (1/|G|) sum_h trace(h) |C_G(h)| and
+    sum_p (|G| - 1)^p sum_x stalk(x, n - p) (it keeps the non-degenerate
+    group tuples, g_i != e for i >= 1; sigma is onto them, each fibre
+    holding (|G| - 1)^p tuples), the coinvariants (1/|G|) sum_h trace(h) |C_G(h)| and
     each stalk, the average over the centralizer of its class."""
     cfg = _config(name)
     group = cfg.group
@@ -72,8 +73,9 @@ def test_module_sizes_are_character_counts(name):
         twisted = HKBicomplex(ops.element(g), cfg.max_degree).mixed
         assert sizes(twisted) == [stalk(g, n) for n in degrees], group.name(g)
     prop = PropositionComplex(ops, cfg.max_degree).mixed
-    assert sizes(prop) == [
-        sum(group.order ** p * sum(stalk(x, n - p) for x in elements) for p in range(n + 1))
+    assert prop.dims == [
+        sum((group.order - 1) ** p * sum(stalk(x, n - p) for x in elements)
+            for p in range(n + 1))
         for n in degrees
     ]
     coinv = CoinvariantComplex(ops, cfg.max_degree)
