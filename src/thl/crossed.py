@@ -29,11 +29,14 @@ b, B and T are block diagonal in the per-element operators of
 Bbar are block matrices over the group tuples whose blocks are signed sums
 of those elements' twists, placed by one scatter constructor from their
 moves, whose targets are computed from the digits of the tuple index.
-The ambient operators serve the identity checks.  The crossed-product
-quotient is placed by the same constructor from element blocks on the
-non-degenerate group tuples, each block descended once from one element's
-(1 - T) quotient to another's.  The quotients by the group and by a
-centralizer take their relations from a generating set of it.
+The identity checks build none of these ambient operators: they state
+each operator on a block as terms along its moves, one element block per
+group tuple, and zero-test every identity on element blocks along paths
+of moves (``paths``).  The crossed-product quotient is placed by the
+scatter constructor from element blocks on the non-degenerate group
+tuples, each block descended once from one element's (1 - T) quotient to
+another's.  The quotients by the group and by a centralizer take their
+relations from a generating set of it.
 """
 
 from math import lcm
@@ -51,12 +54,17 @@ from .twisted import TwistedOperators, cyclic_operator
 
 class GJOperators:
     """Per-(p, q) operator matrices on the GJ modules, reduced unless asked
-    for full slots, and the outcomes of the operator identities on them.
+    for full slots, the per-element blocks and group-direction moves they
+    are placed from, and the outcomes of the operator identities, which are
+    checked on those element blocks (``check_identity``).
 
     Every value is built on first use and kept in one memo on the instance,
-    so it lives exactly as long as the operator set.  The per-element
-    operators are built once per group element: the twist, b and B are kept
-    here, the (1 - T) presentation in the element's ``TwistedOperators``.
+    so it lives exactly as long as the operator set: with the blocks, the
+    outcome of each identity per block, of each zero test per combination
+    of element blocks, and each product of element blocks.  The
+    per-element operators are built once per group element: the twist, b
+    and B are kept here, the (1 - T) presentation in the element's
+    ``TwistedOperators``.
     """
 
     def __init__(self, algebra, group):
@@ -103,8 +111,11 @@ class GJOperators:
         return self.group.inverse[self.group.product(gtuple)]
 
     def _sigmas(self, p, q):
-        """sigma(gt) for the group tuples gt of block (p, q), in order."""
-        return [self._sigma(gt) for gt in self.basis(p, q).iter_group()]
+        """sigma(gt) for the group tuples gt of block (p, q), in order; the
+        same list for every q."""
+        return self._kept(
+            ("sigmas", p), lambda: [self._sigma(gt) for gt in self.basis(p, q).iter_group()]
+        )
 
     def _stalkwise(self, name, block, p, q, *flags):
         """Block diagonal over the group tuples gt of block (p, q) of
@@ -246,11 +257,6 @@ class GJOperators:
         the twist of h_i = g_{p-i+1} ... g_p."""
         return self._kept(("Bbar", p, q), lambda: self._ambient("Bbar", p, p + 1, q))
 
-    def U(self, p, q):
-        """U = T.Bbar (p, q) -> (p+1, q), the group-direction half of the
-        degree-raising candidate."""
-        return self._kept(("U", p, q), lambda: self.T(p + 1, q) @ self.Bbar(p, q))
-
     def identity(self, name, p, q):
         """Outcome of the identity name of IDENTITIES on block (p, q): "" if
         it holds, else the first residual column, named by its tensor."""
@@ -290,22 +296,18 @@ def _bB(o, p, q):
     return terms + [(1, o.B(p, q - 1), o.b(p, q))] if q >= 1 else terms
 
 
-def _T_minus_1(T):
-    """The terms of T - 1: a right side 1 - T moved to the left."""
-    one = QMatrix.identity(T.rows)
-    return [(-1, one, one), (1, T, one)]
-
-
 # name -> (p_min, q_min, terms): the identity is checked on the blocks
-# (p, q) with p >= p_min and q >= q_min, where terms(ops, p, q) lists the
-# (c, X, Y) whose sum of c * X @ Y must vanish there, a right side entering
-# negated; sparse.first_nonzero_column tests the sum, builds no product and
-# gives the failing column.  Every entry reads the block operators of ops.
+# (p, q) with p >= p_min and q >= q_min, where terms(o, p, q) lists the
+# (c, X, Y) whose sum of c * X.Y must vanish there, a right side entering
+# negated (1 - T as (-1, 1, 1), (1, T, 1)).  X and Y are the operator terms
+# of a paths.BlockTerms o, so each product is a sum of paths along group
+# tuples, and check_identity tests it on element blocks.
 IDENTITIES = {
     "b^2=0": (0, 2, lambda o, p, q: [(1, o.b(p, q - 1), o.b(p, q))]),
     "B^2=0": (0, 0, lambda o, p, q: [(1, o.B(p, q + 1), o.B(p, q))]),
     "bbar^2=0": (2, 0, lambda o, p, q: [(1, o.bbar(p - 1, q), o.bbar(p, q))]),
-    "bB+Bb=1-T": (0, 0, lambda o, p, q: _bB(o, p, q) + _T_minus_1(o.T(p, q))),
+    "bB+Bb=1-T": (0, 0, lambda o, p, q: _bB(o, p, q) + [
+        (-1, o.ONE, o.ONE), (1, o.T(p, q), o.ONE)]),
     "bbarB+Bbbar=0": (1, 0, lambda o, p, q: [
         (1, o.bbar(p, q + 1), o.B(p, q)), (1, o.B(p - 1, q), o.bbar(p, q))]),
     "[T,b]=0": (0, 1, lambda o, p, q: [
@@ -341,8 +343,13 @@ FULL_PAIR = (
 
 def check_identity(ops, name, p, q):
     """Evaluate the identity name on block (p, q) of ops; GJOperators.identity
-    keeps the outcome, so each block is evaluated once per operator set."""
-    found = first_nonzero_column(IDENTITIES[name][2](ops, p, q))
+    keeps the outcome, so each block is evaluated once per operator set.
+    The sum is tested on element blocks along group-tuple paths
+    (``paths.first_residual``), a module imported on first use, so that
+    the pipelines that check no identity do not compile it."""
+    from .paths import first_residual
+
+    found = first_residual(ops, IDENTITIES[name][2], p, q)
     if found is None:
         return ""
     j, col = found

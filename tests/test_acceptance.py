@@ -187,7 +187,9 @@ def test_criterion_08_sbi_exactness():
         "middle exactness at n = 2 on the sign-twist fixture needs the "
         "periodicity class of the Q x Q part of the crossed product in the "
         "image of the de Rham term, whose modules above degree zero are "
-        "zero-dimensional there; left injectivity and composite-zero hold"
+        "zero-dimensional there; left injectivity and composite-zero hold "
+        "in the fixture basis, but not in every rational basis that keeps "
+        "the unit at e_0: their verdicts depend on the basis"
     ),
 )
 def test_criterion_09_karoubi_as_stated():

@@ -592,31 +592,33 @@ def _stalkwise_blocks(bound):
 def test_stalkwise_identities_match_assembled_blocks(monkeypatch, name):
     from oracles import assembled_identity
 
-    from thl import crossed
+    from thl import crossed, paths
 
     A, G = _fixture_instance(name)
     bound = 2 if G.order > 3 else 3
     ops, whole = GJOperators(A, G), GJOperators(A, G)
     for ident, p, q in _stalkwise_blocks(bound):
         assert ops.identity(ident, p, q) == assembled_identity(whole, ident, p, q) == ""
-    # identity_suite tests each stalkwise identity once per degree q, on the
-    # block (0, q) that holds every group element's block once
-    names, tests = [], {}
-    check, zero_test = crossed.check_identity, crossed.first_nonzero_column
-
-    def named(ops_, ident, p, q):
-        names.append(ident)
-        return check(ops_, ident, p, q)
+    # a stalkwise identity is read on the blocks (0, q) alone, where the
+    # group tuples are the elements themselves, and zero-tested once per
+    # distinct combination of element blocks: once per element and degree q
+    tests = []
+    zero_test = paths.first_nonzero_column
 
     def counted(terms):
-        tests[names[-1]] = tests.get(names[-1], 0) + 1
+        tests.append(terms)
         return zero_test(terms)
 
-    monkeypatch.setattr(crossed, "check_identity", named)
-    monkeypatch.setattr(crossed, "first_nonzero_column", counted)
-    identity_suite(GJOperators(A, G), bound)
+    monkeypatch.setattr(paths, "first_nonzero_column", counted)
     for ident in crossed.STALKWISE:
-        assert tests[ident] == bound + 1 - crossed.IDENTITIES[ident][1]
+        tests.clear()
+        assert not any(crossed._outcomes(GJOperators(A, G), ident, bound))
+        assert len(tests) == G.order * (bound + 1 - crossed.IDENTITIES[ident][1])
+    # across the suite, a combination that two identities share is tested once
+    tests.clear()
+    fresh = GJOperators(A, G)
+    identity_suite(fresh, bound)
+    assert len(tests) == sum(key[0] == "zero" for key in fresh._memo)
 
 
 def test_suites_check_stalkwise_identities_only_at_p_zero(monkeypatch):
@@ -682,40 +684,61 @@ def test_broken_element_operator_gives_the_assembled_detail(monkeypatch, operato
         assert suite[ident] == first
 
 
+def _broken_moves(monkeypatch, broken, how):
+    """Patch GJOperators.moves so that the last term of the operator broken
+    ("bbar" or "Bbar") on block (1, 1) has its sign flipped (how "sign") or
+    sends group tuple 2 to the next tuple index (how "target")."""
+    moves = GJOperators.moves
+
+    def patched(self, name, p, q):
+        out = moves(self, name, p, q)
+        if name != broken or (p, q) != (1, 1):
+            return out
+        c, hs, xs = out[-1]
+        if how == "sign":
+            return out[:-1] + [(-c, hs, xs)]
+        hs = list(hs)
+        hs[2] = (hs[2] + 1) % self.basis(p - 1 if name == "bbar" else p + 1, q).gsize
+        return out[:-1] + [(c, hs, xs)]
+
+    monkeypatch.setattr(GJOperators, "moves", patched)
+
+
+def _details(ops, whole, bound):
+    """Every identity's outcome on every block with p + q <= bound, checked
+    equal to the oracle's on the operator set whole, by block."""
+    from oracles import assembled_identity
+
+    from thl.crossed import IDENTITIES
+
+    details = {}
+    for ident, (p_min, q_min, _) in IDENTITIES.items():
+        for s in range(bound + 1):
+            for p in range(p_min, s - q_min + 1):
+                details[ident, p, s - p] = ops.identity(ident, p, s - p)
+                assert details[ident, p, s - p] == assembled_identity(whole, ident, p, s - p), (
+                    ident, p, s - p)
+    return details
+
+
 @pytest.mark.parametrize("broken, failing", [
     ("Bbar", {"bB+Bb+bbarU+Ubbar=0", "bU+Ub=0"}),
     ("bbar", {"bbar^2=0", "bbarB+Bbbar=0", "[T,bbar]=0", "b.bbar+bbar.b=0",
               "bB+Bb+bbarU+Ubbar=0"}),
 ])
 def test_broken_group_operator_gives_the_assembled_detail(monkeypatch, broken, failing):
-    """bbar or Bbar off by one entry on block (1, 1): every identity names
-    the same first failing tensor and residual column as its evaluation by
-    whole products on assembled blocks, the identities that read the
-    broken block fail, and identity_suite and full_pair_check report the
-    same first failures."""
-    from oracles import assembled_identity
-
+    """One move of bbar or Bbar on block (1, 1) sends group tuple 2 to the
+    wrong tuple, and the oracle is assembled from the same moves: every
+    identity names the same first failing tensor and residual column as its
+    evaluation by whole products on assembled blocks, the identities that
+    read the broken block fail, and identity_suite and full_pair_check
+    report the same first failures."""
     from thl.crossed import FULL_PAIR, IDENTITIES
 
     A = triple_lines_algebra()
     G = z3_group(A)
-    build = getattr(GJOperators, broken)
-
-    def off_by_one(self, p, q):
-        m = build(self, p, q)
-        if (p, q) != (1, 1):
-            return m
-        return m + QMatrix.from_columns(m.rows, [{m.rows - 1: 1} if k == 2 else {}
-                                                 for k in range(m.cols)])
-
-    monkeypatch.setattr(GJOperators, broken, off_by_one)
-    ops, whole = GJOperators(A, G), GJOperators(A, G)
-    details = {}
-    for ident, (p_min, q_min, _) in IDENTITIES.items():
-        for s in range(4):
-            for p in range(p_min, s - q_min + 1):
-                details[ident, p, s - p] = ops.identity(ident, p, s - p)
-                assert details[ident, p, s - p] == assembled_identity(whole, ident, p, s - p)
+    _broken_moves(monkeypatch, broken, "target")
+    details = _details(GJOperators(A, G), GJOperators(A, G), 3)
     assert {ident for (ident, _, _), d in details.items() if d} == failing
     # the first failing block by total degree, then p
     first = {ident: next((details[ident, p, s - p] for s in range(4) for p in range(s + 1)
@@ -729,29 +752,98 @@ def test_broken_group_operator_gives_the_assembled_detail(monkeypatch, broken, f
     )
 
 
-def test_identity_checks_multiply_only_to_build_U(monkeypatch):
-    """Once the operators are built, the suite and the full boundary pair
-    call QMatrix.__matmul__ only to build U = T.Bbar, once per block."""
+@pytest.mark.parametrize("name, broken, how", [
+    (name, broken, how) for name in ("triple-lines-z3", "triple-lines-s3")
+    for broken in ("bbar", "Bbar") for how in ("sign", "target")
+    if (name, how) != ("triple-lines-z3", "target")
+])
+def test_broken_move_details_equal_the_oracle(monkeypatch, name, broken, how):
+    """One move of bbar or Bbar on block (1, 1) with its sign flipped or its
+    target redirected: the detail of every identity on every block with
+    p + q <= 3 is byte-identical to the oracle's, assembled from the same
+    broken moves, and some identity fails.  (A redirected target on
+    triple-lines-z3 is test_broken_group_operator_gives_the_assembled_detail.)"""
+    A, G = _fixture_instance(name)
+    _broken_moves(monkeypatch, broken, how)
+    assert any(_details(GJOperators(A, G), GJOperators(A, G), 3).values())
+
+
+def _permuted_instance(name, seed):
+    """The fixture name (or tests/data/half-lines-z2.json) relabelled by
+    seed, as the benchmark relabels its inputs."""
+    import importlib.util
+    import json
+    import os
+
+    from thl.config import config_from_dict
+    from thl.fixtures import fixture_config
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "benchmark", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    if name == "half-lines-z2":
+        with open(os.path.join(root, "tests", "data", "half-lines-z2.json")) as fh:
+            data = json.load(fh)
+    else:
+        data = fixture_config(name)
+    cfg = config_from_dict(workloads.permute_config(data, seed), name=name)
+    return cfg.algebra, cfg.group
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", ["ground-field", "trunc-poly-z2", "triple-lines-z3",
+                                  "triple-lines-s3", "trunc-cubic-z2", "half-lines-z2"])
+def test_identities_equal_the_oracle_on_every_block(name, seed):
+    """Checked along group-tuple paths on element blocks, every identity
+    has the outcome of its evaluation by whole products on assembled
+    blocks, on every block with p + q <= 3, in two basis orders."""
+    A, G = _permuted_instance(name, seed)
+    assert not any(_details(GJOperators(A, G), GJOperators(A, G), 3).values())
+
+
+def test_identity_checks_multiply_only_element_blocks(monkeypatch):
+    """Once the element blocks are built, the suite and the full boundary
+    pair multiply only element blocks, each distinct product once, and no
+    matrix they zero-test or multiply has more columns than the algebra
+    block of the degree q + 1 above the block (p, q) being checked."""
+    from thl import crossed, paths
+
     A, G = _fixture_instance("triple-lines-s3")
     ops = GJOperators(A, G)
     identity_suite(ops, 3)
     full_pair_check(ops, 3)
-    for key in [k for k in ops._memo if k[0] in ("identity", "U")]:
+    for key in [k for k in ops._memo if k[0] in ("identity", "zero", "product")]:
         del ops._memo[key]
-    products = []
-    matmul = QMatrix.__matmul__
+    products, widths, block = [], [], []
+    matmul, check = QMatrix.__matmul__, crossed.check_identity
+    zero_test = paths.first_nonzero_column
 
     def counted(self, other):
         products.append((self, other))
+        widths.append((block[-1], self.cols, other.cols))
         return matmul(self, other)
 
+    def at_block(ops_, ident, p, q):
+        block.append((p, q))
+        return check(ops_, ident, p, q)
+
+    def zero_tested(terms):
+        widths.extend((block[-1], m.cols) for _, X, Y in terms for m in (X, Y))
+        return zero_test(terms)
+
     monkeypatch.setattr(QMatrix, "__matmul__", counted)
+    monkeypatch.setattr(crossed, "check_identity", at_block)
+    monkeypatch.setattr(paths, "first_nonzero_column", zero_tested)
     identity_suite(ops, 3)
     full_pair_check(ops, 3)
-    blocks = [k[1:] for k in ops._memo if k[0] == "U"]
-    assert blocks and len(products) == len(blocks) == len(set(blocks))
-    for (X, Y), (p, q) in zip(products, blocks):
-        assert X is ops.T(p + 1, q) and Y is ops.Bbar(p, q)
+    built = [k[1] for k in ops._memo if k[0] == "product"]
+    assert products and len(products) == len(built) == len(set(built))
+    for (X, Y), ((g1, q1, x1), (g2, q2, x2)) in zip(products, built):
+        assert X is getattr(ops, g2)(x2, q2) and Y is getattr(ops, g1)(x1, q1)
+    for (p, q), *cols in widths:
+        assert max(cols) <= ops.basis(0, q + 1).asize, (p, q, cols)
 
 
 @pytest.mark.parametrize("name", ["trunc-poly-z2", "triple-lines-z3"])
