@@ -143,37 +143,47 @@ class GJOperators:
         on block (p, q), the Koszul sign included: per term (c, targets,
         twists), sending the group tuple of index t in G^{p+1} to the tuple
         of index targets[t] with sign c and the twist of twists[t] (of
-        twists, when an int).  Each target is computed from the digits of t
-        (slot 0 the most significant), so no tuple is built."""
+        twists, when an int).  The targets and twists depend on (name, p)
+        only and are kept; q sets the Koszul sign."""
+        koszul = -1 if q % 2 else 1
+        return [(koszul * c, hs, xs)
+                for c, hs, xs in self._kept(("moves", name, p), lambda: self._moves(name, p))]
+
+    def _moves(self, name, p):
+        """The terms of moves(name, p, 0).  Each target is computed from the
+        digits of t (slot 0 the most significant), so no tuple is built, and
+        taken from a table of the target indices, so the kept arrays share
+        one int per index."""
         grp = self.group
         r, e = grp.order, grp.identity_index
-        koszul = -1 if q % 2 else 1
         n = r ** (p + 1)
         if name == "bbar":
             if p == 0:
                 return []
+            idx = list(range(n // r))
             mul = [grp.mul(a, b) for a in range(r) for b in range(r)]
             out = []
             for i in range(p):
                 # slots i, i + 1 merge: t = (head, g_i, g_{i+1}, tail)
                 lo = r ** (p - i - 1)
-                out.append((-koszul if i % 2 else koszul, [
-                    t // (lo * r * r) * (lo * r) + mul[t // lo % (r * r)] * lo + t % lo
+                out.append((-1 if i % 2 else 1, [
+                    idx[t // (lo * r * r) * (lo * r) + mul[t // lo % (r * r)] * lo + t % lo]
                     for t in range(n)
                 ], e))
             # the wrap move (g_p g_0, g_1, ..., g_{p-1}) twists by g_p
             mid = r ** (p - 1)
-            out.append((-koszul if p % 2 else koszul, [
-                mul[t % r * r + t // (mid * r)] * mid + t // r % mid for t in range(n)
+            out.append((-1 if p % 2 else 1, [
+                idx[mul[t % r * r + t // (mid * r)] * mid + t // r % mid] for t in range(n)
             ], list(range(r)) * (n // r)))
             return out
         # term i rotates the last i slots to the front after e and twists
         # by their product
+        idx = list(range(n * r))
         out = []
         for i, prods in enumerate(_tuple_products(grp, p)):
             head = r ** i
-            out.append((-koszul if i * p % 2 else koszul, [
-                e * n + t % head * (n // head) + t // head for t in range(n)
+            out.append((-1 if i * p % 2 else 1, [
+                idx[e * n + t % head * (n // head) + t // head] for t in range(n)
             ], [prods[t % head] for t in range(n)]))
         return out
 

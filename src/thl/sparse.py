@@ -37,6 +37,14 @@ give them back, and so do the rows of ``rref``.
   and identity of an algebra (``algebra.Algebra.mu``).  ``+`` and ``-``
   scale by an lcm only when the denominators differ.  A result is divided
   by its common factor only when its denominator is not 1.
+* The zero test of a sum of at least _PACK_MIN_COLS columns first runs on
+  packed columns (Kronecker substitution, ``_packing``): from an exact
+  bound M on every entry of the sum, each column of X that Y reads is
+  packed once into one int with W = M.bit_length() bits per row, so each
+  product term costs one big-int add, and a packed column is 0 exactly
+  when the column is.  Only the first nonzero column is then summed by
+  the dict loop, so the outcome is the loop's own.  Fewer columns, or
+  packed columns wider than _PACK_MAX_BITS (tall X), run the dict loop.
 * The other loops that add into columns are not sums of products: ``_combine``
   adds two matrices (``+`` and ``-``); ``one_minus`` builds the nonzero
   columns of 1 - op for a list of operators in one sweep of their
@@ -80,6 +88,7 @@ give them back, and so do the rows of ``rref``.
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 from .rational import Q
@@ -330,12 +339,96 @@ def first_nonzero_column(terms):
     column j of the sum of c * (X @ Y) over the terms (c, X, Y), c a nonzero
     int, or None when the sum is zero: the one exact zero test.
 
-    No product is built: the loop behind ``@`` stops at that column.
+    No product is built.  A sum of at least _PACK_MIN_COLS columns whose
+    packed columns fit in _PACK_MAX_BITS bits is tested on packed columns
+    (``_packing``), and the loop behind ``@`` sums only the column found;
+    any other sum runs that loop up to its first nonzero column.
     """
     _, den, columns = _sum_of_products(terms)
-    for j, out in enumerate(columns):
+    cols = terms[0][2].cols
+    start = 0
+    packing = _packing(terms, den) if cols >= _PACK_MIN_COLS else None
+    if packing is not None:
+        start = _first_nonzero_packed(cols, *packing)
+        if start is None:
+            return None
+        _, _, columns = _sum_of_products(
+            [(c, X, _new(Y.rows, 1, [Y._cols[start]], Y.den)) for c, X, Y in terms]
+        )
+    for j, out in enumerate(columns, start):
         if any(out.values()):
             return j, {r: Q(v, den) for r, v in sorted(out.items()) if v}
+    return None
+
+
+# A sum of fewer columns, or whose packed columns would be wider than this
+# many bits, is zero-tested by the loop behind ``@``: below 32 columns the
+# bound costs more than packing saves, and the 2116-row checks of S3 at
+# degree 4, 25k to 30k bits wide, ran 2.4 times slower packed
+# (BENCH_38.json).
+_PACK_MIN_COLS = 32
+_PACK_MAX_BITS = 1 << 13
+
+
+def _packing(terms, den):
+    """(W, parts) for testing the sum of c * (X @ Y) over the terms, over
+    den, on packed columns, or None when they would be wider than
+    _PACK_MAX_BITS bits.
+
+    Every integer entry of the sum over den is at most M in absolute value:
+    M sums, over the terms, |s| times the largest |X| entry, the largest |Y|
+    entry and Y's longest column, where s = c * den / (X.den * Y.den).
+    Column k of X packs, with W = M.bit_length(), as the int sum of
+    X_rk * 2^(W r), and column j of the sum as the sum of s * Y_kj *
+    packed_k, whose slot r holds c_r, that column's entry r.  The packed
+    sum is zero exactly when every c_r is: at the lowest r with c_r != 0 it
+    reads 2^(W r) * (c_r + 2^W * m) for an int m, and 2^W does not divide
+    c_r, since 0 < |c_r| < 2^W.  Each part is (s, X columns, Y columns,
+    packed X columns, None until first read).
+    """
+    rows = terms[0][1].rows
+    if rows > _PACK_MAX_BITS:
+        return None
+    M = 0
+    parts = []
+    for c, X, Y in terms:
+        longest = max(map(len, Y._cols))
+        top = _largest(X._cols) if longest else 0
+        if top:
+            s = c * (den // (X.den * Y.den))
+            M += abs(s) * top * _largest(Y._cols) * longest
+            parts.append((s, X._cols, Y._cols, [None] * X.cols))
+    W = M.bit_length()
+    if rows * W > _PACK_MAX_BITS:
+        return None
+    return W, parts
+
+
+def _largest(cols):
+    """The largest absolute value of an entry of the integer columns cols,
+    0 when they have none."""
+    return max(map(abs, set(chain.from_iterable(map(dict.values, cols)))), default=0)
+
+
+def _first_nonzero_packed(cols, W, parts):
+    """The first of the cols columns whose packed sum over the parts is not
+    0, or None: see ``_packing``.  A column of X is packed when first read."""
+    for j in range(cols):
+        acc = 0
+        for s, mine, other, packed in parts:
+            for k, v in other[j].items():
+                p = packed[k]
+                if p is None:
+                    p = packed[k] = sum([w << (W * r) for r, w in mine[k].items()])
+                v *= s
+                if v == 1:
+                    acc += p
+                elif v == -1:
+                    acc -= p
+                else:
+                    acc += v * p
+        if acc:
+            return j
     return None
 
 

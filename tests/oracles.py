@@ -10,6 +10,7 @@ and the sparse normalized pipeline is what the oracle tests assert.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import lcm
 
 
 # -- dense linear algebra ---------------------------------------------
@@ -111,6 +112,30 @@ def column_space_basis(m):
             echelon.append((nz, v))
             picked.append([m[i][j] for i in range(rows)])
     return picked
+
+
+def reference_first_nonzero_column(terms):
+    """(j, column j as {row: Fraction}, rows ascending) for the first nonzero
+    column j of the sum of c * (X @ Y) over the terms (c, X, Y) of
+    QMatrix X and Y, or None: ``thl.sparse.first_nonzero_column`` with no
+    packed path.  Each column is accumulated alone in a dict over the lcm
+    of the terms' denominators and scanned; the shapes are checked first,
+    with the library's message."""
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    for _, X, Y in terms:
+        if X.cols != Y.rows or (X.rows, Y.cols) != (rows, cols):
+            raise ValueError(f"shape mismatch {X.rows}x{X.cols} @ {Y.rows}x{Y.cols}")
+    den = lcm(*[X.den * Y.den for _, X, Y in terms])
+    for j in range(cols):
+        out = {}
+        for c, X, Y in terms:
+            s = c * (den // (X.den * Y.den))
+            for k, v in Y._cols[j].items():
+                for r, w in X._cols[k].items():
+                    out[r] = out.get(r, 0) + s * v * w
+        if any(out.values()):
+            return j, {r: Fraction(v, den) for r, v in sorted(out.items()) if v}
+    return None
 
 
 def one_int_per_row(m):

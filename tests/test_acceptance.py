@@ -242,14 +242,7 @@ def test_criterion_10_determinism():
     _announce(10, True, "byte-identical machine reports across two runs of all, every fixture")
 
 
-# the largest job (S3 at degree 4, about 9 s and 400 MB in-process) is
-# left to CI
-IN_PROCESS_JOBS = [
-    job for job in PINNED_SHA256 if job != "hc-crossed --fixture triple-lines-s3 --max-degree 4"
-]
-
-
-@pytest.mark.parametrize("job", IN_PROCESS_JOBS)
+@pytest.mark.parametrize("job", PINNED_SHA256)
 def test_pinned_job_report_digest(job, capsys):
     """Each pinned job, run in-process through ``cli.main`` (a --config
     path taken from the repository root), prints the report whose

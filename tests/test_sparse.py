@@ -24,7 +24,14 @@ from thl.sparse import (
 from thl import sparse
 from thl.sparse import _annihilators, _eliminate, _primitive, _reduce
 
-from oracles import dense_rank, dense_rref, mat_mul, one_int_per_row, reference_rank
+from oracles import (
+    dense_rank,
+    dense_rref,
+    mat_mul,
+    one_int_per_row,
+    reference_first_nonzero_column,
+    reference_rank,
+)
 
 
 def test_rank_identity():
@@ -701,6 +708,113 @@ def test_first_nonzero_column_matches_materialized_sum(terms):
             assert 0 not in found[1].values() and list(found[1]) == sorted(found[1])
     # a sum and its negative cancel in every column
     assert first_nonzero_column(terms + [(-c, X, Y) for c, X, Y in terms]) is None
+
+
+def _outcome(found):
+    """A zero test's outcome with its column's row order made visible."""
+    return None if found is None else (found[0], list(found[1].items()))
+
+
+wide_entries = st.one_of(
+    st.integers(min_value=-2**20, max_value=2**20),
+    st.fractions(min_value=-2**20, max_value=2**20, max_denominator=12),
+)
+
+
+def _sparse_columns(draw, rows, cols, size):
+    row = st.integers(min_value=0, max_value=rows - 1)
+    return QMatrix.from_columns(rows, [
+        draw(st.dictionaries(row, wide_entries, max_size=size)) for _ in range(cols)
+    ])
+
+
+@st.composite
+def wide_sums(draw):
+    """Terms (c, X, Y) of one shape that reach both paths of the zero test:
+    Y is wide and sparse, past the column cutoff, or narrow, and X short or
+    taller than the width budget allows; entries run up to 2^20 with mixed
+    denominators.  Terms cancel as in product_sums, and one column may then
+    be disturbed."""
+    rows = draw(st.sampled_from(
+        [1, 3, 8, sparse._PACK_MAX_BITS // 2 + 1, sparse._PACK_MAX_BITS + 1]
+    ))
+    mid = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.one_of(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=sparse._PACK_MIN_COLS, max_value=sparse._PACK_MIN_COLS + 24),
+    ))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        X, Y = _sparse_columns(draw, rows, mid, 3), _sparse_columns(draw, mid, cols, 2)
+        terms.append((c, X, Y))
+        if draw(st.booleans()):
+            terms.append((-c, _scaled(X, 2), _scaled(Y, Fraction(1, 2))))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=cols - 1))
+        e = QMatrix.from_columns(mid, [{0: Fraction(1, 3)} if k == j else {} for k in range(cols)])
+        terms.append((1, _sparse_columns(draw, rows, mid, 3), e))
+    return terms
+
+
+@settings(deadline=None)
+@given(wide_sums())
+def test_first_nonzero_column_matches_reference_on_both_paths(terms):
+    for part in (terms[:1], terms):
+        assert _outcome(first_nonzero_column(part)) == _outcome(
+            reference_first_nonzero_column(part)
+        )
+    assert first_nonzero_column(terms + [(-c, X, Y) for c, X, Y in terms]) is None
+
+
+def _wide(cols, j, column, rows):
+    """The rows x cols matrix whose only nonzero column is column, at j."""
+    return QMatrix.from_columns(rows, [column if k == j else {} for k in range(cols)])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_zero_test_width_is_sharp(sign):
+    """Slot 0 of the only nonzero column is exactly +-M, the entry bound,
+    and slot 1 is -+1: packed one bit narrower than M.bit_length(), the
+    column reads as a false zero, and at that width it does not."""
+    M, cols, j = 2**7, sparse._PACK_MIN_COLS + 5, sparse._PACK_MIN_COLS + 3
+    X = QMatrix.from_columns(2, [{0: sign * M, 1: -sign}])
+    terms = [(1, X, _wide(cols, j, {0: 1}, 1))]
+    W, parts = sparse._packing(terms, 1)
+    assert W == M.bit_length()
+    assert sparse._first_nonzero_packed(cols, W - 1, parts) is None
+    assert first_nonzero_column(terms) == (j, {0: Q(sign * M), 1: Q(-sign)})
+    assert _outcome(first_nonzero_column(terms)) == _outcome(reference_first_nonzero_column(terms))
+
+
+def test_packed_zero_test_cancels_across_terms():
+    """A zero reached as 2 = 1 + 1 across three terms, on the packed path,
+    and the first column where a fourth term disturbs it."""
+    cols = sparse._PACK_MIN_COLS
+    X = QMatrix.from_columns(3, [{0: 1, 2: -1}, {1: 1}])
+    Y = QMatrix.from_columns(2, [{k % 2: 1} for k in range(cols)])
+    terms = [(1, X, Y), (1, X, Y), (-1, _scaled(X, 2), Y)]
+    assert sparse._packing(terms, 1) is not None
+    assert first_nonzero_column(terms) is None
+    disturbed = terms + [(1, X, _wide(cols, 7, {1: Fraction(1, 2)}, 2))]
+    assert first_nonzero_column(disturbed) == (7, {1: Q(1, 2)})
+    assert _outcome(first_nonzero_column(disturbed)) == _outcome(
+        reference_first_nonzero_column(disturbed)
+    )
+
+
+def test_zero_test_on_empty_and_tall_factors():
+    """An empty Y (no columns, or wide with no entries) sums to zero; an X
+    past the width budget runs the dict loop and finds the same column."""
+    X = QMatrix.from_columns(4, [{0: 1, 3: 2}])
+    assert first_nonzero_column([(1, X, QMatrix.zero(1, 0))]) is None
+    assert first_nonzero_column([(1, X, QMatrix.zero(1, sparse._PACK_MIN_COLS))]) is None
+    rows, cols = sparse._PACK_MAX_BITS + 1, sparse._PACK_MIN_COLS
+    tall = QMatrix.from_columns(rows, [{0: 3, rows - 1: -5}])
+    terms = [(1, tall, _wide(cols, 11, {0: 1}, 1))]
+    assert sparse._packing(terms, 1) is None
+    assert first_nonzero_column(terms) == (11, {0: Q(3), rows - 1: Q(-5)})
+    assert _outcome(first_nonzero_column(terms)) == _outcome(reference_first_nonzero_column(terms))
 
 
 @given(matrices(max_dim=4, entries=rational_entries), st.data())
